@@ -48,7 +48,6 @@ class RunConfig:
     c: np.ndarray = None       # None: solve for beta_target
     beta_target: float = 1.0
     a: np.ndarray = None       # None: characteristic polynomial
-    eps_g: float = 1e-9
     feas_tol: float = 1e-7
     kkt_tol: float = 1e-8
     terminal_kind: str = "auto"
@@ -60,7 +59,7 @@ class RunConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise SchemaError("horizon must be >= 1")
-        for name in ("eps_g", "feas_tol", "kkt_tol"):
+        for name in ("feas_tol", "kkt_tol"):
             if getattr(self, name) <= 0:
                 raise SchemaError(f"{name} must be positive")
         if self.q_diag < 0:
@@ -80,7 +79,6 @@ def config_from_args(args):
         c=_parse_vec(args.c) if args.c else None,
         beta_target=args.beta_target,
         a=None if args.a == "charpoly" else _parse_vec(args.a),
-        eps_g=args.eps_g,
         feas_tol=args.feas_tol,
         kkt_tol=args.kkt_tol,
         terminal_kind=args.terminal,
@@ -278,6 +276,8 @@ def cmd_solve(args):
                         pipe.terminal, pipe.Q, pipe.rho)
         results.append(_solution_dict(pipe, x, solve(prog, pipe.solver_cfg)))
     _dump_json(results if args.all_feasible else results[0], cfg.out)
+    n_undecided = sum(r["status"] == "IterLimit" for r in results)
+    print(f"undecided candidates (IterLimit): {n_undecided}", file=sys.stderr)
     optimal = [r for r in results if r["status"] == "Optimal"]
     return 0 if optimal else 2
 
@@ -393,7 +393,6 @@ def _add_common(p, horizon=True):
                    help="state weight Q = q*I")
     p.add_argument("--rho", type=float, default=None,
                    help="input weight (default 0.1 b0^2/beta^2)")
-    p.add_argument("--eps-g", type=float, default=1e-9)
     p.add_argument("--feas-tol", type=float, default=1e-7)
     p.add_argument("--kkt-tol", type=float, default=1e-8)
     p.add_argument("--terminal", choices=("auto", "polytope", "ellipsoid"),

@@ -28,6 +28,7 @@ class MpcStepResult:
     V: float
     n_scenarios_solved: int
     per_scenario: list = None
+    n_undecided: int = 0
 
 
 def _fmt(x):
@@ -92,20 +93,23 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
 
     Candidates are the catalog scenarios whose first region contains x. The
     reported input is recovered through the linearizing feedback, falling
-    back to u = 0 where the input gain vanishes.
+    back to u = 0 where the input gain vanishes. Only Optimal candidates
+    compete; IterLimit ones are counted as undecided (n_undecided, also in
+    the details of InfeasibleStateError).
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
     candidates = filter_for_state(catalog, spec, x, tol)
     best = None
     per = [] if keep_per_scenario else None
-    n_solved = 0
+    n_solved = n_undecided = 0
     for sc in candidates:
         prog = assemble(sc, x, spec, lin, zsets, terminal, Q, rho)
         sol = solve(prog, cfg)
         n_solved += 1
         if keep_per_scenario:
             per.append((sc.j, sol.status, sol.V))
+        n_undecided += sol.status == "IterLimit"
         if not sol.optimal:
             continue
         if best is None or sol.V < best[1].V - TIE_TOL:
@@ -114,12 +118,12 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     if best is None:
         raise InfeasibleStateError(
             "no candidate scenario is feasible at the query state",
-            details_x=x.tolist())
+            details_x=x.tolist(), n_undecided=n_undecided)
     sc, sol = best
     v0 = float(sol.v_seq[0])
     return MpcStepResult(u=u_of_v(lin, spec, x, v0), v=v0, j_star=sc.j,
                          V=sol.V, n_scenarios_solved=n_solved,
-                         per_scenario=per)
+                         per_scenario=per, n_undecided=n_undecided)
 
 
 def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho,

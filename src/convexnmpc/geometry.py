@@ -5,6 +5,7 @@ All linear programs go through scipy's HiGHS backend. Rows of a
 that redundancy tests and row deduplication work on a canonical form.
 """
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -77,8 +78,13 @@ class Polytope:
         """Center and radius of the largest inscribed ball.
 
         Solved with artificial box bounds so unbounded polytopes still give a
-        finite interior point; the radius is then a lower bound only.
+        finite interior point; the radius is then a lower bound only. The LP
+        runs once per polytope; the center returned is read-only.
         """
+        return self._chebyshev
+
+    @cached_property
+    def _chebyshev(self):
         n = self.dim
         # max r  s.t.  C x + r <= d  (rows are unit norm), |x| <= 1e6
         c = np.zeros(n + 1)
@@ -89,7 +95,9 @@ class Polytope:
                       method="highs")
         if res.status != 0:
             return None, -np.inf
-        return res.x[:n], float(res.x[-1])
+        center = res.x[:n]
+        center.setflags(write=False)
+        return center, float(res.x[-1])
 
     def is_empty(self, tol=1e-9):
         _, r = self.chebyshev_center()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoConvergenceError, OutOfRangeError
 from .geometry import Ellipsoid, Polytope
-from .model import region_membership, system_to_dict
+from .model import EPS_G, region_membership, system_to_dict
 from .solver import SolverConfig, assemble, solve_feasibility
 
 
@@ -61,7 +61,7 @@ class Scenario:
         return len(self.coeffs)
 
 
-def catalog_hash(spec, lin, terminal, feas_tol, eps_g=1e-9):
+def catalog_hash(spec, lin, terminal, feas_tol):
     """Content hash binding a catalog to the data it was pruned against."""
     tset = terminal.tset
     if isinstance(tset, Polytope):
@@ -76,7 +76,7 @@ def catalog_hash(spec, lin, terminal, feas_tol, eps_g=1e-9):
         "lin": lin.to_dict(),
         "terminal": tdata,
         "feas_tol": feas_tol,
-        "eps_g": eps_g,
+        "eps_g": EPS_G,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

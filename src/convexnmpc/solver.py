@@ -5,17 +5,22 @@ the artificial inputs (plus the initial state, when it is left free for
 feasibility probing) as the only decision variables. One log-barrier
 interior-point method covers all constraint classes; the QP/QCQP/NLP tag
 is reporting metadata, not a solver dispatch.
+
+The Newton kernel keeps two invariants. Each trial point of the line search
+is evaluated once: the accepted trial's margins, sinusoid phase pieces and
+barrier value become the next iterate's, so no iterate is evaluated twice.
+Curvature is decided when a program's workset is built: the quadratic
+Hessians are constant, so their nonconvexity flag is fixed there.
 """
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import nnls
 
 from .errors import HorizonMismatchError, NoConvergenceError
 from .geometry import Ellipsoid, Polytope
-from .stagesets import (AffineCon, QuadCon, SmoothCon,
-                        TangentExtendedSinusoid)
+from .stagesets import AffineCon, QuadCon, SmoothCon, TangentExtendedSinusoid
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +134,6 @@ class ComposedSmoothCon:
 
     def hess(self, z):
         return self.g_coef * (self.Mx.T @ self.fieldref.hess(self._x(z)) @ self.Mx)
-
-    def inner_hess_min_eig(self, z):
-        H = self.g_coef * self.fieldref.hess(self._x(z))
-        return float(np.min(np.linalg.eigvalsh(H))) if H.size else 0.0
 
 
 def _compose_affine(con, M, m):
@@ -401,107 +402,91 @@ class _SinusoidGroup:
         if aug:
             self.Lin[:, d] = -1.0
 
-    def __len__(self):
-        return self.r.shape[0]
-
-    def pieces(self, z):
+    def at(self, z):
+        """Values at z, and the phase pieces (th, clipped th, cos, sin)
+        from which the Newton step derives slopes and curvatures."""
         th = self.Qm @ z + self.r
-        thc = np.clip(th, self.lo, self.hi)
+        thc = th.clip(self.lo, self.hi)
         cos_c = np.cos(thc)
-        vals = (self.scale * (cos_c - np.sin(thc) * (th - thc))
+        sin_c = np.sin(thc)
+        vals = (self.scale * (cos_c - sin_c * (th - thc))
                 + self.Lin @ z + self.lc)
-        dphi = -self.scale * np.sin(thc)
-        curv = np.where((th < self.lo) | (th > self.hi), 0.0,
-                        -self.scale * cos_c)
-        return vals, dphi, curv
-
-    def values(self, z):
-        th = self.Qm @ z + self.r
-        thc = np.clip(th, self.lo, self.hi)
-        return (self.scale * (np.cos(thc) - np.sin(thc) * (th - thc))
-                + self.Lin @ z + self.lc)
-
-
-class _AugCon:
-    """A scalar constraint lifted to (z, t)-space as f(z) - t <= 0."""
-
-    __slots__ = ("con", "d")
-
-    def __init__(self, con, d):
-        self.con = con
-        self.d = d
-
-    def value(self, zt):
-        return self.con.value(zt[:-1]) - zt[-1]
-
-    def grad(self, zt):
-        g = np.empty(self.d + 1)
-        g[:-1] = self.con.grad(zt[:-1])
-        g[-1] = -1.0
-        return g
-
-    def hess(self, zt):
-        Hm = np.zeros((self.d + 1, self.d + 1))
-        Hm[:-1, :-1] = self.con.hess(zt[:-1])
-        return Hm
+        return vals, (th, thc, cos_c, sin_c)
 
 
 class _Workset:
-    """One program's constraints prepared for fast barrier iterations."""
+    """One program's constraints prepared for fast barrier iterations.
 
-    def __init__(self, prog, aug=False):
+    Three blocks: stacked affine rows, the sinusoid group and the convex
+    quadratics. In phase I (aug) the iterate carries the slack t as a last
+    column, and every constraint f(z) <= 0 becomes f(z) - t <= 0. relax
+    shifts every constraint by a nonnegative slack.
+    """
+
+    def __init__(self, prog, aug=False, relax=0.0):
         d = prog.n_vars
         self.aug = aug
-        self.width = d + 1 if aug else d
         if prog.A_mat.size:
             self.A = (np.hstack([prog.A_mat,
                                  -np.ones((prog.A_mat.shape[0], 1))])
                       if aug else prog.A_mat)
         else:
-            self.A = np.zeros((0, self.width))
-        self.b = prog.b_vec
-        grp_idx = {id(c) for c in prog.nonlin
-                   if isinstance(c, ComposedSmoothCon)
-                   and isinstance(c.fieldref, TangentExtendedSinusoid)}
-        grp = [c for c in prog.nonlin if id(c) in grp_idx]
-        oth = [c for c in prog.nonlin if id(c) not in grp_idx]
-        self.group = _SinusoidGroup(grp, d, aug) if grp else None
-        self.others = tuple(_AugCon(c, d) for c in oth) if aug else tuple(oth)
-        self.n_cons = prog.n_constraints
-
-    def slack_values(self, z, relax):
-        """Feasibility margins (positive inside) of all constraint blocks."""
-        s_aff = ((self.b + relax) - self.A @ z if self.A.size
-                 else np.empty(0))
-        s_grp = (relax - self.group.values(z) if self.group is not None
-                 else np.empty(0))
-        s_oth = np.array([relax - c.value(z) for c in self.others])
-        return s_aff, s_grp, s_oth
-
-    def watch_curvature(self, work, z):
-        """Flag honest nonconvexity seen at an iterate (the sinusoid group
-        is convex by construction and needs no check)."""
-        if work.nonconvex:
-            return
-        for con in self.others:
-            base = con.con if isinstance(con, _AugCon) else con
-            if isinstance(base, QuadCon):
-                eig = float(np.min(np.linalg.eigvalsh(base.H)))
-            elif isinstance(base, ComposedSmoothCon):
-                eig = base.inner_hess_min_eig(z[:-1] if self.aug else z)
+            self.A = np.zeros((0, d + 1 if aug else d))
+        self.relax = relax
+        self.b = prog.b_vec + relax
+        grp, quads = [], []
+        for con in prog.nonlin:
+            if isinstance(con, QuadCon):
+                quads.append(con)
+            elif (isinstance(con, ComposedSmoothCon)
+                  and isinstance(con.fieldref, TangentExtendedSinusoid)):
+                grp.append(con)
             else:
-                continue
-            if eig < -1e-8:
-                work.nonconvex = True
-                return
+                raise TypeError(
+                    f"no barrier block for constraint {type(con).__name__}")
+        self.group = _SinusoidGroup(grp, d, aug) if grp else None
+        self.quads = tuple(quads)
+        # the quadratic Hessians are constant: pad them with the zero t
+        # row and column once, and decide their curvature once
+        self.quad_hess = tuple(np.pad(con.H, (0, 1)) if aug else con.H
+                               for con in quads)
+        self.nonconvex = any(float(np.min(np.linalg.eigvalsh(con.H))) < -1e-8
+                             for con in quads)
+
+    def point(self, z, lazy=False):
+        """Feasibility margins (positive inside) of the affine, sinusoid and
+        quadratic blocks at z, plus the sinusoid phase pieces. With lazy,
+        None as soon as an affine margin is not positive."""
+        s_aff = self.b - self.A @ z
+        if lazy and s_aff.size and s_aff.min() <= 0:
+            return None
+        relax = self.relax
+        if self.group is not None:
+            vals, pieces = self.group.at(z)
+            s_grp = relax - vals
+        else:
+            s_grp, pieces = np.empty(0), None
+        if self.aug:
+            x, t = z[:-1], z[-1]
+            s_quad = np.array([relax - (con.value(x) - t)
+                               for con in self.quads])
+        else:
+            s_quad = np.array([relax - con.value(z) for con in self.quads])
+        return (s_aff, s_grp, s_quad), pieces
+
+    def quad_grad(self, con, z):
+        if self.aug:
+            return np.append(con.grad(z[:-1]), -1.0)
+        return con.grad(z)
 
 
 def _newton_solve(Hm, g):
-    try:
-        c, low = cho_factor(Hm, check_finite=False)
-        return cho_solve((c, low), -g, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError):
-        pass
+    # the LAPACK routines behind scipy's cho_factor/cho_solve (upper factor)
+    c, info = dpotrf(Hm, lower=0, clean=0)
+    if info == 0:
+        step, info = dpotrs(c, -g, lower=0)
+        if info == 0:
+            return step
     # saddle-free modified Newton: flip negative curvature so the step is
     # always a descent direction even where iterates see nonconvex territory
     w, V = np.linalg.eigh(0.5 * (Hm + Hm.T))
@@ -510,12 +495,11 @@ def _newton_solve(Hm, g):
     return -V @ ((V.T @ g) / w)
 
 
-def _barrier_stage(work, ws, z, mu, f0, relax, stop_when=None,
-                   inner_tol=None):
+def _barrier_stage(work, ws, z, mu, f0, stop_when=None, inner_tol=None):
     """Newton iterations at fixed barrier weight mu over a workset.
 
-    f0 = (value, grad, hess) callables for the smooth objective part. relax
-    shifts every constraint by a nonnegative slack. Returns the iterate.
+    f0 = (value, grad, hess) callables for the smooth objective part.
+    Returns the iterate.
     stop_when, if given, aborts the stage early once the predicate on the
     iterate holds (used by phase-I as soon as strict feasibility shows).
     """
@@ -523,42 +507,43 @@ def _barrier_stage(work, ws, z, mu, f0, relax, stop_when=None,
     if inner_tol is None:
         inner_tol = cfg.inner_tol
     A = ws.A
-    b = ws.b + relax
 
-    def barrier_value(zz, parts):
+    def barrier_value(zz, slacks):
         total = f0[0](zz)
-        for s in parts:
+        for s in slacks:
             if s.size:
-                if np.min(s) <= 0:
+                if s.min() <= 0:
                     return np.inf
-                total -= mu * float(np.sum(np.log(s)))
+                total -= mu * float(np.log(s).sum())
         return total
 
+    # the accepted line-search trial is the next iterate: its margins,
+    # phase pieces and barrier value are reused, never recomputed
+    slacks, pieces = ws.point(z)
+    base = barrier_value(z, slacks)
     prev_decrement = np.inf
     while True:
+        s_aff, s_grp, s_quad = slacks
         grad = f0[1](z)
         hess = f0[2](z).copy()
-        s_aff = b - A @ z if A.size else np.empty(0)
         if s_aff.size:
             inv = 1.0 / s_aff
             grad = grad + A.T @ (mu * inv)
             hess += (A.T * (mu * inv ** 2)) @ A
         if ws.group is not None:
-            gvals, dphi, curv = ws.group.pieces(z)
-            s_grp = relax - gvals
-            G = dphi[:, None] * ws.group.Qm + ws.group.Lin
+            grp = ws.group
+            th, thc, cos_c, sin_c = pieces
+            dphi = -grp.scale * sin_c
+            curv = np.where((th < grp.lo) | (th > grp.hi), 0.0,
+                            -grp.scale * cos_c)
+            G = dphi[:, None] * grp.Qm + grp.Lin
             grad = grad + G.T @ (mu / s_grp)
             hess += (G.T * (mu / s_grp ** 2)) @ G
-            hess += (ws.group.Qm.T * (mu * curv / s_grp)) @ ws.group.Qm
-        else:
-            s_grp = np.empty(0)
-        s_oth = np.empty(len(ws.others))
-        for i, con in enumerate(ws.others):
-            s = relax - con.value(z)
-            s_oth[i] = s
-            gcon = con.grad(z)
+            hess += (grp.Qm.T * (mu * curv / s_grp)) @ grp.Qm
+        for con, Hq, s in zip(ws.quads, ws.quad_hess, s_quad):
+            gcon = ws.quad_grad(con, z)
             grad = grad + (mu / s) * gcon
-            hess += mu * (np.outer(gcon, gcon) / (s * s) + con.hess(z) / s)
+            hess += mu * (gcon[:, None] * gcon / (s * s) + Hq / s)
 
         step = _newton_solve(hess, grad)
         decrement = float(-grad @ step)
@@ -570,18 +555,23 @@ def _barrier_stage(work, ws, z, mu, f0, relax, stop_when=None,
             return z
         prev_decrement = decrement
         work.spend()
-        base = barrier_value(z, (s_aff, s_grp, s_oth))
+        slope = float(grad @ step)
         t = 1.0
         for _ in range(80):
             z_new = z + t * step
-            val = barrier_value(z_new, ws.slack_values(z_new, relax))
-            if val <= base + cfg.armijo_slope * t * float(grad @ step):
-                break
+            bound = base + cfg.armijo_slope * t * slope
+            # an infinite barrier value passes only an infinite bound
+            trial = ws.point(z_new, lazy=bound < np.inf)
+            if trial is not None:
+                val = barrier_value(z_new, trial[0])
+                if val <= bound:
+                    break
             t *= cfg.backtrack
         else:
             return z
-        z = z_new
-        ws.watch_curvature(work, z)
+        z, (slacks, pieces), base = z_new, trial, val
+        if ws.nonconvex:
+            work.nonconvex = True
         if stop_when is not None and stop_when(z):
             return z
 
@@ -639,14 +629,16 @@ def _kkt_residual(prog, z, mu_last, relax, cfg):
 def phase1(prog, cfg, work=None):
     """Minimize the worst constraint violation t over (z, t).
 
-    Returns (z, t_final, certified) where certified means the slack was
-    driven to a near-optimal value (not just early-exited on strict
-    feasibility).
+    Returns (z, t). A strictly feasible hint is returned as it is, with no
+    Newton step; otherwise t is either certified (central-path bound) or
+    the first strictly negative slack seen.
     """
     work = work or _Work(prog, cfg)
     d = prog.n_vars
     z = prog.z0_hint.copy()
     viol0 = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
+    if viol0 < -1e-6:
+        return z, viol0
     t0 = viol0 + 1.0
 
     ws = _Workset(prog, aug=True)
@@ -661,7 +653,7 @@ def phase1(prog, cfg, work=None):
     done = False
     m = max(prog.n_constraints, 1)
     for mu in _mu_schedule(cfg, prog.n_constraints):
-        zt = _barrier_stage(work, ws, zt, mu, f0, relax=0.0,
+        zt = _barrier_stage(work, ws, zt, mu, f0,
                             stop_when=lambda p: p[-1] < -cfg.strict_margin,
                             inner_tol=1e-11)
         if zt[-1] < -cfg.strict_margin:
@@ -672,7 +664,7 @@ def phase1(prog, cfg, work=None):
             break
     z = zt[:-1]
     t_true = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
-    return z, min(t_true, float(zt[-1])) if done else t_true, not done
+    return z, min(t_true, float(zt[-1])) if done else t_true
 
 
 def solve_feasibility(prog, cfg=SolverConfig()):
@@ -684,14 +676,8 @@ def solve_feasibility(prog, cfg=SolverConfig()):
     """
     if prog.pre_violation > cfg.feas_tol:
         return False, prog.pre_violation
-    if prog.n_constraints == 0:
-        return True, -1.0
-    vals0 = prog.constraint_values(prog.z0_hint)
-    if float(np.max(vals0)) < -1e-6:
-        return True, float(np.max(vals0))
-    work = _Work(prog, cfg)
     try:
-        _, t_star, _ = phase1(prog, cfg, work)
+        _, t_star = phase1(prog, cfg)
     except _IterBudget:
         raise NoConvergenceError(
             f"feasibility probe exhausted {cfg.max_newton} Newton steps")
@@ -727,24 +713,17 @@ def solve(prog, cfg=SolverConfig()):
 
     if prog.pre_violation > cfg.feas_tol:
         return finish("Infeasible", p1=prog.pre_violation)
-
-    # a strictly feasible hint skips phase-I entirely
-    vals0 = (prog.constraint_values(prog.z0_hint)
-             if prog.n_constraints else np.array([-1.0]))
-    if float(np.max(vals0)) < -1e-6:
-        z, t_star = prog.z0_hint.copy(), float(np.max(vals0))
-    else:
-        try:
-            z, t_star, _ = phase1(prog, cfg, work)
-        except _IterBudget:
-            return finish("IterLimit")
-        if t_star > cfg.feas_tol:
-            return finish("Infeasible", p1=t_star)
+    try:
+        z, t_star = phase1(prog, cfg, work)
+    except _IterBudget:
+        return finish("IterLimit")
+    if t_star > cfg.feas_tol:
+        return finish("Infeasible", p1=t_star)
 
     degenerate = t_star > -cfg.strict_margin
     relax = (max(t_star, 0.0) + 1e-9) if degenerate else 0.0
 
-    ws = _Workset(prog)
+    ws = _Workset(prog, relax=relax)
     H2 = 2.0 * prog.H
     f0 = (prog.objective_value,
           prog.objective_grad,
@@ -754,7 +733,7 @@ def solve(prog, cfg=SolverConfig()):
     try:
         for stage, mu in enumerate(schedule):
             last = stage == len(schedule) - 1
-            z = _barrier_stage(work, ws, z, mu, f0, relax=relax,
+            z = _barrier_stage(work, ws, z, mu, f0,
                                inner_tol=None if last else 1e-11)
             stage_values.append(prog.objective_value(z))
     except _IterBudget:

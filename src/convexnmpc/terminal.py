@@ -162,7 +162,7 @@ def ellipsoidal_terminal(P, kappa, z1, A_cl, n_samples=N_LEVEL_SAMPLES, seed=0):
             return False
         Z = np.hstack([X, (X @ kappa)[:, None]])
         for con in z1.constraints:
-            if any(con.value(z) > 1e-12 for z in Z):
+            if np.any(con.value_batch(Z) > 1e-12):
                 return False
         Xn = X @ A_cl.T
         return not np.any(

@@ -10,14 +10,15 @@ import convexnmpc as cn
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "examples"
+PACKAGED = pathlib.Path(cn.__file__).parent / "data"
 
 PAPER_C = np.array([5.0, -1.0])
 PAPER_B0 = 0.1
 Q_DIAG = 0.05
 
 
-def _pipeline(name, terminal_kind="auto"):
-    spec = cn.load_system(EXAMPLES / f"{name}.json")
+def _pipeline(name, terminal_kind="auto", root=EXAMPLES):
+    spec = cn.load_system(root / f"{name}.json")
     lin = cn.build_linearization(spec, PAPER_C, b0=PAPER_B0)
     zsets = cn.build_stage_sets(spec, lin)
     Q = Q_DIAG * np.eye(spec.n)
@@ -39,6 +40,23 @@ def ex2():
 @pytest.fixture(scope="session")
 def ex3():
     return _pipeline("ex3")
+
+
+# the same systems as shipped inside the package, for tests that must not
+# depend on examples/
+@pytest.fixture(scope="session")
+def packaged_ex1():
+    return _pipeline("ex1", root=PACKAGED)
+
+
+@pytest.fixture(scope="session")
+def packaged_ex2():
+    return _pipeline("ex2", root=PACKAGED)
+
+
+@pytest.fixture(scope="session")
+def packaged_ex3():
+    return _pipeline("ex3", root=PACKAGED)
 
 
 @pytest.fixture(scope="session")
