@@ -14,8 +14,9 @@ from importlib import resources
 
 import numpy as np
 
-from .closedloop import sample_grid, simulate
-from .errors import CatalogMismatchError, SchemaError, ToolkitError
+from .closedloop import applied_candidate, sample_grid, simulate
+from .errors import (CatalogMismatchError, InfeasibleStateError,
+                     SchemaError, ToolkitError)
 from .linearize import build_linearization, compute_output_vector
 from .model import load_system, validate_assumption1
 from .scenario import (FeasibleCatalog, Scenario, catalog_hash, decode,
@@ -270,16 +271,20 @@ def cmd_solve(args):
     else:
         cands = filter_for_state(catalog, pipe.spec, x,
                                  horizon=cfg.horizon)
-    results = []
-    for sc in cands:
-        prog = assemble(sc, x, pipe.spec, pipe.lin, pipe.zsets,
-                        pipe.terminal, pipe.Q, pipe.rho)
-        results.append(_solution_dict(pipe, x, solve(prog, pipe.solver_cfg)))
-    _dump_json(results if args.all_feasible else results[0], cfg.out)
-    n_undecided = sum(r["status"] == "IterLimit" for r in results)
+    if not cands:
+        raise InfeasibleStateError(
+            "no catalog scenario starts in a region containing the query "
+            "state", details_x=x.tolist())
+    sols = [solve(assemble(sc, x, pipe.spec, pipe.lin, pipe.zsets,
+                           pipe.terminal, pipe.Q, pipe.rho), pipe.solver_cfg)
+            for sc in cands]
+    results = [_solution_dict(pipe, x, sol) for sol in sols]
+    # the candidate evaluate_ocp applies, or the first when none is Optimal
+    shown = results[applied_candidate(sols) or 0]
+    _dump_json(results if args.all_feasible else shown, cfg.out)
+    n_undecided = sum(sol.status == "IterLimit" for sol in sols)
     print(f"undecided candidates (IterLimit): {n_undecided}", file=sys.stderr)
-    optimal = [r for r in results if r["status"] == "Optimal"]
-    return 0 if optimal else 2
+    return 0 if any(sol.optimal for sol in sols) else 2
 
 
 def cmd_simulate(args):

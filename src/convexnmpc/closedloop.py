@@ -87,6 +87,18 @@ class GridTable:
         return "\n".join(lines) + "\n"
 
 
+def applied_candidate(solutions):
+    """Index of the solution that is applied among candidates in ascending
+    index order: the best Optimal one, ties within TIE_TOL going to the
+    earlier one. None when no solution is Optimal."""
+    best = None
+    for i, sol in enumerate(solutions):
+        if sol.optimal and (best is None
+                            or sol.V < solutions[best].V - TIE_TOL):
+            best = i
+    return best
+
+
 def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
                  cfg=None, tol=1e-8, keep_per_scenario=False):
     """Solve every candidate scenario at state x and pick the best.
@@ -94,35 +106,26 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     Candidates are the catalog scenarios whose first region contains x. The
     reported input is recovered through the linearizing feedback, falling
     back to u = 0 where the input gain vanishes. Only Optimal candidates
-    compete; IterLimit ones are counted as undecided (n_undecided, also in
-    the details of InfeasibleStateError).
+    compete (see applied_candidate); IterLimit ones are counted as
+    undecided (n_undecided, also in the details of InfeasibleStateError).
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
     candidates = filter_for_state(catalog, spec, x, tol)
-    best = None
-    per = [] if keep_per_scenario else None
-    n_solved = n_undecided = 0
-    for sc in candidates:
-        prog = assemble(sc, x, spec, lin, zsets, terminal, Q, rho)
-        sol = solve(prog, cfg)
-        n_solved += 1
-        if keep_per_scenario:
-            per.append((sc.j, sol.status, sol.V))
-        n_undecided += sol.status == "IterLimit"
-        if not sol.optimal:
-            continue
-        if best is None or sol.V < best[1].V - TIE_TOL:
-            best = (sc, sol)
-        # ties (within TIE_TOL) keep the earlier, smaller-j candidate
+    sols = [solve(assemble(sc, x, spec, lin, zsets, terminal, Q, rho), cfg)
+            for sc in candidates]
+    n_undecided = sum(sol.status == "IterLimit" for sol in sols)
+    best = applied_candidate(sols)
     if best is None:
         raise InfeasibleStateError(
             "no candidate scenario is feasible at the query state",
             details_x=x.tolist(), n_undecided=n_undecided)
-    sc, sol = best
+    sc, sol = candidates[best], sols[best]
+    per = ([(c.j, s.status, s.V) for c, s in zip(candidates, sols)]
+           if keep_per_scenario else None)
     v0 = float(sol.v_seq[0])
     return MpcStepResult(u=u_of_v(lin, spec, x, v0), v=v0, j_star=sc.j,
-                         V=sol.V, n_scenarios_solved=n_solved,
+                         V=sol.V, n_scenarios_solved=len(sols),
                          per_scenario=per, n_undecided=n_undecided)
 
 

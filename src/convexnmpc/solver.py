@@ -11,7 +11,15 @@ is evaluated once: the accepted trial's margins, sinusoid phase pieces and
 barrier value become the next iterate's, so no iterate is evaluated twice.
 Curvature is decided when a program's workset is built: the quadratic
 Hessians are constant, so their nonconvexity flag is fixed there.
+
+Assembly keeps a third: blocks are compiled once per horizon. What does not
+depend on x0 is built on first use and kept read-only in a small LRU; per
+state only the offsets are computed, once, with the per-row expressions of
+a from-scratch build, so programs stay bit-identical. A parametric form
+b + E x0 is avoided on purpose: one stacked matrix product rounds
+differently from the per-row products and would move the last bits.
 """
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,23 +144,177 @@ class ComposedSmoothCon:
         return self.g_coef * (self.Mx.T @ self.fieldref.hess(self._x(z)) @ self.Mx)
 
 
-def _compose_affine(con, M, m):
-    row = con.row @ M
-    return row, con.offset - float(con.row @ m)
+def _readonly(a):
+    a.flags.writeable = False
+    return a
 
 
-def _compose_quad(con, M, m):
-    H = M.T @ con.H @ M
-    w = M.T @ (con.H @ m + con.w)
-    c0 = float(0.5 * m @ con.H @ m + con.w @ m + con.c0)
-    return QuadCon(0.5 * (H + H.T), w, c0)
+class _StageBlock:
+    """Stage set zs at one step, composed with the step map
+    z -> (x_hat(k), v_k) = M z + m: the parts that depend on M alone, and
+    offsets(m) for the rest."""
+
+    def __init__(self, zs, M):
+        self.zs, self.M = zs, _readonly(M)
+        rows, self.affine, self.nonlin = [zs.lifted_C @ M], [], []
+        self.nonconvex = False
+        for con in zs.constraints:
+            if isinstance(con, AffineCon):
+                rows.append((con.row @ M)[None, :])
+                self.affine.append(con)
+            elif isinstance(con, QuadCon):
+                H = M.T @ con.H @ M
+                self.nonlin.append((self._quad, con,
+                                    _readonly(0.5 * (H + H.T))))
+                if np.min(np.linalg.eigvalsh(con.H)) < -1e-8:
+                    self.nonconvex = True
+            elif isinstance(con, SmoothCon):
+                self.nonlin.append((self._smooth, con,
+                                    _readonly(con.lin @ M)))
+            else:
+                raise TypeError(f"unknown constraint type {type(con).__name__}")
+        self.rows = _readonly(np.vstack(rows))
+
+    def _quad(self, con, H, m):
+        w = _readonly(self.M.T @ (con.H @ m + con.w))
+        c0 = float(0.5 * m @ con.H @ m + con.w @ m + con.c0)
+        return QuadCon(H, w, c0)
+
+    def _smooth(self, con, lin_row, m):
+        n = self.M.shape[0] - 1
+        return ComposedSmoothCon(fieldref=con.field, g_coef=con.g_coef,
+                                 Mx=self.M[:n], mx=m[:n], lin_row=lin_row,
+                                 lin_const=float(con.lin @ m + con.const))
+
+    def offsets(self, m):
+        """Right-hand sides of the rows, and the nonlinear constraints."""
+        offs = [self.zs.lifted_d - self.zs.lifted_C @ m]
+        offs += [[con.offset - float(con.row @ m)] for con in self.affine]
+        return (_readonly(np.concatenate(offs)),
+                tuple(make(con, part, m) for make, con, part in self.nonlin))
 
 
-def _compose_smooth(con, M, m):
-    n = M.shape[0] - 1
-    return ComposedSmoothCon(fieldref=con.field, g_coef=con.g_coef,
-                             Mx=M[:n], mx=m[:n], lin_row=con.lin @ M,
-                             lin_const=float(con.lin @ m + con.const))
+class _Horizon:
+    """The programs of one horizon: the parts that do not depend on x0,
+    compiled once, and the offsets of the latest state (see at)."""
+
+    def __init__(self, lin, zsets, terminal, Q, rho, N, free):
+        # strong references: no id in the cache key is reused while the
+        # entry lives
+        self.lin, self.zsets, self.terminal = lin, tuple(zsets), terminal
+        self.Q = _readonly(Q.copy())
+        # for fixed x0 a template: each state condenses its own offset
+        ops = condense(lin, N, None if free else np.zeros(lin.A_hat.shape[0]))
+        self.ops = ops
+        _readonly(ops.S)
+        _readonly(ops.offset)
+        self.blocks = [[_StageBlock(zs, ops.step_map(k)[0])
+                        for k in range(N)] for zs in self.zsets]
+        H = np.zeros((ops.n_vars, ops.n_vars))
+        self.QS = []
+        for k in range(N):
+            Sx, _ = ops.state_rows(k)
+            self.QS.append(_readonly(Q @ Sx))
+            H += Sx.T @ self.QS[-1]
+            H[k, k] += rho
+        SN, _ = ops.terminal_map()
+        self.PS = _readonly(terminal.P @ SN)
+        H += SN.T @ self.PS
+        self.H = _readonly(0.5 * (H + H.T))
+        tset = terminal.tset
+        if isinstance(tset, Polytope):
+            self.term_rows = _readonly(tset.C @ SN)
+        elif isinstance(tset, Ellipsoid):
+            Hq = 2.0 * (SN.T @ tset.P_shape @ SN)
+            self.term_hess = _readonly(0.5 * (Hq + Hq.T))
+            self.term_rows = _readonly(np.zeros((0, ops.n_vars)))
+        else:
+            raise TypeError("terminal set must be a Polytope or an Ellipsoid")
+        self.hints = []  # free x0: from the Chebyshev centre of region i
+        for zs in self.zsets if free else ():
+            z0 = np.zeros(ops.n_vars)
+            center, _ = zs.region.chebyshev_center()
+            if center is not None:
+                z0[N:] = center
+            self.hints.append(self.rollout(z0, z0[N:].copy()))
+        # a free horizon has one set of offsets, keyed None; a fixed one
+        # starts with none (no state's key is None)
+        self.latest = (None, _Offsets(self, None) if free else None)
+
+    def at(self, x0):
+        """Offsets at x0 (None: free), computed once per state; only the
+        latest state's are kept."""
+        key = None if x0 is None else x0.tobytes()
+        latest = self.latest
+        if latest[0] != key:
+            latest = self.latest = (key, _Offsets(self, x0))
+        return latest[1]
+
+    def rollout(self, z0, x_roll):
+        """Fill z0's inputs with the terminal controller's rollout from
+        x_roll: strictly feasible for any state well inside the feasible
+        set, so phase I is then skipped."""
+        for k in range(self.ops.N):
+            z0[k] = float(self.terminal.kappa @ x_roll)
+            x_roll = self.lin.A_hat @ x_roll + self.lin.b_hat * z0[k]
+        return _readonly(z0)
+
+
+class _Offsets:
+    """What the programs at one state add to their horizon's blocks."""
+
+    def __init__(self, hz, x0):
+        ops = hz.ops
+        if x0 is not None:
+            ops = condense(hz.lin, ops.N, _readonly(x0.copy()))
+            _readonly(ops.S)
+            _readonly(ops.offset)
+        f = np.zeros(ops.n_vars)
+        c0 = 0.0
+        self.ms = []  # m of the step map at each k
+        for k, QS in enumerate(hz.QS):
+            _, ox = ops.state_rows(k)
+            f += 2.0 * (ox @ QS)
+            c0 += float(ox @ hz.Q @ ox)
+            self.ms.append(_readonly(np.concatenate([ox, [0.0]])))
+        SN, oN = ops.terminal_map()
+        f += 2.0 * (oN @ hz.PS)
+        c0 += float(oN @ hz.terminal.P @ oN)
+        tset = hz.terminal.tset
+        self.term_offs, self.term_nonlin = _readonly(np.zeros(0)), ()
+        if isinstance(tset, Polytope):
+            self.term_offs = _readonly(tset.d - tset.C @ oN)
+        else:
+            wq = _readonly(2.0 * (SN.T @ tset.P_shape @ oN))
+            cq = float(oN @ tset.P_shape @ oN) - tset.level
+            self.term_nonlin = (QuadCon(hz.term_hess, wq, cq),)
+        self.hint = (None if x0 is None
+                     else hz.rollout(np.zeros(ops.n_vars), ops.x0.copy()))
+        self.hz, self.ops, self.f, self.c0 = hz, ops, _readonly(f), c0
+        self.steps = {}
+
+    def step(self, i, k):
+        """(block, offsets, nonlinear constraints) of stage set i at step k."""
+        if (i, k) not in self.steps:
+            blk = self.hz.blocks[i][k]
+            self.steps[(i, k)] = (blk, *blk.offsets(self.ms[k]))
+        return self.steps[(i, k)]
+
+
+_HORIZONS, _HORIZONS_MAX = {}, 32  # least recently used first
+_HORIZONS_LOCK = threading.Lock()
+
+
+def _horizon(lin, zsets, terminal, Q, rho, N, free):
+    key = (id(lin), tuple(map(id, zsets)), id(terminal), Q.shape,
+           Q.tobytes(), rho, N, free)
+    with _HORIZONS_LOCK:
+        hz = _HORIZONS.pop(key, None) or _Horizon(lin, zsets, terminal, Q,
+                                                  rho, N, free)
+        _HORIZONS[key] = hz
+        if len(_HORIZONS) > _HORIZONS_MAX:
+            del _HORIZONS[next(iter(_HORIZONS))]
+    return hz
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +372,9 @@ def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
     """Build the condensed convex program for one constraint scenario.
 
     x0=None leaves the initial state free (used by the offline pruning);
-    otherwise the program is parameterized by the fixed initial state.
+    otherwise the program is parameterized by the fixed initial state. The
+    program's arrays are read-only: those that do not depend on x0 are
+    shared by every program of its horizon.
     """
     coeffs = _scenario_coeffs(scenario)
     N = len(coeffs)
@@ -218,66 +382,14 @@ def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
         raise HorizonMismatchError(
             f"scenario length {N} does not match requested horizon {horizon}")
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    rho = float(rho)
-    ops = condense(lin, N, x0)
-    d = ops.n_vars
-    n = ops.n
-
-    H = np.zeros((d, d))
-    f = np.zeros(d)
-    c0 = 0.0
-    for k in range(N):
-        Sx, ox = ops.state_rows(k)
-        QS = Q @ Sx
-        H += Sx.T @ QS
-        f += 2.0 * (ox @ QS)
-        c0 += float(ox @ Q @ ox)
-        H[k, k] += rho
-    SN, oN = ops.terminal_map()
-    PS = terminal.P @ SN
-    H += SN.T @ PS
-    f += 2.0 * (oN @ PS)
-    c0 += float(oN @ terminal.P @ oN)
-    H = 0.5 * (H + H.T)
-
-    rows, offs, nonlin = [], [], []
-    nonconvex = False
-    for k, eps in enumerate(coeffs):
-        zs = zsets[eps - 1]
-        M, m = ops.step_map(k)
-        lift_rows = zs.lifted_C @ M
-        lift_off = zs.lifted_d - zs.lifted_C @ m
-        rows.append(lift_rows)
-        offs.append(lift_off)
-        for con in zs.constraints:
-            if isinstance(con, AffineCon):
-                r, o = _compose_affine(con, M, m)
-                rows.append(r[None, :])
-                offs.append(np.array([o]))
-            elif isinstance(con, QuadCon):
-                composed = _compose_quad(con, M, m)
-                if np.min(np.linalg.eigvalsh(con.H)) < -1e-8:
-                    nonconvex = True
-                nonlin.append(composed)
-            elif isinstance(con, SmoothCon):
-                nonlin.append(_compose_smooth(con, M, m))
-            else:
-                raise TypeError(f"unknown constraint type {type(con).__name__}")
-
-    if isinstance(terminal.tset, Polytope):
-        rows.append(terminal.tset.C @ SN)
-        offs.append(terminal.tset.d - terminal.tset.C @ oN)
-    elif isinstance(terminal.tset, Ellipsoid):
-        Ps = terminal.tset.P_shape
-        Hq = 2.0 * (SN.T @ Ps @ SN)
-        wq = 2.0 * (SN.T @ Ps @ oN)
-        cq = float(oN @ Ps @ oN) - terminal.tset.level
-        nonlin.append(QuadCon(0.5 * (Hq + Hq.T), wq, cq))
-    else:
-        raise TypeError("terminal set must be a Polytope or an Ellipsoid")
-
-    A_mat = np.vstack(rows)
-    b_vec = np.concatenate(offs)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+    st = _horizon(lin, zsets, terminal, Q, float(rho), N, x0 is None).at(x0)
+    steps = [st.step(e - 1, k) for k, e in enumerate(coeffs)]
+    A_mat = np.vstack([blk.rows for blk, _, _ in steps] + [st.hz.term_rows])
+    b_vec = np.concatenate([offs for _, offs, _ in steps] + [st.term_offs])
+    nonlin = tuple(con for _, _, cons in steps for con in cons)
+    nonlin += st.term_nonlin
 
     # Rows without any decision-variable dependence (fixed-x0 region rows at
     # k = 0) are checked once and removed; they cannot steer the solver.
@@ -290,26 +402,16 @@ def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
     prog_class = ("NLP" if "smooth" in kinds
                   else "QCQP" if "quadratic" in kinds else "QP")
 
-    # hint: terminal-controller rollout, which is strictly feasible for any
-    # state well inside the feasible set and then skips phase-I outright
-    z0 = np.zeros(d)
-    if ops.free_x0:
-        center, _ = zsets[coeffs[0] - 1].region.chebyshev_center()
-        if center is not None:
-            z0[N:] = center
-        x_roll = z0[N:].copy()
-    else:
-        x_roll = ops.x0.copy()
-    for k in range(N):
-        z0[k] = float(terminal.kappa @ x_roll)
-        x_roll = lin.A_hat @ x_roll + lin.b_hat * z0[k]
-
     j = 1 + sum((e - 1) * len(zsets) ** k for k, e in enumerate(coeffs))
-    return ConvexProgram(n_vars=d, H=H, f=f, c0=c0, A_mat=A_mat, b_vec=b_vec,
-                         nonlin=tuple(nonlin), prog_class=prog_class,
-                         coeffs=coeffs, scenario_j=j, ops=ops,
-                         pre_violation=pre_violation, z0_hint=z0,
-                         nonconvex_data=nonconvex)
+    return ConvexProgram(n_vars=st.ops.n_vars, H=st.hz.H, f=st.f, c0=st.c0,
+                         A_mat=_readonly(A_mat), b_vec=_readonly(b_vec),
+                         nonlin=nonlin, prog_class=prog_class,
+                         coeffs=coeffs, scenario_j=j, ops=st.ops,
+                         pre_violation=pre_violation,
+                         z0_hint=st.hz.hints[coeffs[0] - 1] if x0 is None
+                         else st.hint,
+                         nonconvex_data=any(blk.nonconvex
+                                            for blk, _, _ in steps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from convexnmpc.cli import run
-from conftest import EXAMPLES
+from conftest import EXAMPLES, PACKAGED
 
 EX1 = str(EXAMPLES / "ex1.json")
 EX2 = str(EXAMPLES / "ex2.json")
@@ -184,3 +186,36 @@ def test_repro_ex1_short_horizon(capsys):
     assert "beta" in out and "PASS" in out
     # counts are not comparable away from the reference horizon
     assert "N-A" in out
+
+
+PACKAGED_EX2 = str(PACKAGED / "ex2.json")
+
+
+@pytest.fixture(scope="module")
+def packaged_ex2_catalog_n3(tmp_path_factory):
+    cat = str(tmp_path_factory.mktemp("catalog") / "cat.json")
+    assert run(["prune", PACKAGED_EX2, *LINFLAGS, "--horizon", "3",
+                "--catalog", cat, "--threads", "1"]) == 0
+    return cat
+
+
+def test_solve_prints_the_applied_candidate(packaged_ex2_catalog_n3, capsys):
+    # candidates j = 2 and 5 are Infeasible here; j = 14 is applied
+    args = ["solve", PACKAGED_EX2, *LINFLAGS, "--horizon", "3",
+            "--catalog", packaged_ex2_catalog_n3, "--x0=-0.9,0.8"]
+    capsys.readouterr()
+    assert run(args) == 0
+    sol = json.loads(capsys.readouterr().out)
+    assert sol["j"] == 14 and sol["status"] == "Optimal"
+    assert run(args + ["--all-feasible"]) == 0
+    sols = json.loads(capsys.readouterr().out)
+    assert [(s["j"], s["status"]) for s in sols] == [
+        (2, "Infeasible"), (5, "Infeasible"), (14, "Optimal")]
+
+
+def test_solve_outside_every_region(packaged_ex2_catalog_n3, capsys):
+    capsys.readouterr()
+    assert run(["solve", PACKAGED_EX2, *LINFLAGS, "--horizon", "3",
+                "--catalog", packaged_ex2_catalog_n3, "--x0=5,5"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "INFEASIBLE_STATE"

@@ -5,10 +5,15 @@ accepted iterates. That rework keeps every floating-point expression, so
 statuses and Newton counts must match exactly; slacks and values are held
 to 1e-12.
 """
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import convexnmpc as cn
+from conftest import PACKAGED, _pipeline
 
 ONES = (1,) * 12
 
@@ -80,3 +85,122 @@ def test_ex1_solution_flagged_nonconvex(packaged_ex1):
     sol = cn.solve(prog)
     assert sol.status == "Optimal" and sol.n_newton == 9
     assert sol.nonconvex_flag
+
+
+# ---------------------------------------------------------------------------
+# compiled blocks: a program never depends on what was assembled before it
+# ---------------------------------------------------------------------------
+
+def _exact(value):
+    """Every field inside a program, arrays and floats as raw bytes."""
+    if isinstance(value, np.ndarray):
+        return [(value.dtype.str, value.shape, value.tobytes())]
+    if isinstance(value, (tuple, list)):
+        return [b for v in value for b in _exact(v)]
+    if dataclasses.is_dataclass(value):
+        return [type(value).__name__] + [
+            b for f in dataclasses.fields(value)
+            for b in _exact(getattr(value, f.name))]
+    if isinstance(value, float):
+        return [np.float64(value).tobytes()]
+    return [value]
+
+
+def _arrays(value):
+    """The arrays a program owns (the stage sets' own fields excluded)."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value) if f.name != "fieldref"
+                for a in _arrays(getattr(value, f.name))]
+    return []
+
+
+def _program(data, coeffs, x0, Q=None, rho=None):
+    return cn.assemble(coeffs, None if x0 is None else np.array(x0),
+                       data["spec"], data["lin"], data["zsets"],
+                       data["terminal"], data["Q"] if Q is None else Q,
+                       data["rho"] if rho is None else rho)
+
+
+def test_interleaved_states_and_scenarios(packaged_ex2):
+    first = _program(packaged_ex2, (2, 2, 1) + ONES, (-0.9, 0.8))
+    _program(packaged_ex2, (3, 1, 2) + ONES, (1.2, -0.3))
+    again = _program(packaged_ex2, (2, 2, 1) + ONES, (-0.9, 0.8))
+    assert _exact(again) == _exact(first)
+
+
+# (system, sequence, x0 or None for free, a second state warming the cache)
+WARM_COLD = [
+    ("ex2", (2, 2, 1) + ONES, (-0.9, 0.8), (0.5, 0.5)),
+    ("ex2", (3, 2, 1) + ONES, None, (0.5, 0.5)),
+    ("ex3", (4, 1, 1) + ONES, (-1.0, 0.6), (0.3, -0.4)),
+    ("ex3", (5, 5, 5) + ONES, None, (0.3, -0.4)),
+    ("ex1", (1, 1, 1), (0.2, -0.1), (0.5, 0.5)),
+    ("ex1", (1, 1, 1), None, (0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize("system, coeffs, x0, other", WARM_COLD)
+def test_warm_cache_matches_fresh_pipeline(request, system, coeffs, x0,
+                                           other):
+    data = request.getfixturevalue(f"packaged_{system}")
+    for state in (other, x0, None):
+        _program(data, coeffs, state)
+    warm = _program(data, coeffs, x0)
+    cold = _program(_pipeline(system, root=PACKAGED), coeffs, x0)
+    assert _exact(warm) == _exact(cold)
+    assert warm.nonconvex_data is (system == "ex1")
+
+
+def test_cost_weights_are_part_of_the_key(packaged_ex2):
+    coeffs, x0 = (2, 2, 1) + ONES, (-0.9, 0.8)
+    base = _program(packaged_ex2, coeffs, x0)
+    fresh = _pipeline("ex2", root=PACKAGED)
+    for Q, rho in ((2.0 * packaged_ex2["Q"], None),
+                   (None, 2.0 * packaged_ex2["rho"])):
+        got = _program(packaged_ex2, coeffs, x0, Q=Q, rho=rho)
+        want = _program(fresh, coeffs, x0, Q=Q, rho=rho)
+        assert _exact((got.H, got.f, got.c0)) == _exact((want.H, want.f,
+                                                          want.c0))
+        assert not np.array_equal(got.H, base.H)
+
+
+@pytest.mark.parametrize("system, x0", [("ex2", (-0.9, 0.8)),
+                                        ("ex2", None),
+                                        ("ex1", (0.2, -0.1))])
+def test_program_arrays_are_read_only(request, system, x0):
+    data = request.getfixturevalue(f"packaged_{system}")
+    prog = _program(data, (1, 1, 1), x0)
+    arrays = _arrays(prog)
+    assert len(arrays) >= 8
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_threads_assembling_at_different_states(packaged_ex2):
+    jobs = [((2, 2, 1) + ONES, (-0.9, 0.8)), ((3, 1, 2) + ONES, (1.2, -0.3)),
+            ((1, 1, 1) + ONES, (0.5, 0.5)), ((3, 2, 1) + ONES, None)]
+    want = [_exact(_program(packaged_ex2, *job)) for job in jobs]
+    wrong = []
+
+    def worker(seed):
+        for i in np.random.default_rng(seed).integers(0, len(jobs), 40):
+            if _exact(_program(packaged_ex2, *jobs[i])) != want[i]:
+                wrong.append(i)
+
+    threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
