@@ -17,19 +17,7 @@ import numpy as np
 from .errors import NoConvergenceError, OutOfRangeError
 from .geometry import Ellipsoid, Polytope
 from .model import EPS_G, region_membership, system_to_dict
-from .solver import SolverConfig, assemble, solve_feasibility
-
-
-def encode(coeffs, s):
-    """Scenario index of a coefficient sequence (entries in 1..s)."""
-    j = 1
-    power = 1
-    for eps in coeffs:
-        if not 1 <= eps <= s:
-            raise OutOfRangeError(f"coefficient {eps} outside 1..{s}")
-        j += (eps - 1) * power
-        power *= s
-    return j
+from .solver import SolverConfig, assemble, encode, solve_feasibility
 
 
 def decode(j, s, N):

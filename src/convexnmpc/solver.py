@@ -18,17 +18,24 @@ state only the offsets are computed, once, with the per-row expressions of
 a from-scratch build, so programs stay bit-identical. A parametric form
 b + E x0 is avoided on purpose: one stacked matrix product rounds
 differently from the per-row products and would move the last bits.
+
+For the same reason a ridge constraint's cosine phase is rounded two ways.
+RidgeCon's own oracles (the phase-I start and end, constraint values, the
+KKT residual) take freq * (x.dir) + phase at x = X z + x_off; the barrier's
+stacked group takes (freq * X'dir).z + (freq * (dir.x_off) + phase). One
+formula for both moves Newton counts and t*, and closed-loop values by up
+to 1e-8 relative, which the stored references do not absorb.
 """
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import nnls
 
-from .errors import HorizonMismatchError, NoConvergenceError
+from .errors import HorizonMismatchError, NoConvergenceError, OutOfRangeError
 from .geometry import Ellipsoid, Polytope
-from .stagesets import AffineCon, QuadCon, SmoothCon, TangentExtendedSinusoid
+from .stagesets import AffineCon, QuadCon, RidgeCon, _readonly
 
 
 # ---------------------------------------------------------------------------
@@ -109,45 +116,8 @@ def condense(lin, N, x0=None):
 
 
 # ---------------------------------------------------------------------------
-# composed constraints
+# compiled program blocks
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComposedSmoothCon:
-    """Smooth stage constraint pushed through the prediction map."""
-
-    fieldref: object
-    g_coef: float
-    Mx: np.ndarray
-    mx: np.ndarray
-    lin_row: np.ndarray
-    lin_const: float
-    kind = "smooth"
-
-    def _x(self, z):
-        return self.Mx @ z + self.mx
-
-    def value(self, z):
-        return float(self.g_coef * self.fieldref.value(self._x(z))
-                     + self.lin_row @ z + self.lin_const)
-
-    def value_batch(self, Z):
-        X = Z @ self.Mx.T + self.mx
-        return (self.g_coef * np.asarray(self.fieldref.value(X))
-                + Z @ self.lin_row + self.lin_const)
-
-    def grad(self, z):
-        return (self.g_coef * (self.Mx.T @ self.fieldref.grad(self._x(z)))
-                + self.lin_row)
-
-    def hess(self, z):
-        return self.g_coef * (self.Mx.T @ self.fieldref.hess(self._x(z)) @ self.Mx)
-
-
-def _readonly(a):
-    a.flags.writeable = False
-    return a
-
 
 class _StageBlock:
     """Stage set zs at one step, composed with the step map
@@ -168,9 +138,10 @@ class _StageBlock:
                                     _readonly(0.5 * (H + H.T))))
                 if np.min(np.linalg.eigvalsh(con.H)) < -1e-8:
                     self.nonconvex = True
-            elif isinstance(con, SmoothCon):
-                self.nonlin.append((self._smooth, con,
-                                    _readonly(con.lin @ M)))
+            elif isinstance(con, RidgeCon):
+                self.nonlin.append((self._ridge, con,
+                                    (_readonly(con.X @ M),
+                                     _readonly(con.lin @ M))))
             else:
                 raise TypeError(f"unknown constraint type {type(con).__name__}")
         self.rows = _readonly(np.vstack(rows))
@@ -180,11 +151,10 @@ class _StageBlock:
         c0 = float(0.5 * m @ con.H @ m + con.w @ m + con.c0)
         return QuadCon(H, w, c0)
 
-    def _smooth(self, con, lin_row, m):
-        n = self.M.shape[0] - 1
-        return ComposedSmoothCon(fieldref=con.field, g_coef=con.g_coef,
-                                 Mx=self.M[:n], mx=m[:n], lin_row=lin_row,
-                                 lin_const=float(con.lin @ m + con.const))
+    def _ridge(self, con, X_lin, m):
+        X, lin = X_lin
+        return replace(con, X=X, x_off=_readonly(con.X @ m + con.x_off),
+                       lin=lin, c=float(con.lin @ m + con.c))
 
     def offsets(self, m):
         """Right-hand sides of the rows, and the nonlinear constraints."""
@@ -361,6 +331,18 @@ class ConvexProgram:
         return np.array(vals)
 
 
+def encode(coeffs, s):
+    """Scenario index of a coefficient sequence (entries in 1..s)."""
+    j = 1
+    power = 1
+    for eps in coeffs:
+        if not 1 <= eps <= s:
+            raise OutOfRangeError(f"coefficient {eps} outside 1..{s}")
+        j += (eps - 1) * power
+        power *= s
+    return j
+
+
 def _scenario_coeffs(scenario):
     coeffs = tuple(scenario.coeffs) if hasattr(scenario, "coeffs") else tuple(scenario)
     if not coeffs:
@@ -382,6 +364,7 @@ def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
         raise HorizonMismatchError(
             f"scenario length {N} does not match requested horizon {horizon}")
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    j = encode(coeffs, len(zsets))
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
     st = _horizon(lin, zsets, terminal, Q, float(rho), N, x0 is None).at(x0)
@@ -402,7 +385,6 @@ def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
     prog_class = ("NLP" if "smooth" in kinds
                   else "QCQP" if "quadratic" in kinds else "QP")
 
-    j = 1 + sum((e - 1) * len(zsets) ** k for k, e in enumerate(coeffs))
     return ConvexProgram(n_vars=st.ops.n_vars, H=st.hz.H, f=st.f, c0=st.c0,
                          A_mat=_readonly(A_mat), b_vec=_readonly(b_vec),
                          nonlin=nonlin, prog_class=prog_class,
@@ -418,18 +400,21 @@ def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
 # interior-point solver
 # ---------------------------------------------------------------------------
 
+MU0 = 10.0  # first barrier weight
+MU_SHRINK = 10.0  # barrier weight divisor between stages
+GAP_TARGET = 1e-9  # last stage: barrier weight times constraint count
+ARMIJO_SLOPE = 0.01
+BACKTRACK = 0.5
+INNER_TOL = 1e-18  # Newton decrement target of phase II's last stage
+STAGE_TOL = 1e-11  # Newton decrement target of every other stage
+STRICT_MARGIN = 1e-9  # a phase-I slack below -this is strictly feasible
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     feas_tol: float = 1e-7
     kkt_tol: float = 1e-8
     max_newton: int = 500
-    mu0: float = 10.0
-    mu_shrink: float = 10.0
-    gap_target: float = 1e-9
-    armijo_slope: float = 0.01
-    backtrack: float = 0.5
-    inner_tol: float = 1e-18
-    strict_margin: float = 1e-9
 
 
 @dataclass
@@ -474,10 +459,10 @@ class _Work:
 
 
 class _SinusoidGroup:
-    """Stacked tangent-extended sinusoid constraints.
+    """Stacked ridge constraints.
 
-    Every member reads scale*cos(q.z + r) (linearly continued outside
-    [lo, hi]) + lin.z + c <= 0. Stacking collapses the per-constraint
+    Every member reads scale*cos~(q.z + r) + lin.z + c <= 0 with
+    q = freq * X'dir and r = freq * (dir.x_off) + phase. Stacking collapses the per-constraint
     Python loop inside the Newton iterations into a few matrix products;
     the curvature term is rank-one per member with weight curv >= 0.
     """
@@ -493,14 +478,13 @@ class _SinusoidGroup:
         self.lo = np.empty(m)
         self.hi = np.empty(m)
         for i, con in enumerate(cons):
-            f = con.fieldref
-            self.Qm[i, :d] = f.freq * (con.Mx.T @ f.dir)
-            self.r[i] = f.freq * (f.dir @ con.mx) + f.phase
-            self.Lin[i, :d] = con.lin_row
-            self.lc[i] = con.lin_const
-            self.scale[i] = con.g_coef * f.scale
-            self.lo[i] = f.th_lo
-            self.hi[i] = f.th_hi
+            self.Qm[i, :d] = con.freq * (con.X.T @ con.dir)
+            self.r[i] = con.freq * (con.dir @ con.x_off) + con.phase
+            self.Lin[i, :d] = con.lin
+            self.lc[i] = con.c
+            self.scale[i] = con.scale
+            self.lo[i] = con.lo
+            self.hi[i] = con.hi
         if aug:
             self.Lin[:, d] = -1.0
 
@@ -540,8 +524,7 @@ class _Workset:
         for con in prog.nonlin:
             if isinstance(con, QuadCon):
                 quads.append(con)
-            elif (isinstance(con, ComposedSmoothCon)
-                  and isinstance(con.fieldref, TangentExtendedSinusoid)):
+            elif isinstance(con, RidgeCon):
                 grp.append(con)
             else:
                 raise TypeError(
@@ -597,17 +580,15 @@ def _newton_solve(Hm, g):
     return -V @ ((V.T @ g) / w)
 
 
-def _barrier_stage(work, ws, z, mu, f0, stop_when=None, inner_tol=None):
-    """Newton iterations at fixed barrier weight mu over a workset.
+def _barrier_stage(work, ws, z, mu, f0, inner_tol, stop_when=None):
+    """Newton iterations at fixed barrier weight mu over a workset, until
+    the Newton decrement falls to 2 inner_tol.
 
     f0 = (value, grad, hess) callables for the smooth objective part.
     Returns the iterate.
     stop_when, if given, aborts the stage early once the predicate on the
     iterate holds (used by phase-I as soon as strict feasibility shows).
     """
-    cfg = work.cfg
-    if inner_tol is None:
-        inner_tol = cfg.inner_tol
     A = ws.A
 
     def barrier_value(zz, slacks):
@@ -661,14 +642,14 @@ def _barrier_stage(work, ws, z, mu, f0, stop_when=None, inner_tol=None):
         t = 1.0
         for _ in range(80):
             z_new = z + t * step
-            bound = base + cfg.armijo_slope * t * slope
+            bound = base + ARMIJO_SLOPE * t * slope
             # an infinite barrier value passes only an infinite bound
             trial = ws.point(z_new, lazy=bound < np.inf)
             if trial is not None:
                 val = barrier_value(z_new, trial[0])
                 if val <= bound:
                     break
-            t *= cfg.backtrack
+            t *= BACKTRACK
         else:
             return z
         z, (slacks, pieces), base = z_new, trial, val
@@ -678,14 +659,14 @@ def _barrier_stage(work, ws, z, mu, f0, stop_when=None, inner_tol=None):
             return z
 
 
-def _mu_schedule(cfg, n_cons):
+def _mu_schedule(n_cons):
     mus = []
-    mu = cfg.mu0
+    mu = MU0
     while True:
         mus.append(mu)
-        if mu * max(n_cons, 1) <= cfg.gap_target:
+        if mu * max(n_cons, 1) <= GAP_TARGET:
             break
-        mu /= cfg.mu_shrink
+        mu /= MU_SHRINK
         if mu < 1e-300:
             break
     return mus
@@ -754,11 +735,10 @@ def phase1(prog, cfg, work=None):
     zt = np.concatenate([z, [t0]])
     done = False
     m = max(prog.n_constraints, 1)
-    for mu in _mu_schedule(cfg, prog.n_constraints):
-        zt = _barrier_stage(work, ws, zt, mu, f0,
-                            stop_when=lambda p: p[-1] < -cfg.strict_margin,
-                            inner_tol=1e-11)
-        if zt[-1] < -cfg.strict_margin:
+    for mu in _mu_schedule(prog.n_constraints):
+        zt = _barrier_stage(work, ws, zt, mu, f0, STAGE_TOL,
+                            stop_when=lambda p: p[-1] < -STRICT_MARGIN)
+        if zt[-1] < -STRICT_MARGIN:
             done = True
             break
         if zt[-1] - mu * m > cfg.feas_tol:
@@ -822,7 +802,7 @@ def solve(prog, cfg=SolverConfig()):
     if t_star > cfg.feas_tol:
         return finish("Infeasible", p1=t_star)
 
-    degenerate = t_star > -cfg.strict_margin
+    degenerate = t_star > -STRICT_MARGIN
     relax = (max(t_star, 0.0) + 1e-9) if degenerate else 0.0
 
     ws = _Workset(prog, relax=relax)
@@ -830,13 +810,13 @@ def solve(prog, cfg=SolverConfig()):
     f0 = (prog.objective_value,
           prog.objective_grad,
           lambda zz: H2)
-    schedule = _mu_schedule(cfg, prog.n_constraints)
+    schedule = _mu_schedule(prog.n_constraints)
     stage_values = []
     try:
         for stage, mu in enumerate(schedule):
             last = stage == len(schedule) - 1
             z = _barrier_stage(work, ws, z, mu, f0,
-                               inner_tol=None if last else 1e-11)
+                               INNER_TOL if last else STAGE_TOL)
             stage_values.append(prog.objective_value(z))
     except _IterBudget:
         return finish("IterLimit", z=z, p1=t_star, degenerate=degenerate)

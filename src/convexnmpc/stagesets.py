@@ -6,7 +6,10 @@ b0 v - alpha.x must lie in. On a region where beta*g >= 0 the interval is
 swap. Under the curvature assumptions both defining inequalities are convex.
 
 Constraints are exposed as (value, gradient, Hessian) oracles in the joint
-variable z = (x, v). Piecewise-affine gains are expanded into one affine row
+variable z = (x, v), in three forms: AffineCon for affine gains, QuadCon for
+quadratic ones and RidgeCon (a tangent-extended cosine ridge plus a linear
+term) for sinusoidal ones. Each form stays in its form when composed with
+the prediction map. Piecewise-affine gains are expanded into one affine row
 per relevant affine piece, so those stage sets are purely polyhedral and the
 downstream subproblems become QPs.
 """
@@ -21,6 +24,11 @@ from .model import (EPS_G, Affine, PwaField, Quadratic, Sinusoid,
                     region_membership)
 
 DEFAULT_MEMBERSHIP_TOL = 1e-8
+
+
+def _readonly(a):
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -73,95 +81,68 @@ class QuadCon:
 
 
 @dataclass(frozen=True)
-class SmoothCon:
-    """g_coef * g(z_x) + lin.z + const <= 0 for a smooth scalar field g."""
+class RidgeCon:
+    """scale * cos~(freq * dir.(X z + x_off) + phase) + lin.z + c <= 0.
 
-    field: object
-    g_coef: float
-    lin: np.ndarray
-    const: float
-    kind = "smooth"
-
-    def value(self, z):
-        x = z[:-1]
-        return float(self.g_coef * self.field.value(x) + self.lin @ z + self.const)
-
-    def value_batch(self, Z):
-        return (self.g_coef * np.asarray(self.field.value(Z[:, :-1]))
-                + Z @ self.lin + self.const)
-
-    def grad(self, z):
-        x = z[:-1]
-        out = self.lin.copy()
-        out[:-1] += self.g_coef * self.field.grad(x)
-        return out
-
-    def hess(self, z):
-        x = z[:-1]
-        m = z.shape[0]
-        H = np.zeros((m, m))
-        H[:-1, :-1] = self.g_coef * self.field.hess(x)
-        return H
-
-
-@dataclass(frozen=True)
-class TangentExtendedSinusoid:
-    """scale * cos(freq * dir.x + phase), tangent-extended outside a band.
-
-    On theta in [th_lo, th_hi] this equals the scaled sinusoid exactly; the
-    linear continuation beyond the band keeps the function convex on all of
-    R^n (the band is where the scaled cosine is convex). Stage constraints
-    built from this agree with the true ones on the region, so the feasible
-    set is untouched, while phase-I iterates that stray outside the band see
-    a convex landscape and cannot stall in spurious local minima.
+    cos~ is the cosine on the phase band [lo, hi], continued along its
+    tangents outside it. The band is where the scaled cosine is convex, so
+    the continuation keeps the constraint convex on all of R^d. Built from a
+    region's band, the constraint agrees with the raw sinusoid bound on the
+    region, so the stage set is untouched, while phase-I iterates that stray
+    outside the band see a convex landscape and cannot stall in spurious
+    local minima. In a stage set X = [I 0], x_off = 0 and c = 0; composed
+    with an affine map z = M y + m it is a RidgeCon again, with X M,
+    X m + x_off, lin M and lin.m + c.
     """
 
     scale: float
     freq: float
     dir: np.ndarray
     phase: float
-    th_lo: float
-    th_hi: float
+    lo: float
+    hi: float
+    X: np.ndarray
+    x_off: np.ndarray
+    lin: np.ndarray
+    c: float
+    kind = "smooth"
 
-    def _theta(self, x):
-        return self.freq * (np.asarray(x, dtype=float) @ self.dir) + self.phase
-
-    def _branch(self, th):
-        lo, hi = self.th_lo, self.th_hi
+    def _branch(self, x):
+        """cos~ at the phase of x (rows of x for a batch), with its slope
+        and curvature in the phase."""
+        th = self.freq * (x @ self.dir) + self.phase
+        lo, hi = self.lo, self.hi
         th_c = np.clip(th, lo, hi)
         val = self.scale * np.cos(th_c)
         slope = -self.scale * np.sin(th_c)
         return val + slope * (th - th_c), slope, np.where(
             (th < lo) | (th > hi), 0.0, -self.scale * np.cos(th_c))
 
-    def value(self, x):
-        val, _, _ = self._branch(self._theta(x))
-        return val
+    def value(self, z):
+        val, _, _ = self._branch(self.X @ z + self.x_off)
+        return float(val + self.lin @ z + self.c)
 
-    def grad(self, x):
-        _, slope, _ = self._branch(self._theta(x))
-        return float(slope) * self.freq * self.dir
+    def value_batch(self, Z):
+        val, _, _ = self._branch(Z @ self.X.T + self.x_off)
+        return val + Z @ self.lin + self.c
 
-    def hess(self, x):
-        _, _, curv = self._branch(self._theta(x))
-        return float(curv) * self.freq ** 2 * np.outer(self.dir, self.dir)
+    def grad(self, z):
+        _, slope, _ = self._branch(self.X @ z + self.x_off)
+        return self.X.T @ (float(slope) * self.freq * self.dir) + self.lin
 
-
-def _banded_sinusoid(field, coef, region):
-    """Convex surrogate of coef * field over the region's phase band."""
-    lo = -region.support(-field.freq * field.dir)
-    hi = region.support(field.freq * field.dir)
-    return TangentExtendedSinusoid(scale=coef * field.amp, freq=field.freq,
-                                   dir=field.dir, phase=field.phase,
-                                   th_lo=lo + field.phase,
-                                   th_hi=hi + field.phase)
+    def hess(self, z):
+        _, _, curv = self._branch(self.X @ z + self.x_off)
+        return self.X.T @ (float(curv) * self.freq ** 2
+                           * np.outer(self.dir, self.dir)) @ self.X
 
 
-def _gain_bound_constraint(field, g_coef, alpha, b0, upper, region=None):
+def _gain_bound_constraint(field, g_coef, alpha, b0, upper, region):
     """One side of the interval condition as a constraint oracle in (x, v).
 
     lower side: g_coef*g(x) - (b0 v - alpha.x) <= 0
     upper side: (b0 v - alpha.x) - g_coef*g(x) <= 0
+
+    A sinusoidal gain is tangent-extended outside the region's phase band.
     """
     n = alpha.shape[0]
     lin = np.zeros(n + 1)
@@ -183,9 +164,16 @@ def _gain_bound_constraint(field, g_coef, alpha, b0, upper, region=None):
         w = lin.copy()
         w[:n] += coef * field.w
         return QuadCon(H, w, coef * field.d)
-    if isinstance(field, Sinusoid) and region is not None:
-        return SmoothCon(_banded_sinusoid(field, coef, region), 1.0, lin, 0.0)
-    return SmoothCon(field, coef, lin, 0.0)
+    if isinstance(field, Sinusoid):
+        lo = -region.support(-field.freq * field.dir)
+        hi = region.support(field.freq * field.dir)
+        return RidgeCon(scale=coef * field.amp, freq=field.freq,
+                        dir=_readonly(field.dir.copy()), phase=field.phase,
+                        lo=lo + field.phase, hi=hi + field.phase,
+                        X=_readonly(np.eye(n, n + 1)),
+                        x_off=_readonly(np.zeros(n)), lin=_readonly(lin),
+                        c=0.0)
+    raise TypeError(f"no stage constraint for gain {type(field).__name__}")
 
 
 def _pwa_bound_rows(field, region, g_coef, alpha, b0, upper):
@@ -202,7 +190,8 @@ def _pwa_bound_rows(field, region, g_coef, alpha, b0, upper):
         _, r = inter.chebyshev_center()
         if r <= 1e-9:
             continue
-        rows.append(_gain_bound_constraint(Affine(w, d), g_coef, alpha, b0, upper))
+        rows.append(_gain_bound_constraint(Affine(w, d), g_coef, alpha, b0,
+                                           upper, region))
     if not rows:
         raise PreconditionError("no pwa piece overlaps the region interior")
     return rows
@@ -244,15 +233,6 @@ class StageSet:
 
     def contains(self, x, v, tol=DEFAULT_MEMBERSHIP_TOL):
         return bool(np.max(self.all_values(x, v)) <= tol)
-
-    def v_interval(self, x):
-        """Range of admissible v at state x (empty-width at gain zeros)."""
-        x = np.asarray(x, dtype=float)
-        gx = float(self.gain_field.value(x))
-        ends = np.array([self.beta * gx * self.u_lo, self.beta * gx * self.u_hi])
-        shift = float(self.alpha @ x)
-        return (float(ends.min() + shift) / self.b0,
-                float(ends.max() + shift) / self.b0)
 
     def bound_interval(self, x):
         """Interval that b0 v - alpha.x must lie in at state x."""

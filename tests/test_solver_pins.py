@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import convexnmpc as cn
+import convexnmpc.solver as solver_module
 from conftest import PACKAGED, _pipeline
 
 ONES = (1,) * 12
@@ -107,13 +108,13 @@ def _exact(value):
 
 
 def _arrays(value):
-    """The arrays a program owns (the stage sets' own fields excluded)."""
+    """Every array inside a program."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, tuple):
         return [a for v in value for a in _arrays(v)]
     if dataclasses.is_dataclass(value):
-        return [a for f in dataclasses.fields(value) if f.name != "fieldref"
+        return [a for f in dataclasses.fields(value)
                 for a in _arrays(getattr(value, f.name))]
     return []
 
@@ -179,6 +180,17 @@ def test_program_arrays_are_read_only(request, system, x0):
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0.0
+
+
+@pytest.mark.parametrize("x0", [(0.5, 0.5), None])
+@pytest.mark.parametrize("coeffs", [(0, 1, 1), (-1, 1, 1), (1, 0, 1),
+                                    (4, 1, 1)])
+def test_coefficients_outside_one_to_s_rejected(packaged_ex2, coeffs, x0):
+    # a Q no other test uses: accepting the sequence would cache a horizon
+    cached = list(solver_module._HORIZONS)
+    with pytest.raises(cn.OutOfRangeError):
+        _program(packaged_ex2, coeffs, x0, Q=3.0 * packaged_ex2["Q"])
+    assert list(solver_module._HORIZONS) == cached
 
 
 def test_threads_assembling_at_different_states(packaged_ex2):

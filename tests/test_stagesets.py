@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import convexnmpc as cn
+from convexnmpc.stagesets import RidgeCon
 from helpers import finite_diff_grad, finite_diff_hess, toy_spec
 
 
@@ -71,7 +72,7 @@ class TestMembership:
 class TestOracles:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     def test_derivatives_match_finite_differences(self, name, request):
-        data = request.getfixturevalue(name)
+        data = request.getfixturevalue(f"packaged_{name}")
         rng = np.random.default_rng(3)
         for zs in data["zsets"]:
             for con in zs.constraints:
@@ -84,12 +85,12 @@ class TestOracles:
                     H_fd = finite_diff_hess(con.value, z)
                     assert np.max(np.abs(con.hess(z) - H_fd)) < 1e-4
 
-    def test_banded_surrogate_matches_inside_region(self, ex2):
+    def test_banded_surrogate_matches_inside_region(self, packaged_ex2):
         # tangent-extended constraints agree with the raw sinusoid bounds on
         # their own region, so the stage sets are unchanged
-        spec, lin = ex2["spec"], ex2["lin"]
+        spec, lin = packaged_ex2["spec"], packaged_ex2["lin"]
         rng = np.random.default_rng(5)
-        for zs in ex2["zsets"]:
+        for zs in packaged_ex2["zsets"]:
             pts = zs.region.sample(100, seed=9)
             for x in pts:
                 gx = float(spec.g.value(x))
@@ -101,15 +102,38 @@ class TestOracles:
                                  for con in zs.constraints)
                     assert abs(direct - oracle) < 1e-9
 
-    def test_surrogate_convex_everywhere(self, ex2):
+    def test_surrogate_convex_everywhere(self, packaged_ex2):
         rng = np.random.default_rng(11)
-        for zs in ex2["zsets"]:
+        for zs in packaged_ex2["zsets"]:
             for con in zs.constraints:
                 for _ in range(100):
                     z = np.concatenate([rng.uniform(-4, 4, 2),
                                         rng.uniform(-4, 4, 1)])
                     eigs = np.linalg.eigvalsh(con.hess(z))
                     assert eigs.min() > -1e-12
+
+    def test_composed_ridge_matches_stage_constraint(self, packaged_ex2):
+        # pushed through the prediction map z -> (x_hat(k), v_k) = M z + m,
+        # a ridge constraint is the stage one evaluated at M z + m
+        data, coeffs = packaged_ex2, (2, 3, 1)
+        prog = cn.assemble(coeffs, np.array([-0.9, 0.8]), data["spec"],
+                           data["lin"], data["zsets"], data["terminal"],
+                           data["Q"], data["rho"])
+        ridges = [c for c in prog.nonlin if isinstance(c, RidgeCon)]
+        stage = [(k, con) for k, e in enumerate(coeffs)
+                 for con in data["zsets"][e - 1].constraints]
+        assert len(ridges) == len(stage) == 6
+        rng = np.random.default_rng(43)
+        for con, (k, stage_con) in zip(ridges, stage):
+            M, m = prog.ops.step_map(k)
+            for _ in range(10):
+                z = rng.uniform(-2, 2, prog.n_vars)
+                assert abs(con.value(z) - stage_con.value(M @ z + m)) < 1e-12
+                g_fd = finite_diff_grad(con.value, z)
+                scale = max(1.0, np.max(np.abs(g_fd)))
+                assert np.max(np.abs(con.grad(z) - g_fd)) / scale < 1e-5
+                H_fd = finite_diff_hess(con.value, z)
+                assert np.max(np.abs(con.hess(z) - H_fd)) < 1e-4
 
 
 class TestUnionEquivalence:
