@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .closedloop import applied_candidate, sample_grid, simulate
+from .closedloop import UNDECIDED, applied_candidate, sample_grid, simulate
 from .errors import (CatalogMismatchError, InfeasibleStateError,
                      SchemaError, ToolkitError)
 from .linearize import build_linearization, compute_output_vector
@@ -282,8 +282,9 @@ def cmd_solve(args):
     # the candidate evaluate_ocp applies, or the first when none is Optimal
     shown = results[applied_candidate(sols) or 0]
     _dump_json(results if args.all_feasible else shown, cfg.out)
-    n_undecided = sum(sol.status == "IterLimit" for sol in sols)
-    print(f"undecided candidates (IterLimit): {n_undecided}", file=sys.stderr)
+    n_undecided = sum(sol.status in UNDECIDED for sol in sols)
+    print(f"undecided candidates (IterLimit or Stalled): {n_undecided}",
+          file=sys.stderr)
     return 0 if any(sol.optimal for sol in sols) else 2
 
 

@@ -4,10 +4,13 @@ and state-space grids for plotting.
 The simulator always propagates the true nonlinear plant; the linear
 prediction model lives only inside the optimal control problems. Ties
 between equally optimal scenarios are broken toward the smallest index so
-results are independent of solve order.
+results are independent of solve order. A candidate whose one-step bound
+(solver.Screen) exceeds the feasibility tolerance is Infeasible and is
+screened instead of solved.
 """
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -15,9 +18,10 @@ from .errors import InfeasibleStateError
 from .linearize import u_of_v
 from .model import dynamics_step
 from .scenario import filter_for_state
-from .solver import SolverConfig, assemble, solve
+from .solver import SolverConfig, assemble, infeasibility_screen, solve
 
 TIE_TOL = 1e-9
+UNDECIDED = ("IterLimit", "Stalled")  # statuses that decide nothing
 
 
 @dataclass
@@ -29,6 +33,7 @@ class MpcStepResult:
     n_scenarios_solved: int
     per_scenario: list = None
     n_undecided: int = 0
+    n_screened: int = 0
 
 
 def _fmt(x):
@@ -90,11 +95,12 @@ class GridTable:
 def applied_candidate(solutions):
     """Index of the solution that is applied among candidates in ascending
     index order: the best Optimal one, ties within TIE_TOL going to the
-    earlier one. None when no solution is Optimal."""
+    earlier one. None when no solution is Optimal. A None solution (a
+    screened candidate) is skipped."""
     best = None
     for i, sol in enumerate(solutions):
-        if sol.optimal and (best is None
-                            or sol.V < solutions[best].V - TIE_TOL):
+        if sol is not None and sol.optimal and (
+                best is None or sol.V < solutions[best].V - TIE_TOL):
             best = i
     return best
 
@@ -103,30 +109,40 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
                  cfg=None, tol=1e-8, keep_per_scenario=False):
     """Solve every candidate scenario at state x and pick the best.
 
-    Candidates are the catalog scenarios whose first region contains x. The
-    reported input is recovered through the linearizing feedback, falling
-    back to u = 0 where the input gain vanishes. Only Optimal candidates
-    compete (see applied_candidate); IterLimit ones are counted as
-    undecided (n_undecided, also in the details of InfeasibleStateError).
+    Candidates are the catalog scenarios whose first region contains x;
+    one whose one-step bound (one per distinct first two steps) exceeds
+    cfg.feas_tol is Screened, not solved. The reported input is recovered
+    through the linearizing feedback, falling back to u = 0 where the input
+    gain vanishes. Only Optimal candidates compete (see applied_candidate);
+    IterLimit and Stalled ones are undecided. n_undecided and n_screened
+    are also in the details of InfeasibleStateError.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
     candidates = filter_for_state(catalog, spec, x, tol)
-    sols = [solve(assemble(sc, x, spec, lin, zsets, terminal, Q, rho), cfg)
+    screen = infeasibility_screen(lin, zsets)
+    bound = cache(lambda head: screen.one_step(x, *head))
+    sols = [None if bound(sc.coeffs[:2]) > cfg.feas_tol else
+            solve(assemble(sc, x, spec, lin, zsets, terminal, Q, rho), cfg)
             for sc in candidates]
-    n_undecided = sum(sol.status == "IterLimit" for sol in sols)
+    statuses = ["Screened" if sol is None else sol.status for sol in sols]
+    n_undecided = sum(status in UNDECIDED for status in statuses)
+    n_screened = statuses.count("Screened")
     best = applied_candidate(sols)
     if best is None:
         raise InfeasibleStateError(
             "no candidate scenario is feasible at the query state",
-            details_x=x.tolist(), n_undecided=n_undecided)
+            details_x=x.tolist(), n_undecided=n_undecided,
+            n_screened=n_screened)
     sc, sol = candidates[best], sols[best]
-    per = ([(c.j, s.status, s.V) for c, s in zip(candidates, sols)]
+    per = ([(c.j, status, np.nan if s is None else s.V)
+            for c, status, s in zip(candidates, statuses, sols)]
            if keep_per_scenario else None)
     v0 = float(sol.v_seq[0])
     return MpcStepResult(u=u_of_v(lin, spec, x, v0), v=v0, j_star=sc.j,
-                         V=sol.V, n_scenarios_solved=len(sols),
-                         per_scenario=per, n_undecided=n_undecided)
+                         V=sol.V, n_scenarios_solved=len(sols) - n_screened,
+                         per_scenario=per, n_undecided=n_undecided,
+                         n_screened=n_screened)
 
 
 def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho,

@@ -5,11 +5,13 @@ by the base-s expansion j = 1 + sum_k (eps_k - 1) s^k. Offline pruning walks
 horizons 1..N, keeping only coefficient sequences whose subproblem admits
 some initial state; extending a sequence prepends a fresh first step, so an
 infeasible tail can never become feasible again and the catalog is closed
-under suffixes.
+under suffixes. Extensions that the transition bound of their first two
+steps proves infeasible (solver.Screen) are never probed.
 """
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,8 @@ import numpy as np
 from .errors import NoConvergenceError, OutOfRangeError
 from .geometry import Ellipsoid, Polytope
 from .model import EPS_G, region_membership, system_to_dict
-from .solver import SolverConfig, assemble, encode, solve_feasibility
+from .solver import (SolverConfig, assemble, encode, infeasibility_screen,
+                     solve_feasibility)
 
 
 def decode(j, s, N):
@@ -164,45 +167,52 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
 
     Level 1 keeps every region whose stage set can reach the terminal set in
     one step from some free initial state. Each further level prepends every
-    region index to each survivor and re-probes feasibility with the initial
-    state free over the new first region. start_levels resumes from a
-    previously computed catalog prefix.
+    region index i to each survivor whose transition bound from i to its
+    first step is at most feas_tol, and re-probes feasibility with the
+    initial state free over the new first region; meta["screened"] counts
+    the others per level. start_levels resumes from a previously computed
+    catalog prefix. One process pool serves every level.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
     cfg = solver_cfg or SolverConfig()
     s = spec.n_regions
     levels = dict(start_levels or {})
+    screen = infeasibility_screen(lin, zsets)
+    screened = {}
 
-    def check_all(cands):
-        if n_workers > 1 and len(cands) > 1:
-            with ProcessPoolExecutor(
-                    max_workers=n_workers, initializer=_worker_init,
-                    initargs=(spec, lin, zsets, terminal, cfg)) as pool:
-                results = dict(pool.map(_check_candidate, cands, chunksize=4))
-            return [c for c in cands if results[c]]
+    def check_all(pool, cands):
+        if pool is not None and len(cands) > 1:
+            return [c for c, ok in pool.map(_check_candidate, cands,
+                                            chunksize=4) if ok]
         return [c for c in cands
                 if _candidate_feasible(c, spec, lin, zsets, terminal, cfg)]
 
     start = max(levels) + 1 if levels else 1
-    for level in range(start, N + 1):
-        if level == 1:
-            cands = [(i,) for i in range(1, s + 1)]
-        else:
-            cands = [(i,) + tail for tail in levels[level - 1]
-                     for i in range(1, s + 1)]
-        survivors = check_all(cands)
-        survivors.sort(key=lambda c: encode(c, s))
-        levels[level] = tuple(survivors)
-        if progress is not None:
-            progress(level, len(survivors))
+    with (ProcessPoolExecutor(max_workers=n_workers, initializer=_worker_init,
+                              initargs=(spec, lin, zsets, terminal, cfg))
+          if n_workers > 1 else nullcontext()) as pool:
+        for level in range(start, N + 1):
+            if level == 1:
+                cands = [(i,) for i in range(1, s + 1)]
+            else:
+                cands = [(i,) + tail for tail in levels[level - 1]
+                         for i in range(1, s + 1)]
+            kept = [c for c in cands if len(c) == 1
+                    or screen.transition(c[0], c[1]) <= cfg.feas_tol]
+            screened[str(level)] = len(cands) - len(kept)
+            survivors = check_all(pool, kept)
+            survivors.sort(key=lambda c: encode(c, s))
+            levels[level] = tuple(survivors)
+            if progress is not None:
+                progress(level, len(survivors))
 
     return FeasibleCatalog(
         s=s, N=N, levels=levels, feas_tol=cfg.feas_tol,
         terminal_kind="polytope" if isinstance(terminal.tset, Polytope)
         else "ellipsoid",
         content_hash=catalog_hash(spec, lin, terminal, cfg.feas_tol),
-        meta={"n_workers": int(n_workers)},
+        meta={"n_workers": int(n_workers), "screened": screened},
     )
 
 

@@ -1,4 +1,5 @@
-"""Per-scenario convex programs in condensed form and a barrier solver.
+"""Per-scenario convex programs in condensed form, a barrier solver, and
+certified bounds that screen infeasible programs before any Newton step.
 
 Predicted states are eliminated through the linear prediction map, leaving
 the artificial inputs (plus the initial state, when it is left free for
@@ -275,16 +276,21 @@ _HORIZONS, _HORIZONS_MAX = {}, 32  # least recently used first
 _HORIZONS_LOCK = threading.Lock()
 
 
+def _cached(key, build):
+    """The LRU entry under key (ids of objects the entry holds)."""
+    with _HORIZONS_LOCK:
+        entry = _HORIZONS.pop(key, None) or build()
+        _HORIZONS[key] = entry
+        if len(_HORIZONS) > _HORIZONS_MAX:
+            del _HORIZONS[next(iter(_HORIZONS))]
+    return entry
+
+
 def _horizon(lin, zsets, terminal, Q, rho, N, free):
     key = (id(lin), tuple(map(id, zsets)), id(terminal), Q.shape,
            Q.tobytes(), rho, N, free)
-    with _HORIZONS_LOCK:
-        hz = _HORIZONS.pop(key, None) or _Horizon(lin, zsets, terminal, Q,
-                                                  rho, N, free)
-        _HORIZONS[key] = hz
-        if len(_HORIZONS) > _HORIZONS_MAX:
-            del _HORIZONS[next(iter(_HORIZONS))]
-    return hz
+    return _cached(key, lambda: _Horizon(lin, zsets, terminal, Q, rho, N,
+                                         free))
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +445,8 @@ class Solution:
         return self.status == "Optimal"
 
 
-class _IterBudget(Exception):
-    pass
+class _Undecided(Exception):
+    """No decision; the argument is the status, IterLimit or Stalled."""
 
 
 class _Work:
@@ -455,7 +461,7 @@ class _Work:
     def spend(self):
         self.steps += 1
         if self.steps > self.cfg.max_newton:
-            raise _IterBudget
+            raise _Undecided("IterLimit")
 
 
 class _SinusoidGroup:
@@ -585,9 +591,10 @@ def _barrier_stage(work, ws, z, mu, f0, inner_tol, stop_when=None):
     the Newton decrement falls to 2 inner_tol.
 
     f0 = (value, grad, hess) callables for the smooth objective part.
-    Returns the iterate.
-    stop_when, if given, aborts the stage early once the predicate on the
-    iterate holds (used by phase-I as soon as strict feasibility shows).
+    Returns the iterate and how the stage ended: "centered", "stalled" (80
+    backtracks, no Armijo step) or "stopped": stop_when, if given, ends the
+    stage once the predicate on the iterate holds (used by phase-I as soon
+    as strict feasibility shows).
     """
     A = ws.A
 
@@ -631,11 +638,11 @@ def _barrier_stage(work, ws, z, mu, f0, inner_tol, stop_when=None):
         step = _newton_solve(hess, grad)
         decrement = float(-grad @ step)
         if decrement <= 2.0 * inner_tol:
-            return z
+            return z, "centered"
         # rounding floor: stiff barrier directions stop making progress long
         # before the decrement test; bail out once contraction stalls
         if decrement < 1e-12 and decrement > 0.3 * prev_decrement:
-            return z
+            return z, "centered"
         prev_decrement = decrement
         work.spend()
         slope = float(grad @ step)
@@ -651,12 +658,12 @@ def _barrier_stage(work, ws, z, mu, f0, inner_tol, stop_when=None):
                     break
             t *= BACKTRACK
         else:
-            return z
+            return z, "stalled"
         z, (slacks, pieces), base = z_new, trial, val
         if ws.nonconvex:
             work.nonconvex = True
         if stop_when is not None and stop_when(z):
-            return z
+            return z, "stopped"
 
 
 def _mu_schedule(n_cons):
@@ -714,7 +721,8 @@ def phase1(prog, cfg, work=None):
 
     Returns (z, t). A strictly feasible hint is returned as it is, with no
     Newton step; otherwise t is either certified (central-path bound) or
-    the first strictly negative slack seen.
+    the first strictly negative slack seen. A stalled stage raises
+    _Undecided("Stalled").
     """
     work = work or _Work(prog, cfg)
     d = prog.n_vars
@@ -736,11 +744,13 @@ def phase1(prog, cfg, work=None):
     done = False
     m = max(prog.n_constraints, 1)
     for mu in _mu_schedule(prog.n_constraints):
-        zt = _barrier_stage(work, ws, zt, mu, f0, STAGE_TOL,
-                            stop_when=lambda p: p[-1] < -STRICT_MARGIN)
+        zt, how = _barrier_stage(work, ws, zt, mu, f0, STAGE_TOL,
+                                 stop_when=lambda p: p[-1] < -STRICT_MARGIN)
         if zt[-1] < -STRICT_MARGIN:
             done = True
             break
+        if how == "stalled":
+            raise _Undecided("Stalled")
         if zt[-1] - mu * m > cfg.feas_tol:
             # central-path certificate: t* >= t_mu - m*mu > feas_tol
             break
@@ -753,16 +763,17 @@ def solve_feasibility(prog, cfg=SolverConfig()):
     """Phase-I only: decide feasibility against cfg.feas_tol.
 
     Returns (feasible, slack). Raises NoConvergenceError when the Newton
-    budget runs out before a decision, so callers never confuse an undecided
-    probe with a certified infeasibility.
+    budget runs out or a line search stalls before a decision, so callers
+    never confuse an undecided probe with a certified infeasibility.
     """
     if prog.pre_violation > cfg.feas_tol:
         return False, prog.pre_violation
     try:
         _, t_star = phase1(prog, cfg)
-    except _IterBudget:
+    except _Undecided as exc:
         raise NoConvergenceError(
-            f"feasibility probe exhausted {cfg.max_newton} Newton steps")
+            f"feasibility probe ended {exc.args[0]} (budget "
+            f"{cfg.max_newton} Newton steps)")
     return t_star <= cfg.feas_tol, t_star
 
 
@@ -771,7 +782,7 @@ def solve(prog, cfg=SolverConfig()):
 
     Infeasibility is certified by the optimized phase-I slack exceeding the
     feasibility tolerance; an exhausted Newton budget is reported as
-    IterLimit, never as infeasibility.
+    IterLimit and a stalled line search as Stalled, never as infeasibility.
     """
     work = _Work(prog, cfg)
     nan = float("nan")
@@ -797,8 +808,8 @@ def solve(prog, cfg=SolverConfig()):
         return finish("Infeasible", p1=prog.pre_violation)
     try:
         z, t_star = phase1(prog, cfg, work)
-    except _IterBudget:
-        return finish("IterLimit")
+    except _Undecided as exc:
+        return finish(exc.args[0])
     if t_star > cfg.feas_tol:
         return finish("Infeasible", p1=t_star)
 
@@ -815,13 +826,110 @@ def solve(prog, cfg=SolverConfig()):
     try:
         for stage, mu in enumerate(schedule):
             last = stage == len(schedule) - 1
-            z = _barrier_stage(work, ws, z, mu, f0,
-                               INNER_TOL if last else STAGE_TOL)
+            z, how = _barrier_stage(work, ws, z, mu, f0,
+                                    INNER_TOL if last else STAGE_TOL)
+            if how == "stalled":
+                raise _Undecided("Stalled")
             stage_values.append(prog.objective_value(z))
-    except _IterBudget:
-        return finish("IterLimit", z=z, p1=t_star, degenerate=degenerate)
+    except _Undecided as exc:
+        return finish(exc.args[0], z=z, p1=t_star, degenerate=degenerate)
 
     kkt = _kkt_residual(prog, z, schedule[-1], relax, cfg)
     out = finish("Optimal", z=z, kkt=kkt, p1=t_star, degenerate=degenerate)
     out.stage_values = tuple(stage_values)
     return out
+
+
+# ---------------------------------------------------------------------------
+# infeasibility screens
+# ---------------------------------------------------------------------------
+
+def _lowest_max(a, c):
+    """min over v of max_k (a_k v + c_k): the largest constant line, or
+    the largest crossing of an increasing and a decreasing line."""
+    up, down = a > 0, a < 0
+    best = float(np.max(c[~(up | down)], initial=-np.inf))
+    if up.any() and down.any():
+        ap, cp, aq, cq = a[up, None], c[up, None], a[down], c[down]
+        best = max(best, float(np.max((ap * cq - aq * cp) / (ap - aq))))
+    return best
+
+
+class Screen:
+    """Certified lower bounds on the phase-I value t* of candidate programs.
+
+    Phase I relaxes every constraint by the same t, so the min-max over any
+    subset of a program's constraints, in its own units, bounds its t* from
+    below: above feas_tol, the program is Infeasible with no Newton step.
+    """
+
+    def __init__(self, lin, zsets):
+        # strong references: no id in the cache key is reused
+        self.lin, self.zsets, self.pairs = lin, tuple(zsets), {}
+        self.ops = condense(lin, 2)
+        self.blocks = [[_StageBlock(zs, self.ops.step_map(k)[0])
+                        for k in (0, 1)] for zs in self.zsets]
+        # slopes in v0, in StageSet.all_values order: stage constraints are
+        # affine in v (the last gradient entry), region rows are flat; the
+        # next region's rows C x1 - d have C b_hat
+        n = lin.A_hat.shape[0]
+        self.slopes = [np.array([con.grad(np.zeros(n + 1))[n]
+                                 for con in zs.constraints]
+                                + [0.0] * zs.region.n_rows)
+                       for zs in self.zsets]
+        self.next_rows = [(zs.region.C @ lin.A_hat, zs.region.d,
+                           zs.region.C @ lin.b_hat) for zs in self.zsets]
+
+    def transition(self, i, j):
+        """Bound for every free-x0 program with stage sets i, j first, from
+        phase I of that two-step program (no terminal set) through the whole
+        mu schedule; -inf when that phase I finds a strictly feasible point
+        or is undecided, or for nonconvex data."""
+        if (i, j) not in self.pairs:  # a race computes the same value twice
+            self.pairs[(i, j)] = self._transition(i, j)
+        return self.pairs[(i, j)]
+
+    def _transition(self, i, j):
+        first, second = self.blocks[i - 1][0], self.blocks[j - 1][1]
+        if first.nonconvex or second.nonconvex:
+            return -np.inf
+        (b0, cons0), (b1, cons1) = (blk.offsets(np.zeros(blk.M.shape[0]))
+                                    for blk in (first, second))
+        d = self.ops.n_vars
+        hint = np.zeros(d)  # (v0, v1, x0): x0 at region i's centre
+        center, _ = self.zsets[i - 1].region.chebyshev_center()
+        hint[2:] = 0.0 if center is None else center
+        prog = ConvexProgram(
+            n_vars=d, H=np.zeros((d, d)), f=np.zeros(d), c0=0.0,
+            A_mat=np.vstack([first.rows, second.rows]),
+            b_vec=np.concatenate([b0, b1]), nonlin=cons0 + cons1,
+            prog_class="", coeffs=(), scenario_j=0, ops=self.ops,
+            pre_violation=-np.inf, z0_hint=hint, nonconvex_data=False)
+        try:  # no feas_tol can end this phase I early
+            _, t = phase1(prog, SolverConfig(feas_tol=np.inf))
+        except _Undecided:
+            return -np.inf
+        # t <= t_last, and t* >= t_last - m*mu_last on the central path
+        m = max(prog.n_constraints, 1)
+        return (-np.inf if t < -STRICT_MARGIN
+                else t - m * _mu_schedule(prog.n_constraints)[-1])
+
+    def one_step(self, x, e1, e2=None):
+        """Bound for every fixed-x0 program at state x with stage sets e1,
+        e2 first, from its constraints that depend on v0 alone, as lines
+        a v0 + c: stage set e1's at (x, v0), its region rows included, and
+        region e2's rows at A_hat x + b_hat v0. Their lowest max, less a
+        rounding allowance."""
+        a, c = [self.slopes[e1 - 1]], [self.zsets[e1 - 1].all_values(x, 0.0)]
+        if e2 is not None:
+            CA, d, Cb = self.next_rows[e2 - 1]
+            a.append(Cb)
+            c.append(CA @ x - d)
+        a, c = np.concatenate(a), np.concatenate(c)
+        return _lowest_max(a, c) - 1e-9 * (1.0 + np.abs(c).max())
+
+
+def infeasibility_screen(lin, zsets):
+    """The Screen of (lin, zsets), kept in the LRU of compiled horizons."""
+    key = ("screen", id(lin), tuple(map(id, zsets)))
+    return _cached(key, lambda: Screen(lin, zsets))

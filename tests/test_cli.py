@@ -87,7 +87,7 @@ def test_prune_solve_simulate_grid_pipeline(tmp_path, capsys):
     captured = capsys.readouterr()
     sol = json.loads(captured.out)
     assert sol["status"] == "Optimal" and abs(sol["V"]) < 1e-9
-    assert "undecided candidates (IterLimit): 0" in captured.err
+    assert "undecided candidates (IterLimit or Stalled): 0" in captured.err
     assert sol["j"] == 1 and sol["class"] == "NLP"
 
     assert run(["solve", EX2, *LINFLAGS, "--horizon", "2", "--catalog", cat,

@@ -59,7 +59,9 @@ class TestEvaluate:
     def test_iter_limit_candidates_are_counted_not_chosen(self,
                                                           packaged_ex2):
         # at this state the three candidates need 61 (Infeasible), 114 and
-        # 21 Newton steps; only the last, and best, one fits a budget of 50
+        # 21 Newton steps; only the last, and best, one fits a budget of 50.
+        # The first one's one-step bound (0.0203) screens it before any
+        # Newton step, so it is never undecided
         seqs = tuple((2,) * k + (1,) * (15 - k) for k in (1, 2, 3))
         catalog = cn.FeasibleCatalog(s=3, N=15, levels={15: seqs},
                                      feas_tol=1e-7, terminal_kind="ellipsoid",
@@ -72,13 +74,15 @@ class TestEvaluate:
                                    cfg=cn.SolverConfig(max_newton=max_newton))
 
         full, capped = evaluate(500), evaluate(50)
-        assert (full.n_undecided, capped.n_undecided) == (0, 2)
+        assert (full.n_undecided, capped.n_undecided) == (0, 1)
+        assert (full.n_screened, capped.n_screened) == (1, 1)
         assert full.j_star == cn.encode(seqs[2], 3)
         assert (capped.j_star, capped.u, capped.V) == (full.j_star, full.u,
                                                        full.V)
         with pytest.raises(cn.InfeasibleStateError) as info:
             evaluate(5)
-        assert info.value.details["n_undecided"] == 3
+        assert info.value.details["n_undecided"] == 2
+        assert info.value.details["n_screened"] == 1
 
     def test_gain_sign_flip_saturates_input(self, ex2, ex2_catalog_n15):
         """Approaching the gain-zero facet from either side drives the input

@@ -96,12 +96,14 @@ class TestCatalog:
         # direct enumeration agrees
         assert brute_force_level(spec, lin, zsets, term, 3) == [(1, 1, 1)]
 
-    def test_parallel_matches_serial(self, ex2):
+    def test_parallel_matches_serial(self, packaged_ex2):
+        ex2 = packaged_ex2
         serial = cn.prune_catalog(ex2["spec"], ex2["lin"], ex2["zsets"],
-                                  ex2["terminal"], 2, n_workers=1)
+                                  ex2["terminal"], 3, n_workers=1)
         parallel = cn.prune_catalog(ex2["spec"], ex2["lin"], ex2["zsets"],
-                                    ex2["terminal"], 2, n_workers=2)
+                                    ex2["terminal"], 3, n_workers=2)
         assert serial.levels == parallel.levels
+        assert serial.meta["screened"] == parallel.meta["screened"]
 
     def test_resume_from_prefix(self, ex2, ex2_catalog_n3):
         cat = cn.prune_catalog(ex2["spec"], ex2["lin"], ex2["zsets"],

@@ -1,0 +1,218 @@
+"""Infeasibility screens on the packaged example systems.
+
+A screen rejects a candidate scenario by a certified lower bound on its
+phase-I value t*, taken from a subset of its constraints. Offline the
+subset is the first transition (i, j) of a free-x0 probe, online the
+constraints that depend on v0 alone at the query state. Everything a
+screen rejects must be Infeasible, and pruning and evaluation must come out
+exactly as without the screen.
+"""
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+import convexnmpc as cn
+import convexnmpc.solver as solver_module
+from helpers import brute_force_level
+
+FEAS_TOL = cn.SolverConfig().feas_tol
+SYSTEMS = ("packaged_ex2", "packaged_ex3")
+GRID = [np.array([a, b]) for a in np.linspace(-1.9, 1.9, 7)
+        for b in np.linspace(-1.9, 1.9, 7)]
+
+
+def _screen(data):
+    return solver_module.infeasibility_screen(data["lin"], data["zsets"])
+
+
+def _prune(data, N, **kwargs):
+    return cn.prune_catalog(data["spec"], data["lin"], data["zsets"],
+                            data["terminal"], N, **kwargs)
+
+
+def _probe(data, coeffs):
+    prog = cn.assemble(coeffs, None, data["spec"], data["lin"],
+                       data["zsets"], data["terminal"], Q=np.eye(2), rho=1.0)
+    return cn.solve_feasibility(prog)
+
+
+def _pipeline_args(data, catalog):
+    return (catalog, data["spec"], data["lin"], data["zsets"],
+            data["terminal"], data["Q"], data["rho"])
+
+
+@pytest.fixture(scope="module")
+def pruned(request):
+    """The packaged systems with their N=3 catalogs."""
+    out = {}
+    for name in SYSTEMS:
+        data = request.getfixturevalue(name)
+        out[name] = (data, _prune(data, 3))
+    return out
+
+
+def _without_transition_screen(monkeypatch):
+    monkeypatch.setattr(solver_module.Screen, "transition",
+                        lambda self, i, j: -np.inf)
+
+
+def _without_one_step_screen(monkeypatch):
+    monkeypatch.setattr(solver_module.Screen, "one_step",
+                        lambda self, x, e1, e2=None: -np.inf)
+
+
+# ---------------------------------------------------------------------------
+# offline: transition bounds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, n_screened", [("packaged_ex2", 4),
+                                              ("packaged_ex3", 50)])
+def test_screened_pairs_probe_infeasible(request, name, n_screened):
+    data = request.getfixturevalue(name)
+    screen = _screen(data)
+    s = data["spec"].n_regions
+    bounds = {(i, j): screen.transition(i, j)
+              for i in range(1, s + 1) for j in range(1, s + 1)}
+    pairs = [pair for pair, bound in bounds.items() if bound > FEAS_TOL]
+    assert len(pairs) == n_screened
+    longer = pairs[0] + (1,) * 13
+    for coeffs in pairs + [longer]:
+        feasible, t_star = _probe(data, coeffs)
+        assert not feasible
+        # the bound is a lower bound on the probe's phase-I value
+        assert t_star >= bounds[coeffs[:2]] - 1e-9
+
+
+@pytest.mark.parametrize("name, N", [("packaged_ex2", 5), ("packaged_ex3", 3)])
+def test_prune_equals_unscreened_prune(request, monkeypatch, name, N):
+    data = request.getfixturevalue(name)
+    screened = _prune(data, N)
+    _without_transition_screen(monkeypatch)
+    plain = _prune(data, N)
+    assert screened.levels == plain.levels
+    assert screened.meta["screened"]["1"] == 0
+    assert sum(screened.meta["screened"].values()) > 0
+    assert set(plain.meta["screened"].values()) == {0}
+
+
+def test_prune_equals_brute_force(pruned):
+    data, catalog = pruned["packaged_ex2"]
+    expect = brute_force_level(data["spec"], data["lin"], data["zsets"],
+                               data["terminal"], 3)
+    assert list(catalog.sequences(3)) == expect
+
+
+# ---------------------------------------------------------------------------
+# online: one-step bounds
+# ---------------------------------------------------------------------------
+
+def _heads(data, catalog, x):
+    return sorted({sc.coeffs[:2]
+                   for sc in cn.filter_for_state(catalog, data["spec"], x)})
+
+
+def _one_step_lines(data, x, e1, e2=None):
+    """The lines a v0 + c of the constraints that depend on v0 alone,
+    straight from the stage set's oracles and the regions."""
+    zs = data["zsets"][e1 - 1]
+    c, a = zs.all_values(x, 0.0), zs.all_values(x, 1.0) - zs.all_values(x, 0.0)
+    if e2 is not None:
+        region, lin = data["zsets"][e2 - 1].region, data["lin"]
+        c = np.append(c, region.C @ (lin.A_hat @ x) - region.d)
+        a = np.append(a, region.C @ lin.b_hat)
+    return a, c
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_one_step_closed_form_matches_linprog(pruned, name):
+    data, catalog = pruned[name]
+    screen = _screen(data)
+    checked = 0
+    for x in GRID:
+        for head in _heads(data, catalog, x):
+            a, c = _one_step_lines(data, x, *head)
+            # min t over (v, t) subject to a v + c <= t
+            res = linprog([0.0, 1.0],
+                          A_ub=np.column_stack([a, -np.ones_like(a)]),
+                          b_ub=-c, bounds=[(None, None)] * 2)
+            assert res.status == 0
+            assert abs(solver_module._lowest_max(a, c) - res.fun) <= 1e-9
+            # the bound sits below the min-max by its rounding allowance
+            allowance = 1e-9 * (1.0 + np.abs(c).max())
+            assert abs(screen.one_step(x, *head) + allowance
+                       - res.fun) <= 1e-9
+            checked += 1
+    assert checked > 20
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_one_step_screened_candidates_are_infeasible(pruned, name):
+    data, catalog = pruned[name]
+    screen = _screen(data)
+    n_screened = 0
+    for x in GRID:
+        for sc in cn.filter_for_state(catalog, data["spec"], x):
+            bound = screen.one_step(x, *sc.coeffs[:2])
+            if bound <= FEAS_TOL:
+                continue
+            n_screened += 1
+            sol = cn.solve(cn.assemble(sc, x, data["spec"], data["lin"],
+                                       data["zsets"], data["terminal"],
+                                       data["Q"], data["rho"]))
+            assert sol.status == "Infeasible"
+            assert sol.phase1_violation >= bound
+    assert n_screened > 0
+
+
+def _decisions(data, catalog):
+    out = []
+    for x in GRID:
+        try:
+            step = cn.evaluate_ocp(x, *_pipeline_args(data, catalog),
+                                   keep_per_scenario=True)
+        except cn.InfeasibleStateError as exc:
+            out.append(("infeasible", exc.details["n_screened"]))
+            continue
+        statuses = [status for _, status, _ in step.per_scenario]
+        assert step.n_screened == statuses.count("Screened")
+        assert step.n_scenarios_solved + step.n_screened == len(statuses)
+        out.append((step.j_star, step.u, step.V, step.n_screened))
+    return out
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_evaluate_equals_unscreened_evaluate(pruned, monkeypatch, name):
+    data, catalog = pruned[name]
+    screened = _decisions(data, catalog)
+    _without_one_step_screen(monkeypatch)
+    plain = _decisions(data, catalog)
+    assert [d[:-1] for d in screened] == [d[:-1] for d in plain]
+    assert sum(d[-1] for d in screened) > 0
+    assert sum(d[-1] for d in plain) == 0
+
+
+# ---------------------------------------------------------------------------
+# a stalled line search decides nothing
+# ---------------------------------------------------------------------------
+
+def test_stalled_line_search_is_undecided(packaged_ex2, monkeypatch):
+    data = packaged_ex2
+    # no trial can pass an Armijo bound of -inf. (A slope of 2 cannot pass
+    # in exact arithmetic, but after ~55 backtracks the trial rounds to the
+    # iterate itself and passes with an equal barrier value.)
+    monkeypatch.setattr(solver_module, "ARMIJO_SLOPE", np.inf)
+    x = np.array([0.5, 0.5])
+    prog = cn.assemble((1, 1, 1), x, data["spec"], data["lin"],
+                       data["zsets"], data["terminal"], data["Q"],
+                       data["rho"])
+    assert cn.solve(prog).status == "Stalled"
+    with pytest.raises(cn.NoConvergenceError):
+        _probe(data, (1, 2, 1))
+    fresh = solver_module.Screen(data["lin"], data["zsets"])
+    assert fresh.transition(1, 2) == -np.inf
+    catalog = cn.FeasibleCatalog(s=3, N=3, levels={3: ((1, 1, 1),)},
+                                 feas_tol=FEAS_TOL, terminal_kind="ellipsoid",
+                                 content_hash="")
+    with pytest.raises(cn.InfeasibleStateError) as info:
+        cn.evaluate_ocp(x, *_pipeline_args(data, catalog))
+    assert info.value.details["n_undecided"] == 1

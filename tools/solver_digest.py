@@ -1,10 +1,10 @@
 """Bit-level digests of the solver's programs and results.
 
-Run from the root of a checkout (about a minute on one core):
+Run from the root of a checkout (a minute or two on one core):
 
     python3 tools/solver_digest.py
 
-Prints sha256[:16] over one float-hex line per result for three sets:
+Prints sha256[:16] over one float-hex line per result for four sets:
 
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
@@ -13,9 +13,13 @@ Prints sha256[:16] over one float-hex line per result for three sets:
             scalar field of the ConvexProgram, constraint oracles included;
 - solves:   the solve of each of those programs: status, V, v_seq,
             kkt_residual, phase1_violation, n_newton, nonconvex_flag and
-            degenerate.
+            degenerate;
+- decisions: (j*, u, V) of evaluate_ocp at every query-ex3 pool state,
+            then of every step of a 25-step simulate from every loop-ex2
+            start: what the closed loop applies, screening included.
 
-Two checkouts whose digests agree assemble and solve bit for bit alike.
+Two checkouts whose digests agree assemble, solve and decide bit for bit
+alike.
 The package is imported from this checkout's src/; perfbench/data is only
 read. BLAS is held to one thread.
 """
@@ -35,12 +39,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from convexnmpc.cli import RunConfig, build_pipeline  # noqa: E402
+from convexnmpc.closedloop import evaluate_ocp, simulate  # noqa: E402
+from convexnmpc.errors import InfeasibleStateError  # noqa: E402
 from convexnmpc.scenario import FeasibleCatalog, filter_for_state  # noqa: E402
 from convexnmpc.solver import assemble, solve, solve_feasibility  # noqa: E402
 
 DATA = ROOT / "perfbench" / "data"
 SYSTEMS = ROOT / "src" / "convexnmpc" / "data"
 HORIZON = 15
+LOOP_STEPS = 25
 
 
 def hexed(value):
@@ -118,11 +125,36 @@ def pool_digests():
     return programs, solves
 
 
+def decision_digest():
+    pools = json.loads((DATA / "reference.json").read_text())["pools"]
+    out = Digest()
+    for system, pool in (("ex3", "query-ex3"), ("ex2", "loop-ex2")):
+        pipe = pipeline(system)
+        catalog = FeasibleCatalog.load(DATA / f"{system}_N15_catalog.json")
+        args = (catalog, pipe.spec, pipe.lin, pipe.zsets, pipe.terminal,
+                pipe.Q, pipe.rho)
+        for entry in pools[pool]:
+            x = np.array(entry["x0"], dtype=float)
+            try:
+                if pool == "query-ex3":
+                    step = evaluate_ocp(x, *args, cfg=pipe.solver_cfg)
+                    out.add(step.j_star, step.u, step.V)
+                    continue
+                traj = simulate(x, LOOP_STEPS, *args, cfg=pipe.solver_cfg)
+            except InfeasibleStateError as exc:
+                out.add("infeasible", exc.step)
+                continue
+            for j, u, V in zip(traj.j_star, traj.u, traj.V):
+                out.add(j, u, V)
+    return out
+
+
 def main():
-    print(f"probes   {probe_digest()}", flush=True)
+    print(f"probes    {probe_digest()}", flush=True)
     programs, solves = pool_digests()
-    print(f"programs {programs}")
-    print(f"solves   {solves}")
+    print(f"programs  {programs}")
+    print(f"solves    {solves}", flush=True)
+    print(f"decisions {decision_digest()}")
 
 
 if __name__ == "__main__":
