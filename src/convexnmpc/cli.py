@@ -17,14 +17,13 @@ import numpy as np
 from .closedloop import UNDECIDED, applied_candidate, sample_grid, simulate
 from .errors import (CatalogMismatchError, InfeasibleStateError,
                      SchemaError, ToolkitError)
-from .linearize import build_linearization, compute_output_vector
+from .linearize import build_linearization, compute_output_vector, u_of_v
 from .model import load_system, validate_assumption1
 from .scenario import (FeasibleCatalog, Scenario, catalog_hash, decode,
                        filter_for_state, prune_catalog)
 from .solver import SolverConfig, assemble, solve
 from .stagesets import build_stage_sets
 from .terminal import build_terminal, verify_terminal_axioms
-from .linearize import u_of_v
 
 PAPER_DEFS = {"b0": 0.1, "c": (5.0, -1.0), "q_diag": 0.05, "horizon": 15}
 
@@ -33,8 +32,26 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _parse_vec(text):
-    return np.array([float(t) for t in text.split(",")], dtype=float)
+def _parse_vec(text, flag, n=None):
+    """Comma-separated finite numbers, n of them when n is given."""
+    try:
+        vec = np.array([float(t) for t in text.split(",")])
+    except ValueError:
+        vec = None
+    if vec is None or not np.isfinite(vec).all():
+        raise SchemaError(f"{flag} must be comma-separated numbers: {text!r}")
+    _check_length(vec, n, flag)
+    return vec
+
+
+def _check_length(vec, n, flag):
+    if n is not None and vec is not None and vec.size != n:
+        raise SchemaError(f"{flag} must have {n} entries, got {vec.size}")
+
+
+def _at_least(value, least, flag):
+    if value < least:
+        raise SchemaError(f"{flag} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -58,28 +75,32 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise SchemaError("horizon must be >= 1")
+        _at_least(self.horizon, 1, "horizon")
         for name in ("feas_tol", "kkt_tol"):
             if getattr(self, name) <= 0:
                 raise SchemaError(f"{name} must be positive")
         if self.q_diag < 0:
             raise SchemaError("state weight must be PSD")
+        _at_least(self.threads, 1, "thread count (--threads or NMPC_THREADS)")
 
 
 def config_from_args(args):
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("NMPC_THREADS", "0")) or (os.cpu_count() or 1)
+        text = os.environ.get("NMPC_THREADS") or str(os.cpu_count() or 1)
+        try:
+            threads = int(text)
+        except ValueError:
+            raise SchemaError(f"NMPC_THREADS must be an integer: {text!r}")
     return RunConfig(
         system=args.system,
         horizon=getattr(args, "horizon", 15),
         q_diag=args.q,
         rho=args.rho,
         b0=args.b0,
-        c=_parse_vec(args.c) if args.c else None,
+        c=_parse_vec(args.c, "--c") if args.c else None,
         beta_target=args.beta_target,
-        a=None if args.a == "charpoly" else _parse_vec(args.a),
+        a=None if args.a == "charpoly" else _parse_vec(args.a, "--a"),
         feas_tol=args.feas_tol,
         kkt_tol=args.kkt_tol,
         terminal_kind=args.terminal,
@@ -104,6 +125,8 @@ class Pipeline:
 
 def build_pipeline(cfg, need_terminal=True):
     spec = load_system(cfg.system)
+    _check_length(cfg.c, spec.n, "--c")
+    _check_length(cfg.a, spec.n, "--a")
     c = cfg.c
     if c is None:
         c = compute_output_vector(spec.A, spec.b, cfg.beta_target)
@@ -132,10 +155,8 @@ def _dump_json(obj, path=None):
     _emit(json.dumps(obj, sort_keys=True, indent=1) + "\n", path)
 
 
-def _load_catalog_checked(pipe):
-    path = pipe.cfg.catalog
-    if not path:
-        raise SchemaError("a catalog file is required (--catalog)")
+def _matching_catalog(pipe, path):
+    """The catalog at path, checked against the pipeline's data."""
     catalog = FeasibleCatalog.load(path)
     expect = catalog_hash(pipe.spec, pipe.lin, pipe.terminal,
                           pipe.solver_cfg.feas_tol)
@@ -143,6 +164,14 @@ def _load_catalog_checked(pipe):
         raise CatalogMismatchError(
             "catalog was pruned against different data "
             f"(stored {catalog.content_hash}, expected {expect})")
+    return catalog
+
+
+def _load_catalog_checked(pipe):
+    path = pipe.cfg.catalog
+    if not path:
+        raise SchemaError("a catalog file is required (--catalog)")
+    catalog = _matching_catalog(pipe, path)
     if catalog.N < pipe.cfg.horizon:
         raise SchemaError(
             f"catalog horizon {catalog.N} is shorter than requested "
@@ -157,6 +186,7 @@ def _load_catalog_checked(pipe):
 def cmd_validate(args):
     cfg = config_from_args(args)
     spec = load_system(cfg.system)
+    _at_least(args.samples, 1, "--samples")
     report = validate_assumption1(spec, n_samples=args.samples, seed=cfg.seed)
     print(report.summary())
     return 0 if report.ok else 1
@@ -171,6 +201,7 @@ def cmd_linearize(args):
 
 def cmd_stagesets(args):
     cfg = config_from_args(args)
+    _at_least(args.resolution, 1, "--resolution")
     pipe = build_pipeline(cfg, need_terminal=False)
     lines = []
     n = pipe.spec.n
@@ -196,6 +227,7 @@ def cmd_stagesets(args):
 
 def cmd_terminal(args):
     cfg = config_from_args(args)
+    _at_least(args.samples, 1, "--samples")
     pipe = build_pipeline(cfg)
     term = pipe.terminal
     out = {"P": term.P.tolist(), "kappa": term.kappa.tolist(),
@@ -225,15 +257,7 @@ def cmd_prune(args):
     path = _default_catalog_path(cfg)
     start_levels = None
     if args.resume and os.path.exists(path):
-        stored = FeasibleCatalog.load(path)
-        expect = catalog_hash(pipe.spec, pipe.lin, pipe.terminal,
-                              pipe.solver_cfg.feas_tol)
-        if stored.content_hash != expect:
-            raise CatalogMismatchError(
-                "refusing to resume: stored catalog was pruned against "
-                f"different data (stored {stored.content_hash}, "
-                f"expected {expect})")
-        start_levels = stored.levels
+        start_levels = _matching_catalog(pipe, path).levels
     catalog = prune_catalog(
         pipe.spec, pipe.lin, pipe.zsets, pipe.terminal, cfg.horizon,
         solver_cfg=pipe.solver_cfg, n_workers=cfg.threads,
@@ -263,8 +287,8 @@ def _solution_dict(pipe, x, sol):
 def cmd_solve(args):
     cfg = config_from_args(args)
     pipe = build_pipeline(cfg)
+    x = _parse_vec(args.x0, "--x0", pipe.spec.n)
     catalog = _load_catalog_checked(pipe)
-    x = _parse_vec(args.x0)
     if args.scenario is not None:
         coeffs = decode(args.scenario, catalog.s, cfg.horizon)
         cands = [Scenario(coeffs, catalog.s)]
@@ -290,9 +314,11 @@ def cmd_solve(args):
 
 def cmd_simulate(args):
     cfg = config_from_args(args)
+    _at_least(args.steps, 0, "--steps")
     pipe = build_pipeline(cfg)
+    x0 = _parse_vec(args.x0, "--x0", pipe.spec.n)
     catalog = _load_catalog_checked(pipe)
-    traj = simulate(_parse_vec(args.x0), args.steps, catalog, pipe.spec,
+    traj = simulate(x0, args.steps, catalog, pipe.spec,
                     pipe.lin, pipe.zsets, pipe.terminal, pipe.Q, pipe.rho,
                     cfg=pipe.solver_cfg)
     _emit(traj.to_csv(), cfg.out)
@@ -301,6 +327,7 @@ def cmd_simulate(args):
 
 def cmd_grid(args):
     cfg = config_from_args(args)
+    _at_least(args.resolution, 2, "--resolution")
     pipe = build_pipeline(cfg)
     catalog = _load_catalog_checked(pipe)
     table = sample_grid(args.resolution, catalog, pipe.spec, pipe.lin,
@@ -330,7 +357,7 @@ def cmd_repro(args):
     system = args.system or _packaged_system(name)
     cfg = RunConfig(system=system, horizon=args.horizon,
                     q_diag=PAPER_DEFS["q_diag"], b0=PAPER_DEFS["b0"],
-                    c=np.array(PAPER_DEFS["c"]), threads=args.threads or 1)
+                    c=np.array(PAPER_DEFS["c"]), threads=args.threads)
     pipe = build_pipeline(cfg)
     rows = []
 
@@ -474,7 +501,7 @@ def make_parser():
     p.add_argument("--system", default=None,
                    help="override the packaged system file")
     p.add_argument("--horizon", type=int, default=PAPER_DEFS["horizon"])
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--catalog", default=None,
                    help="also save the pruned catalog")
     p.set_defaults(func=cmd_repro)

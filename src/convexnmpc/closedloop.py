@@ -8,16 +8,16 @@ results are independent of solve order. A candidate whose one-step bound
 (solver.Screen) exceeds the feasibility tolerance is Infeasible and is
 screened instead of solved.
 """
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .errors import InfeasibleStateError
+from .geometry import MEMBERSHIP_TOL
 from .linearize import u_of_v
 from .model import dynamics_step
-from .scenario import filter_for_state
+from .scenario import filter_for_state, worker_map
 from .solver import SolverConfig, assemble, infeasibility_screen, solve
 
 TIE_TOL = 1e-9
@@ -106,7 +106,7 @@ def applied_candidate(solutions):
 
 
 def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
-                 cfg=None, tol=1e-8, keep_per_scenario=False):
+                 cfg=None, keep_per_scenario=False):
     """Solve every candidate scenario at state x and pick the best.
 
     Candidates are the catalog scenarios whose first region contains x;
@@ -119,7 +119,7 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
-    candidates = filter_for_state(catalog, spec, x, tol)
+    candidates = filter_for_state(catalog, spec, x)
     screen = infeasibility_screen(lin, zsets)
     bound = cache(lambda head: screen.one_step(x, *head))
     sols = [None if bound(sc.coeffs[:2]) > cfg.feas_tol else
@@ -145,8 +145,7 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
                          n_screened=n_screened)
 
 
-def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho,
-             cfg=None, tol=1e-8):
+def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho, cfg=None):
     """Receding-horizon run of the true plant from x0.
 
     Raises InfeasibleStateError (with the step index and the partial
@@ -158,7 +157,7 @@ def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho,
     for k in range(steps):
         try:
             step = evaluate_ocp(x, catalog, spec, lin, zsets, terminal,
-                                Q, rho, cfg=cfg, tol=tol)
+                                Q, rho, cfg=cfg)
         except InfeasibleStateError as exc:
             exc.step = k
             exc.partial = Trajectory(x=np.array(xs), u=np.array(us),
@@ -175,26 +174,13 @@ def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho,
                       V=np.array(Vs), j_star=np.array(js, dtype=int))
 
 
-_GRID_WORKER = {}
-
-
-def _grid_init(args):
-    _GRID_WORKER["args"] = args
-
-
-def _grid_eval(point):
-    args = _GRID_WORKER["args"]
-    return _grid_point(point, *args)
-
-
 def _grid_point(point, catalog, spec, lin, zsets, terminal, Q, rho, cfg,
-                tol, keep_per_scenario):
-    if not spec.in_state_set(point, tol):
+                keep_per_scenario):
+    if not spec.in_state_set(point, MEMBERSHIP_TOL):
         return (0, np.nan, np.nan, 0, [])
     try:
         step = evaluate_ocp(point, catalog, spec, lin, zsets, terminal, Q,
-                            rho, cfg=cfg, tol=tol,
-                            keep_per_scenario=keep_per_scenario)
+                            rho, cfg=cfg, keep_per_scenario=keep_per_scenario)
     except InfeasibleStateError:
         return (0, np.nan, np.nan, 0, [])
     per = [(j, status) for j, status, _ in step.per_scenario or []]
@@ -202,7 +188,7 @@ def _grid_point(point, catalog, spec, lin, zsets, terminal, Q, rho, cfg,
 
 
 def sample_grid(resolution, catalog, spec, lin, zsets, terminal, Q, rho,
-                cfg=None, tol=1e-8, n_workers=1, keep_per_scenario=False):
+                cfg=None, n_workers=1, keep_per_scenario=False):
     """Uniform grid over the bounding box of the state set.
 
     Infeasible points are recorded with sentinel values (feasible=0,
@@ -217,28 +203,16 @@ def sample_grid(resolution, catalog, spec, lin, zsets, terminal, Q, rho,
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
 
-    args = (catalog, spec, lin, zsets, terminal, Q, rho, cfg, tol,
+    args = (catalog, spec, lin, zsets, terminal, Q, rho, cfg,
             keep_per_scenario)
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 initializer=_grid_init,
-                                 initargs=(args,)) as pool:
-            rows = list(pool.map(_grid_eval, points, chunksize=8))
-    else:
-        rows = [_grid_point(p, *args) for p in points]
+    with worker_map(_grid_point, args, n_workers, chunksize=8) as run:
+        rows = run(points)
 
-    feasible = np.array([r[0] for r in rows], dtype=int)
-    u_star = np.array([r[1] for r in rows])
-    V_star = np.array([r[2] for r in rows])
-    j_star = np.array([r[3] for r in rows], dtype=int)
-    per_scenario = {}
-    if keep_per_scenario:
-        all_j = sorted({j for r in rows for j, _ in r[4]})
-        for j in all_j:
-            per_scenario[j] = np.zeros(len(rows), dtype=int)
-        for m, r in enumerate(rows):
-            for j, status in r[4]:
-                if status == "Optimal":
-                    per_scenario[j][m] = 1
-    return GridTable(points=points, feasible=feasible, u_star=u_star,
-                     V_star=V_star, j_star=j_star, per_scenario=per_scenario)
+    feasible, u_star, V_star, j_star, per = zip(*rows)
+    optimal = [{j for j, status in p if status == "Optimal"} for p in per]
+    per_scenario = {j: np.array([int(j in o) for o in optimal])
+                    for j in sorted({j for p in per for j, _ in p})}
+    return GridTable(points=points, feasible=np.array(feasible, dtype=int),
+                     u_star=np.array(u_star), V_star=np.array(V_star),
+                     j_star=np.array(j_star, dtype=int),
+                     per_scenario=per_scenario)

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 from scipy.stats import qmc
 
 from .errors import RegionEmptyError, SchemaError
-from .geometry import Polytope
+from .geometry import MEMBERSHIP_TOL, Polytope
 
 # Absolute tolerance below which g(x) counts as zero (singular input gain).
 EPS_G = 1e-9
@@ -311,7 +311,7 @@ def dynamics_step(spec, x, u):
     return spec.A @ x + float(spec.g.value(x)) * spec.b * float(u)
 
 
-def region_membership(spec, x, tol=1e-8):
+def region_membership(spec, x, tol=MEMBERSHIP_TOL):
     """Indices (1-based) of all regions containing x within tol.
 
     Regions are closed and may share facets, so the result is a set; an empty

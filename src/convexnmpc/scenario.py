@@ -11,13 +11,13 @@ steps proves infeasible (solver.Screen) are never probed.
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoConvergenceError, OutOfRangeError
-from .geometry import Ellipsoid, Polytope
+from .geometry import MEMBERSHIP_TOL, Ellipsoid, Polytope
 from .model import EPS_G, region_membership, system_to_dict
 from .solver import (SolverConfig, assemble, encode, infeasibility_screen,
                      solve_feasibility)
@@ -137,17 +137,30 @@ class FeasibleCatalog:
             return cls.from_dict(json.load(fh))
 
 
-# module-level worker state so candidate checks pickle cheaply
+# module-level worker state so work items pickle cheaply
 _WORKER = {}
 
 
-def _worker_init(spec, lin, zsets, terminal, cfg):
-    _WORKER["args"] = (spec, lin, zsets, terminal, cfg)
+def _worker_init(fn, args):
+    _WORKER["call"] = fn, args
 
 
-def _check_candidate(coeffs):
-    spec, lin, zsets, terminal, cfg = _WORKER["args"]
-    return coeffs, _candidate_feasible(coeffs, spec, lin, zsets, terminal, cfg)
+def _worker_call(item):
+    fn, args = _WORKER["call"]
+    return fn(item, *args)
+
+
+@contextmanager
+def worker_map(fn, args, n_workers, chunksize):
+    """items -> [fn(item, *args)], over one pool of n_workers processes that
+    each hold a copy of args, or in this process when n_workers is 1."""
+    if n_workers <= 1:
+        yield lambda items: [fn(item, *args) for item in items]
+        return
+    with ProcessPoolExecutor(max_workers=n_workers, initializer=_worker_init,
+                             initargs=(fn, args)) as pool:
+        yield lambda items: list(pool.map(_worker_call, items,
+                                          chunksize=chunksize))
 
 
 def _candidate_feasible(coeffs, spec, lin, zsets, terminal, cfg):
@@ -181,17 +194,9 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     screen = infeasibility_screen(lin, zsets)
     screened = {}
 
-    def check_all(pool, cands):
-        if pool is not None and len(cands) > 1:
-            return [c for c, ok in pool.map(_check_candidate, cands,
-                                            chunksize=4) if ok]
-        return [c for c in cands
-                if _candidate_feasible(c, spec, lin, zsets, terminal, cfg)]
-
     start = max(levels) + 1 if levels else 1
-    with (ProcessPoolExecutor(max_workers=n_workers, initializer=_worker_init,
-                              initargs=(spec, lin, zsets, terminal, cfg))
-          if n_workers > 1 else nullcontext()) as pool:
+    with worker_map(_candidate_feasible, (spec, lin, zsets, terminal, cfg),
+                    n_workers, chunksize=4) as check_all:
         for level in range(start, N + 1):
             if level == 1:
                 cands = [(i,) for i in range(1, s + 1)]
@@ -201,7 +206,7 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
             kept = [c for c in cands if len(c) == 1
                     or screen.transition(c[0], c[1]) <= cfg.feas_tol]
             screened[str(level)] = len(cands) - len(kept)
-            survivors = check_all(pool, kept)
+            survivors = [c for c, ok in zip(kept, check_all(kept)) if ok]
             survivors.sort(key=lambda c: encode(c, s))
             levels[level] = tuple(survivors)
             if progress is not None:
@@ -216,7 +221,7 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     )
 
 
-def filter_for_state(catalog, spec, x, tol=1e-8, horizon=None):
+def filter_for_state(catalog, spec, x, tol=MEMBERSHIP_TOL, horizon=None):
     """Scenarios whose first region contains x, ascending by index."""
     members = region_membership(spec, x, tol)
     if not members:

@@ -10,8 +10,8 @@ is reporting metadata, not a solver dispatch.
 The Newton kernel keeps two invariants. Each trial point of the line search
 is evaluated once: the accepted trial's margins, sinusoid phase pieces and
 barrier value become the next iterate's, so no iterate is evaluated twice.
-Curvature is decided when a program's workset is built: the quadratic
-Hessians are constant, so their nonconvexity flag is fixed there.
+Curvature is decided once per compiled stage block: M'HM is convex when H
+is, so a program's nonconvex_data is its solution's nonconvex_flag.
 
 Assembly keeps a third: blocks are compiled once per horizon. What does not
 depend on x0 is built on first use and kept read-only in a small LRU; per
@@ -437,7 +437,6 @@ class Solution:
     n_newton: int
     max_constraint: float
     degenerate: bool = False
-    x0_free_value: np.ndarray = None
     stage_values: tuple = ()
 
     @property
@@ -450,13 +449,11 @@ class _Undecided(Exception):
 
 
 class _Work:
-    """Newton budget and honesty flags shared between phases."""
+    """Newton budget shared between phases."""
 
-    def __init__(self, prog, cfg):
-        self.prog = prog
+    def __init__(self, cfg):
         self.cfg = cfg
         self.steps = 0
-        self.nonconvex = prog.nonconvex_data
 
     def spend(self):
         self.steps += 1
@@ -537,12 +534,9 @@ class _Workset:
                     f"no barrier block for constraint {type(con).__name__}")
         self.group = _SinusoidGroup(grp, d, aug) if grp else None
         self.quads = tuple(quads)
-        # the quadratic Hessians are constant: pad them with the zero t
-        # row and column once, and decide their curvature once
+        # constant Hessians, padded with the zero t row and column once
         self.quad_hess = tuple(np.pad(con.H, (0, 1)) if aug else con.H
                                for con in quads)
-        self.nonconvex = any(float(np.min(np.linalg.eigvalsh(con.H))) < -1e-8
-                             for con in quads)
 
     def point(self, z, lazy=False):
         """Feasibility margins (positive inside) of the affine, sinusoid and
@@ -660,8 +654,6 @@ def _barrier_stage(work, ws, z, mu, f0, inner_tol, stop_when=None):
         else:
             return z, "stalled"
         z, (slacks, pieces), base = z_new, trial, val
-        if ws.nonconvex:
-            work.nonconvex = True
         if stop_when is not None and stop_when(z):
             return z, "stopped"
 
@@ -724,7 +716,7 @@ def phase1(prog, cfg, work=None):
     the first strictly negative slack seen. A stalled stage raises
     _Undecided("Stalled").
     """
-    work = work or _Work(prog, cfg)
+    work = work or _Work(cfg)
     d = prog.n_vars
     z = prog.z0_hint.copy()
     viol0 = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
@@ -784,25 +776,24 @@ def solve(prog, cfg=SolverConfig()):
     feasibility tolerance; an exhausted Newton budget is reported as
     IterLimit and a stalled line search as Stalled, never as infeasibility.
     """
-    work = _Work(prog, cfg)
+    work = _Work(cfg)
     nan = float("nan")
 
     def finish(status, z=None, kkt=nan, p1=nan, degenerate=False):
         if z is None:
-            V, v_seq, x_traj, maxc, x0v = nan, None, None, nan, None
+            V, v_seq, x_traj, maxc = nan, None, None, nan
         else:
             V = prog.objective_value(z)
             v_seq = z[: prog.ops.N].copy()
             x_traj = prog.ops.states(z)
             vals = prog.constraint_values(z)
             maxc = float(np.max(vals)) if vals.size else 0.0
-            x0v = z[prog.ops.N:].copy() if prog.ops.free_x0 else None
         return Solution(status=status, V=V, v_seq=v_seq, x_traj=x_traj,
                         kkt_residual=kkt, phase1_violation=p1,
                         scenario_j=prog.scenario_j, prog_class=prog.prog_class,
-                        nonconvex_flag=work.nonconvex, n_newton=work.steps,
-                        max_constraint=maxc, degenerate=degenerate,
-                        x0_free_value=x0v)
+                        nonconvex_flag=prog.nonconvex_data,
+                        n_newton=work.steps, max_constraint=maxc,
+                        degenerate=degenerate)
 
     if prog.pre_violation > cfg.feas_tol:
         return finish("Infeasible", p1=prog.pre_violation)

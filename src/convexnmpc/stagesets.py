@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SignAmbiguousError
-from .geometry import Polytope
+from .geometry import MEMBERSHIP_TOL, Polytope
 from .linearize import v_of_u
 from .model import (EPS_G, Affine, PwaField, Quadratic, Sinusoid,
                     region_membership)
-
-DEFAULT_MEMBERSHIP_TOL = 1e-8
 
 
 def _readonly(a):
@@ -231,7 +229,7 @@ class StageSet:
         vals.extend(self.lifted_C @ z - self.lifted_d)
         return np.array(vals)
 
-    def contains(self, x, v, tol=DEFAULT_MEMBERSHIP_TOL):
+    def contains(self, x, v, tol=MEMBERSHIP_TOL):
         return bool(np.max(self.all_values(x, v)) <= tol)
 
     def bound_interval(self, x):
@@ -294,14 +292,14 @@ def build_stage_sets(spec, lin, n_sign_samples=256, seed=0):
     return sets
 
 
-def stage_membership(zsets, x, v, tol=DEFAULT_MEMBERSHIP_TOL):
+def stage_membership(zsets, x, v, tol=MEMBERSHIP_TOL):
     """Indices of all stage sets containing (x, v) within tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     return {zs.index for zs in zsets if zs.contains(x, v, tol)}
 
 
-def lemma1_forward(spec, lin, x, u, tol=DEFAULT_MEMBERSHIP_TOL):
+def lemma1_forward(spec, lin, x, u, tol=MEMBERSHIP_TOL):
     """Map an admissible (x, u) to its (x, v) image.
 
     The image is guaranteed to belong to at least one stage set; exposed for
@@ -315,7 +313,7 @@ def lemma1_forward(spec, lin, x, u, tol=DEFAULT_MEMBERSHIP_TOL):
     return x, v_of_u(lin, spec, x, u)
 
 
-def in_union_direct(spec, lin, x, v, tol=DEFAULT_MEMBERSHIP_TOL):
+def in_union_direct(spec, lin, x, v, tol=MEMBERSHIP_TOL):
     """Two-branch definition of the joint constraint set, evaluated directly.
 
     Used as the independent reference for the decomposed membership test:

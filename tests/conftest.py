@@ -8,8 +8,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 import convexnmpc as cn
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-EXAMPLES = ROOT / "examples"
 PACKAGED = pathlib.Path(cn.__file__).parent / "data"
 
 PAPER_C = np.array([5.0, -1.0])
@@ -17,13 +15,13 @@ PAPER_B0 = 0.1
 Q_DIAG = 0.05
 
 
-def _pipeline(name, terminal_kind="auto", root=EXAMPLES):
-    spec = cn.load_system(root / f"{name}.json")
+def _pipeline(name):
+    spec = cn.load_system(PACKAGED / f"{name}.json")
     lin = cn.build_linearization(spec, PAPER_C, b0=PAPER_B0)
     zsets = cn.build_stage_sets(spec, lin)
     Q = Q_DIAG * np.eye(spec.n)
     rho = 0.1 * PAPER_B0 ** 2 / lin.beta ** 2
-    term = cn.build_terminal(spec, lin, zsets, Q, rho, kind=terminal_kind)
+    term = cn.build_terminal(spec, lin, zsets, Q, rho)
     return dict(spec=spec, lin=lin, zsets=zsets, Q=Q, rho=rho, terminal=term)
 
 
@@ -40,23 +38,6 @@ def ex2():
 @pytest.fixture(scope="session")
 def ex3():
     return _pipeline("ex3")
-
-
-# the same systems as shipped inside the package, for tests that must not
-# depend on examples/
-@pytest.fixture(scope="session")
-def packaged_ex1():
-    return _pipeline("ex1", root=PACKAGED)
-
-
-@pytest.fixture(scope="session")
-def packaged_ex2():
-    return _pipeline("ex2", root=PACKAGED)
-
-
-@pytest.fixture(scope="session")
-def packaged_ex3():
-    return _pipeline("ex3", root=PACKAGED)
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,11 @@ import json
 import pytest
 
 from convexnmpc.cli import run
-from conftest import EXAMPLES, PACKAGED
+from conftest import PACKAGED
 
-EX1 = str(EXAMPLES / "ex1.json")
-EX2 = str(EXAMPLES / "ex2.json")
-EX3 = str(EXAMPLES / "ex3.json")
+EX1 = str(PACKAGED / "ex1.json")
+EX2 = str(PACKAGED / "ex2.json")
+EX3 = str(PACKAGED / "ex3.json")
 LINFLAGS = ["--c", "5,-1", "--b0", "0.1"]
 
 
@@ -188,21 +188,18 @@ def test_repro_ex1_short_horizon(capsys):
     assert "N-A" in out
 
 
-PACKAGED_EX2 = str(PACKAGED / "ex2.json")
-
-
 @pytest.fixture(scope="module")
-def packaged_ex2_catalog_n3(tmp_path_factory):
+def ex2_catalog_n3_file(tmp_path_factory):
     cat = str(tmp_path_factory.mktemp("catalog") / "cat.json")
-    assert run(["prune", PACKAGED_EX2, *LINFLAGS, "--horizon", "3",
+    assert run(["prune", EX2, *LINFLAGS, "--horizon", "3",
                 "--catalog", cat, "--threads", "1"]) == 0
     return cat
 
 
-def test_solve_prints_the_applied_candidate(packaged_ex2_catalog_n3, capsys):
+def test_solve_prints_the_applied_candidate(ex2_catalog_n3_file, capsys):
     # candidates j = 2 and 5 are Infeasible here; j = 14 is applied
-    args = ["solve", PACKAGED_EX2, *LINFLAGS, "--horizon", "3",
-            "--catalog", packaged_ex2_catalog_n3, "--x0=-0.9,0.8"]
+    args = ["solve", EX2, *LINFLAGS, "--horizon", "3",
+            "--catalog", ex2_catalog_n3_file, "--x0=-0.9,0.8"]
     capsys.readouterr()
     assert run(args) == 0
     sol = json.loads(capsys.readouterr().out)
@@ -213,9 +210,36 @@ def test_solve_prints_the_applied_candidate(packaged_ex2_catalog_n3, capsys):
         (2, "Infeasible"), (5, "Infeasible"), (14, "Optimal")]
 
 
-def test_solve_outside_every_region(packaged_ex2_catalog_n3, capsys):
+def test_solve_outside_every_region(ex2_catalog_n3_file, capsys):
     capsys.readouterr()
-    assert run(["solve", PACKAGED_EX2, *LINFLAGS, "--horizon", "3",
-                "--catalog", packaged_ex2_catalog_n3, "--x0=5,5"]) == 2
+    assert run(["solve", EX2, *LINFLAGS, "--horizon", "3",
+                "--catalog", ex2_catalog_n3_file, "--x0=5,5"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "INFEASIBLE_STATE"
+
+
+@pytest.mark.parametrize("argv, nmpc_threads", [
+    (["linearize", EX2, "--c", "5,x"], "1"),
+    (["linearize", EX2, "--c", "5,-1,3"], "1"),
+    (["linearize", EX2, *LINFLAGS, "--a", "1"], "1"),
+    (["linearize", EX2, *LINFLAGS, "--threads", "-2"], "1"),
+    (["linearize", EX2, *LINFLAGS], "abc"),
+    (["validate", EX2, "--samples", "0"], "1"),
+    (["solve", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG",
+      "--x0=0.1"], "1"),
+    (["solve", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG",
+      "--x0=a,b"], "1"),
+    (["simulate", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG",
+      "--x0", "0,0", "--steps", "-1"], "1"),
+    (["grid", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG",
+      "--resolution", "1"], "1"),
+], ids=["c-not-numeric", "c-length", "a-length", "threads-negative",
+        "env-threads-not-integer", "samples-zero", "x0-length",
+        "x0-not-numeric", "steps-negative", "resolution-one"])
+def test_bad_input_is_schema_error(ex2_catalog_n3_file, monkeypatch, capsys,
+                                   argv, nmpc_threads):
+    monkeypatch.setenv("NMPC_THREADS", nmpc_threads)
+    argv = [ex2_catalog_n3_file if arg == "CATALOG" else arg for arg in argv]
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "SCHEMA"

@@ -56,8 +56,7 @@ class TestEvaluate:
         assert again.u == base.u
         assert again.V == base.V
 
-    def test_iter_limit_candidates_are_counted_not_chosen(self,
-                                                          packaged_ex2):
+    def test_iter_limit_candidates_are_counted_not_chosen(self, ex2):
         # at this state the three candidates need 61 (Infeasible), 114 and
         # 21 Newton steps; only the last, and best, one fits a budget of 50.
         # The first one's one-step bound (0.0203) screens it before any
@@ -66,7 +65,7 @@ class TestEvaluate:
         catalog = cn.FeasibleCatalog(s=3, N=15, levels={15: seqs},
                                      feas_tol=1e-7, terminal_kind="ellipsoid",
                                      content_hash="")
-        m = _modules(packaged_ex2, catalog)
+        m = _modules(ex2, catalog)
         x = np.array([-0.9, 0.8])
 
         def evaluate(max_newton):

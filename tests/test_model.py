@@ -1,10 +1,17 @@
+import importlib.util
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convexnmpc as cn
+from conftest import PACKAGED
 from helpers import finite_diff_grad, finite_diff_hess, toy_spec
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_dynamics_step_ex2_origin(ex2):
@@ -205,12 +212,14 @@ class TestSystemIO:
         with pytest.raises(cn.SchemaError):
             cn.load_system(bad)
 
-    def test_repo_examples_match_packaged_data(self):
-        import json
-        from importlib import resources
-        from conftest import EXAMPLES
+    def test_generator_writes_the_packaged_data(self):
+        # the shipped system files are exactly what the generator writes
+        path = ROOT / "tools" / "make_example_configs.py"
+        spec = importlib.util.spec_from_file_location("make_example_configs",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
         for name in ("ex1", "ex2", "ex3"):
-            repo = json.loads((EXAMPLES / f"{name}.json").read_text())
-            packed = json.loads(resources.files("convexnmpc")
-                                .joinpath(f"data/{name}.json").read_text())
-            assert repo == packed
+            text = json.dumps(getattr(tool, name)(), sort_keys=True,
+                              indent=1) + "\n"
+            assert text.encode() == (PACKAGED / f"{name}.json").read_bytes()

@@ -96,8 +96,7 @@ class TestCatalog:
         # direct enumeration agrees
         assert brute_force_level(spec, lin, zsets, term, 3) == [(1, 1, 1)]
 
-    def test_parallel_matches_serial(self, packaged_ex2):
-        ex2 = packaged_ex2
+    def test_parallel_matches_serial(self, ex2):
         serial = cn.prune_catalog(ex2["spec"], ex2["lin"], ex2["zsets"],
                                   ex2["terminal"], 3, n_workers=1)
         parallel = cn.prune_catalog(ex2["spec"], ex2["lin"], ex2["zsets"],

@@ -16,7 +16,9 @@ import convexnmpc.solver as solver_module
 from helpers import brute_force_level
 
 FEAS_TOL = cn.SolverConfig().feas_tol
-SYSTEMS = ("packaged_ex2", "packaged_ex3")
+SYSTEMS = ("ex2", "ex3")
+# test ids name the systems after the package data they are built from
+IDS = {name: f"packaged_{name}" for name in SYSTEMS}
 GRID = [np.array([a, b]) for a in np.linspace(-1.9, 1.9, 7)
         for b in np.linspace(-1.9, 1.9, 7)]
 
@@ -65,8 +67,8 @@ def _without_one_step_screen(monkeypatch):
 # offline: transition bounds
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name, n_screened", [("packaged_ex2", 4),
-                                              ("packaged_ex3", 50)])
+@pytest.mark.parametrize("name, n_screened", [("ex2", 4), ("ex3", 50)],
+                         ids=IDS.get)
 def test_screened_pairs_probe_infeasible(request, name, n_screened):
     data = request.getfixturevalue(name)
     screen = _screen(data)
@@ -83,7 +85,8 @@ def test_screened_pairs_probe_infeasible(request, name, n_screened):
         assert t_star >= bounds[coeffs[:2]] - 1e-9
 
 
-@pytest.mark.parametrize("name, N", [("packaged_ex2", 5), ("packaged_ex3", 3)])
+@pytest.mark.parametrize("name, N", [("ex2", 5), ("ex3", 3)],
+                         ids=IDS.get)
 def test_prune_equals_unscreened_prune(request, monkeypatch, name, N):
     data = request.getfixturevalue(name)
     screened = _prune(data, N)
@@ -96,7 +99,7 @@ def test_prune_equals_unscreened_prune(request, monkeypatch, name, N):
 
 
 def test_prune_equals_brute_force(pruned):
-    data, catalog = pruned["packaged_ex2"]
+    data, catalog = pruned["ex2"]
     expect = brute_force_level(data["spec"], data["lin"], data["zsets"],
                                data["terminal"], 3)
     assert list(catalog.sequences(3)) == expect
@@ -123,7 +126,7 @@ def _one_step_lines(data, x, e1, e2=None):
     return a, c
 
 
-@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
 def test_one_step_closed_form_matches_linprog(pruned, name):
     data, catalog = pruned[name]
     screen = _screen(data)
@@ -145,7 +148,7 @@ def test_one_step_closed_form_matches_linprog(pruned, name):
     assert checked > 20
 
 
-@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
 def test_one_step_screened_candidates_are_infeasible(pruned, name):
     data, catalog = pruned[name]
     screen = _screen(data)
@@ -180,7 +183,7 @@ def _decisions(data, catalog):
     return out
 
 
-@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
 def test_evaluate_equals_unscreened_evaluate(pruned, monkeypatch, name):
     data, catalog = pruned[name]
     screened = _decisions(data, catalog)
@@ -195,8 +198,8 @@ def test_evaluate_equals_unscreened_evaluate(pruned, monkeypatch, name):
 # a stalled line search decides nothing
 # ---------------------------------------------------------------------------
 
-def test_stalled_line_search_is_undecided(packaged_ex2, monkeypatch):
-    data = packaged_ex2
+def test_stalled_line_search_is_undecided(ex2, monkeypatch):
+    data = ex2
     # no trial can pass an Armijo bound of -inf. (A slope of 2 cannot pass
     # in exact arithmetic, but after ~55 backtracks the trial rounds to the
     # iterate itself and passes with an equal barrier value.)

@@ -14,7 +14,7 @@ import pytest
 
 import convexnmpc as cn
 import convexnmpc.solver as solver_module
-from conftest import PACKAGED, _pipeline
+from conftest import _pipeline
 
 ONES = (1,) * 12
 
@@ -37,16 +37,14 @@ PROBES = [
 
 
 @pytest.mark.parametrize("coeffs, feasible, t_star, n_newton", PROBES)
-def test_ex2_feasibility_probe(packaged_ex2, coeffs, feasible, t_star,
-                               n_newton):
+def test_ex2_feasibility_probe(ex2, coeffs, feasible, t_star, n_newton):
     cfg = cn.SolverConfig(max_newton=n_newton)
-    got_feasible, got_t = _probe(packaged_ex2, coeffs, cfg)
+    got_feasible, got_t = _probe(ex2, coeffs, cfg)
     assert got_feasible is feasible
     assert abs(got_t - t_star) <= 1e-12
     # the probe needs exactly n_newton steps: one fewer exhausts the budget
     with pytest.raises(cn.NoConvergenceError):
-        _probe(packaged_ex2, coeffs,
-               cn.SolverConfig(max_newton=n_newton - 1))
+        _probe(ex2, coeffs, cn.SolverConfig(max_newton=n_newton - 1))
 
 
 # fixed-x0 solves: (system, x0, sequence, status, V, Newton)
@@ -64,7 +62,7 @@ SOLVES = [
 
 @pytest.mark.parametrize("system, x0, coeffs, status, V, n_newton", SOLVES)
 def test_fixed_state_solve(request, system, x0, coeffs, status, V, n_newton):
-    data = request.getfixturevalue(f"packaged_{system}")
+    data = request.getfixturevalue(system)
     prog = cn.assemble(coeffs, np.array(x0), data["spec"], data["lin"],
                        data["zsets"], data["terminal"], data["Q"],
                        data["rho"])
@@ -78,8 +76,8 @@ def test_fixed_state_solve(request, system, x0, coeffs, status, V, n_newton):
         assert abs(sol.V - V) <= 1e-12
 
 
-def test_ex1_solution_flagged_nonconvex(packaged_ex1):
-    data = packaged_ex1
+def test_ex1_solution_flagged_nonconvex(ex1):
+    data = ex1
     prog = cn.assemble((1, 1, 1), np.array([0.2, -0.1]), data["spec"],
                        data["lin"], data["zsets"], data["terminal"],
                        data["Q"], data["rho"])
@@ -126,10 +124,10 @@ def _program(data, coeffs, x0, Q=None, rho=None):
                        data["rho"] if rho is None else rho)
 
 
-def test_interleaved_states_and_scenarios(packaged_ex2):
-    first = _program(packaged_ex2, (2, 2, 1) + ONES, (-0.9, 0.8))
-    _program(packaged_ex2, (3, 1, 2) + ONES, (1.2, -0.3))
-    again = _program(packaged_ex2, (2, 2, 1) + ONES, (-0.9, 0.8))
+def test_interleaved_states_and_scenarios(ex2):
+    first = _program(ex2, (2, 2, 1) + ONES, (-0.9, 0.8))
+    _program(ex2, (3, 1, 2) + ONES, (1.2, -0.3))
+    again = _program(ex2, (2, 2, 1) + ONES, (-0.9, 0.8))
     assert _exact(again) == _exact(first)
 
 
@@ -147,22 +145,21 @@ WARM_COLD = [
 @pytest.mark.parametrize("system, coeffs, x0, other", WARM_COLD)
 def test_warm_cache_matches_fresh_pipeline(request, system, coeffs, x0,
                                            other):
-    data = request.getfixturevalue(f"packaged_{system}")
+    data = request.getfixturevalue(system)
     for state in (other, x0, None):
         _program(data, coeffs, state)
     warm = _program(data, coeffs, x0)
-    cold = _program(_pipeline(system, root=PACKAGED), coeffs, x0)
+    cold = _program(_pipeline(system), coeffs, x0)
     assert _exact(warm) == _exact(cold)
     assert warm.nonconvex_data is (system == "ex1")
 
 
-def test_cost_weights_are_part_of_the_key(packaged_ex2):
+def test_cost_weights_are_part_of_the_key(ex2):
     coeffs, x0 = (2, 2, 1) + ONES, (-0.9, 0.8)
-    base = _program(packaged_ex2, coeffs, x0)
-    fresh = _pipeline("ex2", root=PACKAGED)
-    for Q, rho in ((2.0 * packaged_ex2["Q"], None),
-                   (None, 2.0 * packaged_ex2["rho"])):
-        got = _program(packaged_ex2, coeffs, x0, Q=Q, rho=rho)
+    base = _program(ex2, coeffs, x0)
+    fresh = _pipeline("ex2")
+    for Q, rho in ((2.0 * ex2["Q"], None), (None, 2.0 * ex2["rho"])):
+        got = _program(ex2, coeffs, x0, Q=Q, rho=rho)
         want = _program(fresh, coeffs, x0, Q=Q, rho=rho)
         assert _exact((got.H, got.f, got.c0)) == _exact((want.H, want.f,
                                                           want.c0))
@@ -173,7 +170,7 @@ def test_cost_weights_are_part_of_the_key(packaged_ex2):
                                         ("ex2", None),
                                         ("ex1", (0.2, -0.1))])
 def test_program_arrays_are_read_only(request, system, x0):
-    data = request.getfixturevalue(f"packaged_{system}")
+    data = request.getfixturevalue(system)
     prog = _program(data, (1, 1, 1), x0)
     arrays = _arrays(prog)
     assert len(arrays) >= 8
@@ -185,23 +182,23 @@ def test_program_arrays_are_read_only(request, system, x0):
 @pytest.mark.parametrize("x0", [(0.5, 0.5), None])
 @pytest.mark.parametrize("coeffs", [(0, 1, 1), (-1, 1, 1), (1, 0, 1),
                                     (4, 1, 1)])
-def test_coefficients_outside_one_to_s_rejected(packaged_ex2, coeffs, x0):
+def test_coefficients_outside_one_to_s_rejected(ex2, coeffs, x0):
     # a Q no other test uses: accepting the sequence would cache a horizon
     cached = list(solver_module._HORIZONS)
     with pytest.raises(cn.OutOfRangeError):
-        _program(packaged_ex2, coeffs, x0, Q=3.0 * packaged_ex2["Q"])
+        _program(ex2, coeffs, x0, Q=3.0 * ex2["Q"])
     assert list(solver_module._HORIZONS) == cached
 
 
-def test_threads_assembling_at_different_states(packaged_ex2):
+def test_threads_assembling_at_different_states(ex2):
     jobs = [((2, 2, 1) + ONES, (-0.9, 0.8)), ((3, 1, 2) + ONES, (1.2, -0.3)),
             ((1, 1, 1) + ONES, (0.5, 0.5)), ((3, 2, 1) + ONES, None)]
-    want = [_exact(_program(packaged_ex2, *job)) for job in jobs]
+    want = [_exact(_program(ex2, *job)) for job in jobs]
     wrong = []
 
     def worker(seed):
         for i in np.random.default_rng(seed).integers(0, len(jobs), 40):
-            if _exact(_program(packaged_ex2, *jobs[i])) != want[i]:
+            if _exact(_program(ex2, *jobs[i])) != want[i]:
                 wrong.append(i)
 
     threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]

@@ -72,7 +72,7 @@ class TestMembership:
 class TestOracles:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     def test_derivatives_match_finite_differences(self, name, request):
-        data = request.getfixturevalue(f"packaged_{name}")
+        data = request.getfixturevalue(name)
         rng = np.random.default_rng(3)
         for zs in data["zsets"]:
             for con in zs.constraints:
@@ -85,12 +85,12 @@ class TestOracles:
                     H_fd = finite_diff_hess(con.value, z)
                     assert np.max(np.abs(con.hess(z) - H_fd)) < 1e-4
 
-    def test_banded_surrogate_matches_inside_region(self, packaged_ex2):
+    def test_banded_surrogate_matches_inside_region(self, ex2):
         # tangent-extended constraints agree with the raw sinusoid bounds on
         # their own region, so the stage sets are unchanged
-        spec, lin = packaged_ex2["spec"], packaged_ex2["lin"]
+        spec, lin = ex2["spec"], ex2["lin"]
         rng = np.random.default_rng(5)
-        for zs in packaged_ex2["zsets"]:
+        for zs in ex2["zsets"]:
             pts = zs.region.sample(100, seed=9)
             for x in pts:
                 gx = float(spec.g.value(x))
@@ -102,9 +102,9 @@ class TestOracles:
                                  for con in zs.constraints)
                     assert abs(direct - oracle) < 1e-9
 
-    def test_surrogate_convex_everywhere(self, packaged_ex2):
+    def test_surrogate_convex_everywhere(self, ex2):
         rng = np.random.default_rng(11)
-        for zs in packaged_ex2["zsets"]:
+        for zs in ex2["zsets"]:
             for con in zs.constraints:
                 for _ in range(100):
                     z = np.concatenate([rng.uniform(-4, 4, 2),
@@ -112,10 +112,10 @@ class TestOracles:
                     eigs = np.linalg.eigvalsh(con.hess(z))
                     assert eigs.min() > -1e-12
 
-    def test_composed_ridge_matches_stage_constraint(self, packaged_ex2):
+    def test_composed_ridge_matches_stage_constraint(self, ex2):
         # pushed through the prediction map z -> (x_hat(k), v_k) = M z + m,
         # a ridge constraint is the stage one evaluated at M z + m
-        data, coeffs = packaged_ex2, (2, 3, 1)
+        data, coeffs = ex2, (2, 3, 1)
         prog = cn.assemble(coeffs, np.array([-0.9, 0.8]), data["spec"],
                            data["lin"], data["zsets"], data["terminal"],
                            data["Q"], data["rho"])

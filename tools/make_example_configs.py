@@ -1,4 +1,5 @@
-"""Regenerate the shipped example system files (examples/ and package data).
+"""Regenerate the shipped example system files, the package data in
+src/convexnmpc/data.
 
 Run from the repository root: python tools/make_example_configs.py
 """
@@ -6,7 +7,8 @@ import json
 import math
 import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = (pathlib.Path(__file__).resolve().parent.parent
+        / "src" / "convexnmpc" / "data")
 
 A = [[1.0, 0.1], [0.1, 1.0]]
 B = [0.01, 0.05]
@@ -109,12 +111,10 @@ def ex3():
 
 def main():
     configs = {"ex1": ex1(), "ex2": ex2(), "ex3": ex3()}
-    for dest in (ROOT / "examples", ROOT / "src" / "convexnmpc" / "data"):
-        dest.mkdir(parents=True, exist_ok=True)
-        for name, obj in configs.items():
-            path = dest / f"{name}.json"
-            path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
-            print("wrote", path)
+    for name, obj in configs.items():
+        path = DATA / f"{name}.json"
+        path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+        print("wrote", path)
 
 
 if __name__ == "__main__":
