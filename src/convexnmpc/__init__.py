@@ -27,7 +27,7 @@ from .terminal import (TerminalIngredients, build_terminal, dare_residual,
 from .scenario import (FeasibleCatalog, Scenario, catalog_hash, decode,
                        encode, filter_for_state, prune_catalog)
 from .solver import (ConvexProgram, Solution, SolverConfig, assemble,
-                     condense, solve, solve_feasibility)
+                     condense, solve, solve_feasibility, solve_many)
 from .closedloop import (GridTable, MpcStepResult, Trajectory, evaluate_ocp,
                          sample_grid, simulate)
 

@@ -21,7 +21,7 @@ from .linearize import build_linearization, compute_output_vector, u_of_v
 from .model import load_system, validate_assumption1
 from .scenario import (FeasibleCatalog, Scenario, catalog_hash, decode,
                        filter_for_state, prune_catalog)
-from .solver import SolverConfig, assemble, solve
+from .solver import SolverConfig, assemble, solve_many
 from .stagesets import build_stage_sets
 from .terminal import build_terminal, verify_terminal_axioms
 
@@ -299,15 +299,17 @@ def cmd_solve(args):
         raise InfeasibleStateError(
             "no catalog scenario starts in a region containing the query "
             "state", details_x=x.tolist())
-    sols = [solve(assemble(sc, x, pipe.spec, pipe.lin, pipe.zsets,
-                           pipe.terminal, pipe.Q, pipe.rho), pipe.solver_cfg)
-            for sc in cands]
+    sols, n_rounds = solve_many(
+        [assemble(sc, x, pipe.spec, pipe.lin, pipe.zsets, pipe.terminal,
+                  pipe.Q, pipe.rho) for sc in cands], pipe.solver_cfg)
     results = [_solution_dict(pipe, x, sol) for sol in sols]
     # the candidate evaluate_ocp applies, or the first when none is Optimal
     shown = results[applied_candidate(sols) or 0]
     _dump_json(results if args.all_feasible else shown, cfg.out)
     n_undecided = sum(sol.status in UNDECIDED for sol in sols)
-    print(f"undecided candidates (IterLimit or Stalled): {n_undecided}",
+    n_newton = sum(sol.n_newton for sol in sols)
+    print(f"undecided candidates (IterLimit or Stalled): {n_undecided}; "
+          f"Newton steps: {n_newton} in {n_rounds} lockstep rounds",
           file=sys.stderr)
     return 0 if any(sol.optimal for sol in sols) else 2
 
@@ -438,8 +440,15 @@ def _add_common(p, horizon=True):
         p.add_argument("--horizon", type=int, default=PAPER_DEFS["horizon"])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are SchemaErrors (exit 3)."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convexnmpc",
         description="Convex scenario reformulation of NMPC for input-affine "
                     "systems")
@@ -511,8 +520,8 @@ def make_parser():
 
 def run(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ToolkitError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}),

@@ -18,7 +18,9 @@ from .geometry import MEMBERSHIP_TOL
 from .linearize import u_of_v
 from .model import dynamics_step
 from .scenario import filter_for_state, worker_map
-from .solver import SolverConfig, assemble, infeasibility_screen, solve
+# solve is not called here, but perfbench/tracing.py wraps closedloop.solve
+from .solver import (SolverConfig, assemble, infeasibility_screen,  # noqa: F401
+                     solve, solve_many)
 
 TIE_TOL = 1e-9
 UNDECIDED = ("IterLimit", "Stalled")  # statuses that decide nothing
@@ -34,6 +36,8 @@ class MpcStepResult:
     per_scenario: list = None
     n_undecided: int = 0
     n_screened: int = 0
+    n_newton: int = 0  # Newton steps summed over the solved candidates
+    n_rounds: int = 0  # lockstep rounds of their batch (solver.solve_many)
 
 
 def _fmt(x):
@@ -111,20 +115,26 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
 
     Candidates are the catalog scenarios whose first region contains x;
     one whose one-step bound (one per distinct first two steps) exceeds
-    cfg.feas_tol is Screened, not solved. The reported input is recovered
+    cfg.feas_tol is Screened, not solved; the others are solved together,
+    in one solve_many batch. The reported input is recovered
     through the linearizing feedback, falling back to u = 0 where the input
     gain vanishes. Only Optimal candidates compete (see applied_candidate);
     IterLimit and Stalled ones are undecided. n_undecided and n_screened
-    are also in the details of InfeasibleStateError.
+    are also in the details of InfeasibleStateError; n_newton and n_rounds
+    show how full the batch's lockstep rounds were (a candidate alone in its
+    program shape takes its steps outside the rounds).
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
     candidates = filter_for_state(catalog, spec, x)
     screen = infeasibility_screen(lin, zsets)
     bound = cache(lambda head: screen.one_step(x, *head))
-    sols = [None if bound(sc.coeffs[:2]) > cfg.feas_tol else
-            solve(assemble(sc, x, spec, lin, zsets, terminal, Q, rho), cfg)
-            for sc in candidates]
+    screened = [bound(sc.coeffs[:2]) > cfg.feas_tol for sc in candidates]
+    solved, n_rounds = solve_many(
+        [assemble(sc, x, spec, lin, zsets, terminal, Q, rho)
+         for sc, out in zip(candidates, screened) if not out], cfg)
+    found = iter(solved)
+    sols = [None if out else next(found) for out in screened]
     statuses = ["Screened" if sol is None else sol.status for sol in sols]
     n_undecided = sum(status in UNDECIDED for status in statuses)
     n_screened = statuses.count("Screened")
@@ -142,7 +152,9 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     return MpcStepResult(u=u_of_v(lin, spec, x, v0), v=v0, j_star=sc.j,
                          V=sol.V, n_scenarios_solved=len(sols) - n_screened,
                          per_scenario=per, n_undecided=n_undecided,
-                         n_screened=n_screened)
+                         n_screened=n_screened,
+                         n_newton=sum(s.n_newton for s in solved),
+                         n_rounds=n_rounds)
 
 
 def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho, cfg=None):

@@ -9,7 +9,8 @@ is reporting metadata, not a solver dispatch.
 
 The Newton kernel keeps two invariants. Each trial point of the line search
 is evaluated once: the accepted trial's margins, sinusoid phase pieces and
-barrier value become the next iterate's, so no iterate is evaluated twice.
+barrier value become the next iterate's, so no iterate is evaluated twice
+(a new barrier weight needs only the barrier value again).
 Curvature is decided once per compiled stage block: M'HM is convex when H
 is, so a program's nonconvex_data is its solution's nonconvex_flag.
 
@@ -22,13 +23,31 @@ differently from the per-row products and would move the last bits.
 
 For the same reason a ridge constraint's cosine phase is rounded two ways.
 RidgeCon's own oracles (the phase-I start and end, constraint values, the
-KKT residual) take freq * (x.dir) + phase at x = X z + x_off; the barrier's
-stacked group takes (freq * X'dir).z + (freq * (dir.x_off) + phase). One
-formula for both moves Newton counts and t*, and closed-loop values by up
-to 1e-8 relative, which the stored references do not absorb.
+KKT residual) take freq * (x.dir) + phase at x = X z + x_off, evaluated for
+all of a program's ridges at once but with one product and one dot per
+constraint; the barrier's stacked group takes (freq * X'dir).z +
+(freq * (dir.x_off) + phase). One formula for both moves Newton counts and
+t*, and closed-loop values by up to 1e-8 relative, which the stored
+references do not absorb.
+
+The fourth invariant: a batch does each candidate's arithmetic exactly.
+solve_many runs the Newton iterations of many programs in lockstep; each
+round forms the Newton systems and the first line-search trials of the live
+candidates of one program shape together (a program alone in its shape
+steps without waiting for a round), while phases, stages, budgets, line
+searches and certificates stay per candidate. Only products
+whose rounding does not depend on the stacking are shared: a stacked
+matrix product equals its per-slice products bit for bit when the slices
+have equal shapes, but a matrix-vector product changes with the number of
+rows, so none is padded or folded across candidates or constraints; every
+sum runs over one candidate's unpadded slice; and each system is factored
+on its own with LAPACK (a stacked Cholesky rounds differently). So solve is
+a batch of one, and no solution depends on the batch it was solved in.
 """
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -332,9 +351,81 @@ class ConvexProgram:
         return 2.0 * (self.H @ z) + self.f
 
     def constraint_values(self, z):
-        vals = list(self.A_mat @ z - self.b_vec)
-        vals.extend(con.value(z) for con in self.nonlin)
-        return np.array(vals)
+        m = self.A_mat.shape[0]
+        vals = np.empty(self.n_constraints)
+        vals[:m] = self.A_mat @ z - self.b_vec
+        vals[m:] = self._blocks.values(z)
+        return vals
+
+    @cached_property
+    def _blocks(self):
+        return _Blocks(self.nonlin, self.n_vars)
+
+
+class _Blocks:
+    """A program's nonlinear constraints by class: the ridges stacked, the
+    quadratics as they are, and where each sits among the constraints.
+
+    values and grads keep RidgeCon's own rounding: X z + x_off as one
+    product per constraint, x.dir and lin.z as one dot per constraint, never
+    folded into one matrix product over all of them.
+    """
+
+    def __init__(self, cons, d):
+        self.n, self.d = len(cons), d
+        ridge = [k for k, con in enumerate(cons) if isinstance(con, RidgeCon)]
+        self.quad_at = [k for k, con in enumerate(cons)
+                        if isinstance(con, QuadCon)]
+        if len(ridge) + len(self.quad_at) != len(cons):
+            other = next(con for con in cons
+                         if not isinstance(con, (RidgeCon, QuadCon)))
+            raise TypeError(
+                f"no barrier block for constraint {type(other).__name__}")
+        self.ridge_at = np.array(ridge, dtype=int)
+        self.quads = tuple(cons[k] for k in self.quad_at)
+        ridges = [cons[k] for k in ridge]
+        if not ridges:
+            return
+        for name in ("scale", "freq", "dir", "phase", "lo", "hi", "X",
+                     "x_off", "lin", "c"):
+            setattr(self, name, np.array([getattr(con, name)
+                                          for con in ridges]))
+        self.XT = self.X.transpose(0, 2, 1)
+        # the barrier's phase q.z + r
+        self.Qm = self.freq[:, None] * (self.XT @ self.dir[:, :, None])[:, :, 0]
+        self.r = (self.freq * (self.dir[:, None, :]
+                               @ self.x_off[:, :, None])[:, 0, 0]
+                  + self.phase)
+
+    def _phase(self, z):
+        x = (self.X @ z[:, None])[:, :, 0] + self.x_off
+        th = (self.freq * (x[:, None, :] @ self.dir[:, :, None])[:, 0, 0]
+              + self.phase)
+        return th, np.clip(th, self.lo, self.hi)
+
+    def values(self, z):
+        out = np.empty(self.n)
+        if self.ridge_at.size:
+            th, thc = self._phase(z)
+            val = self.scale * np.cos(thc)
+            slope = -self.scale * np.sin(thc)
+            out[self.ridge_at] = (val + slope * (th - thc)
+                                  + (self.lin[:, None, :]
+                                     @ z[:, None])[:, 0, 0] + self.c)
+        for k, con in zip(self.quad_at, self.quads):
+            out[k] = con.value(z)
+        return out
+
+    def grads(self, z):
+        out = np.empty((self.n, self.d))
+        if self.ridge_at.size:
+            _, thc = self._phase(z)
+            slope = -self.scale * np.sin(thc)
+            u = (slope * self.freq)[:, None] * self.dir
+            out[self.ridge_at] = (self.XT @ u[:, :, None])[:, :, 0] + self.lin
+        for k, con in zip(self.quad_at, self.quads):
+            out[k] = con.grad(z)
+        return out
 
 
 def encode(coeffs, s):
@@ -461,108 +552,422 @@ class _Work:
             raise _Undecided("IterLimit")
 
 
-class _SinusoidGroup:
-    """Stacked ridge constraints.
+class _Stack:
+    """The barrier worksets of a batch's programs of one shape in one phase:
+    those still in it, stacked along a first axis.
 
-    Every member reads scale*cos~(q.z + r) + lin.z + c <= 0 with
-    q = freq * X'dir and r = freq * (dir.x_off) + phase. Stacking collapses the per-constraint
-    Python loop inside the Newton iterations into a few matrix products;
-    the curvature term is rank-one per member with weight curv >= 0.
+    Three blocks: affine rows A z <= b, the ridge group and the convex
+    quadratics. A ridge member reads scale*cos~(q.z + r) + lin.z + c <= 0
+    with q = freq * X'dir and r = freq * (dir.x_off) + phase; its curvature
+    term is rank-one with weight curv >= 0. In phase I (aug) the iterate
+    carries the slack t as a last column, and every constraint f(z) <= 0
+    becomes f(z) - t <= 0. A member's relax shifts each of its constraints
+    by a nonnegative slack.
+
+    A point is one row: the margins (positive inside) of the three blocks,
+    the ridge phase pieces (th, clipped th, cos, sin) from which the Newton
+    step derives slopes and curvatures, and last the barrier value.
+
+    A stack is alone when no other program of its batch has its shape: its
+    one member shares no round, so its requests are served as they come.
     """
 
-    def __init__(self, cons, d, aug):
-        m = len(cons)
-        width = d + 1 if aug else d
-        self.Qm = np.zeros((m, width))
-        self.r = np.empty(m)
-        self.Lin = np.zeros((m, width))
-        self.lc = np.empty(m)
-        self.scale = np.empty(m)
-        self.lo = np.empty(m)
-        self.hi = np.empty(m)
-        for i, con in enumerate(cons):
-            self.Qm[i, :d] = con.freq * (con.X.T @ con.dir)
-            self.r[i] = con.freq * (con.dir @ con.x_off) + con.phase
-            self.Lin[i, :d] = con.lin
-            self.lc[i] = con.c
-            self.scale[i] = con.scale
-            self.lo[i] = con.lo
-            self.hi[i] = con.hi
+    def __init__(self, aug, alone):
+        self.aug, self.alone, self.progs, self.relaxes = aug, alone, [], []
+        self.rows, self.pos, self.members = (), {}, None
+
+    def add(self, prog, relax):
+        """Row of a new member with its relax."""
+        self.progs.append(prog)
+        self.relaxes.append(relax)
+        return len(self.progs) - 1
+
+    def _build(self, rows):
+        """The arrays of the members rows, in their order."""
+        progs, aug = [self.progs[r] for r in rows], self.aug
+        relaxes = [self.relaxes[r] for r in rows]
+        d, k = progs[0].n_vars, len(progs)
+        w = d + 1 if aug else d
+        blocks = [p._blocks for p in progs]
+        m, ms, nq = (progs[0].A_mat.shape[0], len(blocks[0].ridge_at),
+                     len(blocks[0].quads))
+        self.d, self.m, self.ms, self.nq = d, m, ms, nq
+        self.A = np.empty((k, m, w))
+        self.A[:, :, :d] = [p.A_mat for p in progs]
         if aug:
-            self.Lin[:, d] = -1.0
-
-    def at(self, z):
-        """Values at z, and the phase pieces (th, clipped th, cos, sin)
-        from which the Newton step derives slopes and curvatures."""
-        th = self.Qm @ z + self.r
-        thc = th.clip(self.lo, self.hi)
-        cos_c = np.cos(thc)
-        sin_c = np.sin(thc)
-        vals = (self.scale * (cos_c - sin_c * (th - thc))
-                + self.Lin @ z + self.lc)
-        return vals, (th, thc, cos_c, sin_c)
-
-
-class _Workset:
-    """One program's constraints prepared for fast barrier iterations.
-
-    Three blocks: stacked affine rows, the sinusoid group and the convex
-    quadratics. In phase I (aug) the iterate carries the slack t as a last
-    column, and every constraint f(z) <= 0 becomes f(z) - t <= 0. relax
-    shifts every constraint by a nonnegative slack.
-    """
-
-    def __init__(self, prog, aug=False, relax=0.0):
-        d = prog.n_vars
-        self.aug = aug
-        if prog.A_mat.size:
-            self.A = (np.hstack([prog.A_mat,
-                                 -np.ones((prog.A_mat.shape[0], 1))])
-                      if aug else prog.A_mat)
+            self.A[:, :, d] = -1.0
+        self.relax = np.array(relaxes)
+        self.b = np.array([p.b_vec + relax for p, relax in
+                           zip(progs, relaxes)]).reshape(k, m)
+        self.arrays = ["A", "b", "relax"]
+        if aug:  # phase I minimizes t alone
+            self.grad_t = np.zeros((k, w))
+            self.grad_t[:, d] = 1.0
+            self.arrays.append("grad_t")
         else:
-            self.A = np.zeros((0, d + 1 if aug else d))
-        self.relax = relax
-        self.b = prog.b_vec + relax
-        grp, quads = [], []
-        for con in prog.nonlin:
-            if isinstance(con, QuadCon):
-                quads.append(con)
-            elif isinstance(con, RidgeCon):
-                grp.append(con)
+            self.H = np.array([p.H for p in progs])
+            self.f = np.array([p.f for p in progs])
+            self.c0 = np.array([p.c0 for p in progs])
+            self.arrays += ["H", "f", "c0"]
+        if ms:
+            self.Qm, self.Lin = np.zeros((k, ms, w)), np.zeros((k, ms, w))
+            self.Qm[:, :, :d] = [bl.Qm for bl in blocks]
+            self.Lin[:, :, :d] = [bl.lin for bl in blocks]
+            if aug:
+                self.Lin[:, :, d] = -1.0
+            for name, attr in (("r", "r"), ("lc", "c"), ("scale", "scale"),
+                               ("lo", "lo"), ("hi", "hi")):
+                setattr(self, name, np.array([getattr(bl, attr)
+                                              for bl in blocks]))
+            self.neg_scale = -self.scale
+            self.arrays += ["Qm", "Lin", "r", "lc", "scale", "neg_scale", "lo",
+                            "hi"]
+        if nq:
+            self.qH = np.array([[q.H for q in bl.quads] for bl in blocks])
+            self.qw = np.array([[q.w for q in bl.quads] for bl in blocks])
+            self.qc = np.array([[q.c0 for q in bl.quads] for bl in blocks])
+            # constant Hessians, padded with the zero t row and column once
+            self.qhess = np.zeros((k, nq, w, w))
+            self.qhess[:, :, :d, :d] = self.qH
+            self.arrays += ["qH", "qw", "qc", "qhess"]
+        # the point row: margins by block, phase pieces, barrier value
+        ends = list(accumulate([0, m, ms, nq, ms, ms, ms, ms, 1]))
+        (self.s_aff, self.s_grp, self.s_quad, self.th, self.thc, self.cos,
+         self.sin, _) = (slice(a, b) for a, b in zip(ends, ends[1:]))
+        self.slacks = slice(0, m + ms + nq)
+        self.terms = [(block, True) if block.stop - block.start > 1
+                      else (block.start, False)
+                      for block in (self.s_aff, self.s_grp, self.s_quad)
+                      if block.stop > block.start]
+        self.width = ends[-1]
+        self.rows, self.pos = rows, {r: i for i, r in enumerate(rows)}
+        self.members = _Members(self, range(k))
+
+    def of(self, rows):
+        """_Members of the rows served together in a round: every member
+        still in this phase. The arrays are built again, of these members
+        only, whenever that set changes."""
+        rows = tuple(rows)
+        if rows != self.rows:
+            self._build(rows)
+        return self.members
+
+    def part(self, rows):
+        """_Members of some of the rows of the last of(), for one use."""
+        return _Members(self, [self.pos[r] for r in rows])
+
+    def values(self, s, Z, P, mu):
+        """Barrier values at iterates Z of the members s (see points), with
+        point rows P and barrier weights mu: inf outside the domain."""
+        one = Z.ndim == 1
+        if self.aug:
+            total = Z[-1] if one else Z[..., -1]
+        elif one:
+            total = Z @ s.H @ Z + s.f @ Z + s.c0
+        else:
+            total = (((Z[..., None, :] @ s.H) @ Z[..., None])
+                     + (s.f[..., None, :] @ Z[..., None]))[..., 0, 0] + s.c0
+        if not self.terms:
+            return total
+        slack = P[..., self.slacks]
+        inside = np.minimum.reduce(slack, axis=None) > 0
+        if inside:
+            logs = np.log(slack)
+        else:  # outside: some block's least margin is <= 0
+            outside = False
+            for block, many in self.terms:
+                low = _at(slack, block)
+                outside = outside | ((low.min(axis=-1) if many else low) <= 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logs = np.log(slack)
+        for block, many in self.terms:
+            # a one-term block is its own sum
+            term = logs[block] if one else logs[..., block]
+            total = total - mu * (np.add.reduce(term, axis=-1) if many
+                                  else term)
+        return total if inside else np.where(outside, np.inf, total)
+
+    def margins(self, s, Z):
+        """Affine margins at iterates Z of the members s (see points)."""
+        return s.b - _mv(s.A, Z)
+
+    def points(self, s, Z, mu, margins=None):
+        """Point rows at iterates Z (.., w) of the members s, with barrier
+        weights mu (and their affine margins, if known): Z is (w,) for a
+        single member, (k, w) for several, or (K, k, w) for K trials of
+        each of several."""
+        P = np.empty(Z.shape[:-1] + (self.width,))
+        if self.m:
+            P[..., self.s_aff] = (self.margins(s, Z) if margins is None
+                                  else margins)
+        relax = s.relax
+        if self.ms:
+            th = np.add(_mv(s.Qm, Z), s.r, out=P[..., self.th])
+            thc = th.clip(s.lo, s.hi, out=P[..., self.thc])
+            cos_c = np.cos(thc, out=P[..., self.cos])
+            sin_c = np.sin(thc, out=P[..., self.sin])
+            vals = (s.scale * (cos_c - sin_c * (th - thc))
+                    + _mv(s.Lin, Z) + s.lc)
+            np.subtract(relax[..., None] if s.several else relax, vals,
+                        out=P[..., self.s_grp])
+        X = Z[..., :self.d]
+        for q in range(self.nq):
+            if Z.ndim == 1:
+                val = 0.5 * X @ s.qH[q] @ X + s.qw[q] @ X + s.qc[q]
             else:
-                raise TypeError(
-                    f"no barrier block for constraint {type(con).__name__}")
-        self.group = _SinusoidGroup(grp, d, aug) if grp else None
-        self.quads = tuple(quads)
-        # constant Hessians, padded with the zero t row and column once
-        self.quad_hess = tuple(np.pad(con.H, (0, 1)) if aug else con.H
-                               for con in quads)
+                Xc = X[..., None]
+                val = ((((0.5 * X)[..., None, :] @ s.qH[..., q, :, :]) @ Xc
+                        + (s.qw[..., q, None, :] @ Xc))[..., 0, 0]
+                       + s.qc[..., q])
+            P[..., self.s_quad.start + q] = (
+                relax - (val - _at(Z, -1)) if self.aug else relax - val)
+        P[..., -1] = self.values(s, Z, P, mu)
+        return P
 
-    def point(self, z, lazy=False):
-        """Feasibility margins (positive inside) of the affine, sinusoid and
-        quadratic blocks at z, plus the sinusoid phase pieces. With lazy,
-        None as soon as an affine margin is not positive."""
-        s_aff = self.b - self.A @ z
-        if lazy and s_aff.size and s_aff.min() <= 0:
-            return None
-        relax = self.relax
-        if self.group is not None:
-            vals, pieces = self.group.at(z)
-            s_grp = relax - vals
-        else:
-            s_grp, pieces = np.empty(0), None
+    def newton(self, s, Z, P, mu):
+        """(steps, decrements, slopes) of the members s at iterates Z with
+        point rows P and barrier weights mu, each system factored on its
+        own: Z is (w,) for a single member and (k, w) for several."""
+        w, several = Z.shape[-1], s.several
+        mu_ = mu[:, None] if several else mu  # against a member's rows
         if self.aug:
-            x, t = z[:-1], z[-1]
-            s_quad = np.array([relax - (con.value(x) - t)
-                               for con in self.quads])
+            grad, hess = s.grad_t, np.zeros(Z.shape + (w,))
         else:
-            s_quad = np.array([relax - con.value(z) for con in self.quads])
-        return (s_aff, s_grp, s_quad), pieces
+            grad = 2.0 * _mv(s.H, Z) + s.f
+            hess = 2.0 * s.H
+        if self.m:
+            inv = 1.0 / P[..., self.s_aff]
+            grad = grad + _mv(s.AT, mu_ * inv)
+            hess += (s.AT * (mu_ * inv ** 2)[..., None, :]) @ s.A
+        if self.ms:
+            s_grp = P[..., self.s_grp]
+            th = P[..., self.th]
+            dphi = s.neg_scale * P[..., self.sin]
+            curv = np.where((th < s.lo) | (th > s.hi), 0.0,
+                            s.neg_scale * P[..., self.cos])
+            G = dphi[..., None] * s.Qm + s.Lin
+            GT = G.swapaxes(-1, -2)
+            grad = grad + _mv(GT, mu_ / s_grp)
+            hess += (GT * (mu_ / s_grp ** 2)[..., None, :]) @ G
+            hess += (s.QT * (mu_ * curv / s_grp)[..., None, :]) @ s.Qm
+        X = Z[..., :self.d]
+        for q in range(self.nq):
+            gcon = np.empty(Z.shape)
+            np.add(_mv(s.qH[..., q, :, :], X), s.qw[..., q, :],
+                   out=gcon[..., :self.d])
+            if self.aug:
+                gcon[..., -1] = -1.0
+            sq = _at(P, self.s_quad.start + q)
+            if several:
+                grad = grad + (mu / sq)[:, None] * gcon
+                hess += mu[:, None, None] * (
+                    gcon[:, :, None] * gcon[:, None, :]
+                    / (sq * sq)[:, None, None]
+                    + s.qhess[:, q] / sq[:, None, None])
+            else:
+                grad = grad + (mu / sq) * gcon
+                hess += mu * (gcon[:, None] * gcon / (sq * sq)
+                              + s.qhess[q] / sq)
+        if several:
+            steps = np.empty(grad.shape)
+            for j in range(len(steps)):
+                steps[j] = _newton_solve(hess[j], grad[j])
+            slope = (grad[:, None, :] @ steps[:, :, None])[:, 0, 0]
+        else:
+            steps = _newton_solve(hess, grad)
+            slope = grad @ steps
+        # -grad.step, up to the sign of a zero
+        return steps, -slope, slope
 
-    def quad_grad(self, con, z):
-        if self.aug:
-            return np.append(con.grad(z[:-1]), -1.0)
-        return con.grad(z)
+
+def _mv(M, Z):
+    """M z for each iterate z of Z (the last axis), one product each."""
+    return M @ Z if Z.ndim == 1 else (M @ Z[..., None])[..., 0]
+
+
+def _at(P, i):
+    """P[..., i], a scalar when P is one row and i an index."""
+    return P[i] if P.ndim == 1 else P[..., i]
+
+
+class _Members:
+    """Some members of a _Stack: its arrays at their positions, with a
+    first axis for several members and without one for a single member."""
+
+    def __init__(self, stack, positions):
+        self.several = len(positions) > 1
+        index = (positions[0] if not self.several
+                 else slice(None) if isinstance(positions, range)
+                 else np.array(positions))
+        for name in stack.arrays:
+            setattr(self, name, getattr(stack, name)[index])
+        self.AT = self.A.swapaxes(-1, -2)
+        if stack.ms:
+            self.QT = self.Qm.swapaxes(-1, -2)
+
+
+class _Batch:
+    """Programs solved together: one _Stack per phase and program shape,
+    holding the programs that entered that phase."""
+
+    def __init__(self, progs):
+        self.progs, self.stacks = list(progs), {}
+        self.shapes = [(p.n_vars, p.A_mat.shape[0], len(p._blocks.ridge_at),
+                        len(p._blocks.quads)) for p in self.progs]
+
+    def member(self, i, aug, relax=0.0):
+        """(stack, row) of program i entering phase I (aug) or phase II."""
+        shape = self.shapes[i]
+        if (aug,) + shape not in self.stacks:
+            self.stacks[(aug,) + shape] = _Stack(
+                aug, alone=self.shapes.count(shape) == 1)
+        stack = self.stacks[(aug,) + shape]
+        return stack, stack.add(self.progs[i], relax)
+
+
+TRIALS = 5  # line-search trials evaluated together for several members
+OUTSIDE = _readonly(np.array([np.inf]))  # a trial rejected by its margins
+
+
+def _search(stack, s, z, step, mu, base, slope, t, tries):
+    """Backtracking line search of one member from step length t, with at
+    most tries trials: the accepted (iterate, point row, barrier value), or
+    None. A trial whose affine margins are not all positive is OUTSIDE, its
+    row holding only the barrier value inf."""
+    for _ in range(tries):
+        z_new = z + t * step
+        if stack.m:
+            margins = s.b - s.A @ z_new
+            row = (OUTSIDE if np.minimum.reduce(margins) <= 0
+                   else stack.points(s, z_new, mu, margins))
+        else:
+            row = stack.points(s, z_new, mu)
+        val = float(row[-1])
+        # an infinite barrier value passes only an infinite bound
+        if val <= base + ARMIJO_SLOPE * t * slope:
+            return z_new, row, val
+        t *= BACKTRACK
+    return None
+
+
+def _line_searches(stack, s, rows, Z, steps, mu, base, slope, going):
+    """The line search of each of several members whose stage goes on (see
+    _search), 80 trials at most; None for the others. Their first TRIALS
+    trials are evaluated together."""
+    ts = [1.0]
+    for _ in range(TRIALS - 1):
+        ts.append(ts[-1] * BACKTRACK)
+    zs = Z + np.array(ts)[:, None, None] * steps  # trial, member, variable
+    points = stack.points(s, zs, mu)
+    found = []
+    for j, (b, sl) in enumerate(zip(base, slope)):
+        if not going[j]:
+            found.append(None)
+            continue
+        for i, t in enumerate(ts):
+            val = float(points[i, j, -1])
+            if val <= b + ARMIJO_SLOPE * t * sl:  # rows of their own
+                found.append((zs[i, j].copy(), points[i, j].copy(), val))
+                break
+        else:
+            found.append(_search(stack, stack.part([rows[j]]), Z[j], steps[j],
+                                 mu[j], b, sl, t * BACKTRACK, 80 - TRIALS))
+    return found
+
+
+def _serve_one(stack, req):
+    """The answer to a Newton request (stack, row, z, mu, point, base,
+    centered), which holds z, its point row (None: not known yet), its
+    barrier value at weight mu (None: not known at this weight) and the
+    stage's centered test. The answer holds the point row, the Newton
+    decrement, and unless the stage ends there, the line search's accepted
+    (iterate, point row, barrier value), None when it stalls."""
+    _, row, z, mu, point, base, centered = req
+    s = stack.of((row,))
+    if point is None:
+        point = stack.points(s, z, mu)
+        base = point[-1]
+    step, decrement, slope = stack.newton(s, z, point, mu)
+    decrement = float(decrement)
+    if centered(decrement):
+        return point, decrement, None
+    if base is None:
+        base = stack.values(s, z, point, mu)
+    return point, decrement, _search(stack, s, z, step, mu, float(base),
+                                     float(slope), 1.0, 80)
+
+
+def _serve(stack, reqs):
+    """The answers to several Newton requests on one stack (see
+    _serve_one), in order, formed together."""
+    _, rows, Z, mu, P, base, centered = zip(*reqs)
+    P, base = list(P), list(base)
+    s = stack.of(rows)
+    Z, mu = np.array(Z), np.array(mu)
+    missing = [j for j, point in enumerate(P) if point is None]
+    if missing:
+        fresh = stack.points(stack.part([rows[j] for j in missing]),
+                             Z[missing], mu[missing])
+        for j, point in zip(missing, fresh):
+            P[j], base[j] = point.copy(), point[-1]
+    points, P = P, np.array(P)
+    steps, decrement, slope = stack.newton(s, Z, P, mu)
+    decrement, slope = decrement.tolist(), slope.tolist()
+    # the barrier value and the line search serve only a stage that goes on
+    going = [not test(dec) for test, dec in zip(centered, decrement)]
+    if not any(going):
+        return [(point, dec, None) for point, dec in zip(points, decrement)]
+    stale = [j for j, value in enumerate(base)
+             if going[j] and value is None]
+    if stale:
+        fresh = stack.values(stack.part([rows[j] for j in stale]),
+                             Z[stale], P[stale], mu[stale])
+        for j, value in zip(stale, fresh):
+            base[j] = value
+    found = _line_searches(stack, s, rows, Z, steps, mu,
+                           [float(value) if go else np.inf
+                            for value, go in zip(base, going)], slope, going)
+    return list(zip(points, decrement, found))
+
+
+def _drive(runs):
+    """Run candidate generators in lockstep.
+
+    A generator yields Newton requests (see _serve) and returns its
+    result. Each round serves every waiting candidate's one request, those
+    on one stack together; a candidate on a stack that is alone serves its
+    own requests and yields none. Returns the results and the number of
+    rounds.
+    """
+    results, pending = [None] * len(runs), {}
+
+    def advance(i, answer):
+        try:
+            pending[i] = runs[i].send(answer)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    rounds = 0
+    while pending:
+        rounds += 1
+        if len(pending) == 1:  # a lone candidate needs no grouping
+            (i, req), = pending.items()
+            advance(i, _serve_one(req[0], req))
+            continue
+        served = {}
+        for i, req in pending.items():
+            served.setdefault(req[0], []).append(i)
+        answers = []
+        for stack, ids in served.items():
+            answers += ([(ids[0], _serve_one(stack, pending[ids[0]]))]
+                        if len(ids) == 1 else
+                        zip(ids, _serve(stack, [pending[i] for i in ids])))
+        for i, answer in answers:
+            advance(i, answer)
+    return results, rounds
 
 
 def _newton_solve(Hm, g):
@@ -580,82 +985,44 @@ def _newton_solve(Hm, g):
     return -V @ ((V.T @ g) / w)
 
 
-def _barrier_stage(work, ws, z, mu, f0, inner_tol, stop_when=None):
-    """Newton iterations at fixed barrier weight mu over a workset, until
-    the Newton decrement falls to 2 inner_tol.
+def _barrier_stage(work, member, z, point, mu, inner_tol, stop=False):
+    """Newton iterations at fixed barrier weight mu on a stack member, until
+    the Newton decrement falls to 2 inner_tol (a generator of requests).
 
-    f0 = (value, grad, hess) callables for the smooth objective part.
-    Returns the iterate and how the stage ended: "centered", "stalled" (80
-    backtracks, no Armijo step) or "stopped": stop_when, if given, ends the
-    stage once the predicate on the iterate holds (used by phase-I as soon
-    as strict feasibility shows).
+    point is z's point row, or None when it is not known yet. Each request
+    (yielded, or served at once on a stack that is alone) is answered with
+    the point row, the Newton decrement and, unless the stage ends, the
+    backtracking line search's accepted trial, whose point row and barrier
+    value become the next iterate's. Returns the iterate, its point row
+    and how the stage ended: "centered", "stalled" (80 backtracks, no
+    Armijo step) or "stopped": with stop, phase I ends the stage as soon as
+    strict feasibility shows (t < -STRICT_MARGIN).
     """
-    A = ws.A
-
-    def barrier_value(zz, slacks):
-        total = f0[0](zz)
-        for s in slacks:
-            if s.size:
-                if s.min() <= 0:
-                    return np.inf
-                total -= mu * float(np.log(s).sum())
-        return total
-
-    # the accepted line-search trial is the next iterate: its margins,
-    # phase pieces and barrier value are reused, never recomputed
-    slacks, pieces = ws.point(z)
-    base = barrier_value(z, slacks)
+    stack, row = member
+    base = None  # the barrier value at z, once known at this mu
     prev_decrement = np.inf
-    while True:
-        s_aff, s_grp, s_quad = slacks
-        grad = f0[1](z)
-        hess = f0[2](z).copy()
-        if s_aff.size:
-            inv = 1.0 / s_aff
-            grad = grad + A.T @ (mu * inv)
-            hess += (A.T * (mu * inv ** 2)) @ A
-        if ws.group is not None:
-            grp = ws.group
-            th, thc, cos_c, sin_c = pieces
-            dphi = -grp.scale * sin_c
-            curv = np.where((th < grp.lo) | (th > grp.hi), 0.0,
-                            -grp.scale * cos_c)
-            G = dphi[:, None] * grp.Qm + grp.Lin
-            grad = grad + G.T @ (mu / s_grp)
-            hess += (G.T * (mu / s_grp ** 2)) @ G
-            hess += (grp.Qm.T * (mu * curv / s_grp)) @ grp.Qm
-        for con, Hq, s in zip(ws.quads, ws.quad_hess, s_quad):
-            gcon = ws.quad_grad(con, z)
-            grad = grad + (mu / s) * gcon
-            hess += mu * (gcon[:, None] * gcon / (s * s) + Hq / s)
 
-        step = _newton_solve(hess, grad)
-        decrement = float(-grad @ step)
-        if decrement <= 2.0 * inner_tol:
-            return z, "centered"
+    def centered(decrement):
         # rounding floor: stiff barrier directions stop making progress long
         # before the decrement test; bail out once contraction stalls
-        if decrement < 1e-12 and decrement > 0.3 * prev_decrement:
-            return z, "centered"
+        return decrement <= 2.0 * inner_tol or (
+            decrement < 1e-12 and decrement > 0.3 * prev_decrement)
+
+    while True:
+        req = (stack, row, z, mu, point, base, centered)
+        point, decrement, found = (_serve_one(stack, req) if stack.alone
+                                   else (yield req))
+        if centered(decrement):
+            return z, point, "centered"
         prev_decrement = decrement
         work.spend()
-        slope = float(grad @ step)
-        t = 1.0
-        for _ in range(80):
-            z_new = z + t * step
-            bound = base + ARMIJO_SLOPE * t * slope
-            # an infinite barrier value passes only an infinite bound
-            trial = ws.point(z_new, lazy=bound < np.inf)
-            if trial is not None:
-                val = barrier_value(z_new, trial[0])
-                if val <= bound:
-                    break
-            t *= BACKTRACK
-        else:
-            return z, "stalled"
-        z, (slacks, pieces), base = z_new, trial, val
-        if stop_when is not None and stop_when(z):
-            return z, "stopped"
+        if found is None:
+            return z, point, "stalled"
+        z, point, base = found
+        if base == np.inf:  # an OUTSIDE row holds nothing else
+            point = None
+        if stop and z[-1] < -STRICT_MARGIN:
+            return z, point, "stopped"
 
 
 def _mu_schedule(n_cons):
@@ -680,22 +1047,18 @@ def _kkt_residual(prog, z, mu_last, relax, cfg):
     refinement over the near-active constraints gives a tighter certificate.
     """
     g0 = prog.objective_grad(z)
-    vals = []
-    grads = []
-    if prog.A_mat.size:
-        s_aff = (prog.b_vec + relax) - prog.A_mat @ z
-        vals.extend(-s_aff)
-        grads.extend(prog.A_mat)
-    for con in prog.nonlin:
-        vals.append(con.value(z) - relax)
-        grads.append(con.grad(z))
-    vals = np.array(vals)
+    m = prog.A_mat.shape[0]
+    vals = np.empty(prog.n_constraints)
+    vals[:m] = -((prog.b_vec + relax) - prog.A_mat @ z)
+    vals[m:] = prog._blocks.values(z) - relax
     violation = float(np.max(vals, initial=0.0)) + relax
     gap = mu_last * max(prog.n_constraints, 1)
-    if not len(grads):
+    if not vals.size:
         return max(float(np.max(np.abs(g0))), gap, violation)
 
-    J = np.vstack(grads)
+    J = np.empty((vals.size, prog.n_vars))
+    J[:m] = prog.A_mat
+    J[m:] = prog._blocks.grads(z)
     s = np.maximum(-vals, 1e-300)
     stat_barrier = float(np.max(np.abs(g0 + J.T @ (mu_last / s))))
     stationarity = stat_barrier
@@ -708,36 +1071,23 @@ def _kkt_residual(prog, z, mu_last, relax, cfg):
     return max(stationarity, gap, violation)
 
 
-def phase1(prog, cfg, work=None):
-    """Minimize the worst constraint violation t over (z, t).
-
-    Returns (z, t). A strictly feasible hint is returned as it is, with no
-    Newton step; otherwise t is either certified (central-path bound) or
-    the first strictly negative slack seen. A stalled stage raises
-    _Undecided("Stalled").
-    """
-    work = work or _Work(cfg)
-    d = prog.n_vars
+def _phase1(batch, i, cfg, work):
+    """Phase I of program i of the batch (a generator of requests): see
+    phase1."""
+    prog = batch.progs[i]
     z = prog.z0_hint.copy()
     viol0 = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
     if viol0 < -1e-6:
         return z, viol0
     t0 = viol0 + 1.0
 
-    ws = _Workset(prog, aug=True)
-    obj_grad = np.zeros(d + 1)
-    obj_grad[-1] = 1.0
-    zero_hess = np.zeros((d + 1, d + 1))
-    f0 = (lambda zt: float(zt[-1]),
-          lambda zt: obj_grad,
-          lambda zt: zero_hess)
-
-    zt = np.concatenate([z, [t0]])
+    member = batch.member(i, aug=True)
+    zt, point = np.concatenate([z, [t0]]), None
     done = False
     m = max(prog.n_constraints, 1)
     for mu in _mu_schedule(prog.n_constraints):
-        zt, how = _barrier_stage(work, ws, zt, mu, f0, STAGE_TOL,
-                                 stop_when=lambda p: p[-1] < -STRICT_MARGIN)
+        zt, point, how = yield from _barrier_stage(work, member, zt, point,
+                                                   mu, STAGE_TOL, stop=True)
         if zt[-1] < -STRICT_MARGIN:
             done = True
             break
@@ -749,6 +1099,18 @@ def phase1(prog, cfg, work=None):
     z = zt[:-1]
     t_true = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
     return z, min(t_true, float(zt[-1])) if done else t_true
+
+
+def phase1(prog, cfg):
+    """Minimize the worst constraint violation t over (z, t).
+
+    Returns (z, t). A strictly feasible hint is returned as it is, with no
+    Newton step; otherwise t is either certified (central-path bound) or
+    the first strictly negative slack seen. A stalled stage raises
+    _Undecided("Stalled").
+    """
+    (out,), _ = _drive([_phase1(_Batch([prog]), 0, cfg, _Work(cfg))])
+    return out
 
 
 def solve_feasibility(prog, cfg=SolverConfig()):
@@ -769,13 +1131,10 @@ def solve_feasibility(prog, cfg=SolverConfig()):
     return t_star <= cfg.feas_tol, t_star
 
 
-def solve(prog, cfg=SolverConfig()):
-    """Phase-I feasibility then phase-II barrier minimization.
-
-    Infeasibility is certified by the optimized phase-I slack exceeding the
-    feasibility tolerance; an exhausted Newton budget is reported as
-    IterLimit and a stalled line search as Stalled, never as infeasibility.
-    """
+def _solve(batch, i, cfg):
+    """Phase I then phase II of program i of the batch (a generator of
+    requests): see solve."""
+    prog = batch.progs[i]
     work = _Work(cfg)
     nan = float("nan")
 
@@ -798,7 +1157,7 @@ def solve(prog, cfg=SolverConfig()):
     if prog.pre_violation > cfg.feas_tol:
         return finish("Infeasible", p1=prog.pre_violation)
     try:
-        z, t_star = phase1(prog, cfg, work)
+        z, t_star = yield from _phase1(batch, i, cfg, work)
     except _Undecided as exc:
         return finish(exc.args[0])
     if t_star > cfg.feas_tol:
@@ -807,18 +1166,14 @@ def solve(prog, cfg=SolverConfig()):
     degenerate = t_star > -STRICT_MARGIN
     relax = (max(t_star, 0.0) + 1e-9) if degenerate else 0.0
 
-    ws = _Workset(prog, relax=relax)
-    H2 = 2.0 * prog.H
-    f0 = (prog.objective_value,
-          prog.objective_grad,
-          lambda zz: H2)
+    member = batch.member(i, aug=False, relax=relax)
     schedule = _mu_schedule(prog.n_constraints)
-    stage_values = []
+    stage_values, point = [], None
     try:
         for stage, mu in enumerate(schedule):
             last = stage == len(schedule) - 1
-            z, how = _barrier_stage(work, ws, z, mu, f0,
-                                    INNER_TOL if last else STAGE_TOL)
+            z, point, how = yield from _barrier_stage(
+                work, member, z, point, mu, INNER_TOL if last else STAGE_TOL)
             if how == "stalled":
                 raise _Undecided("Stalled")
             stage_values.append(prog.objective_value(z))
@@ -829,6 +1184,28 @@ def solve(prog, cfg=SolverConfig()):
     out = finish("Optimal", z=z, kkt=kkt, p1=t_star, degenerate=degenerate)
     out.stage_values = tuple(stage_values)
     return out
+
+
+def solve_many(progs, cfg=SolverConfig()):
+    """Solve programs together: phase-I feasibility then phase-II barrier
+    minimization for each, their Newton iterations in lockstep.
+
+    Infeasibility is certified by the optimized phase-I slack exceeding the
+    feasibility tolerance; an exhausted Newton budget is reported as
+    IterLimit and a stalled line search as Stalled, never as infeasibility.
+    Each program sees exactly the arithmetic of a batch of one. Returns the
+    solutions, in order, and the number of lockstep rounds: programs of one
+    shape share them, and a program alone in its shape runs without them
+    (a batch of one takes none).
+    """
+    batch = _Batch(progs)
+    return _drive([_solve(batch, i, cfg) for i in range(len(batch.progs))])
+
+
+def solve(prog, cfg=SolverConfig()):
+    """solve_many of one program: its Solution."""
+    (sol,), _ = solve_many([prog], cfg)
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,9 @@ def test_prune_solve_simulate_grid_pipeline(tmp_path, capsys):
     sol = json.loads(captured.out)
     assert sol["status"] == "Optimal" and abs(sol["V"]) < 1e-9
     assert "undecided candidates (IterLimit or Stalled): 0" in captured.err
+    # the rollout hint is optimal at the origin, and a candidate alone in
+    # its program shape takes no lockstep round
+    assert "Newton steps: 0 in 0 lockstep rounds" in captured.err
     assert sol["j"] == 1 and sol["class"] == "NLP"
 
     assert run(["solve", EX2, *LINFLAGS, "--horizon", "2", "--catalog", cat,
@@ -233,9 +236,14 @@ def test_solve_outside_every_region(ex2_catalog_n3_file, capsys):
       "--x0", "0,0", "--steps", "-1"], "1"),
     (["grid", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG",
       "--resolution", "1"], "1"),
+    # errors of the argument parser itself
+    (["linearize", EX2, *LINFLAGS, "--threads", "abc"], "1"),
+    (["solve", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG"],
+     "1"),
 ], ids=["c-not-numeric", "c-length", "a-length", "threads-negative",
         "env-threads-not-integer", "samples-zero", "x0-length",
-        "x0-not-numeric", "steps-negative", "resolution-one"])
+        "x0-not-numeric", "steps-negative", "resolution-one",
+        "threads-not-integer", "x0-missing"])
 def test_bad_input_is_schema_error(ex2_catalog_n3_file, monkeypatch, capsys,
                                    argv, nmpc_threads):
     monkeypatch.setenv("NMPC_THREADS", nmpc_threads)

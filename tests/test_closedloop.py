@@ -75,6 +75,9 @@ class TestEvaluate:
         full, capped = evaluate(500), evaluate(50)
         assert (full.n_undecided, capped.n_undecided) == (0, 1)
         assert (full.n_screened, capped.n_screened) == (1, 1)
+        # the budget runs out at the 51st step; the two solves share rounds
+        assert (full.n_newton, capped.n_newton) == (114 + 21, 51 + 21)
+        assert 114 < full.n_rounds < full.n_newton
         assert full.j_star == cn.encode(seqs[2], 3)
         assert (capped.j_star, capped.u, capped.V) == (full.j_star, full.u,
                                                        full.V)

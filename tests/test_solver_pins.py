@@ -213,3 +213,81 @@ def test_threads_assembling_at_different_states(ex2):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# batched solves: a batch does each program's arithmetic exactly
+# ---------------------------------------------------------------------------
+
+# (system, x0, first coefficients): two program shapes, several states
+BATCH = [("ex2", (0.5, 0.5), (1, 1, 1)), ("ex2", (0.5, 0.5), (1, 2, 1)),
+         ("ex2", (0.5, 0.5), (2, 1, 1)), ("ex2", (1.2, -0.3), (3, 3, 1)),
+         ("ex2", (-0.9, 0.8), (2, 2, 2)), ("ex3", (-1.0, 0.6), (4, 1, 1)),
+         ("ex3", (0.9, -1.7), (5, 5, 5)), ("ex3", (0.3, -0.4), (1, 1, 1))]
+
+
+def _batch(request):
+    return [_program(request.getfixturevalue(system), head + ONES, x0)
+            for system, x0, head in BATCH]
+
+
+def test_batch_matches_one_by_one(request):
+    progs = _batch(request)
+    cfg = cn.SolverConfig(max_newton=120)
+    one_by_one = [cn.solve(prog, cfg) for prog in progs]
+    batched, rounds = cn.solve_many(progs, cfg)
+    assert [sol.status for sol in one_by_one] == [
+        "Optimal", "Infeasible", "Infeasible", "Infeasible", "Optimal",
+        "IterLimit", "Infeasible", "Optimal"]
+    assert [_exact(sol) for sol in batched] == [_exact(sol)
+                                                for sol in one_by_one]
+    # a program that shares its shape asks in every round until it ends
+    shapes = solver_module._Batch(progs).shapes
+    assert max(sol.n_newton for sol, shape in zip(batched, shapes)
+               if shapes.count(shape) > 1) <= rounds
+
+
+def test_batch_of_one(request):
+    progs = _batch(request)
+    batched, _ = cn.solve_many(progs)
+    for prog, sol in zip(progs[:2], batched):
+        (alone,), rounds = cn.solve_many([prog])
+        assert _exact(alone) == _exact(sol)
+        assert rounds == 0  # alone in its shape: it never waits for a round
+    assert batched[0].n_newton == 106  # the pinned (0.5, 0.5) solve
+
+
+def test_batch_stalls_only_candidates_that_step(request, monkeypatch):
+    # no trial passes an Armijo bound of -inf: every Newton step stalls
+    monkeypatch.setattr(solver_module, "ARMIJO_SLOPE", np.inf)
+    progs = _batch(request)
+    batched, _ = cn.solve_many(progs)
+    assert [_exact(sol) for sol in batched] == [_exact(cn.solve(prog))
+                                                for prog in progs]
+    stalled = [sol.status == "Stalled" for sol in batched]
+    assert stalled == [sol.n_newton > 0 for sol in batched]
+    assert any(stalled) and not all(stalled)
+
+
+@pytest.mark.parametrize("system, x0, coeffs", [
+    ("ex2", None, (2, 1, 1) + ONES), ("ex2", (-0.9, 0.8), (2, 2, 1) + ONES),
+    ("ex3", (-1.0, 0.6), (4, 1, 1) + ONES)])
+def test_stacked_constraints_match_their_oracles(request, system, x0, coeffs):
+    # ConvexProgram.constraint_values and the KKT residual read every
+    # nonlinear constraint through _Blocks: bit for bit its own oracle
+    prog = _program(request.getfixturevalue(system), coeffs, x0)
+    blocks, cons = prog._blocks, prog.nonlin
+    rng = np.random.default_rng(7)
+    # near the hint, inside the ridges' phase bands, and far out on their
+    # tangents
+    for scale in (0.0, 0.1, 3.0):
+        for z in prog.z0_hint + rng.normal(scale=scale, size=(4, prog.n_vars)):
+            assert blocks.values(z).tobytes() == np.array(
+                [con.value(z) for con in cons]).tobytes()
+            assert blocks.grads(z).tobytes() == np.array(
+                [con.grad(z) for con in cons]).reshape(
+                    len(cons), prog.n_vars).tobytes()
+    if system == "ex2":
+        assert blocks.ridge_at.size and blocks.quad_at
+        th, thc = blocks._phase(prog.z0_hint + 3.0)
+        assert (th != thc).any() and (th == thc).any()

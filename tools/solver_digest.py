@@ -4,7 +4,7 @@ Run from the root of a checkout (a minute or two on one core):
 
     python3 tools/solver_digest.py
 
-Prints sha256[:16] over one float-hex line per result for four sets:
+Prints sha256[:16] over one float-hex line per result for five sets:
 
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
@@ -16,7 +16,10 @@ Prints sha256[:16] over one float-hex line per result for four sets:
             degenerate;
 - decisions: (j*, u, V) of evaluate_ocp at every query-ex3 pool state,
             then of every step of a 25-step simulate from every loop-ex2
-            start: what the closed loop applies, screening included.
+            start: what the closed loop applies, screening included;
+- batched:  the solves lines again, from one solve_many call per pool
+            state over that state's programs; equal to solves when a batch
+            does each program's arithmetic exactly.
 
 Two checkouts whose digests agree assemble, solve and decide bit for bit
 alike.
@@ -42,7 +45,8 @@ from convexnmpc.cli import RunConfig, build_pipeline  # noqa: E402
 from convexnmpc.closedloop import evaluate_ocp, simulate  # noqa: E402
 from convexnmpc.errors import InfeasibleStateError  # noqa: E402
 from convexnmpc.scenario import FeasibleCatalog, filter_for_state  # noqa: E402
-from convexnmpc.solver import assemble, solve, solve_feasibility  # noqa: E402
+from convexnmpc.solver import (assemble, solve, solve_feasibility,  # noqa: E402
+                               solve_many)
 
 DATA = ROOT / "perfbench" / "data"
 SYSTEMS = ROOT / "src" / "convexnmpc" / "data"
@@ -106,23 +110,29 @@ def probe_digest():
     return out
 
 
+def solution_line(sol):
+    return (sol.scenario_j, sol.status, sol.V, sol.v_seq, sol.kkt_residual,
+            sol.phase1_violation, sol.n_newton, sol.nonconvex_flag,
+            sol.degenerate)
+
+
 def pool_digests():
     pools = json.loads((DATA / "reference.json").read_text())["pools"]
-    programs, solves = Digest(), Digest()
+    programs, solves, batched = Digest(), Digest(), Digest()
     for system, pool in (("ex2", "loop-ex2"), ("ex3", "query-ex3")):
         pipe = pipeline(system)
         catalog = FeasibleCatalog.load(DATA / f"{system}_N15_catalog.json")
         for entry in pools[pool]:
             x = np.array(entry["x0"], dtype=float)
-            for sc in filter_for_state(catalog, pipe.spec, x):
-                prog = assemble(sc, x, pipe.spec, pipe.lin, pipe.zsets,
-                                pipe.terminal, pipe.Q, pipe.rho)
+            progs = [assemble(sc, x, pipe.spec, pipe.lin, pipe.zsets,
+                              pipe.terminal, pipe.Q, pipe.rho)
+                     for sc in filter_for_state(catalog, pipe.spec, x)]
+            for prog in progs:
                 programs.add(prog)
-                sol = solve(prog, pipe.solver_cfg)
-                solves.add(sol.scenario_j, sol.status, sol.V, sol.v_seq,
-                           sol.kkt_residual, sol.phase1_violation,
-                           sol.n_newton, sol.nonconvex_flag, sol.degenerate)
-    return programs, solves
+                solves.add(*solution_line(solve(prog, pipe.solver_cfg)))
+            for sol in solve_many(progs, pipe.solver_cfg)[0]:
+                batched.add(*solution_line(sol))
+    return programs, solves, batched
 
 
 def decision_digest():
@@ -151,10 +161,11 @@ def decision_digest():
 
 def main():
     print(f"probes    {probe_digest()}", flush=True)
-    programs, solves = pool_digests()
+    programs, solves, batched = pool_digests()
     print(f"programs  {programs}")
     print(f"solves    {solves}", flush=True)
     print(f"decisions {decision_digest()}")
+    print(f"batched   {batched}")
 
 
 if __name__ == "__main__":
