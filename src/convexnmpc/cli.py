@@ -255,15 +255,25 @@ def cmd_prune(args):
     cfg = config_from_args(args)
     pipe = build_pipeline(cfg)
     path = _default_catalog_path(cfg)
-    start_levels = None
+    resumed = None
     if args.resume and os.path.exists(path):
-        start_levels = _matching_catalog(pipe, path).levels
+        resumed = _matching_catalog(pipe, path)
     catalog = prune_catalog(
         pipe.spec, pipe.lin, pipe.zsets, pipe.terminal, cfg.horizon,
         solver_cfg=pipe.solver_cfg, n_workers=cfg.threads,
-        start_levels=start_levels,
+        start_levels=None if resumed is None else resumed.levels,
         progress=lambda lvl, cnt: print(f"level {lvl}: {cnt} feasible",
                                         file=sys.stderr))
+    if resumed is not None:  # keep the counts of the resumed levels
+        for key in ("screened", "warm"):
+            catalog.meta[key] = {**resumed.meta.get(key, {}),
+                                 **catalog.meta[key]}
+    levels, meta = catalog.levels, catalog.meta
+    screened = sum(meta["screened"].values())
+    cands = sum(catalog.s * len(levels.get(lvl - 1, ((),)))
+                for lvl in levels)
+    print(f"{cands - screened} probes, {sum(meta['warm'].values())} settled "
+          f"by a witness; {screened} candidates screened", file=sys.stderr)
     catalog.save(path)
     print(f"catalog with {catalog.count()} feasible scenarios at horizon "
           f"{catalog.N} written to {path}")

@@ -6,7 +6,12 @@ horizons 1..N, keeping only coefficient sequences whose subproblem admits
 some initial state; extending a sequence prepends a fresh first step, so an
 infeasible tail can never become feasible again and the catalog is closed
 under suffixes. Extensions that the transition bound of their first two
-steps proves infeasible (solver.Screen) are never probed.
+steps proves infeasible (solver.Screen) are never probed. Every survivor
+keeps a witness, a point where its free-x0 program is strictly feasible;
+the probe of an extension starts from its tail's witness extended by one
+step (Screen.extend), and a start that passes phase I's hint test settles
+the probe with no Newton step. Any other probe runs phase I from its cold
+hint, so the catalog does not depend on the witnesses.
 """
 import hashlib
 import json
@@ -163,15 +168,20 @@ def worker_map(fn, args, n_workers, chunksize):
                                           chunksize=chunksize))
 
 
-def _candidate_feasible(coeffs, spec, lin, zsets, terminal, cfg):
+def _candidate_feasible(item, spec, lin, zsets, terminal, cfg):
+    """Probe of one (coeffs, start) item: (feasible, witness, whether the
+    start settled it); the witness is the probe's point when strictly
+    feasible."""
+    coeffs, start = item
     prog = assemble(coeffs, None, spec, lin, zsets, terminal,
                     Q=np.eye(spec.n), rho=1.0)
     try:
-        feasible, _ = solve_feasibility(prog, cfg)
+        feasible, slack, z = solve_feasibility(prog, cfg, start)
     except NoConvergenceError as exc:
         exc.details["sequence"] = list(coeffs)
         raise
-    return feasible
+    return (feasible, z if slack < 0 else None,
+            start is not None and z is start)
 
 
 def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
@@ -183,8 +193,12 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     region index i to each survivor whose transition bound from i to its
     first step is at most feas_tol, and re-probes feasibility with the
     initial state free over the new first region; meta["screened"] counts
-    the others per level. start_levels resumes from a previously computed
-    catalog prefix. One process pool serves every level.
+    the others per level. Each probe starts from its tail's witness, a
+    strictly feasible point, extended by one step (Screen.extend);
+    meta["warm"] counts per level the probes that start settled with no
+    Newton step. start_levels resumes from a previously computed catalog
+    prefix, whose survivors have no witness. One process pool serves every
+    level.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -192,7 +206,7 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     s = spec.n_regions
     levels = dict(start_levels or {})
     screen = infeasibility_screen(lin, zsets)
-    screened = {}
+    screened, warm, witness = {}, {}, {}
 
     start = max(levels) + 1 if levels else 1
     with worker_map(_candidate_feasible, (spec, lin, zsets, terminal, cfg),
@@ -206,9 +220,14 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
             kept = [c for c in cands if len(c) == 1
                     or screen.transition(c[0], c[1]) <= cfg.feas_tol]
             screened[str(level)] = len(cands) - len(kept)
-            survivors = [c for c, ok in zip(kept, check_all(kept)) if ok]
+            probes = check_all([(c, screen.extend(c[0], witness.get(c[1:])))
+                                for c in kept])
+            warm[str(level)] = sum(settled for _, _, settled in probes)
+            survivors = [c for c, (ok, _, _) in zip(kept, probes) if ok]
             survivors.sort(key=lambda c: encode(c, s))
             levels[level] = tuple(survivors)
+            witness = {c: z for c, (ok, z, _) in zip(kept, probes)
+                       if ok and z is not None}
             if progress is not None:
                 progress(level, len(survivors))
 
@@ -217,7 +236,8 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
         terminal_kind="polytope" if isinstance(terminal.tset, Polytope)
         else "ellipsoid",
         content_hash=catalog_hash(spec, lin, terminal, cfg.feas_tol),
-        meta={"n_workers": int(n_workers), "screened": screened},
+        meta={"n_workers": int(n_workers), "screened": screened,
+              "warm": warm},
     )
 
 

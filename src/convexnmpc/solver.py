@@ -505,6 +505,7 @@ BACKTRACK = 0.5
 INNER_TOL = 1e-18  # Newton decrement target of phase II's last stage
 STAGE_TOL = 1e-11  # Newton decrement target of every other stage
 STRICT_MARGIN = 1e-9  # a phase-I slack below -this is strictly feasible
+HINT_MARGIN = 1e-6  # a start with every constraint below -this skips phase I
 
 
 @dataclass(frozen=True)
@@ -1077,7 +1078,7 @@ def _phase1(batch, i, cfg, work):
     prog = batch.progs[i]
     z = prog.z0_hint.copy()
     viol0 = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
-    if viol0 < -1e-6:
+    if viol0 < -HINT_MARGIN:
         return z, viol0
     t0 = viol0 + 1.0
 
@@ -1113,22 +1114,33 @@ def phase1(prog, cfg):
     return out
 
 
-def solve_feasibility(prog, cfg=SolverConfig()):
+def solve_feasibility(prog, cfg=SolverConfig(), start=None):
     """Phase-I only: decide feasibility against cfg.feas_tol.
 
-    Returns (feasible, slack). Raises NoConvergenceError when the Newton
-    budget runs out or a line search stalls before a decision, so callers
-    never confuse an undecided probe with a certified infeasibility.
+    Returns (feasible, slack, z). A start that passes phase I's hint test
+    (every constraint below -HINT_MARGIN) settles the probe with no Newton
+    step: it is returned as z, with its worst constraint value as the
+    slack. Phase I on convex data cannot certify infeasibility while such a
+    point exists, so the decision is phase I's; on nonconvex data the start
+    is ignored. Otherwise phase I runs from prog.z0_hint, and z is its point
+    (None when a constant row decides). Raises NoConvergenceError when the
+    Newton budget runs out or a line search stalls before a decision, so
+    callers never confuse an undecided probe with a certified
+    infeasibility.
     """
     if prog.pre_violation > cfg.feas_tol:
-        return False, prog.pre_violation
+        return False, prog.pre_violation, None
+    if start is not None and not prog.nonconvex_data:
+        worst = float(np.max(prog.constraint_values(start)))
+        if worst < -HINT_MARGIN:
+            return True, worst, start
     try:
-        _, t_star = phase1(prog, cfg)
+        z, t_star = phase1(prog, cfg)
     except _Undecided as exc:
         raise NoConvergenceError(
             f"feasibility probe ended {exc.args[0]} (budget "
             f"{cfg.max_newton} Newton steps)")
-    return t_star <= cfg.feas_tol, t_star
+    return t_star <= cfg.feas_tol, t_star, z
 
 
 def _solve(batch, i, cfg):
@@ -1212,6 +1224,9 @@ def solve(prog, cfg=SolverConfig()):
 # infeasibility screens
 # ---------------------------------------------------------------------------
 
+WITNESS_GRID = np.arange(1, 8) / 8.0  # interior points of a v0 interval
+
+
 def _lowest_max(a, c):
     """min over v of max_k (a_k v + c_k): the largest constant line, or
     the largest crossing of an increasing and a decreasing line."""
@@ -1229,6 +1244,8 @@ class Screen:
     Phase I relaxes every constraint by the same t, so the min-max over any
     subset of a program's constraints, in its own units, bounds its t* from
     below: above feas_tol, the program is Infeasible with no Newton step.
+    It also extends a strictly feasible point of a free-x0 program by one
+    step, as the start of the probe one level up (extend).
     """
 
     def __init__(self, lin, zsets):
@@ -1247,6 +1264,11 @@ class Screen:
                        for zs in self.zsets]
         self.next_rows = [(zs.region.C @ lin.A_hat, zs.region.d,
                            zs.region.C @ lin.b_hat) for zs in self.zsets]
+        try:  # x0(v0) = A_hat^-1 x1 - (A_hat^-1 b_hat) v0 steps to x1
+            inv = np.linalg.inv(lin.A_hat)
+            self.back = inv, inv @ lin.b_hat
+        except np.linalg.LinAlgError:
+            self.back = None
 
     def transition(self, i, j):
         """Bound for every free-x0 program with stage sets i, j first, from
@@ -1295,6 +1317,32 @@ class Screen:
             c.append(CA @ x - d)
         a, c = np.concatenate(a), np.concatenate(c)
         return _lowest_max(a, c) - 1e-9 * (1.0 + np.abs(c).max())
+
+    def extend(self, i, witness):
+        """A start for the free-x0 program of (i,) + tail from a witness
+        (v_tail, x1) of the tail's: (v0, v_tail, x0(v0)), where x0(v0)
+        steps to x1 under v0, so the tail's constraints see their witness
+        again. v0 is the point of a fixed grid inside the interval that
+        region i's rows allow along that line with the lowest worst value
+        of stage set i's constraints. None without a witness, for singular
+        A_hat, or when region i leaves no interval."""
+        if witness is None or self.back is None:
+            return None
+        inv, q = self.back
+        zs, n = self.zsets[i - 1], q.size
+        p = inv @ witness[-n:]
+        a, c = -(zs.region.C @ q), zs.region.C @ p - zs.region.d
+        lo = np.max(-c[a < 0] / a[a < 0], initial=-np.inf)
+        hi = np.min(-c[a > 0] / a[a > 0], initial=np.inf)
+        if not (lo < hi and np.isfinite(hi - lo)):
+            return None
+        v = lo + (hi - lo) * WITNESS_GRID
+        Z = np.column_stack([p - v[:, None] * q, v])
+        worst = np.max(np.column_stack(
+            [con.value_batch(Z) for con in zs.constraints]
+            + [Z @ zs.lifted_C.T - zs.lifted_d]), axis=1)
+        k = int(np.argmin(worst))
+        return np.concatenate([v[k:k + 1], witness[:-n], Z[k, :n]])
 
 
 def infeasibility_screen(lin, zsets):

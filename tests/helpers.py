@@ -102,7 +102,7 @@ def brute_force_level(spec, lin, zsets, terminal, horizon, cfg=None):
     for coeffs in itertools.product(range(1, s + 1), repeat=horizon):
         prog = cn.assemble(coeffs, None, spec, lin, zsets, terminal,
                            Q=np.eye(spec.n), rho=1.0)
-        feasible, _ = cn.solve_feasibility(prog, cfg)
+        feasible, _, _ = cn.solve_feasibility(prog, cfg)
         if feasible:
             out.append(coeffs)
     out.sort(key=lambda c: cn.encode(c, s))

@@ -150,6 +150,28 @@ def test_prune_resume_extends(tmp_path, capsys):
     assert set(stored["levels"]) == {"1", "2", "3"}
 
 
+def test_prune_resume_keeps_level_counts(tmp_path, capsys):
+    straight, resumed = (str(tmp_path / f"{name}.json")
+                         for name in ("straight", "resumed"))
+    assert run(["prune", EX2, *LINFLAGS, "--horizon", "5",
+                "--catalog", straight, "--threads", "1"]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "35 probes, 24 settled by a witness; 40 candidates screened")
+    assert run(["prune", EX2, *LINFLAGS, "--horizon", "3",
+                "--catalog", resumed, "--threads", "1"]) == 0
+    assert run(["prune", EX2, *LINFLAGS, "--horizon", "5",
+                "--catalog", resumed, "--resume", "--threads", "1"]) == 0
+    capsys.readouterr()
+    want, got = (json.loads(open(path).read())
+                 for path in (straight, resumed))
+    assert got["levels"] == want["levels"]
+    assert got["meta"]["screened"] == want["meta"]["screened"]
+    # the resumed level-3 survivors carry no witness: level 4 probes cold
+    assert got["meta"]["warm"]["4"] == 0 < want["meta"]["warm"]["4"]
+    del got["meta"]["warm"]["4"], want["meta"]["warm"]["4"]
+    assert got["meta"]["warm"] == want["meta"]["warm"]
+
+
 def test_infeasible_solve_exit_code(tmp_path, capsys):
     cat = str(tmp_path / "cat.json")
     run(["prune", EX2, *LINFLAGS, "--horizon", "1", "--catalog", cat,

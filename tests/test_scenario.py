@@ -103,6 +103,7 @@ class TestCatalog:
                                     ex2["terminal"], 3, n_workers=2)
         assert serial.levels == parallel.levels
         assert serial.meta["screened"] == parallel.meta["screened"]
+        assert serial.meta["warm"] == parallel.meta["warm"]
 
     def test_resume_from_prefix(self, ex2, ex2_catalog_n3):
         cat = cn.prune_catalog(ex2["spec"], ex2["lin"], ex2["zsets"],

@@ -79,7 +79,7 @@ def test_screened_pairs_probe_infeasible(request, name, n_screened):
     assert len(pairs) == n_screened
     longer = pairs[0] + (1,) * 13
     for coeffs in pairs + [longer]:
-        feasible, t_star = _probe(data, coeffs)
+        feasible, t_star, _ = _probe(data, coeffs)
         assert not feasible
         # the bound is a lower bound on the probe's phase-I value
         assert t_star >= bounds[coeffs[:2]] - 1e-9

@@ -169,12 +169,12 @@ class TestSolve:
         prog = cn.assemble((2, 1, 1), None, ex2["spec"], ex2["lin"],
                            ex2["zsets"], ex2["terminal"], ex2["Q"],
                            ex2["rho"])
-        feasible, slack = cn.solve_feasibility(prog)
+        feasible, slack, _ = cn.solve_feasibility(prog)
         assert feasible and slack <= 1e-7
         prog = cn.assemble((1, 2, 1), None, ex2["spec"], ex2["lin"],
                            ex2["zsets"], ex2["terminal"], ex2["Q"],
                            ex2["rho"])
-        feasible, slack = cn.solve_feasibility(prog)
+        feasible, slack, _ = cn.solve_feasibility(prog)
         assert not feasible and slack > 1e-7
 
 

@@ -39,7 +39,7 @@ PROBES = [
 @pytest.mark.parametrize("coeffs, feasible, t_star, n_newton", PROBES)
 def test_ex2_feasibility_probe(ex2, coeffs, feasible, t_star, n_newton):
     cfg = cn.SolverConfig(max_newton=n_newton)
-    got_feasible, got_t = _probe(ex2, coeffs, cfg)
+    got_feasible, got_t, _ = _probe(ex2, coeffs, cfg)
     assert got_feasible is feasible
     assert abs(got_t - t_star) <= 1e-12
     # the probe needs exactly n_newton steps: one fewer exhausts the budget

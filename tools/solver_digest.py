@@ -4,7 +4,7 @@ Run from the root of a checkout (a minute or two on one core):
 
     python3 tools/solver_digest.py
 
-Prints sha256[:16] over one float-hex line per result for five sets:
+Prints sha256[:16] over one float-hex line per result for six sets:
 
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
@@ -19,7 +19,10 @@ Prints sha256[:16] over one float-hex line per result for five sets:
             start: what the closed loop applies, screening included;
 - batched:  the solves lines again, from one solve_many call per pool
             state over that state's programs; equal to solves when a batch
-            does each program's arithmetic exactly.
+            does each program's arithmetic exactly;
+- prune:    the sorted levels and meta["screened"] of fresh ex2 N=15 and
+            ex3 N=6 prunes (prune_catalog itself, screen and warm starts
+            included).
 
 Two checkouts whose digests agree assemble, solve and decide bit for bit
 alike.
@@ -44,7 +47,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from convexnmpc.cli import RunConfig, build_pipeline  # noqa: E402
 from convexnmpc.closedloop import evaluate_ocp, simulate  # noqa: E402
 from convexnmpc.errors import InfeasibleStateError  # noqa: E402
-from convexnmpc.scenario import FeasibleCatalog, filter_for_state  # noqa: E402
+from convexnmpc.scenario import (  # noqa: E402
+    FeasibleCatalog, filter_for_state, prune_catalog)
 from convexnmpc.solver import (assemble, solve, solve_feasibility,  # noqa: E402
                                solve_many)
 
@@ -105,7 +109,8 @@ def probe_digest():
                 seq = (i,) + tuple(tail)
                 prog = assemble(seq, None, pipe.spec, pipe.lin, pipe.zsets,
                                 pipe.terminal, Q=np.eye(pipe.spec.n), rho=1.0)
-                feasible, t_star = solve_feasibility(prog, pipe.solver_cfg)
+                feasible, t_star = solve_feasibility(prog,
+                                                     pipe.solver_cfg)[:2]
                 out.add(seq, feasible, t_star)
     return out
 
@@ -159,6 +164,17 @@ def decision_digest():
     return out
 
 
+def prune_digest():
+    out = Digest()
+    for system, N in (("ex2", HORIZON), ("ex3", 6)):
+        pipe = pipeline(system)
+        catalog = prune_catalog(pipe.spec, pipe.lin, pipe.zsets,
+                                pipe.terminal, N, solver_cfg=pipe.solver_cfg)
+        for level, seqs in sorted(catalog.levels.items()):
+            out.add(system, level, seqs, catalog.meta["screened"][str(level)])
+    return out
+
+
 def main():
     print(f"probes    {probe_digest()}", flush=True)
     programs, solves, batched = pool_digests()
@@ -166,6 +182,7 @@ def main():
     print(f"solves    {solves}", flush=True)
     print(f"decisions {decision_digest()}")
     print(f"batched   {batched}")
+    print(f"prune     {prune_digest()}")
 
 
 if __name__ == "__main__":
