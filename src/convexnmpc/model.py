@@ -158,7 +158,17 @@ class PwaField:
     def value(self, x):
         x = _vec(x)
         if x.ndim == 2:
-            return np.array([self.value(row) for row in x])
+            # piece_index for every row: the first piece within tol, else
+            # the first of least violation. Rows equal the 1-D values bit
+            # for bit where w.x is exact (ex3); elsewhere the last bit may
+            # differ.
+            viol = np.column_stack([np.max(x @ reg.C.T - reg.d, axis=1)
+                                    for reg, _, _ in self.pieces])
+            within = viol <= 1e-9
+            k = np.where(within.any(axis=1), within.argmax(axis=1),
+                         viol.argmin(axis=1))
+            _, W, D = zip(*self.pieces)
+            return np.einsum("ij,ij->i", x, np.array(W)[k]) + np.array(D)[k]
         region, w, d = self.pieces[self.piece_index(x)]
         return w @ x + d
 
@@ -196,12 +206,19 @@ class PwaField:
         bad = []
         for p, (region, _, _) in enumerate(self.pieces):
             for row in range(region.n_rows):
-                for x in self._facet_points(p, row, n_points, seed + 31 * p + row):
-                    vals = [self.pieces[q][1] @ x + self.pieces[q][2]
-                            for q, (reg_q, _, _) in enumerate(self.pieces)
-                            if reg_q.contains(x, tol=1e-9)]
-                    if len(vals) >= 2 and max(vals) - min(vals) > tol:
-                        bad.append((x, max(vals) - min(vals)))
+                pts = self._facet_points(p, row, n_points, seed + 31 * p + row)
+                if not len(pts):
+                    continue
+                inside = np.array([reg.contains_batch(pts, tol=1e-9)
+                                   for reg, _, _ in self.pieces])
+                vals = np.array([pts @ w + d for _, w, d in self.pieces])
+                gap = (np.where(inside, vals, -np.inf).max(axis=0)
+                       - np.where(inside, vals, np.inf).min(axis=0))
+                for i in np.flatnonzero(gap > tol):
+                    # a witness reports its gap from the 1-D values
+                    at = [w @ pts[i] + d for (_, w, d), ok
+                          in zip(self.pieces, inside[:, i]) if ok]
+                    bad.append((pts[i], max(at) - min(at)))
         return bad
 
     def _light_continuity_check(self):
@@ -409,12 +426,19 @@ def validate_assumption1(spec, n_samples=256, seed=0):
     n = spec.n
     violations = []
     region_reports = []
-    etas = (0.25, 0.5, 0.75)
+    etas = np.array([0.25, 0.5, 0.75])
 
     for idx, (reg, sign) in enumerate(spec.regions, start=1):
         reg.assert_nonempty(f"region {idx}")
         pts = reg.sample(n_samples, seed=seed + idx)
-        vals = np.array([float(spec.g.value(p)) for p in pts])
+        # midpoints of consecutive samples, (pair, eta, coordinate)
+        mids = (etas[:, None] * pts[:-1, None, :]
+                + (1.0 - etas[:, None]) * pts[1:, None, :])
+        todo = np.vstack([pts, mids.reshape(-1, n)])
+        # a quadratic's batched formula differs from its 1-D one in last bits
+        g_all = (np.array([float(spec.g.value(p)) for p in todo])
+                 if isinstance(spec.g, Quadratic) else spec.g.value(todo))
+        vals, gm = g_all[:len(pts)], g_all[len(pts):].reshape(-1, len(etas))
         g_min, g_max = float(vals.min()), float(vals.max())
         local = []
 
@@ -425,39 +449,27 @@ def validate_assumption1(spec, n_samples=256, seed=0):
             local.append(Violation("sign", idx, pts[int(np.argmax(vals))],
                                    f"g = {g_max:.3e} > 0 on a -1 region", g_max))
 
-        curvature_ok = True
-        pairs = zip(pts[:-1], pts[1:])
-        for a, b_pt in pairs:
-            ga, gb = float(spec.g.value(a)), float(spec.g.value(b_pt))
-            for eta in etas:
-                mid = eta * a + (1.0 - eta) * b_pt
-                gm = float(spec.g.value(mid))
-                chord = eta * ga + (1.0 - eta) * gb
-                gap = gm - chord
-                # concave: gm >= chord; convex: gm <= chord
-                if sign > 0 and gap < -1e-9:
-                    local.append(Violation("concavity", idx, mid,
-                                           f"midpoint gap {gap:.3e}", -gap))
-                    curvature_ok = False
-                if sign < 0 and gap > 1e-9:
-                    local.append(Violation("convexity", idx, mid,
-                                           f"midpoint gap {gap:.3e}", gap))
-                    curvature_ok = False
+        # concave: gm >= chord; convex: gm <= chord
+        gap = gm - (etas * vals[:-1, None] + (1.0 - etas) * vals[1:, None])
+        excess = -gap if sign > 0 else gap
+        kind = "concavity" if sign > 0 else "convexity"
+        for j, e in zip(*np.nonzero(excess > 1e-9)):
+            local.append(Violation(kind, idx, mids[j, e],
+                                   f"midpoint gap {gap[j, e]:.3e}",
+                                   float(excess[j, e])))
 
         if isinstance(spec.g, Quadratic):
             hit = _quadratic_curvature_witness(spec.g, sign, reg, seed)
             if hit is not None:
                 a, b_pt, eig = hit
-                kind = "concavity" if sign > 0 else "convexity"
                 local.append(Violation(
                     kind, idx, 0.5 * (a + b_pt),
                     f"curvature eigenvalue {eig:.4g} has the wrong sign",
                     abs(eig)))
-                curvature_ok = False
 
         sign_ok = not any(v.kind == "sign" for v in local)
-        curvature_ok = curvature_ok and not any(
-            v.kind in ("concavity", "convexity") for v in local)
+        curvature_ok = not any(v.kind in ("concavity", "convexity")
+                               for v in local)
         region_reports.append(RegionReport(idx, sign, g_min, g_max,
                                            sign_ok, curvature_ok, local))
         violations.extend(local)

@@ -174,25 +174,25 @@ def _gain_bound_constraint(field, g_coef, alpha, b0, upper, region):
     raise TypeError(f"no stage constraint for gain {type(field).__name__}")
 
 
-def _pwa_bound_rows(field, region, g_coef, alpha, b0, upper):
-    """Affine rows for a PWA gain, one per piece meeting the region.
+def _thin_slab(region, piece, r_min):
+    """True when a region row and an exactly negated piece row leave a slab
+    no wider than 2 r_min: a ball inside both polytopes lies between the
+    two rows, so its radius is at most half the width d_i + d_j."""
+    anti = np.all(region.C[:, None, :] == -piece.C[None, :, :], axis=2)
+    return bool(np.any((region.d[:, None] + piece.d[None, :])[anti]
+                       <= 2 * r_min))
 
-    Only pieces whose intersection with the region is full-dimensional
-    contribute; a concave (or convex) PWA gain equals the min (max) of those
-    pieces' affine extensions on the region, which turns each interval side
-    into a finite set of affine rows.
-    """
-    rows = []
-    for piece_region, w, d in field.pieces:
-        inter = region.intersect(piece_region)
-        _, r = inter.chebyshev_center()
-        if r <= 1e-9:
-            continue
-        rows.append(_gain_bound_constraint(Affine(w, d), g_coef, alpha, b0,
-                                           upper, region))
-    if not rows:
+
+def _overlapping_pieces(pieces, region, r_min=1e-9):
+    """(w, d) of the PWA pieces meeting the region in a full-dimensional set
+    (Chebyshev radius above r_min). A Chebyshev LP decides only the pairs
+    that no thin slab settles."""
+    out = [(w, d) for piece, w, d in pieces
+           if not _thin_slab(region, piece, r_min)
+           and region.intersect(piece).chebyshev_center()[1] > r_min]
+    if not out:
         raise PreconditionError("no pwa piece overlaps the region interior")
-    return rows
+    return out
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ class StageSet:
 
 def _check_sign(spec, lin, idx, region, expected_sign, n_samples, seed):
     pts = region.sample(n_samples, seed=seed + 97 * idx)
-    vals = lin.beta * np.array([float(spec.g.value(p)) for p in pts])
+    vals = lin.beta * spec.g.value(pts)
     has_pos = bool(np.any(vals > EPS_G))
     has_neg = bool(np.any(vals < -EPS_G))
     if has_pos and has_neg:
@@ -267,19 +267,16 @@ def build_stage_sets(spec, lin, n_sign_samples=256, seed=0):
         _check_sign(spec, lin, idx, region, sign_beta_g, n_sign_samples, seed)
         lo_mult = spec.u_lo if sign_beta_g > 0 else spec.u_hi
         hi_mult = spec.u_hi if sign_beta_g > 0 else spec.u_lo
-        if isinstance(spec.g, PwaField):
-            cons = tuple(
-                _pwa_bound_rows(spec.g, region, lin.beta * lo_mult,
-                                lin.alpha, lin.b0, upper=False)
-                + _pwa_bound_rows(spec.g, region, lin.beta * hi_mult,
-                                  lin.alpha, lin.b0, upper=True))
-        else:
-            cons = (
-                _gain_bound_constraint(spec.g, lin.beta * lo_mult, lin.alpha,
-                                       lin.b0, upper=False, region=region),
-                _gain_bound_constraint(spec.g, lin.beta * hi_mult, lin.alpha,
-                                       lin.b0, upper=True, region=region),
-            )
+        # a concave (convex) PWA gain is the min (max) of the affine
+        # extensions of the pieces meeting the region: one row per piece
+        gains = ([Affine(w, d) for w, d in
+                  _overlapping_pieces(spec.g.pieces, region)]
+                 if isinstance(spec.g, PwaField) else [spec.g])
+        cons = tuple(
+            _gain_bound_constraint(g, lin.beta * mult, lin.alpha, lin.b0,
+                                   upper=upper, region=region)
+            for upper, mult in ((False, lo_mult), (True, hi_mult))
+            for g in gains)
         kinds = {con.kind for con in cons}
         kind = ("smooth" if "smooth" in kinds
                 else "quadratic" if "quadratic" in kinds else "affine")

@@ -146,3 +146,82 @@ def random_instance(rng, kind):
     rho = float(rng.uniform(0.3, 2.0))
     terminal = cn.build_terminal(spec, lin, zsets, Q, rho, kind="ellipsoid")
     return spec, lin, zsets, terminal, Q, rho
+
+
+def exact(value):
+    """Text of a value down to the last bit of every float and its type, for
+    comparing nested reports, tuples and arrays exactly."""
+    if isinstance(value, (float, np.floating)):
+        return f"{type(value).__name__}:{float(value).hex()}"
+    if isinstance(value, np.ndarray):
+        return f"{value.shape}[{','.join(exact(v) for v in value.ravel())}]"
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(exact(v) for v in value) + ")"
+    fields = getattr(value, "__dataclass_fields__", None)
+    if fields is None:
+        return repr(value)
+    return (type(value).__name__ + "{"
+            + ",".join(f"{k}={exact(getattr(value, k))}" for k in fields)
+            + "}")
+
+
+def row_by_row_continuity(field, n_points, seed, tol=1e-9):
+    """PwaField.check_continuity as a point-by-point scan."""
+    bad = []
+    for p, (region, _, _) in enumerate(field.pieces):
+        for row in range(region.n_rows):
+            pts = field._facet_points(p, row, n_points, seed + 31 * p + row)
+            for x in pts:
+                vals = [w @ x + d for reg, w, d in field.pieces
+                        if reg.contains(x, tol=1e-9)]
+                if len(vals) >= 2 and max(vals) - min(vals) > tol:
+                    bad.append((x, max(vals) - min(vals)))
+    return bad
+
+
+def row_by_row_region_reports(spec, n_samples, seed):
+    """The region reports of validate_assumption1, with g evaluated one
+    point at a time."""
+    reports = []
+    for idx, (reg, sign) in enumerate(spec.regions, start=1):
+        pts = reg.sample(n_samples, seed=seed + idx)
+        vals = np.array([float(spec.g.value(p)) for p in pts])
+        g_min, g_max = float(vals.min()), float(vals.max())
+        local = []
+        if sign > 0 and g_min < -1e-9:
+            local.append(cn.model.Violation(
+                "sign", idx, pts[int(np.argmin(vals))],
+                f"g = {g_min:.3e} < 0 on a +1 region", -g_min))
+        if sign < 0 and g_max > 1e-9:
+            local.append(cn.model.Violation(
+                "sign", idx, pts[int(np.argmax(vals))],
+                f"g = {g_max:.3e} > 0 on a -1 region", g_max))
+        for a, b_pt in zip(pts[:-1], pts[1:]):
+            ga, gb = float(spec.g.value(a)), float(spec.g.value(b_pt))
+            for eta in (0.25, 0.5, 0.75):
+                mid = eta * a + (1.0 - eta) * b_pt
+                gap = (float(spec.g.value(mid))
+                       - (eta * ga + (1.0 - eta) * gb))
+                if sign > 0 and gap < -1e-9:
+                    local.append(cn.model.Violation(
+                        "concavity", idx, mid, f"midpoint gap {gap:.3e}",
+                        -gap))
+                if sign < 0 and gap > 1e-9:
+                    local.append(cn.model.Violation(
+                        "convexity", idx, mid, f"midpoint gap {gap:.3e}",
+                        gap))
+        if isinstance(spec.g, cn.Quadratic):
+            hit = cn.model._quadratic_curvature_witness(spec.g, sign, reg,
+                                                        seed)
+            if hit is not None:
+                a, b_pt, eig = hit
+                local.append(cn.model.Violation(
+                    "concavity" if sign > 0 else "convexity", idx,
+                    0.5 * (a + b_pt),
+                    f"curvature eigenvalue {eig:.4g} has the wrong sign",
+                    abs(eig)))
+        reports.append(cn.model.RegionReport(
+            idx, sign, g_min, g_max,
+            not any(v.kind == "sign" for v in local),
+            not any(v.kind != "sign" for v in local), local))
+    return reports

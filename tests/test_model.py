@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import convexnmpc as cn
 from conftest import PACKAGED
-from helpers import finite_diff_grad, finite_diff_hess, toy_spec
+from helpers import (exact, finite_diff_grad, finite_diff_hess,
+                     row_by_row_continuity, row_by_row_region_reports,
+                     toy_spec)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -103,6 +105,45 @@ class TestScalarFields:
             cn.PwaField(((left, np.array([0.0, 0.0]), 1.0),
                          (right, np.array([0.0, 0.0]), 2.0)))
 
+    def test_pwa_batch_value_equals_row_by_row(self, ex3):
+        g = ex3["spec"].g
+        rng = np.random.default_rng(4)
+        t = rng.uniform(-2.0, 2.0, 500)
+        ticks = np.arange(-4.0, 4.25, 0.25)
+        pts = np.vstack([
+            rng.uniform(-3.0, 3.0, (10_000, 2)),
+            # shared facets: the pyramid's diagonals and the lines |x_i| = 1
+            np.column_stack([t, t]), np.column_stack([t, -t]),
+            np.column_stack([np.ones_like(t), t]),
+            np.column_stack([t, -np.ones_like(t)]),
+            # a lattice reaching outside every piece, where several pieces
+            # tie for the least violation
+            np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2),
+        ])
+        batch = g.value(pts)
+        rows = np.array([g.value(x) for x in pts])
+        assert batch.tobytes() == rows.tobytes()
+
+    def test_pwa_continuity_scan_equals_row_by_row(self):
+        # four pieces cut from a box by two oblique lines, with generic,
+        # mutually inconsistent slopes; the last row of the first piece has
+        # an empty facet (x1 = 5 on x1 <= 3), whose LPs yield no point
+        box = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        pieces = []
+        for k, (s1, s2) in enumerate([(1, 1), (-1, 1), (-1, -1), (1, -1)]):
+            C = ([[s1, 2.0 * s1], [-2.0 * s2, s2]] + box
+                 + [[1.0, 0.0]] * (k == 0))
+            d = [0.0, 0.0, 3.0, 3.0, 3.0, 3.0] + [5.0] * (k == 0)
+            pieces.append((cn.Polytope(C, d),
+                           np.array([0.3 + 0.1 * k, -0.7 + 0.13 * k]),
+                           0.37 + 0.1 * k))
+        g = object.__new__(cn.PwaField)  # skip the load-time check it fails
+        object.__setattr__(g, "pieces", tuple(pieces))
+        assert len(g._facet_points(0, 6, 100, 5 + 6)) == 0
+        bad = g.check_continuity(n_points=100, seed=5)
+        assert len(bad) > 100
+        assert exact(bad) == exact(row_by_row_continuity(g, 100, 5))
+
     def test_pwa_value_matches_pieces(self, ex3):
         g = ex3["spec"].g
         rng = np.random.default_rng(2)
@@ -191,6 +232,15 @@ class TestValidateAssumption:
                         box=1.0, sign=1)
         report = cn.validate_assumption1(spec, n_samples=64, seed=seed)
         assert report.ok
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    def test_report_equals_row_by_row_scan(self, name, request):
+        spec = request.getfixturevalue(name)["spec"]
+        report = cn.validate_assumption1(spec)
+        expect = row_by_row_region_reports(spec, 256, 0)
+        assert exact(report.region_reports) == exact(expect)
+        assert exact(report.violations) == exact(
+            [v for rep in expect for v in rep.violations])
 
     def test_report_is_deterministic(self, ex2):
         r1 = cn.validate_assumption1(ex2["spec"], n_samples=64, seed=11)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import convexnmpc as cn
-from convexnmpc.stagesets import RidgeCon
+import convexnmpc.geometry as geometry
+from convexnmpc.stagesets import RidgeCon, _overlapping_pieces, _thin_slab
 from helpers import finite_diff_grad, finite_diff_hess, toy_spec
 
 
@@ -48,6 +49,58 @@ class TestBuild:
             spec, cn.compute_output_vector(spec.A, spec.b, 1.0), b0=1.0)
         with pytest.raises(cn.SignAmbiguousError):
             cn.build_stage_sets(spec, lin)
+
+
+def _box(lo, hi):
+    return cn.Polytope(np.vstack([np.eye(2), -np.eye(2)]),
+                       np.concatenate([hi, -np.asarray(lo)]))
+
+
+class TestPieceOverlap:
+    """The slab pre-test settles a region-piece pair only where the
+    Chebyshev LP would also drop it."""
+
+    def test_slab_never_rejects_an_overlap_on_ex3(self, ex3):
+        spec = ex3["spec"]
+        n_thin = 0
+        for region, _ in spec.regions:
+            for piece, _, _ in spec.g.pieces:
+                r = region.intersect(piece).chebyshev_center()[1]
+                if _thin_slab(region, piece, 1e-9):
+                    n_thin += 1
+                    assert r <= 1e-9
+        assert n_thin == 76  # of 9 x 12 pairs
+
+    def test_overlap_lists_equal_lp_only_decision(self, ex3):
+        spec = ex3["spec"]
+        total = 0
+        for region, _ in spec.regions:
+            by_lp = [(w, d) for piece, w, d in spec.g.pieces
+                     if region.intersect(piece).chebyshev_center()[1] > 1e-9]
+            got = _overlapping_pieces(spec.g.pieces, region)
+            assert [(id(w), d) for w, d in got] == [(id(w), d)
+                                                    for w, d in by_lp]
+            total += len(got)
+        assert total == 12  # four pieces on the centre, one elsewhere
+
+    def test_shared_edge_rejected_without_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(geometry, "linprog", no_lp)
+        region, piece = _box([0.0, 0.0], [1.0, 1.0]), _box([1.0, 0.0],
+                                                           [2.0, 1.0])
+        assert _thin_slab(region, piece, 1e-9)
+        with pytest.raises(cn.PreconditionError):
+            _overlapping_pieces(((piece, np.ones(2), 1.0),), region)
+
+    def test_overlap_behind_antiparallel_rows_kept(self):
+        region, piece = _box([0.0, 0.0], [1.0, 1.0]), _box([0.5, 0.0],
+                                                           [1.5, 1.0])
+        # rows x1 <= 1 and -x1 <= -0.5 are antiparallel: a slab of width 0.5
+        assert not _thin_slab(region, piece, 1e-9)
+        w = np.array([1.0, -1.0])
+        assert _overlapping_pieces(((piece, w, 2.0),), region) == [(w, 2.0)]
 
 
 class TestMembership:

@@ -4,7 +4,7 @@ Run from the root of a checkout (a minute or two on one core):
 
     python3 tools/solver_digest.py
 
-Prints sha256[:16] over one float-hex line per result for six sets:
+Prints sha256[:16] over one float-hex line per result for seven sets:
 
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
@@ -22,7 +22,9 @@ Prints sha256[:16] over one float-hex line per result for six sets:
             does each program's arithmetic exactly;
 - prune:    the sorted levels and meta["screened"] of fresh ex2 N=15 and
             ex3 N=6 prunes (prune_catalog itself, screen and warm starts
-            included).
+            included);
+- stagesets: every stage set of ex1, ex2 and ex3: its sign, kind, every
+            field of every constraint oracle, lifted_C and lifted_d.
 
 Two checkouts whose digests agree assemble, solve and decide bit for bit
 alike.
@@ -175,6 +177,15 @@ def prune_digest():
     return out
 
 
+def stageset_digest():
+    out = Digest()
+    for system in ("ex1", "ex2", "ex3"):
+        for zs in pipeline(system).zsets:
+            out.add(system, zs.index, zs.sign_beta_g, zs.kind, zs.constraints,
+                    zs.lifted_C, zs.lifted_d)
+    return out
+
+
 def main():
     print(f"probes    {probe_digest()}", flush=True)
     programs, solves, batched = pool_digests()
@@ -183,6 +194,7 @@ def main():
     print(f"decisions {decision_digest()}")
     print(f"batched   {batched}")
     print(f"prune     {prune_digest()}")
+    print(f"stagesets {stageset_digest()}")
 
 
 if __name__ == "__main__":
