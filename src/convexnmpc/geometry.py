@@ -1,11 +1,16 @@
 """Polytopes in halfspace form and ellipsoidal sublevel sets.
 
-All linear programs go through scipy's HiGHS backend. Rows of a
-:class:`Polytope` are normalized to unit Euclidean length at construction so
-that redundancy tests and row deduplication work on a canonical form.
+Rows of a :class:`Polytope` are normalized to unit Euclidean length at
+construction so that redundancy tests and row deduplication work on a
+canonical form. Bounding boxes, supports, redundancy tests and inscribed
+radii are read off the exact vertices of the set (:func:`vertices`), taken
+within the box ``|x_k| <= BOX``. The one linear program left is the
+Chebyshev centre (scipy's HiGHS): its optimum is not unique, and the centre
+itself seeds the solver's free-x0 starts.
 """
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
@@ -16,11 +21,12 @@ from .errors import RegionEmptyError
 # Shared absolute tolerances (see also model.EPS_G).
 MEMBERSHIP_TOL = 1e-8
 REDUNDANCY_TOL = 1e-9
-
-
-def _as_matrix(C):
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    return C
+# A vertex may exceed a row by VERTEX_TOL; rows (of unit norm) whose |det|
+# is at most SINGULAR_TOL meet in no vertex. BOX bounds every coordinate, as
+# in the Chebyshev LP: a set that reaches it counts as unbounded.
+VERTEX_TOL = 1e-9
+SINGULAR_TOL = 1e-12
+BOX = 1e6
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,7 @@ class Polytope:
     d: np.ndarray
 
     def __post_init__(self):
-        C = _as_matrix(self.C)
+        C = np.atleast_2d(np.asarray(self.C, dtype=float))
         d = np.asarray(self.d, dtype=float).reshape(-1)
         if C.shape[0] != d.shape[0]:
             raise ValueError("C and d row counts differ")
@@ -86,12 +92,12 @@ class Polytope:
     @cached_property
     def _chebyshev(self):
         n = self.dim
-        # max r  s.t.  C x + r <= d  (rows are unit norm), |x| <= 1e6
+        # max r  s.t.  C x + r <= d  (rows are unit norm), |x| <= BOX
         c = np.zeros(n + 1)
         c[-1] = -1.0
         A_ub = np.hstack([self.C, np.ones((self.n_rows, 1))])
         res = linprog(c, A_ub=A_ub, b_ub=self.d,
-                      bounds=[(-1e6, 1e6)] * n + [(None, 1e6)],
+                      bounds=[(-BOX, BOX)] * n + [(None, BOX)],
                       method="highs")
         if res.status != 0:
             return None, -np.inf
@@ -108,32 +114,27 @@ class Polytope:
             raise RegionEmptyError(f"{what} is empty", rows=self.n_rows)
         return self
 
+    @cached_property
+    def _vertices(self):
+        return vertices(self.C, self.d)
+
+    def inscribed_radius(self):
+        """The Chebyshev radius without the LP: the support along r of
+        {(x, r) | C x + r <= d}. Negative if empty, inf if unbounded."""
+        lifted = np.hstack([self.C, np.ones((self.n_rows, 1))])
+        return _support(vertices(lifted, self.d), np.eye(self.dim + 1)[-1])
+
     def bounding_box(self):
-        """Componentwise (lo, hi) via 2n LPs."""
-        n = self.dim
-        lo = np.empty(n)
-        hi = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            for sign, out in ((1.0, lo), (-1.0, hi)):
-                res = linprog(sign * e, A_ub=self.C, b_ub=self.d,
-                              bounds=[(None, None)] * n, method="highs")
-                if res.status != 0:
-                    raise ValueError("polytope is empty or unbounded")
-                out[i] = sign * res.fun
-        return lo, hi
+        """Componentwise (lo, hi) over the vertices."""
+        V = self._vertices
+        if not len(V) or np.any(np.abs(V) >= BOX * (1.0 - VERTEX_TOL)):
+            raise ValueError("polytope is empty or unbounded")
+        # zeros signed as an LP's min e.x and -min -e.x give them: +0, -0
+        return V.min(axis=0) + 0.0, -(0.0 - V.max(axis=0))
 
     def support(self, direction):
-        """max direction.x over the polytope; np.inf if unbounded."""
-        res = linprog(-np.asarray(direction, dtype=float),
-                      A_ub=self.C, b_ub=self.d,
-                      bounds=[(None, None)] * self.dim, method="highs")
-        if res.status == 3:
-            return np.inf
-        if res.status != 0:
-            return -np.inf
-        return float(-res.fun)
+        """max direction.x over the polytope; inf if unbounded, -inf if empty."""
+        return _support(self._vertices, np.asarray(direction, dtype=float))
 
     def intersect(self, other):
         return Polytope(np.vstack([self.C, other.C]),
@@ -185,30 +186,69 @@ def dedup_rows(C, d, cos_tol=1e-12):
     return np.array(keep_C), np.array(keep_d)
 
 
-def row_redundant(row, offset, C, d, tol=REDUNDANCY_TOL):
-    """True if {C x <= d} already implies row.x <= offset (LP certificate)."""
-    res = linprog(-row, A_ub=C, b_ub=d, bounds=[(None, None)] * C.shape[1],
-                  method="highs")
-    if res.status == 3:  # unbounded above: definitely not redundant
-        return False
-    if res.status != 0:  # infeasible accumulated set: everything is implied
-        return True
-    return -res.fun <= offset + tol
+def rows_redundant(rows, offsets, C, d, tol=REDUNDANCY_TOL):
+    """Which rows[k].x <= offsets[k] {C x <= d} already implies: those whose
+    support, from one enumeration of the set's vertices, is at most
+    offsets[k] + tol (an empty set implies every row)."""
+    V = vertices(C, d)
+    return np.array([_support(V, row) <= off + tol
+                     for row, off in zip(rows, offsets)], dtype=bool)
 
 
 def reduce_rows(C, d, tol=REDUNDANCY_TOL):
-    """Minimal representation: drop rows redundant w.r.t. the others."""
-    C = C.copy()
-    d = d.copy()
-    i = 0
-    while i < C.shape[0]:
-        mask = np.ones(C.shape[0], dtype=bool)
-        mask[i] = False
-        if C[mask].shape[0] and row_redundant(C[i], d[i], C[mask], d[mask], tol):
-            C, d = C[mask], d[mask]
-        else:
-            i += 1
-    return C, d
+    """Minimal representation: drop, in order, each row that the rows still
+    kept imply. One enumeration serves every test: row i reads the subset
+    solutions that satisfy the kept rows but i, which hold the vertices of
+    their set and otherwise only points in it, so the support is the same."""
+    m = C.shape[0]
+    X, ok = _subset_solutions(C, d, BOX)
+    keep = np.ones(ok.shape[1], dtype=bool)
+    for i in range(m):
+        keep[i] = False
+        V = X[ok[:, keep].all(axis=1)]
+        keep[i] = keep[:m].sum() == 0 or _support(V, C[i]) > d[i] + tol
+    return C[keep[:m]], d[keep[:m]]
+
+
+def vertices(C, d, box=BOX):
+    """Vertices of {x | C x <= d, |x_k| <= box}, one row each.
+
+    Every n-subset of the rows (box rows included) is solved in one batched
+    ``np.linalg.solve``: the cost is C(m + 2n, n) n-by-n solves for m rows,
+    which grows like m^n. It is meant for the few-row polytopes of a planar
+    state space. Singular subsets are skipped; a solution is kept when it
+    satisfies every row within VERTEX_TOL, once per regular subset it
+    solves. An empty set has none.
+    """
+    X, ok = _subset_solutions(C, d, box)
+    return X[ok.all(axis=1)]
+
+
+def _subset_solutions(C, d, box):
+    """Solutions X of the regular n-subsets of the boxed rows, and ok[k, j]:
+    X[k] satisfies row j within VERTEX_TOL (box rows last)."""
+    n = C.shape[1]
+    C = np.vstack([C, np.eye(n), -np.eye(n)])
+    d = np.concatenate([d, np.full(2 * n, box)])
+    sub = np.array(list(combinations(range(len(C)), n)), dtype=np.intp)
+    A, b = C[sub], d[sub]
+    regular = np.abs(np.linalg.det(A)) > SINGULAR_TOL
+    X = np.linalg.solve(A[regular], b[regular][..., None])[..., 0]
+    return X, X @ C.T - d <= VERTEX_TOL
+
+
+def _support(V, direction):
+    """max direction.x from the vertices V of a set boxed by BOX: -inf if
+    there are none, inf if every maximiser lies on one face of the box."""
+    if not len(V):
+        return -np.inf
+    vals = V @ direction
+    top = vals.max()
+    arg = V[vals >= top - VERTEX_TOL * max(1.0, abs(top))]
+    edge = BOX * (1.0 - VERTEX_TOL)
+    if np.any(np.all(arg >= edge, axis=0) | np.all(arg <= -edge, axis=0)):
+        return np.inf
+    return float(-(0.0 - top))  # a zero is -0, as -min -direction.x
 
 
 @dataclass(frozen=True)

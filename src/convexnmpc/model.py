@@ -8,11 +8,10 @@ sampling in :func:`validate_assumption1`.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.stats import qmc
 
 from .errors import RegionEmptyError, SchemaError
-from .geometry import MEMBERSHIP_TOL, Polytope
+from .geometry import MEMBERSHIP_TOL, VERTEX_TOL, Polytope, vertices
 
 # Absolute tolerance below which g(x) counts as zero (singular input gain).
 EPS_G = 1e-9
@@ -181,21 +180,19 @@ class PwaField:
         return np.zeros((n, n))
 
     def _facet_points(self, p, row, n_points, seed):
-        """Points on facet {C_row x = d_row} of piece p via random-objective LPs."""
+        """Points on facet {C_row x = d_row} of piece p, within |x| <= 100:
+        the minimising vertex of the facet for each of max(2, n_points // 8)
+        random objectives (none for an empty facet), then random convex
+        combinations of those."""
         region = self.pieces[p][0]
+        V = vertices(region.C, region.d, box=100.0)
+        V = V[V @ region.C[row] >= region.d[row] - VERTEX_TOL]
         rng = np.random.default_rng(seed)
-        pts = []
-        for _ in range(max(2, n_points // 8)):
-            obj = rng.standard_normal(self.dim)
-            # artificial box keeps facet LPs of unbounded pieces bounded
-            res = linprog(obj, A_ub=region.C, b_ub=region.d,
-                          A_eq=region.C[row:row + 1], b_eq=region.d[row:row + 1],
-                          bounds=[(-100.0, 100.0)] * self.dim, method="highs")
-            if res.status == 0:
-                pts.append(res.x)
-        if len(pts) < 2:
-            return np.array(pts)
-        pts = np.array(pts)
+        objs = [rng.standard_normal(self.dim)
+                for _ in range(max(2, n_points // 8))]
+        if not len(V):
+            return np.array([])
+        pts = V[[np.argmin(V @ obj) for obj in objs]]
         # fill with random convex combinations for interior facet coverage
         lam = rng.random((n_points, pts.shape[0]))
         lam /= lam.sum(axis=1, keepdims=True)

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import (NoConvergenceError, NoFiniteDeterminationError,
                      NoPositiveLevelError, PreconditionError)
 from .geometry import (Ellipsoid, Polytope, dedup_rows, reduce_rows,
-                       row_redundant, unit_directions)
+                       rows_redundant, unit_directions)
 
 DARE_TOL = 1e-12
 DARE_MAX_ITER = 100_000
@@ -106,7 +106,8 @@ def maximal_admissible_set(A_cl, kappa, z1, max_power=500):
 
     Standard constraint-accumulation iteration: propagate the stage rows
     through powers of the closed loop until every next-power row is already
-    implied (LP redundancy test on normalized rows).
+    implied (the row's support over the accumulated set's vertices,
+    enumerated once per power).
     """
     Hz, dz = _stage_rows_under_gain(z1, kappa)
     acc_C, acc_d = dedup_rows(Hz.copy(), dz.copy())
@@ -117,19 +118,15 @@ def maximal_admissible_set(A_cl, kappa, z1, max_power=500):
         keep = norms > 1e-14
         cand = cand[keep] / norms[keep, None]
         cand_d = dz[keep] / norms[keep]
-        fresh_C, fresh_d = [], []
-        for row, off in zip(cand, cand_d):
-            dup = np.any((acc_C @ row > 1 - 1e-12) & (acc_d <= off + 1e-15))
-            if dup:
-                continue
-            if not row_redundant(row, off, acc_C, acc_d):
-                fresh_C.append(row)
-                fresh_d.append(off)
-        if not fresh_C:
+        new = ~np.array([np.any((acc_C @ row > 1 - 1e-12)
+                                & (acc_d <= off + 1e-15))
+                         for row, off in zip(cand, cand_d)], dtype=bool)
+        new[new] = ~rows_redundant(cand[new], cand_d[new], acc_C, acc_d)
+        if not new.any():
             C, d = reduce_rows(acc_C, acc_d)
             return Polytope(C, d)
-        acc_C = np.vstack([acc_C, fresh_C])
-        acc_d = np.concatenate([acc_d, fresh_d])
+        acc_C = np.vstack([acc_C, cand[new]])
+        acc_d = np.concatenate([acc_d, cand_d[new]])
         Ak = Ak @ A_cl
     raise NoFiniteDeterminationError(
         f"admissible-set iteration open after {max_power} powers",

@@ -127,7 +127,7 @@ class TestScalarFields:
     def test_pwa_continuity_scan_equals_row_by_row(self):
         # four pieces cut from a box by two oblique lines, with generic,
         # mutually inconsistent slopes; the last row of the first piece has
-        # an empty facet (x1 = 5 on x1 <= 3), whose LPs yield no point
+        # an empty facet (x1 = 5 on x1 <= 3), which yields no point
         box = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
         pieces = []
         for k, (s1, s2) in enumerate([(1, 1), (-1, 1), (-1, -1), (1, -1)]):

@@ -4,7 +4,7 @@ Run from the root of a checkout (a minute or two on one core):
 
     python3 tools/solver_digest.py
 
-Prints sha256[:16] over one float-hex line per result for seven sets:
+Prints sha256[:16] over one float-hex line per result for eight sets:
 
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
@@ -24,7 +24,12 @@ Prints sha256[:16] over one float-hex line per result for seven sets:
             ex3 N=6 prunes (prune_catalog itself, screen and warm starts
             included);
 - stagesets: every stage set of ex1, ex2 and ex3: its sign, kind, every
-            field of every constraint oracle, lifted_C and lifted_d.
+            field of every constraint oracle, lifted_C and lifted_d;
+- geometry: for ex1, ex2 and ex3, every region's bounding box and PWA
+            overlap list, the facet points of the load-time continuity
+            check (seed 7) and of check_continuity(100, 5), and the
+            terminal's polytope rows or ellipsoid level. A zero facet
+            coordinate is hashed as +0: its sign is the solver's choice.
 
 Two checkouts whose digests agree assemble, solve and decide bit for bit
 alike.
@@ -49,10 +54,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from convexnmpc.cli import RunConfig, build_pipeline  # noqa: E402
 from convexnmpc.closedloop import evaluate_ocp, simulate  # noqa: E402
 from convexnmpc.errors import InfeasibleStateError  # noqa: E402
+from convexnmpc.geometry import Polytope  # noqa: E402
+from convexnmpc.model import PwaField  # noqa: E402
 from convexnmpc.scenario import (  # noqa: E402
     FeasibleCatalog, filter_for_state, prune_catalog)
 from convexnmpc.solver import (assemble, solve, solve_feasibility,  # noqa: E402
                                solve_many)
+from convexnmpc.stagesets import _overlapping_pieces  # noqa: E402
 
 DATA = ROOT / "perfbench" / "data"
 SYSTEMS = ROOT / "src" / "convexnmpc" / "data"
@@ -186,6 +194,27 @@ def stageset_digest():
     return out
 
 
+def geometry_digest():
+    out = Digest()
+    for system in ("ex1", "ex2", "ex3"):
+        pipe = pipeline(system)
+        g = pipe.spec.g
+        for k, (region, _) in enumerate(pipe.spec.regions, start=1):
+            out.add(system, k, *region.bounding_box())
+            if isinstance(g, PwaField):
+                out.add(system, k, _overlapping_pieces(g.pieces, region))
+        for p, (piece, _, _) in enumerate(getattr(g, "pieces", ())):
+            for row in range(piece.n_rows):
+                for n_points, seed in ((8, 7), (100, 5)):
+                    pts = g._facet_points(p, row, n_points,
+                                          seed + 31 * p + row)
+                    out.add(system, p, row, n_points, pts + 0.0)
+        tset = pipe.terminal.tset
+        out.add(system, *((tset.C, tset.d) if isinstance(tset, Polytope)
+                          else (tset.level,)))
+    return out
+
+
 def main():
     print(f"probes    {probe_digest()}", flush=True)
     programs, solves, batched = pool_digests()
@@ -195,6 +224,7 @@ def main():
     print(f"batched   {batched}")
     print(f"prune     {prune_digest()}")
     print(f"stagesets {stageset_digest()}")
+    print(f"geometry  {geometry_digest()}")
 
 
 if __name__ == "__main__":
