@@ -4,12 +4,12 @@ and state-space grids for plotting.
 The simulator always propagates the true nonlinear plant; the linear
 prediction model lives only inside the optimal control problems. Ties
 between equally optimal scenarios are broken toward the smallest index so
-results are independent of solve order. A candidate whose one-step bound
-(solver.Screen) exceeds the feasibility tolerance is Infeasible and is
-screened instead of solved.
+results are independent of solve order. A candidate whose head bound
+(solver.Screen.heads: the one-step bound, then phase I on the heads it
+shares with other candidates) exceeds the feasibility tolerance is
+Infeasible and is screened instead of solved.
 """
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -38,6 +38,7 @@ class MpcStepResult:
     n_screened: int = 0
     n_newton: int = 0  # Newton steps summed over the solved candidates
     n_rounds: int = 0  # lockstep rounds of their batch (solver.solve_many)
+    n_head_newton: int = 0  # Newton steps of the head tests (Screen.heads)
 
 
 def _fmt(x):
@@ -114,22 +115,25 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     """Solve every candidate scenario at state x and pick the best.
 
     Candidates are the catalog scenarios whose first region contains x;
-    one whose one-step bound (one per distinct first two steps) exceeds
-    cfg.feas_tol is Screened, not solved; the others are solved together,
-    in one solve_many batch. The reported input is recovered
-    through the linearizing feedback, falling back to u = 0 where the input
-    gain vanishes. Only Optimal candidates compete (see applied_candidate);
-    IterLimit and Stalled ones are undecided. n_undecided and n_screened
-    are also in the details of InfeasibleStateError; n_newton and n_rounds
-    show how full the batch's lockstep rounds were (a candidate alone in its
-    program shape takes its steps outside the rounds).
+    one whose head bound (solver.Screen.heads: the one-step bound per
+    distinct first two steps, then one phase I per head that two or more
+    candidates share) exceeds cfg.feas_tol is Screened, not solved; the
+    others are solved together, in one solve_many batch. The reported input
+    is recovered through the linearizing feedback, falling back to u = 0
+    where the input gain vanishes. Only Optimal candidates compete (see
+    applied_candidate); IterLimit and Stalled ones are undecided.
+    n_undecided, n_screened and n_head_newton (the head tests' Newton
+    steps) are also in the details of InfeasibleStateError, with
+    per_scenario when kept; n_newton and n_rounds show how full the batch's
+    lockstep rounds were (a candidate alone in its program shape takes its
+    steps outside the rounds).
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
     candidates = filter_for_state(catalog, spec, x)
-    screen = infeasibility_screen(lin, zsets)
-    bound = cache(lambda head: screen.one_step(x, *head))
-    screened = [bound(sc.coeffs[:2]) > cfg.feas_tol for sc in candidates]
+    bounds, n_head_newton = infeasibility_screen(lin, zsets).heads(
+        x, [sc.coeffs for sc in candidates], terminal, Q, rho, cfg)
+    screened = [low > cfg.feas_tol for low in bounds]
     solved, n_rounds = solve_many(
         [assemble(sc, x, spec, lin, zsets, terminal, Q, rho)
          for sc, out in zip(candidates, screened) if not out], cfg)
@@ -138,23 +142,24 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     statuses = ["Screened" if sol is None else sol.status for sol in sols]
     n_undecided = sum(status in UNDECIDED for status in statuses)
     n_screened = statuses.count("Screened")
+    per = ([(c.j, status, np.nan if s is None else s.V)
+            for c, status, s in zip(candidates, statuses, sols)]
+           if keep_per_scenario else None)
     best = applied_candidate(sols)
     if best is None:
         raise InfeasibleStateError(
             "no candidate scenario is feasible at the query state",
             details_x=x.tolist(), n_undecided=n_undecided,
-            n_screened=n_screened)
+            n_screened=n_screened, n_head_newton=n_head_newton,
+            per_scenario=per)
     sc, sol = candidates[best], sols[best]
-    per = ([(c.j, status, np.nan if s is None else s.V)
-            for c, status, s in zip(candidates, statuses, sols)]
-           if keep_per_scenario else None)
     v0 = float(sol.v_seq[0])
     return MpcStepResult(u=u_of_v(lin, spec, x, v0), v=v0, j_star=sc.j,
                          V=sol.V, n_scenarios_solved=len(sols) - n_screened,
                          per_scenario=per, n_undecided=n_undecided,
                          n_screened=n_screened,
                          n_newton=sum(s.n_newton for s in solved),
-                         n_rounds=n_rounds)
+                         n_rounds=n_rounds, n_head_newton=n_head_newton)
 
 
 def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho, cfg=None):

@@ -6,6 +6,7 @@ scalar input gain g must be sign-consistent and correspondingly concave
 sampling in :func:`validate_assumption1`.
 """
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import qmc
@@ -179,13 +180,26 @@ class PwaField:
         n = self.dim
         return np.zeros((n, n))
 
+    @cached_property
+    def _boxed_vertices(self):
+        """Each piece's vertices within |x| <= 100, enumerated once."""
+        return [vertices(region.C, region.d, box=100.0)
+                for region, _, _ in self.pieces]
+
+    @cached_property
+    def _stacked_rows(self):
+        """All pieces' rows (C, d) stacked, and each piece's first row."""
+        return (np.vstack([region.C for region, _, _ in self.pieces]),
+                np.concatenate([region.d for region, _, _ in self.pieces]),
+                np.cumsum([0] + [region.n_rows
+                                 for region, _, _ in self.pieces[:-1]]))
+
     def _facet_points(self, p, row, n_points, seed):
         """Points on facet {C_row x = d_row} of piece p, within |x| <= 100:
         the minimising vertex of the facet for each of max(2, n_points // 8)
         random objectives (none for an empty facet), then random convex
         combinations of those."""
-        region = self.pieces[p][0]
-        V = vertices(region.C, region.d, box=100.0)
+        region, V = self.pieces[p][0], self._boxed_vertices[p]
         V = V[V @ region.C[row] >= region.d[row] - VERTEX_TOL]
         rng = np.random.default_rng(seed)
         objs = [rng.standard_normal(self.dim)
@@ -201,13 +215,15 @@ class PwaField:
     def check_continuity(self, n_points=100, seed=0, tol=1e-9):
         """Return mismatch witnesses across shared facets (empty if continuous)."""
         bad = []
+        rows, offsets, starts = self._stacked_rows
         for p, (region, _, _) in enumerate(self.pieces):
             for row in range(region.n_rows):
                 pts = self._facet_points(p, row, n_points, seed + 31 * p + row)
                 if not len(pts):
                     continue
-                inside = np.array([reg.contains_batch(pts, tol=1e-9)
-                                   for reg, _, _ in self.pieces])
+                # every piece's membership from one product
+                inside = np.maximum.reduceat(rows @ pts.T - offsets[:, None],
+                                             starts, axis=0) <= 1e-9
                 vals = np.array([pts @ w + d for _, w, d in self.pieces])
                 gap = (np.where(inside, vals, -np.inf).max(axis=0)
                        - np.where(inside, vals, np.inf).min(axis=0))

@@ -986,7 +986,7 @@ def _newton_solve(Hm, g):
     return -V @ ((V.T @ g) / w)
 
 
-def _barrier_stage(work, member, z, point, mu, inner_tol, stop=False):
+def _barrier_stage(work, member, z, point, mu, inner_tol, stop=-np.inf):
     """Newton iterations at fixed barrier weight mu on a stack member, until
     the Newton decrement falls to 2 inner_tol (a generator of requests).
 
@@ -996,8 +996,8 @@ def _barrier_stage(work, member, z, point, mu, inner_tol, stop=False):
     backtracking line search's accepted trial, whose point row and barrier
     value become the next iterate's. Returns the iterate, its point row
     and how the stage ended: "centered", "stalled" (80 backtracks, no
-    Armijo step) or "stopped": with stop, phase I ends the stage as soon as
-    strict feasibility shows (t < -STRICT_MARGIN).
+    Armijo step) or "stopped": phase I ends the stage as soon as its t
+    falls below stop.
     """
     stack, row = member
     base = None  # the barrier value at z, once known at this mu
@@ -1022,7 +1022,7 @@ def _barrier_stage(work, member, z, point, mu, inner_tol, stop=False):
         z, point, base = found
         if base == np.inf:  # an OUTSIDE row holds nothing else
             point = None
-        if stop and z[-1] < -STRICT_MARGIN:
+        if z[-1] < stop:
             return z, point, "stopped"
 
 
@@ -1072,24 +1072,36 @@ def _kkt_residual(prog, z, mu_last, relax, cfg):
     return max(stationarity, gap, violation)
 
 
-def _phase1(batch, i, cfg, work):
+def _phase1(batch, i, cfg, work, head=False):
     """Phase I of program i of the batch (a generator of requests): see
-    phase1."""
+    phase1. Returns (z, t, low), low the central-path bound t_mu - m*mu on
+    t* at the last stage run (-inf when it ends as feasible).
+
+    The phase I of a head (Screen.heads) only decides whether its bound
+    can exceed feas_tol, so it ends as feasible once its start or its t is
+    below feas_tol, and it starts at the first barrier weight whose gap
+    m*mu is no larger than the start's violation.
+    """
     prog = batch.progs[i]
     z = prog.z0_hint.copy()
     viol0 = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
-    if viol0 < -HINT_MARGIN:
-        return z, viol0
+    hint, stop = ((cfg.feas_tol, cfg.feas_tol) if head
+                  else (-HINT_MARGIN, -STRICT_MARGIN))
+    if viol0 < hint:
+        return z, viol0, -np.inf
     t0 = viol0 + 1.0
 
     member = batch.member(i, aug=True)
     zt, point = np.concatenate([z, [t0]]), None
     done = False
     m = max(prog.n_constraints, 1)
-    for mu in _mu_schedule(prog.n_constraints):
+    schedule = _mu_schedule(prog.n_constraints)
+    if head:
+        schedule = [mu for mu in schedule if mu * m <= viol0] or schedule[-1:]
+    for mu in schedule:
         zt, point, how = yield from _barrier_stage(work, member, zt, point,
-                                                   mu, STAGE_TOL, stop=True)
-        if zt[-1] < -STRICT_MARGIN:
+                                                   mu, STAGE_TOL, stop)
+        if zt[-1] < stop:
             done = True
             break
         if how == "stalled":
@@ -1099,7 +1111,9 @@ def _phase1(batch, i, cfg, work):
             break
     z = zt[:-1]
     t_true = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
-    return z, min(t_true, float(zt[-1])) if done else t_true
+    if done:
+        return z, min(t_true, float(zt[-1])), -np.inf
+    return z, t_true, float(zt[-1]) - mu * m
 
 
 def phase1(prog, cfg):
@@ -1110,8 +1124,8 @@ def phase1(prog, cfg):
     the first strictly negative slack seen. A stalled stage raises
     _Undecided("Stalled").
     """
-    (out,), _ = _drive([_phase1(_Batch([prog]), 0, cfg, _Work(cfg))])
-    return out
+    ((z, t, _),), _ = _drive([_phase1(_Batch([prog]), 0, cfg, _Work(cfg))])
+    return z, t
 
 
 def solve_feasibility(prog, cfg=SolverConfig(), start=None):
@@ -1169,7 +1183,7 @@ def _solve(batch, i, cfg):
     if prog.pre_violation > cfg.feas_tol:
         return finish("Infeasible", p1=prog.pre_violation)
     try:
-        z, t_star = yield from _phase1(batch, i, cfg, work)
+        z, t_star, _ = yield from _phase1(batch, i, cfg, work)
     except _Undecided as exc:
         return finish(exc.args[0])
     if t_star > cfg.feas_tol:
@@ -1228,14 +1242,38 @@ WITNESS_GRID = np.arange(1, 8) / 8.0  # interior points of a v0 interval
 
 
 def _lowest_max(a, c):
-    """min over v of max_k (a_k v + c_k): the largest constant line, or
-    the largest crossing of an increasing and a decreasing line."""
+    """min over v of max_k (a_k v + c_k), and a v attaining it: the largest
+    constant line, or the largest crossing of an increasing and a
+    decreasing line. That crossing's abscissa minimises the max of the
+    sloped lines, so of all lines too (v = 0 without a crossing)."""
     up, down = a > 0, a < 0
-    best = float(np.max(c[~(up | down)], initial=-np.inf))
+    best, v = float(np.max(c[~(up | down)], initial=-np.inf)), 0.0
     if up.any() and down.any():
         ap, cp, aq, cq = a[up, None], c[up, None], a[down], c[down]
-        best = max(best, float(np.max((ap * cq - aq * cp) / (ap - aq))))
-    return best
+        cross = (ap * cq - aq * cp) / (ap - aq)
+        p, q = np.unravel_index(np.argmax(cross), cross.shape)
+        best = max(best, float(cross[p, q]))
+        v = float((cq[q] - cp[p, 0]) / (ap[p, 0] - aq[q]))
+    return best, v
+
+
+def _head_con(con, k):
+    """A nonlinear constraint of a fixed-x0 program on its first k inputs,
+    the columns its stage block can depend on."""
+    if isinstance(con, RidgeCon):
+        return replace(con, X=con.X[:, :k], lin=con.lin[:k])
+    return QuadCon(con.H[:k, :k], con.w[:k], con.c0)
+
+
+def _head_phase1(batch, i, cfg):
+    """Phase I of head program i of the batch (a generator of requests):
+    (z, low, Newton steps), z and low None when it is undecided."""
+    work = _Work(cfg)
+    try:
+        z, _, low = yield from _phase1(batch, i, cfg, work, head=True)
+    except _Undecided:
+        z = low = None
+    return z, low, work.steps
 
 
 class Screen:
@@ -1244,8 +1282,10 @@ class Screen:
     Phase I relaxes every constraint by the same t, so the min-max over any
     subset of a program's constraints, in its own units, bounds its t* from
     below: above feas_tol, the program is Infeasible with no Newton step.
-    It also extends a strictly feasible point of a free-x0 program by one
-    step, as the start of the probe one level up (extend).
+    Offline the subset is a free-x0 program's first transition (transition),
+    online a fixed-x0 program's head (heads). It also extends a strictly
+    feasible point of a free-x0 program by one step, as the start of the
+    probe one level up (extend).
     """
 
     def __init__(self, lin, zsets):
@@ -1309,14 +1349,100 @@ class Screen:
         e2 first, from its constraints that depend on v0 alone, as lines
         a v0 + c: stage set e1's at (x, v0), its region rows included, and
         region e2's rows at A_hat x + b_hat v0. Their lowest max, less a
-        rounding allowance."""
+        rounding allowance, and a v0 where it is attained."""
         a, c = [self.slopes[e1 - 1]], [self.zsets[e1 - 1].all_values(x, 0.0)]
         if e2 is not None:
             CA, d, Cb = self.next_rows[e2 - 1]
             a.append(Cb)
             c.append(CA @ x - d)
         a, c = np.concatenate(a), np.concatenate(c)
-        return _lowest_max(a, c) - 1e-9 * (1.0 + np.abs(c).max())
+        low, v0 = _lowest_max(a, c)
+        return low - 1e-9 * (1.0 + np.abs(c).max()), v0
+
+    def heads(self, x, seqs, terminal, Q, rho, cfg):
+        """Bounds for the fixed-x0 programs at state x of the coefficient
+        sequences seqs (one horizon), walking their heads: a depth-k head
+        is the program of a sequence's first k stage blocks, with no
+        terminal, on v_0..v_{k-1}, and its t* bounds every program under it.
+        Returns (bounds, Newton steps of the head tests); a bound above
+        cfg.feas_tol screens its program. No program is changed.
+
+        Depth 1 is one_step per distinct first two stage sets, exact here,
+        and its v0 is the point of that head. At depth k = 2, 3, .. each
+        convex head that two or more programs share, and whose parent head
+        (one depth up) has a point, starts from that point extended by the
+        v_{k-1} with the lowest max of stage set e_k's lines at x_{k-1}
+        (one_step's lines one step on). The heads of one depth run phase I
+        together, in one lockstep drive; a start whose worst row is below
+        feas_tol is the head's point with no Newton step, as no bound can
+        exceed feas_tol then. A head whose central-path bound exceeds
+        feas_tol screens its programs; one that phase I leaves undecided
+        screens nothing and ends its walk; any other keeps phase I's point.
+        """
+        if not seqs:
+            return [], 0
+        bounds, n_newton = [-np.inf] * len(seqs), 0
+        points = {}  # walked head -> its point (v_0..v_{k-1})
+        for head, members in _groups(seqs, range(len(seqs)), 2).items():
+            low, v0 = self.one_step(x, *head)
+            if low > cfg.feas_tol:
+                for i in members:
+                    bounds[i] = low
+            else:
+                points[head] = np.array([v0])
+        if len(seqs) < 2:  # no head to share
+            return bounds, n_newton
+        N = len(seqs[0])
+        st = _horizon(self.lin, self.zsets, terminal,
+                      np.atleast_2d(np.asarray(Q, dtype=float)), float(rho),
+                      N, False).at(x)
+        for k in range(2, N):
+            up = max(k - 1, 2)  # depth 1 is keyed by two stage sets
+            walked = [i for i, seq in enumerate(seqs) if seq[:up] in points]
+            tested = [(head, members,
+                       self._head_program(st, head, points[head[:up]]))
+                      for head, members in _groups(seqs, walked, k).items()
+                      if len(members) > 1]
+            tested = [test for test in tested if test[2] is not None]
+            batch = _Batch([prog for _, _, prog in tested])
+            results, _ = _drive([_head_phase1(batch, i, cfg)
+                                 for i in range(len(tested))])
+            points = {}
+            for (head, members, _), (z, low, steps) in zip(tested, results):
+                n_newton += steps
+                if low is not None and low > cfg.feas_tol:
+                    for i in members:
+                        bounds[i] = low
+                elif z is not None:
+                    points[head] = z
+            if not points:
+                break
+        return bounds, n_newton
+
+    def _head_program(self, st, head, parent):
+        """Phase-I program of a depth-k head at the state of offsets st,
+        started from the parent head's point extended by one step; None
+        for nonconvex data."""
+        k = len(head)
+        steps = [st.step(e - 1, j) for j, e in enumerate(head)]
+        if any(blk.nonconvex for blk, _, _ in steps):
+            return None
+        Sx, ox = st.ops.state_rows(k - 1)
+        e = head[-1]
+        _, v = _lowest_max(self.slopes[e - 1], self.zsets[e - 1].all_values(
+            Sx[:, :k - 1] @ parent + ox, 0.0))
+        A_mat = np.vstack([blk.rows[:, :k] for blk, _, _ in steps])
+        b_vec = np.concatenate([offs for _, offs, _ in steps])
+        # rows without a decision variable (the first region's) hold at x
+        keep = np.max(np.abs(A_mat), axis=1) >= 1e-13
+        return ConvexProgram(
+            n_vars=k, H=np.zeros((k, k)), f=np.zeros(k), c0=0.0,
+            A_mat=A_mat[keep], b_vec=b_vec[keep],
+            nonlin=tuple(_head_con(con, k) for _, _, cons in steps
+                         for con in cons),
+            prog_class="", coeffs=head, scenario_j=0, ops=st.ops,
+            pre_violation=-np.inf, z0_hint=np.append(parent, v),
+            nonconvex_data=False)
 
     def extend(self, i, witness):
         """A start for the free-x0 program of (i,) + tail from a witness
@@ -1343,6 +1469,14 @@ class Screen:
             + [Z @ zs.lifted_C.T - zs.lifted_d]), axis=1)
         k = int(np.argmin(worst))
         return np.concatenate([v[k:k + 1], witness[:-n], Z[k, :n]])
+
+
+def _groups(seqs, indices, k):
+    """The indices by their sequence's first k coefficients, in order."""
+    out = {}
+    for i in indices:
+        out.setdefault(seqs[i][:k], []).append(i)
+    return out
 
 
 def infeasibility_screen(lin, zsets):

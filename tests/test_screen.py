@@ -2,10 +2,11 @@
 
 A screen rejects a candidate scenario by a certified lower bound on its
 phase-I value t*, taken from a subset of its constraints. Offline the
-subset is the first transition (i, j) of a free-x0 probe, online the
-constraints that depend on v0 alone at the query state. Everything a
-screen rejects must be Infeasible, and pruning and evaluation must come out
-exactly as without the screen.
+subset is the first transition (i, j) of a free-x0 probe, online a head of
+the program at the query state: first the constraints that depend on v0
+alone, then the first k stage blocks that several candidates share.
+Everything a screen rejects must be Infeasible, and pruning and evaluation
+must come out exactly as without the screen.
 """
 import numpy as np
 import pytest
@@ -59,8 +60,10 @@ def _without_transition_screen(monkeypatch):
 
 
 def _without_one_step_screen(monkeypatch):
-    monkeypatch.setattr(solver_module.Screen, "one_step",
-                        lambda self, x, e1, e2=None: -np.inf)
+    # the one-step bound is the head walk's first depth: both go
+    monkeypatch.setattr(solver_module.Screen, "heads",
+                        lambda self, x, seqs, *args: ([-np.inf] * len(seqs),
+                                                      0))
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +142,15 @@ def test_one_step_closed_form_matches_linprog(pruned, name):
                           A_ub=np.column_stack([a, -np.ones_like(a)]),
                           b_ub=-c, bounds=[(None, None)] * 2)
             assert res.status == 0
-            assert abs(solver_module._lowest_max(a, c) - res.fun) <= 1e-9
+            low, v = solver_module._lowest_max(a, c)
+            assert abs(low - res.fun) <= 1e-9
+            assert abs(np.max(a * v + c) - res.fun) <= 1e-9
             # the bound sits below the min-max by its rounding allowance
             allowance = 1e-9 * (1.0 + np.abs(c).max())
-            assert abs(screen.one_step(x, *head) + allowance
-                       - res.fun) <= 1e-9
+            bound, v0 = screen.one_step(x, *head)
+            assert abs(bound + allowance - res.fun) <= 1e-9
+            # and its v0 attains the min-max
+            assert np.max(a * v0 + c) - res.fun <= 1e-9
             checked += 1
     assert checked > 20
 
@@ -155,7 +162,7 @@ def test_one_step_screened_candidates_are_infeasible(pruned, name):
     n_screened = 0
     for x in GRID:
         for sc in cn.filter_for_state(catalog, data["spec"], x):
-            bound = screen.one_step(x, *sc.coeffs[:2])
+            bound, _ = screen.one_step(x, *sc.coeffs[:2])
             if bound <= FEAS_TOL:
                 continue
             n_screened += 1
@@ -174,12 +181,16 @@ def _decisions(data, catalog):
             step = cn.evaluate_ocp(x, *_pipeline_args(data, catalog),
                                    keep_per_scenario=True)
         except cn.InfeasibleStateError as exc:
-            out.append(("infeasible", exc.details["n_screened"]))
+            statuses = [status for _, status, _ in exc.details["per_scenario"]]
+            assert exc.details["n_screened"] == statuses.count("Screened")
+            out.append(("infeasible", exc.details["n_screened"],
+                        exc.details["n_head_newton"]))
             continue
         statuses = [status for _, status, _ in step.per_scenario]
         assert step.n_screened == statuses.count("Screened")
         assert step.n_scenarios_solved + step.n_screened == len(statuses)
-        out.append((step.j_star, step.u, step.V, step.n_screened))
+        out.append((step.j_star, step.u, step.V, step.n_screened,
+                    step.n_head_newton))
     return out
 
 
@@ -189,9 +200,77 @@ def test_evaluate_equals_unscreened_evaluate(pruned, monkeypatch, name):
     screened = _decisions(data, catalog)
     _without_one_step_screen(monkeypatch)
     plain = _decisions(data, catalog)
-    assert [d[:-1] for d in screened] == [d[:-1] for d in plain]
+    assert [d[:-2] for d in screened] == [d[:-2] for d in plain]
+    assert sum(d[-2] for d in screened) > 0
+    assert sum(d[-2] for d in plain) == 0
+    assert sum(d[-1] for d in plain) == 0
+
+
+# ---------------------------------------------------------------------------
+# online: head bounds
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def deep(request):
+    """The packaged systems with N=6 catalogs: deep enough for heads of
+    three steps and more."""
+    out = {}
+    for name in SYSTEMS:
+        data = request.getfixturevalue(name)
+        out[name] = (data, _prune(data, 6))
+    return out
+
+
+@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
+def test_head_screened_candidates_are_infeasible(deep, name):
+    data, catalog = deep[name]
+    screen = _screen(data)
+    n_heads, n_newton = 0, 0
+    for x in GRID:
+        cands = cn.filter_for_state(catalog, data["spec"], x)
+        bounds, steps = screen.heads(x, [sc.coeffs for sc in cands],
+                                     data["terminal"], data["Q"],
+                                     data["rho"], cn.SolverConfig())
+        n_newton += steps
+        for sc, bound in zip(cands, bounds):
+            if (bound <= FEAS_TOL
+                    or screen.one_step(x, *sc.coeffs[:2])[0] > FEAS_TOL):
+                continue  # kept, or screened by its one-step bound
+            n_heads += 1
+            sol = cn.solve(cn.assemble(sc, x, data["spec"], data["lin"],
+                                       data["zsets"], data["terminal"],
+                                       data["Q"], data["rho"]))
+            assert sol.status in ("Infeasible", "IterLimit", "Stalled")
+            if sol.status == "Infeasible":
+                assert sol.phase1_violation >= bound
+    assert n_heads > 0 and n_newton > 0
+
+
+@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
+def test_head_walk_keeps_decisions(deep, monkeypatch, name):
+    data, catalog = deep[name]
+    screened = _decisions(data, catalog)
+    _without_one_step_screen(monkeypatch)
+    plain = _decisions(data, catalog)
+    assert [d[:-2] for d in screened] == [d[:-2] for d in plain]
+    # the head tests take Newton steps of their own, counted apart
     assert sum(d[-1] for d in screened) > 0
     assert sum(d[-1] for d in plain) == 0
+
+
+def test_heads_of_nonconvex_data_take_no_newton_step(ex1):
+    catalog = _prune(ex1, 5)
+    screen = _screen(ex1)
+    for x in GRID:
+        seqs = [sc.coeffs
+                for sc in cn.filter_for_state(catalog, ex1["spec"], x)]
+        bounds, steps = screen.heads(x, seqs, ex1["terminal"], ex1["Q"],
+                                     ex1["rho"], cn.SolverConfig())
+        # only the one-step bounds screen
+        one_step = [screen.one_step(x, *seq[:2])[0] for seq in seqs]
+        assert steps == 0
+        assert bounds == [low if low > FEAS_TOL else -np.inf
+                          for low in one_step]
 
 
 # ---------------------------------------------------------------------------

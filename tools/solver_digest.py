@@ -4,7 +4,7 @@ Run from the root of a checkout (a minute or two on one core):
 
     python3 tools/solver_digest.py
 
-Prints sha256[:16] over one float-hex line per result for eight sets:
+Prints sha256[:16] over one float-hex line per result for nine sets:
 
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
@@ -20,6 +20,10 @@ Prints sha256[:16] over one float-hex line per result for eight sets:
 - batched:  the solves lines again, from one solve_many call per pool
             state over that state's programs; equal to solves when a batch
             does each program's arithmetic exactly;
+- screens:  (j, status) of every candidate of evaluate_ocp at every pool
+            state, kept per scenario (from the error's details at a state
+            with no Optimal candidate): which candidates the online screens
+            leave to the solver;
 - prune:    the sorted levels and meta["screened"] of fresh ex2 N=15 and
             ex3 N=6 prunes (prune_catalog itself, screen and warm starts
             included);
@@ -174,6 +178,29 @@ def decision_digest():
     return out
 
 
+def screen_digest():
+    pools = json.loads((DATA / "reference.json").read_text())["pools"]
+    out = Digest()
+    for system, pool in (("ex2", "loop-ex2"), ("ex3", "query-ex3")):
+        pipe = pipeline(system)
+        catalog = FeasibleCatalog.load(DATA / f"{system}_N15_catalog.json")
+        args = (catalog, pipe.spec, pipe.lin, pipe.zsets, pipe.terminal,
+                pipe.Q, pipe.rho)
+        for entry in pools[pool]:
+            x = np.array(entry["x0"], dtype=float)
+            try:
+                per = evaluate_ocp(x, *args, cfg=pipe.solver_cfg,
+                                   keep_per_scenario=True).per_scenario
+            except InfeasibleStateError as exc:
+                # without per_scenario in the details, the screened count
+                per = exc.details.get("per_scenario")
+                if per is None:
+                    out.add("infeasible", exc.details["n_screened"])
+                    continue
+            out.add(*[(j, status) for j, status, _ in per])
+    return out
+
+
 def prune_digest():
     out = Digest()
     for system, N in (("ex2", HORIZON), ("ex3", 6)):
@@ -222,6 +249,7 @@ def main():
     print(f"solves    {solves}", flush=True)
     print(f"decisions {decision_digest()}")
     print(f"batched   {batched}")
+    print(f"screens   {screen_digest()}")
     print(f"prune     {prune_digest()}")
     print(f"stagesets {stageset_digest()}")
     print(f"geometry  {geometry_digest()}")
