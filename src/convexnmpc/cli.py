@@ -14,7 +14,8 @@ from importlib import resources
 
 import numpy as np
 
-from .closedloop import UNDECIDED, applied_candidate, sample_grid, simulate
+from .closedloop import (UNDECIDED, _fmt, applied_candidate, sample_grid,
+                         simulate)
 from .errors import (CatalogMismatchError, InfeasibleStateError,
                      SchemaError, ToolkitError)
 from .linearize import build_linearization, compute_output_vector, u_of_v
@@ -26,10 +27,6 @@ from .stagesets import build_stage_sets
 from .terminal import build_terminal, verify_terminal_axioms
 
 PAPER_DEFS = {"b0": 0.1, "c": (5.0, -1.0), "q_diag": 0.05, "horizon": 15}
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _parse_vec(text, flag, n=None):
@@ -59,15 +56,15 @@ class RunConfig:
     """Everything a pipeline run needs, mirroring the common CLI flags."""
 
     system: str
-    horizon: int = 15
-    q_diag: float = 0.05
+    horizon: int = PAPER_DEFS["horizon"]
+    q_diag: float = PAPER_DEFS["q_diag"]
     rho: float = None          # None: 0.1 b0^2 / beta^2
-    b0: float = 0.1
+    b0: float = PAPER_DEFS["b0"]
     c: np.ndarray = None       # None: solve for beta_target
     beta_target: float = 1.0
     a: np.ndarray = None       # None: characteristic polynomial
-    feas_tol: float = 1e-7
-    kkt_tol: float = 1e-8
+    feas_tol: float = SolverConfig.feas_tol
+    kkt_tol: float = SolverConfig.kkt_tol
     terminal_kind: str = "auto"
     catalog: str = None
     out: str = None
@@ -94,7 +91,7 @@ def config_from_args(args):
             raise SchemaError(f"NMPC_THREADS must be an integer: {text!r}")
     return RunConfig(
         system=args.system,
-        horizon=getattr(args, "horizon", 15),
+        horizon=getattr(args, "horizon", RunConfig.horizon),
         q_diag=args.q,
         rho=args.rho,
         b0=args.b0,
@@ -368,7 +365,6 @@ def cmd_repro(args):
     name = args.example
     system = args.system or _packaged_system(name)
     cfg = RunConfig(system=system, horizon=args.horizon,
-                    q_diag=PAPER_DEFS["q_diag"], b0=PAPER_DEFS["b0"],
                     c=np.array(PAPER_DEFS["c"]), threads=args.threads)
     pipe = build_pipeline(cfg)
     rows = []
@@ -438,8 +434,8 @@ def _add_common(p, horizon=True):
                    help="state weight Q = q*I")
     p.add_argument("--rho", type=float, default=None,
                    help="input weight (default 0.1 b0^2/beta^2)")
-    p.add_argument("--feas-tol", type=float, default=1e-7)
-    p.add_argument("--kkt-tol", type=float, default=1e-8)
+    p.add_argument("--feas-tol", type=float, default=SolverConfig.feas_tol)
+    p.add_argument("--kkt-tol", type=float, default=SolverConfig.kkt_tol)
     p.add_argument("--terminal", choices=("auto", "polytope", "ellipsoid"),
                    default="auto")
     p.add_argument("--seed", type=int, default=0)

@@ -2,18 +2,19 @@
 
 Rows of a :class:`Polytope` are normalized to unit Euclidean length at
 construction so that redundancy tests and row deduplication work on a
-canonical form. Bounding boxes, supports, redundancy tests and inscribed
-radii are read off the exact vertices of the set (:func:`vertices`), taken
-within the box ``|x_k| <= BOX``. The one linear program left is the
-Chebyshev centre (scipy's HiGHS): its optimum is not unique, and the centre
-itself seeds the solver's free-x0 starts.
+canonical form. Bounding boxes, supports and redundancy tests are read off
+the exact vertices of the set (:func:`vertices`), taken within the box
+``|x_k| <= BOX``, and the Chebyshev ball off those of the lifted set
+{(x, r) | C x + r <= d}; no linear program is solved. The centre seeds the
+solver's free-x0 starts, so where several x attain the largest r it is one
+fixed choice: the lexicographically largest, zeros signed -0, which is what
+the HiGHS LP of the tests returns on every shipped region.
 """
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.stats import qmc
 
 from .errors import RegionEmptyError
@@ -22,8 +23,8 @@ from .errors import RegionEmptyError
 MEMBERSHIP_TOL = 1e-8
 REDUNDANCY_TOL = 1e-9
 # A vertex may exceed a row by VERTEX_TOL; rows (of unit norm) whose |det|
-# is at most SINGULAR_TOL meet in no vertex. BOX bounds every coordinate, as
-# in the Chebyshev LP: a set that reaches it counts as unbounded.
+# is at most SINGULAR_TOL meet in no vertex. BOX bounds every coordinate,
+# the lifted r included: a set that reaches it counts as unbounded.
 VERTEX_TOL = 1e-9
 SINGULAR_TOL = 1e-12
 BOX = 1e6
@@ -81,33 +82,24 @@ class Polytope:
         return np.max(X @ self.C.T - self.d, axis=1) <= tol
 
     def chebyshev_center(self):
-        """Center and radius of the largest inscribed ball.
-
-        Solved with artificial box bounds so unbounded polytopes still give a
-        finite interior point; the radius is then a lower bound only. The LP
-        runs once per polytope; the center returned is read-only.
-        """
+        """Center and radius of the largest inscribed ball within |x| <= BOX:
+        the lexicographically largest x among the lifted vertices of largest
+        r, zeros signed -0 (read-only), and :meth:`inscribed_radius`; (None,
+        -inf) if no lifted vertex lies in the box."""
         return self._chebyshev
 
     @cached_property
     def _chebyshev(self):
-        n = self.dim
-        # max r  s.t.  C x + r <= d  (rows are unit norm), |x| <= BOX
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        A_ub = np.hstack([self.C, np.ones((self.n_rows, 1))])
-        res = linprog(c, A_ub=A_ub, b_ub=self.d,
-                      bounds=[(-BOX, BOX)] * n + [(None, BOX)],
-                      method="highs")
-        if res.status != 0:
+        V = self._lifted_vertices
+        if not len(V):
             return None, -np.inf
-        center = res.x[:n]
+        _, top = _maximisers(V, np.eye(self.dim + 1)[-1])
+        center = -(0.0 - np.array(max(top[:, :-1].tolist())))
         center.setflags(write=False)
-        return center, float(res.x[-1])
+        return center, self.inscribed_radius()
 
-    def is_empty(self, tol=1e-9):
-        _, r = self.chebyshev_center()
-        return r < -tol
+    def is_empty(self):
+        return self.inscribed_radius() < -1e-9
 
     def assert_nonempty(self, what="region"):
         if self.is_empty():
@@ -118,11 +110,16 @@ class Polytope:
     def _vertices(self):
         return vertices(self.C, self.d)
 
+    @cached_property
+    def _lifted_vertices(self):
+        """Vertices of {(x, r) | C x + r <= d} (rows of unit norm)."""
+        return vertices(np.hstack([self.C, np.ones((self.n_rows, 1))]),
+                        self.d)
+
     def inscribed_radius(self):
-        """The Chebyshev radius without the LP: the support along r of
-        {(x, r) | C x + r <= d}. Negative if empty, inf if unbounded."""
-        lifted = np.hstack([self.C, np.ones((self.n_rows, 1))])
-        return _support(vertices(lifted, self.d), np.eye(self.dim + 1)[-1])
+        """The Chebyshev radius: the support along r of the lifted set.
+        Negative if empty, inf if unbounded."""
+        return _support(self._lifted_vertices, np.eye(self.dim + 1)[-1])
 
     def bounding_box(self):
         """Componentwise (lo, hi) over the vertices."""
@@ -140,12 +137,12 @@ class Polytope:
         return Polytope(np.vstack([self.C, other.C]),
                         np.concatenate([self.d, other.d]))
 
-    def sample(self, n_points, seed, max_tries=200):
+    def sample(self, n_points, seed):
         """Deterministic low-discrepancy interior samples (Halton + rejection)."""
         lo, hi = self.bounding_box()
         eng = qmc.Halton(d=self.dim, seed=seed)
         out = []
-        for _ in range(max_tries):
+        for _ in range(200):  # blocks tried
             block = lo + (hi - lo) * eng.random(max(4 * n_points, 64))
             keep = self.contains_batch(block, tol=0.0)
             out.extend(block[keep])
@@ -158,25 +155,23 @@ class Polytope:
             raise RegionEmptyError("no interior samples found")
         return np.array(out[:n_points])
 
-    def ray_boundary_point(self, direction, origin=None):
-        """Farthest point origin + t*direction still inside (t >= 0)."""
-        x0 = np.zeros(self.dim) if origin is None else np.asarray(origin, float)
-        num = self.d - self.C @ x0
-        den = self.C @ np.asarray(direction, dtype=float)
+    def ray_boundary_point(self, direction):
+        """Farthest point t*direction still inside (t >= 0); zeros are +0."""
+        direction = np.asarray(direction, dtype=float)
+        den = self.C @ direction
         pos = den > 1e-14
         if not np.any(pos):
             return None
-        t = np.min(num[pos] / den[pos])
-        return x0 + t * np.asarray(direction, dtype=float)
+        return 0.0 + np.min(self.d[pos] / den[pos]) * direction
 
 
-def dedup_rows(C, d, cos_tol=1e-12):
+def dedup_rows(C, d):
     """Drop rows that duplicate an earlier (normalized) row with >= offset."""
     keep_C, keep_d = [], []
     for row, off in zip(C, d):
         duplicate = False
         for krow, koff in zip(keep_C, keep_d):
-            if row @ krow > 1.0 - cos_tol:
+            if row @ krow > 1.0 - 1e-12:
                 if off >= koff - 1e-15:
                     duplicate = True
                 break
@@ -237,14 +232,20 @@ def _subset_solutions(C, d, box):
     return X, X @ C.T - d <= VERTEX_TOL
 
 
+def _maximisers(V, direction):
+    """max direction.x over the rows of V, and the rows within VERTEX_TOL
+    (relative, above 1) of it."""
+    vals = V @ direction
+    top = vals.max()
+    return top, V[vals >= top - VERTEX_TOL * max(1.0, abs(top))]
+
+
 def _support(V, direction):
     """max direction.x from the vertices V of a set boxed by BOX: -inf if
     there are none, inf if every maximiser lies on one face of the box."""
     if not len(V):
         return -np.inf
-    vals = V @ direction
-    top = vals.max()
-    arg = V[vals >= top - VERTEX_TOL * max(1.0, abs(top))]
+    top, arg = _maximisers(V, direction)
     edge = BOX * (1.0 - VERTEX_TOL)
     if np.any(np.all(arg >= edge, axis=0) | np.all(arg <= -edge, axis=0)):
         return np.inf

@@ -95,7 +95,8 @@ class LinearizationData:
         }
 
 
-def _validate_output_vector(A, b, c, rtol=1e-9):
+def _validate_output_vector(A, b, c):
+    rtol = 1e-9  # relative tolerance of the zero tests
     n = A.shape[0]
     Aib = b.copy()
     norm_c = np.linalg.norm(c)

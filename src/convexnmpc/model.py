@@ -144,32 +144,27 @@ class PwaField:
     def dim(self):
         return self.pieces[0][1].shape[0]
 
-    def piece_index(self, x, tol=1e-9):
+    def piece_index(self, x):
+        """The piece that evaluates x, or each row of a 2-D x: the first
+        piece within 1e-9, else the first of least violation."""
         x = _vec(x)
-        best, best_violation = 0, np.inf
-        for k, (region, _, _) in enumerate(self.pieces):
-            v = region.violation(x)
-            if v <= tol:
-                return k
-            if v < best_violation:
-                best, best_violation = k, v
-        return best
+        rows, offsets, starts = self._stacked_rows
+        viol = np.maximum.reduceat(np.atleast_2d(x) @ rows.T - offsets,
+                                   starts, axis=1)
+        within = viol <= 1e-9
+        k = np.where(within.any(axis=1), within.argmax(axis=1),
+                     viol.argmin(axis=1))
+        return k if x.ndim == 2 else int(k[0])
 
     def value(self, x):
         x = _vec(x)
+        k = self.piece_index(x)
         if x.ndim == 2:
-            # piece_index for every row: the first piece within tol, else
-            # the first of least violation. Rows equal the 1-D values bit
-            # for bit where w.x is exact (ex3); elsewhere the last bit may
-            # differ.
-            viol = np.column_stack([np.max(x @ reg.C.T - reg.d, axis=1)
-                                    for reg, _, _ in self.pieces])
-            within = viol <= 1e-9
-            k = np.where(within.any(axis=1), within.argmax(axis=1),
-                         viol.argmin(axis=1))
+            # rows equal the 1-D values bit for bit where w.x is exact
+            # (ex3); elsewhere the last bit may differ
             _, W, D = zip(*self.pieces)
             return np.einsum("ij,ij->i", x, np.array(W)[k]) + np.array(D)[k]
-        region, w, d = self.pieces[self.piece_index(x)]
+        _, w, d = self.pieces[k]
         return w @ x + d
 
     def grad(self, x):
@@ -253,11 +248,11 @@ def controllability_matrix(A, b):
     return np.column_stack(cols)
 
 
-def controllability_rank(A, b, rel_tol=1e-10):
+def controllability_rank(A, b):
     s = np.linalg.svd(controllability_matrix(A, b), compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > 1e-10 * s[0]))
 
 
 @dataclass(frozen=True)
@@ -305,8 +300,7 @@ class SystemSpec:
         if not (self.u_lo < 0.0 < self.u_hi):
             raise SchemaError("input interval must contain 0 strictly")
         for k, (reg, _) in enumerate(self.regions, start=1):
-            center, r = reg.chebyshev_center()
-            if r < 1e-12:
+            if reg.inscribed_radius() < 1e-12:
                 raise RegionEmptyError(f"region {k} is empty or lower-dimensional")
         x1 = self.regions[0][0]
         if np.min(x1.d) <= 0.0:

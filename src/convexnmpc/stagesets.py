@@ -184,13 +184,13 @@ def _thin_slab(region, piece, r_min):
                        <= 2 * r_min))
 
 
-def _overlapping_pieces(pieces, region, r_min=1e-9):
+def _overlapping_pieces(pieces, region):
     """(w, d) of the PWA pieces meeting the region in a full-dimensional set
-    (Chebyshev radius above r_min). The radius, read off the vertices of the
+    (Chebyshev radius above 1e-9). The radius, read off the vertices of the
     lifted intersection, decides only the pairs that no thin slab settles."""
     out = [(w, d) for piece, w, d in pieces
-           if not _thin_slab(region, piece, r_min)
-           and region.intersect(piece).inscribed_radius() > r_min]
+           if not _thin_slab(region, piece, 1e-9)
+           and region.intersect(piece).inscribed_radius() > 1e-9]
     if not out:
         raise PreconditionError("no pwa piece overlaps the region interior")
     return out
@@ -241,8 +241,8 @@ class StageSet:
         return float(ends.min()), float(ends.max())
 
 
-def _check_sign(spec, lin, idx, region, expected_sign, n_samples, seed):
-    pts = region.sample(n_samples, seed=seed + 97 * idx)
+def _check_sign(spec, lin, idx, region, expected_sign, seed):
+    pts = region.sample(256, seed=seed + 97 * idx)
     vals = lin.beta * spec.g.value(pts)
     has_pos = bool(np.any(vals > EPS_G))
     has_neg = bool(np.any(vals < -EPS_G))
@@ -256,16 +256,16 @@ def _check_sign(spec, lin, idx, region, expected_sign, n_samples, seed):
             f"sign implies {expected_sign:+d}", region=idx)
 
 
-def build_stage_sets(spec, lin, n_sign_samples=256, seed=0):
+def build_stage_sets(spec, lin, seed=0):
     """One stage set per region, with the interval orientation fixed by the
-    sign of beta*g there. Raises SignAmbiguousError when sampling finds a
+    sign of beta*g there. Raises SignAmbiguousError when 256 samples find a
     strict sign change inside a region (assumption violation)."""
     n = spec.n
     beta_sign = 1 if lin.beta > 0 else -1
     sets = []
     for idx, (region, sigma) in enumerate(spec.regions, start=1):
         sign_beta_g = sigma * beta_sign
-        _check_sign(spec, lin, idx, region, sign_beta_g, n_sign_samples, seed)
+        _check_sign(spec, lin, idx, region, sign_beta_g, seed)
         lo_mult = spec.u_lo if sign_beta_g > 0 else spec.u_hi
         hi_mult = spec.u_hi if sign_beta_g > 0 else spec.u_lo
         # a concave (convex) PWA gain is the min (max) of the affine

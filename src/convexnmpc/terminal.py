@@ -26,12 +26,12 @@ def dare_residual(P, A_hat, b_hat, Q, rho):
     return float(np.max(np.abs(A_hat.T @ (P - gain) @ A_hat - P + Q)))
 
 
-def solve_dare(A_hat, b_hat, Q, rho, tol=DARE_TOL, max_iter=DARE_MAX_ITER):
+def solve_dare(A_hat, b_hat, Q, rho, max_iter=DARE_MAX_ITER):
     """Fixed-point iteration P <- Q + A'(P - P b (rho + b'Pb)^-1 b'P) A.
 
-    Starts from P = Q and stops when successive iterates agree to tol in the
-    infinity norm. Raises NoConvergenceError when the iteration stalls, which
-    signals a non-stabilizable pair or indefinite data.
+    Starts from P = Q and stops when successive iterates agree to DARE_TOL
+    in the infinity norm. Raises NoConvergenceError when the iteration
+    stalls, which signals a non-stabilizable pair or indefinite data.
     """
     A_hat = np.atleast_2d(np.asarray(A_hat, dtype=float))
     b_hat = np.asarray(b_hat, dtype=float).reshape(-1)
@@ -48,7 +48,7 @@ def solve_dare(A_hat, b_hat, Q, rho, tol=DARE_TOL, max_iter=DARE_MAX_ITER):
             P_next = 0.5 * (P_next + P_next.T)
             if not np.all(np.isfinite(P_next)):
                 raise NoConvergenceError("Riccati iteration diverged")
-            if np.max(np.abs(P_next - P)) < tol:
+            if np.max(np.abs(P_next - P)) < DARE_TOL:
                 return P_next
             P = P_next
     raise NoConvergenceError(

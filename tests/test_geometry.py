@@ -1,14 +1,16 @@
 """Vertex-based polytope answers against scipy's linprog as the reference.
 
-Boxes, supports, redundancy decisions and facet points are read off exact
-vertices; the LPs below (test-only) are the formulations they replace. On
-the packaged regions, pieces and intersections the answers agree bit for
-bit, and the ex3 terminal is built from the same decisions.
+Boxes, supports, redundancy decisions, facet points and Chebyshev balls are
+read off exact vertices; the LPs below (test-only) are the formulations
+they replace. On the packaged regions, pieces and intersections the answers
+agree bit for bit, and the ex3 terminal is built from the same decisions.
 """
 import json
+import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog
 
 import convexnmpc as cn
@@ -44,6 +46,18 @@ def lp_support(C, d, c):
     if res.status:  # 2 infeasible, 3 unbounded
         return -np.inf if res.status == 2 else np.inf
     return float(-res.fun)
+
+
+def lp_chebyshev(P):
+    """max r s.t. C x + r <= d (rows of unit norm), |x_k| <= BOX, r <= BOX:
+    (centre, radius) as HiGHS returns them."""
+    n = P.dim
+    res = linprog(-np.eye(n + 1)[-1],
+                  A_ub=np.hstack([P.C, np.ones((P.n_rows, 1))]), b_ub=P.d,
+                  bounds=[(-geometry.BOX, geometry.BOX)] * n
+                  + [(None, geometry.BOX)], method="highs")
+    assert res.status == 0
+    return res.x[:n], float(res.x[-1])
 
 
 def lp_redundant(row, offset, C, d, tol=geometry.REDUNDANCY_TOL):
@@ -238,12 +252,27 @@ def test_facet_points_equal_lp(ex3, n_points, seed):
             assert bits(got + 0.0) == bits(ref + 0.0), (p, row)
 
 
+def test_region_chebyshev_balls_match_lp(polytopes):
+    # the centre bit for bit; ex2's first radius is one ulp above the LP's
+    n_regions = 0
+    for what, P in polytopes:
+        if "region" not in what or "piece" in what:
+            continue
+        center, r = P.chebyshev_center()
+        ref_center, ref_r = lp_chebyshev(P)
+        assert bits(center) == bits(ref_center), what
+        assert abs(r - ref_r) <= 1e-15 * abs(ref_r), what
+        assert not P.is_empty()
+        n_regions += 1
+    assert n_regions == 13
+
+
 def test_overlap_radii_match_chebyshev_lp(ex3):
     spec = ex3["spec"]
     for reg, _ in spec.regions:
         for piece, _, _ in spec.g.pieces:
             P = reg.intersect(piece)
-            r_lp = P.chebyshev_center()[1]
+            r_lp = lp_chebyshev(P)[1]
             r = P.inscribed_radius()
             assert abs(r - r_lp) <= 1e-12 * max(1.0, abs(r_lp))
             assert (r > 1e-9) == (r_lp > 1e-9)
@@ -300,7 +329,27 @@ def test_empty_polytope():
     assert P.support([1.0, 0.0]) == -np.inf
     # an empty set implies every row, however far out
     assert redundant(np.array([1.0, 0.0]), -50.0, P.C, P.d)
-    assert P.inscribed_radius() < 0
+    # the ball of least violation: its centre is unique, its radius negative
+    center, r = P.chebyshev_center()
+    ref_center, ref_r = lp_chebyshev(P)
+    assert close(center, ref_center, 1e-15) and close(r, ref_r, 1e-15)
+    assert r == P.inscribed_radius() < 0 and P.is_empty()
+
+
+def test_tied_chebyshev_centres():
+    # a 1 x 3 rectangle: every (x1, 0.5) with 0.5 <= x1 <= 2.5 is a centre,
+    # and the LP's choice is the lexicographically largest
+    P = Polytope(BOX_C, [3.0, 1.0, 0.0, 0.0])
+    center, r = P.chebyshev_center()
+    assert bits(center) == bits(lp_chebyshev(P)[0]) == bits([2.5, 0.5])
+    assert r == lp_chebyshev(P)[1] == 0.5
+    # the box centred at the origin: zeros signed -0, as the LP signs them
+    P = Polytope(BOX_C, np.ones(4))
+    center, r = P.chebyshev_center()
+    assert bits(center) == bits(lp_chebyshev(P)[0]) == bits([-0.0, -0.0])
+    assert r == lp_chebyshev(P)[1] == 1.0
+    with pytest.raises(ValueError):
+        center[0] = 1.0  # read-only
 
 
 def test_unbounded_polytope():
@@ -315,11 +364,17 @@ def test_unbounded_polytope():
     # no row bounds x2 from above: nothing is implied along +x2
     assert not redundant(np.array([0.0, 1.0]), 1e5, P.C, P.d)
     assert redundant(np.array([1.0, 0.0]), 1.0, P.C, P.d)
+    # a strip of width 1: centres along x2 up to the box, radius 0.5
+    center, r = P.chebyshev_center()
+    assert bits(center) == bits(lp_chebyshev(P)[0]) == bits([0.5, 1e6])
+    assert r == P.inscribed_radius() == lp_chebyshev(P)[1] == 0.5
+    assert not P.is_empty()
     # a half-plane: bounded along its normal only
     H = Polytope([[0.0, 1.0]], [2.0])
     assert H.support([0.0, 1.0]) == 2.0
     assert H.support([1.0, 0.0]) == np.inf
     assert H.support([0.0, -1.0]) == np.inf
+    assert H.inscribed_radius() == np.inf and not H.is_empty()
 
 
 def test_parallel_rows():
@@ -355,17 +410,18 @@ def test_empty_facet():
     assert len(lp_facet_points(g, 0, 4, 100, 3)) == 0
 
 
-# -- LP count ----------------------------------------------------------------
+# -- no LP ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("name,n_lp", [("ex1", 1), ("ex2", 3), ("ex3", 9)])
-def test_one_lp_per_region(name, n_lp, monkeypatch):
-    calls = []
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_setup_calls_no_lp(name, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "linprog", counted)
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    # no package module holds a linprog imported before the patch
+    assert not [mod for key, mod in sys.modules.items()
+                if key.startswith("convexnmpc") and hasattr(mod, "linprog")]
     pipe = build_pipeline(RunConfig(system=str(PACKAGED / f"{name}.json"),
                                     c=np.array([5.0, -1.0])))
-    assert len(calls) == n_lp == pipe.spec.n_regions
+    report = cn.validate_assumption1(pipe.spec)  # ex1 fails it by design
+    assert len(report.region_reports) == pipe.spec.n_regions

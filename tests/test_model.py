@@ -71,6 +71,22 @@ class TestRegionMembership:
                 assert spec.region(i).violation(x) <= tol
 
 
+def pwa_probe_points():
+    rng = np.random.default_rng(4)
+    t = rng.uniform(-2.0, 2.0, 500)
+    ticks = np.arange(-4.0, 4.25, 0.25)
+    return np.vstack([
+        rng.uniform(-3.0, 3.0, (10_000, 2)),
+        # shared facets: the pyramid's diagonals and the lines |x_i| = 1
+        np.column_stack([t, t]), np.column_stack([t, -t]),
+        np.column_stack([np.ones_like(t), t]),
+        np.column_stack([t, -np.ones_like(t)]),
+        # a lattice reaching outside every piece, where several pieces tie
+        # for the least violation
+        np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2),
+    ])
+
+
 class TestScalarFields:
     def test_quadratic_requires_symmetry(self):
         with pytest.raises(ValueError):
@@ -107,22 +123,25 @@ class TestScalarFields:
 
     def test_pwa_batch_value_equals_row_by_row(self, ex3):
         g = ex3["spec"].g
-        rng = np.random.default_rng(4)
-        t = rng.uniform(-2.0, 2.0, 500)
-        ticks = np.arange(-4.0, 4.25, 0.25)
-        pts = np.vstack([
-            rng.uniform(-3.0, 3.0, (10_000, 2)),
-            # shared facets: the pyramid's diagonals and the lines |x_i| = 1
-            np.column_stack([t, t]), np.column_stack([t, -t]),
-            np.column_stack([np.ones_like(t), t]),
-            np.column_stack([t, -np.ones_like(t)]),
-            # a lattice reaching outside every piece, where several pieces
-            # tie for the least violation
-            np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2),
-        ])
+        pts = pwa_probe_points()
         batch = g.value(pts)
         rows = np.array([g.value(x) for x in pts])
         assert batch.tobytes() == rows.tobytes()
+
+    def test_pwa_piece_rule_equals_loop(self, ex3):
+        # the loop is the reference rule: the first piece within 1e-9, else
+        # the first of least violation, one point at a time
+        g = ex3["spec"].g
+        pts = pwa_probe_points()
+        viol = np.array([[reg.violation(x) for reg, _, _ in g.pieces]
+                         for x in pts])
+        ref = [next((k for k, v in enumerate(row) if v <= 1e-9),
+                    int(np.argmin(row))) for row in viol]
+        assert g.piece_index(pts).tolist() == ref
+        assert [g.piece_index(x) for x in pts] == ref
+        n_within = (viol <= 1e-9).sum(axis=1)
+        assert (n_within >= 2).sum() > 1000  # on shared facets
+        assert (n_within == 0).sum() > 500  # outside every piece
 
     def test_pwa_continuity_scan_equals_row_by_row(self):
         # four pieces cut from a box by two oblique lines, with generic,

@@ -29,11 +29,13 @@ Prints sha256[:16] over one float-hex line per result for nine sets:
             included);
 - stagesets: every stage set of ex1, ex2 and ex3: its sign, kind, every
             field of every constraint oracle, lifted_C and lifted_d;
-- geometry: for ex1, ex2 and ex3, every region's bounding box and PWA
-            overlap list, the facet points of the load-time continuity
-            check (seed 7) and of check_continuity(100, 5), and the
-            terminal's polytope rows or ellipsoid level. A zero facet
-            coordinate is hashed as +0: its sign is the solver's choice.
+- geometry: for ex1, ex2 and ex3, every region's bounding box,
+            Chebyshev centre and PWA overlap list, the facet points of the
+            load-time continuity check (seed 7) and of
+            check_continuity(100, 5), and the terminal's polytope rows or
+            ellipsoid level; then the PWA piece index at every query-ex3
+            pool state. A zero facet coordinate is hashed as +0: its sign
+            is the solver's choice.
 
 Two checkouts whose digests agree assemble, solve and decide bit for bit
 alike.
@@ -228,6 +230,7 @@ def geometry_digest():
         g = pipe.spec.g
         for k, (region, _) in enumerate(pipe.spec.regions, start=1):
             out.add(system, k, *region.bounding_box())
+            out.add(system, k, region.chebyshev_center()[0])
             if isinstance(g, PwaField):
                 out.add(system, k, _overlapping_pieces(g.pieces, region))
         for p, (piece, _, _) in enumerate(getattr(g, "pieces", ())):
@@ -239,6 +242,9 @@ def geometry_digest():
         tset = pipe.terminal.tset
         out.add(system, *((tset.C, tset.d) if isinstance(tset, Polytope)
                           else (tset.level,)))
+    pools = json.loads((DATA / "reference.json").read_text())["pools"]
+    for entry in pools["query-ex3"]:  # g is ex3's, the loop's last system
+        out.add(g.piece_index(np.array(entry["x0"], dtype=float)))
     return out
 
 
