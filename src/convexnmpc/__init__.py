@@ -16,7 +16,7 @@ from .geometry import Ellipsoid, Polytope
 from .model import (EPS_G, Affine, PwaField, Quadratic, Sinusoid, SystemSpec,
                     dynamics_step, load_system, region_membership,
                     system_from_dict, system_to_dict, validate_assumption1)
-from .linearize import (LinearizationData, build_linearization,
+from .linearize import (LinearizationData, bound_interval, build_linearization,
                         charpoly_coefficients, compute_output_vector, u_of_v,
                         v_of_u)
 from .stagesets import (StageSet, build_stage_sets, in_union_direct,

@@ -18,7 +18,8 @@ from .closedloop import (UNDECIDED, _fmt, applied_candidate, sample_grid,
                          simulate)
 from .errors import (CatalogMismatchError, InfeasibleStateError,
                      SchemaError, ToolkitError)
-from .linearize import build_linearization, compute_output_vector, u_of_v
+from .linearize import (bound_interval, build_linearization,
+                        compute_output_vector, u_of_v)
 from .model import load_system, validate_assumption1
 from .scenario import (FeasibleCatalog, Scenario, catalog_hash, decode,
                        filter_for_state, prune_catalog)
@@ -215,7 +216,7 @@ def cmd_stagesets(args):
         for x in np.column_stack([m.ravel() for m in mesh]):
             if not zs.region.contains(x, 1e-9):
                 continue
-            blo, bhi = zs.bound_interval(x)
+            blo, bhi = bound_interval(pipe.lin, pipe.spec, x)
             lines.append(",".join([str(zs.index)] + [_fmt(v) for v in x]
                                   + [_fmt(blo), _fmt(bhi)]))
     _emit("\n".join(lines) + "\n", cfg.out)

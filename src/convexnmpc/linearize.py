@@ -169,6 +169,14 @@ def v_of_u(lin, spec, x, u):
     return (lin.beta * gx * float(u) + lin.alpha @ x) / lin.b0
 
 
+def bound_interval(lin, spec, x):
+    """Interval that b0 v - alpha.x must lie in at state x."""
+    x = np.asarray(x, dtype=float)
+    gx = float(spec.g.value(x))
+    ends = np.array([lin.beta * gx * spec.u_lo, lin.beta * gx * spec.u_hi])
+    return float(ends.min()), float(ends.max())
+
+
 def u_of_v(lin, spec, x, v):
     """Linearizing feedback Psi(x, v); returns 0 where the gain vanishes."""
     x = np.asarray(x, dtype=float)

@@ -7,12 +7,13 @@ sampling in :func:`validate_assumption1`.
 """
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 from scipy.stats import qmc
 
 from .errors import RegionEmptyError, SchemaError
-from .geometry import MEMBERSHIP_TOL, VERTEX_TOL, Polytope, vertices
+from .geometry import MEMBERSHIP_TOL, Polytope, vertices
 
 # Absolute tolerance below which g(x) counts as zero (singular input gain).
 EPS_G = 1e-9
@@ -45,12 +46,6 @@ class Affine:
         x = _vec(x)
         return x @ self.w + self.d
 
-    def grad(self, x):
-        return self.w.copy()
-
-    def hess(self, x):
-        return np.zeros((self.dim, self.dim))
-
 
 @dataclass(frozen=True)
 class Quadratic:
@@ -80,12 +75,6 @@ class Quadratic:
             return 0.5 * x @ self.H @ x + self.w @ x + self.d
         return 0.5 * np.einsum("ij,jk,ik->i", x, self.H, x) + x @ self.w + self.d
 
-    def grad(self, x):
-        return self.H @ _vec(x) + self.w
-
-    def hess(self, x):
-        return self.H.copy()
-
 
 @dataclass(frozen=True)
 class Sinusoid:
@@ -112,13 +101,6 @@ class Sinusoid:
     def value(self, x):
         return self.amp * np.cos(self._arg(x))
 
-    def grad(self, x):
-        return -self.amp * self.freq * np.sin(self._arg(x)) * self.dir
-
-    def hess(self, x):
-        return (-self.amp * self.freq ** 2 * np.cos(self._arg(x))
-                * np.outer(self.dir, self.dir))
-
 
 @dataclass(frozen=True)
 class PwaField:
@@ -127,6 +109,8 @@ class PwaField:
     Each piece is (Polytope, w, d) meaning g(x) = w.x + d on the piece.
     Points outside every piece evaluate through the piece of least
     constraint violation, which extends g continuously to all of R^n.
+    Construction raises ValueError where :meth:`check_continuity` finds a
+    gap.
     """
 
     pieces: tuple
@@ -138,7 +122,10 @@ class PwaField:
                 region = Polytope(*region)
             norm.append((region, _vec(w), float(d)))
         object.__setattr__(self, "pieces", tuple(norm))
-        self._light_continuity_check()
+        bad = self.check_continuity()
+        if bad:
+            x, gap = bad[0]
+            raise ValueError(f"pwa pieces disagree by {gap:.2e} at {x}")
 
     @property
     def dim(self):
@@ -167,20 +154,6 @@ class PwaField:
         _, w, d = self.pieces[k]
         return w @ x + d
 
-    def grad(self, x):
-        _, w, _ = self.pieces[self.piece_index(x)]
-        return w.copy()
-
-    def hess(self, x):
-        n = self.dim
-        return np.zeros((n, n))
-
-    @cached_property
-    def _boxed_vertices(self):
-        """Each piece's vertices within |x| <= 100, enumerated once."""
-        return [vertices(region.C, region.d, box=100.0)
-                for region, _, _ in self.pieces]
-
     @cached_property
     def _stacked_rows(self):
         """All pieces' rows (C, d) stacked, and each piece's first row."""
@@ -189,51 +162,22 @@ class PwaField:
                 np.cumsum([0] + [region.n_rows
                                  for region, _, _ in self.pieces[:-1]]))
 
-    def _facet_points(self, p, row, n_points, seed):
-        """Points on facet {C_row x = d_row} of piece p, within |x| <= 100:
-        the minimising vertex of the facet for each of max(2, n_points // 8)
-        random objectives (none for an empty facet), then random convex
-        combinations of those."""
-        region, V = self.pieces[p][0], self._boxed_vertices[p]
-        V = V[V @ region.C[row] >= region.d[row] - VERTEX_TOL]
-        rng = np.random.default_rng(seed)
-        objs = [rng.standard_normal(self.dim)
-                for _ in range(max(2, n_points // 8))]
-        if not len(V):
-            return np.array([])
-        pts = V[[np.argmin(V @ obj) for obj in objs]]
-        # fill with random convex combinations for interior facet coverage
-        lam = rng.random((n_points, pts.shape[0]))
-        lam /= lam.sum(axis=1, keepdims=True)
-        return np.vstack([pts, lam @ pts])[:n_points]
-
-    def check_continuity(self, n_points=100, seed=0, tol=1e-9):
-        """Return mismatch witnesses across shared facets (empty if continuous)."""
+    def check_continuity(self):
+        """(x, gap) for each pair of pieces whose affine maps differ by more
+        than 1e-9 on their common part within |x| <= 100: the difference is
+        affine, so its largest magnitude there is at a vertex x of the
+        intersection (empty if g is continuous)."""
         bad = []
-        rows, offsets, starts = self._stacked_rows
-        for p, (region, _, _) in enumerate(self.pieces):
-            for row in range(region.n_rows):
-                pts = self._facet_points(p, row, n_points, seed + 31 * p + row)
-                if not len(pts):
-                    continue
-                # every piece's membership from one product
-                inside = np.maximum.reduceat(rows @ pts.T - offsets[:, None],
-                                             starts, axis=0) <= 1e-9
-                vals = np.array([pts @ w + d for _, w, d in self.pieces])
-                gap = (np.where(inside, vals, -np.inf).max(axis=0)
-                       - np.where(inside, vals, np.inf).min(axis=0))
-                for i in np.flatnonzero(gap > tol):
-                    # a witness reports its gap from the 1-D values
-                    at = [w @ pts[i] + d for (_, w, d), ok
-                          in zip(self.pieces, inside[:, i]) if ok]
-                    bad.append((pts[i], max(at) - min(at)))
+        for (P, wp, dp), (Q, wq, dq) in combinations(self.pieces, 2):
+            V = vertices(np.vstack([P.C, Q.C]), np.concatenate([P.d, Q.d]),
+                         box=100.0)
+            if not len(V):
+                continue
+            gap = np.abs((V @ wp + dp) - (V @ wq + dq))
+            i = int(np.argmax(gap))
+            if gap[i] > 1e-9:
+                bad.append((V[i], float(gap[i])))
         return bad
-
-    def _light_continuity_check(self):
-        bad = self.check_continuity(n_points=8, seed=7)
-        if bad:
-            x, gap = bad[0]
-            raise ValueError(f"pwa pieces disagree by {gap:.2e} at {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +246,10 @@ class SystemSpec:
         for k, (reg, _) in enumerate(self.regions, start=1):
             if reg.inscribed_radius() < 1e-12:
                 raise RegionEmptyError(f"region {k} is empty or lower-dimensional")
+            try:
+                reg.bounding_box()
+            except ValueError:
+                raise SchemaError(f"region {k} is unbounded") from None
         x1 = self.regions[0][0]
         if np.min(x1.d) <= 0.0:
             raise SchemaError("origin must lie strictly inside region 1")

@@ -217,12 +217,6 @@ class StageSet:
     kind: str
     lifted_C: np.ndarray
     lifted_d: np.ndarray
-    beta: float
-    b0: float
-    alpha: np.ndarray
-    u_lo: float
-    u_hi: float
-    gain_field: object
 
     def all_values(self, x, v):
         z = np.concatenate([np.asarray(x, dtype=float), [float(v)]])
@@ -231,14 +225,9 @@ class StageSet:
         return np.array(vals)
 
     def contains(self, x, v, tol=MEMBERSHIP_TOL):
-        return bool(np.max(self.all_values(x, v)) <= tol)
-
-    def bound_interval(self, x):
-        """Interval that b0 v - alpha.x must lie in at state x."""
-        x = np.asarray(x, dtype=float)
-        gx = float(self.gain_field.value(x))
-        ends = np.array([self.beta * gx * self.u_lo, self.beta * gx * self.u_hi])
-        return float(ends.min()), float(ends.max())
+        # the region rows first: most points that miss a set miss its region
+        return (self.region.contains(x, tol)
+                and bool(np.max(self.all_values(x, v)) <= tol))
 
 
 def _check_sign(spec, lin, idx, region, expected_sign, seed):
@@ -284,9 +273,7 @@ def build_stage_sets(spec, lin, seed=0):
         lifted_C = np.hstack([region.C, np.zeros((region.n_rows, 1))])
         sets.append(StageSet(index=idx, region=region, sign_beta_g=sign_beta_g,
                              constraints=cons, kind=kind, lifted_C=lifted_C,
-                             lifted_d=region.d.copy(), beta=lin.beta,
-                             b0=lin.b0, alpha=lin.alpha, u_lo=spec.u_lo,
-                             u_hi=spec.u_hi, gain_field=spec.g))
+                             lifted_d=region.d.copy()))
     return sets
 
 

@@ -7,6 +7,7 @@ enumeration for scenario pruning.
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 import convexnmpc as cn
 
@@ -165,17 +166,25 @@ def exact(value):
             + "}")
 
 
-def row_by_row_continuity(field, n_points, seed, tol=1e-9):
-    """PwaField.check_continuity as a point-by-point scan."""
+def lp_continuity(field):
+    """PwaField.check_continuity by HiGHS: for each pair of pieces, the
+    max and min of the difference of their affine maps over the pieces'
+    intersection within |x| <= 100; ((p, q), gap), gap the larger
+    magnitude, for each pair where it exceeds 1e-9."""
     bad = []
-    for p, (region, _, _) in enumerate(field.pieces):
-        for row in range(region.n_rows):
-            pts = field._facet_points(p, row, n_points, seed + 31 * p + row)
-            for x in pts:
-                vals = [w @ x + d for reg, w, d in field.pieces
-                        if reg.contains(x, tol=1e-9)]
-                if len(vals) >= 2 and max(vals) - min(vals) > tol:
-                    bad.append((x, max(vals) - min(vals)))
+    for (p, (P, wp, dp)), (q, (Q, wq, dq)) in itertools.combinations(
+            enumerate(field.pieces), 2):
+        ends = []
+        for sign in (1.0, -1.0):
+            res = linprog(-sign * (wp - wq), A_ub=np.vstack([P.C, Q.C]),
+                          b_ub=np.concatenate([P.d, Q.d]),
+                          bounds=[(-100.0, 100.0)] * field.dim,
+                          method="highs")
+            assert res.status in (0, 2)
+            if res.status == 0:  # 2: the pieces do not meet
+                ends.append(abs(-sign * res.fun + dp - dq))
+        if ends and max(ends) > 1e-9:
+            bad.append(((p, q), max(ends)))
     return bad
 
 

@@ -37,6 +37,19 @@ def test_malformed_json_is_schema_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "SCHEMA"
 
 
+def test_unbounded_region_is_schema_error(tmp_path, capsys):
+    # region 1 of ex2 replaced by the strip -x1 <= 2, |x2| <= 2: its
+    # inscribed radius is 2, but it has no bounding box
+    system = json.loads((PACKAGED / "ex2.json").read_text())
+    system["regions"][0].update(C=[[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                                d=[2.0, 2.0, 2.0])
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps(system))
+    assert run(["validate", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "SCHEMA", "message": "region 1 is unbounded"}
+
+
 def test_linearize_reference_values(capsys):
     assert run(["linearize", EX2, *LINFLAGS]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -1,8 +1,8 @@
 """Vertex-based polytope answers against scipy's linprog as the reference.
 
-Boxes, supports, redundancy decisions, facet points and Chebyshev balls are
-read off exact vertices; the LPs below (test-only) are the formulations
-they replace. On the packaged regions, pieces and intersections the answers
+Boxes, supports, redundancy decisions and Chebyshev balls are read off
+exact vertices; the LPs below (test-only) are the formulations they
+replace. On the packaged regions, pieces and intersections the answers
 agree bit for bit, and the ex3 terminal is built from the same decisions.
 """
 import json
@@ -77,25 +77,6 @@ def lp_reduce_rows(C, d):
 
 def redundant(row, offset, C, d):
     return bool(rows_redundant([row], [offset], C, d)[0])
-
-
-def lp_facet_points(field, p, row, n_points, seed):
-    region = field.pieces[p][0]
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(max(2, n_points // 8)):
-        res = linprog(rng.standard_normal(field.dim), A_ub=region.C,
-                      b_ub=region.d, A_eq=region.C[row:row + 1],
-                      b_eq=region.d[row:row + 1],
-                      bounds=[(-100.0, 100.0)] * field.dim, method="highs")
-        if res.status == 0:
-            pts.append(res.x)
-    if len(pts) < 2:
-        return np.array(pts)
-    pts = np.array(pts)
-    lam = rng.random((n_points, pts.shape[0]))
-    lam /= lam.sum(axis=1, keepdims=True)
-    return np.vstack([pts, lam @ pts])[:n_points]
 
 
 def bits(a):
@@ -238,18 +219,6 @@ def test_three_state_spec_builds(tmp_path, monkeypatch):
                                                 pipe.zsets[0], monkeypatch)
     assert bits(tset.C) + bits(tset.d) == bits(T.C) + bits(T.d)
     assert len(decisions) > 100
-
-
-@pytest.mark.parametrize("n_points,seed", [(8, 7), (100, 5)])
-def test_facet_points_equal_lp(ex3, n_points, seed):
-    # equal as numbers: the sign of a zero coordinate is the LP's own choice
-    g = ex3["spec"].g
-    for p, (piece, _, _) in enumerate(g.pieces):
-        for row in range(piece.n_rows):
-            s = seed + 31 * p + row
-            got = g._facet_points(p, row, n_points, s)
-            ref = lp_facet_points(g, p, row, n_points, s)
-            assert bits(got + 0.0) == bits(ref + 0.0), (p, row)
 
 
 def test_region_chebyshev_balls_match_lp(polytopes):
@@ -395,19 +364,15 @@ def test_three_rows_through_one_vertex():
     assert bits(P.bounding_box()) == bits(lp_box(P))
     assert P.support(P.C[3]) == lp_support(P.C, P.d, P.C[3])
     assert redundant(P.C[3], P.d[3], P.C[:3], P.d[:3])
-    g = object.__new__(cn.PwaField)
-    object.__setattr__(g, "pieces", ((P, np.zeros(2), 0.0),))
-    pts = g._facet_points(0, 3, 16, 1)
-    assert len(pts) == 16 and np.allclose(pts, [1.0, 0.0], atol=1e-15)
 
 
 def test_empty_facet():
-    # x1 <= 5 on the unit box: the facet x1 = 5 misses the set
+    # x1 <= 5 on the unit box: the facet x1 = 5 misses the set, so the
+    # box's 4 vertices are all and the row is implied
     P = Polytope(np.vstack([BOX_C, [[1.0, 0.0]]]), [1, 1, 1, 1, 5.0])
-    g = object.__new__(cn.PwaField)
-    object.__setattr__(g, "pieces", ((P, np.zeros(2), 0.0),))
-    assert len(g._facet_points(0, 4, 100, 3)) == 0
-    assert len(lp_facet_points(g, 0, 4, 100, 3)) == 0
+    assert len(vertices(P.C, P.d)) == 4
+    assert P.support(P.C[4]) == lp_support(P.C, P.d, P.C[4]) == 1.0
+    assert redundant(P.C[4], P.d[4], P.C[:4], P.d[:4])
 
 
 # -- no LP ---------------------------------------------------------------------

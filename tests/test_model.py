@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 import convexnmpc as cn
 from conftest import PACKAGED
-from helpers import (exact, finite_diff_grad, finite_diff_hess,
-                     row_by_row_continuity, row_by_row_region_reports,
-                     toy_spec)
+from helpers import exact, lp_continuity, row_by_row_region_reports, toy_spec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -87,32 +85,45 @@ def pwa_probe_points():
     ])
 
 
+def boxed(rows, offsets):
+    """The unit box cut by the rows C x <= d."""
+    return cn.Polytope(np.vstack([np.eye(2), -np.eye(2), rows]),
+                       np.r_[np.ones(4), offsets])
+
+
+def unchecked_pwa(pieces):
+    """A PwaField built without its load-time continuity check."""
+    g = object.__new__(cn.PwaField)
+    object.__setattr__(g, "pieces", tuple(pieces))
+    return g
+
+
+def assert_continuity_equals_lp(g, n_bad):
+    """check_continuity flags the pairs the LP reference flags, in pair
+    order, each at a point of both pieces where the affine maps differ by
+    its gap, and the gaps agree with the LP's; all within 1e-12."""
+    bad, ref = g.check_continuity(), lp_continuity(g)
+    assert len(bad) == len(ref) == n_bad
+    for (x, gap), ((p, q), ref_gap) in zip(bad, ref):
+        (P, wp, dp), (Q, wq, dq) = g.pieces[p], g.pieces[q]
+        assert P.contains(x, 1e-9) and Q.contains(x, 1e-9)
+        assert abs(gap - abs((x @ wp + dp) - (x @ wq + dq))) <= 1e-12
+        assert abs(gap - ref_gap) <= 1e-12
+
+
 class TestScalarFields:
     def test_quadratic_requires_symmetry(self):
         with pytest.raises(ValueError):
             cn.Quadratic([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0], 0.0)
 
-    @pytest.mark.parametrize("field,x", [
-        (cn.Affine([1.0, -2.0], 0.5), [0.3, 0.7]),
-        (cn.Quadratic([[1.0, 0.2], [0.2, 2.0]], [0.5, -1.0], 1.0), [0.4, -0.2]),
-        (cn.Sinusoid(4.0, 3 * np.pi / 8, [1.0, -1.0], 0.3), [0.2, 0.5]),
-    ])
-    def test_gradients_and_hessians_match_finite_differences(self, field, x):
-        x = np.asarray(x)
-        g_fd = finite_diff_grad(lambda y: float(field.value(y)), x)
-        assert np.allclose(field.grad(x), g_fd, atol=1e-6)
-        H_fd = finite_diff_hess(lambda y: float(field.value(y)), x)
-        assert np.allclose(field.hess(x), H_fd, atol=1e-4)
-
-    def test_sinusoid_hessian_closed_form(self):
-        f = cn.Sinusoid(4.0, 3 * np.pi / 8, [1.0, -1.0], 0.0)
-        x = np.array([0.3, -0.1])
-        arg = f.freq * (x @ f.dir)
-        expect = -4.0 * f.freq ** 2 * np.cos(arg) * np.outer(f.dir, f.dir)
-        assert np.allclose(f.hess(x), expect)
-
     def test_pwa_continuity_across_facets(self, ex3):
-        assert ex3["spec"].g.check_continuity(n_points=100, seed=5) == []
+        g = ex3["spec"].g
+        assert g.check_continuity() == [] == lp_continuity(g)
+        # offsets raised by 0.01 k on piece k: every pair that meets now
+        # differs on all its common part, by 0.01 |k_p - k_q|
+        shifted = [(P, w, d + 0.01 * k) for k, (P, w, d)
+                   in enumerate(g.pieces)]
+        assert_continuity_equals_lp(unchecked_pwa(shifted), n_bad=38)
 
     def test_pwa_discontinuous_pieces_rejected(self):
         left = cn.Polytope([[1.0, 0.0]], [0.0])
@@ -120,6 +131,12 @@ class TestScalarFields:
         with pytest.raises(ValueError, match="disagree"):
             cn.PwaField(((left, np.array([0.0, 0.0]), 1.0),
                          (right, np.array([0.0, 0.0]), 2.0)))
+        # the threshold is 1e-9: a step of 2e-9 is a gap, 5e-10 is not
+        with pytest.raises(ValueError, match="disagree by 2.00e-09"):
+            cn.PwaField(((left, np.zeros(2), 1.0),
+                         (right, np.zeros(2), 1.0 + 2e-9)))
+        cn.PwaField(((left, np.zeros(2), 1.0),
+                     (right, np.zeros(2), 1.0 + 5e-10)))
 
     def test_pwa_batch_value_equals_row_by_row(self, ex3):
         g = ex3["spec"].g
@@ -143,10 +160,10 @@ class TestScalarFields:
         assert (n_within >= 2).sum() > 1000  # on shared facets
         assert (n_within == 0).sum() > 500  # outside every piece
 
-    def test_pwa_continuity_scan_equals_row_by_row(self):
+    def test_pwa_continuity_equals_lp(self):
         # four pieces cut from a box by two oblique lines, with generic,
-        # mutually inconsistent slopes; the last row of the first piece has
-        # an empty facet (x1 = 5 on x1 <= 3), which yields no point
+        # mutually inconsistent slopes: every pair meets, at least at the
+        # origin; the last row of the first piece (x1 <= 5) misses the box
         box = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
         pieces = []
         for k, (s1, s2) in enumerate([(1, 1), (-1, 1), (-1, -1), (1, -1)]):
@@ -156,12 +173,32 @@ class TestScalarFields:
             pieces.append((cn.Polytope(C, d),
                            np.array([0.3 + 0.1 * k, -0.7 + 0.13 * k]),
                            0.37 + 0.1 * k))
-        g = object.__new__(cn.PwaField)  # skip the load-time check it fails
-        object.__setattr__(g, "pieces", tuple(pieces))
-        assert len(g._facet_points(0, 6, 100, 5 + 6)) == 0
-        bad = g.check_continuity(n_points=100, seed=5)
-        assert len(bad) > 100
-        assert exact(bad) == exact(row_by_row_continuity(g, 100, 5))
+        with pytest.raises(ValueError, match="disagree"):
+            cn.PwaField(tuple(pieces))
+        g = unchecked_pwa(pieces)
+        assert_continuity_equals_lp(g, n_bad=6)
+
+    def test_pwa_t_junction_is_continuous(self):
+        # the lower half of the box split at x1 = 0 under one undivided
+        # upper piece: (0, 0) is a vertex of the two lower pieces only
+        lower, upper = np.array([0.0, 1.0]), np.array([0.0, 2.0])
+        g = cn.PwaField((
+            (boxed([[0.0, -1.0]], [0.0]), upper, 1.0),
+            (boxed([[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0]), lower, 1.0),
+            (boxed([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0]), lower, 1.0)))
+        assert g.check_continuity() == [] == lp_continuity(g)
+        assert float(g.value([0.0, 0.0])) == 1.0
+
+    def test_pwa_overlapping_pieces_flagged(self):
+        # x1 <= 0.5 and x1 >= -0.5 overlap in a strip where 1 + x1 and
+        # 1 - x1 differ, by 1 at most, on the strip's vertical edges
+        pieces = ((boxed([[1.0, 0.0]], [0.5]), np.array([1.0, 0.0]), 1.0),
+                  (boxed([[-1.0, 0.0]], [0.5]), np.array([-1.0, 0.0]), 1.0))
+        with pytest.raises(ValueError, match="disagree by 1.00e"):
+            cn.PwaField(pieces)
+        g = unchecked_pwa(pieces)
+        assert_continuity_equals_lp(g, n_bad=1)
+        assert g.check_continuity()[0][1] == 1.0
 
     def test_pwa_value_matches_pieces(self, ex3):
         g = ex3["spec"].g

@@ -113,8 +113,7 @@ class TestMembership:
         assert cn.stage_membership(ex2["zsets"], x, 0.5) == set()
 
     def test_interval_ends(self, ex2):
-        z1 = ex2["zsets"][0]
-        lo, hi = z1.bound_interval(np.zeros(2))
+        lo, hi = cn.bound_interval(ex2["lin"], ex2["spec"], np.zeros(2))
         assert abs(lo + 0.192) < 1e-12 and abs(hi - 0.192) < 1e-12
 
 
@@ -143,7 +142,7 @@ class TestOracles:
             pts = zs.region.sample(100, seed=9)
             for x in pts:
                 gx = float(spec.g.value(x))
-                lo, hi = zs.bound_interval(x)
+                lo, hi = cn.bound_interval(lin, spec, x)
                 for v in rng.uniform(-3, 3, 3):
                     word = lin.b0 * v - lin.alpha @ x
                     direct = max(lo - word, word - hi)

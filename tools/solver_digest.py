@@ -30,12 +30,9 @@ Prints sha256[:16] over one float-hex line per result for nine sets:
 - stagesets: every stage set of ex1, ex2 and ex3: its sign, kind, every
             field of every constraint oracle, lifted_C and lifted_d;
 - geometry: for ex1, ex2 and ex3, every region's bounding box,
-            Chebyshev centre and PWA overlap list, the facet points of the
-            load-time continuity check (seed 7) and of
-            check_continuity(100, 5), and the terminal's polytope rows or
-            ellipsoid level; then the PWA piece index at every query-ex3
-            pool state. A zero facet coordinate is hashed as +0: its sign
-            is the solver's choice.
+            Chebyshev centre and PWA overlap list, and the terminal's
+            polytope rows or ellipsoid level; then the PWA piece index at
+            every query-ex3 pool state.
 
 Two checkouts whose digests agree assemble, solve and decide bit for bit
 alike.
@@ -233,12 +230,6 @@ def geometry_digest():
             out.add(system, k, region.chebyshev_center()[0])
             if isinstance(g, PwaField):
                 out.add(system, k, _overlapping_pieces(g.pieces, region))
-        for p, (piece, _, _) in enumerate(getattr(g, "pieces", ())):
-            for row in range(piece.n_rows):
-                for n_points, seed in ((8, 7), (100, 5)):
-                    pts = g._facet_points(p, row, n_points,
-                                          seed + 31 * p + row)
-                    out.add(system, p, row, n_points, pts + 0.0)
         tset = pipe.terminal.tset
         out.add(system, *((tset.C, tset.d) if isinstance(tset, Polytope)
                           else (tset.level,)))
