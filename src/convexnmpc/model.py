@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import RegionEmptyError, SchemaError
-from .geometry import MEMBERSHIP_TOL, Polytope, vertices
+from .geometry import MEMBERSHIP_TOL, Polytope, _subset_solutions
 
 # Absolute tolerance below which g(x) counts as zero (singular input gain).
 EPS_G = 1e-9
@@ -166,11 +166,19 @@ class PwaField:
         """(x, gap) for each pair of pieces whose affine maps differ by more
         than 1e-9 on their common part within |x| <= 100: the difference is
         affine, so its largest magnitude there is at a vertex x of the
-        intersection (empty if g is continuous)."""
+        intersection (empty if g is continuous). One enumeration serves
+        every pair: a pair reads the solutions of the n-subsets of all
+        pieces' rows that satisfy both pieces' rows and the box, which hold
+        the vertices of the intersection and otherwise only points in it."""
+        rows, offsets, starts = self._stacked_rows
+        X, ok = _subset_solutions(rows, offsets, 100.0)
+        m = len(offsets)
+        inside = (np.logical_and.reduceat(ok[:, :m], starts, axis=1)
+                  & ok[:, m:].all(axis=1)[:, None])
         bad = []
-        for (P, wp, dp), (Q, wq, dq) in combinations(self.pieces, 2):
-            V = vertices(np.vstack([P.C, Q.C]), np.concatenate([P.d, Q.d]),
-                         box=100.0)
+        for (p, (_, wp, dp)), (q, (_, wq, dq)) in combinations(
+                enumerate(self.pieces), 2):
+            V = X[inside[:, p] & inside[:, q]]
             if not len(V):
                 continue
             gap = np.abs((V @ wp + dp) - (V @ wq + dq))

@@ -22,13 +22,13 @@ b + E x0 is avoided on purpose: one stacked matrix product rounds
 differently from the per-row products and would move the last bits.
 
 For the same reason a ridge constraint's cosine phase is rounded two ways.
-RidgeCon's own oracles (the phase-I start and end, constraint values, the
-KKT residual) take freq * (x.dir) + phase at x = X z + x_off, evaluated for
-all of a program's ridges at once but with one product and one dot per
-constraint; the barrier's stacked group takes (freq * X'dir).z +
-(freq * (dir.x_off) + phase). One formula for both moves Newton counts and
-t*, and closed-loop values by up to 1e-8 relative, which the stored
-references do not absorb.
+Constraints.values and grads (the phase-I start and end, constraint
+values, the KKT residual) take freq * (x.dir) + phase at x = X z + x_off,
+evaluated for all of a program's ridges at once but with one product and
+one dot per constraint; the barrier's stacked group takes its
+Constraints.barrier_phase, (freq * X'dir).z + (freq * (dir.x_off) +
+phase). One formula for both moves Newton counts and t*, and closed-loop
+values by up to 1e-8 relative, which the stored references do not absorb.
 
 The fourth invariant: a batch does each candidate's arithmetic exactly.
 solve_many runs the Newton iterations of many programs in lockstep; each
@@ -46,7 +46,6 @@ a batch of one, and no solution depends on the batch it was solved in.
 """
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -55,7 +54,7 @@ from scipy.optimize import nnls
 
 from .errors import HorizonMismatchError, NoConvergenceError, OutOfRangeError
 from .geometry import Ellipsoid, Polytope
-from .stagesets import AffineCon, QuadCon, RidgeCon, _readonly
+from .stagesets import Constraints, _readonly
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +110,11 @@ def condense(lin, N, x0=None):
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
+    return _operators(*_responses(lin, N), x0)
+
+
+def _responses(lin, N):
+    """(Gamma, Phi): the stacked states x_hat(0..N) are Gamma v + Phi x0."""
     n = lin.A_hat.shape[0]
     powers = [np.eye(n)]
     for _ in range(N):
@@ -123,8 +127,11 @@ def condense(lin, N, x0=None):
     for k in range(1, N + 1):
         for i in range(k):
             Gamma[k * n:(k + 1) * n, i] = impulse[k - 1 - i]
-    Phi = np.vstack(powers)
+    return Gamma, np.vstack(powers)
 
+
+def _operators(Gamma, Phi, x0):
+    N, n = Gamma.shape[1], Phi.shape[1]
     if x0 is None:
         S = np.hstack([Gamma, Phi])
         offset = np.zeros((N + 1) * n)
@@ -141,47 +148,28 @@ def condense(lin, N, x0=None):
 
 class _StageBlock:
     """Stage set zs at one step, composed with the step map
-    z -> (x_hat(k), v_k) = M z + m: the parts that depend on M alone, and
+    z -> (x_hat(k), v_k) = M z + m: its constraints lifted by M, and
     offsets(m) for the rest."""
 
     def __init__(self, zs, M):
         self.zs, self.M = zs, _readonly(M)
-        rows, self.affine, self.nonlin = [zs.lifted_C @ M], [], []
-        self.nonconvex = False
-        for con in zs.constraints:
-            if isinstance(con, AffineCon):
-                rows.append((con.row @ M)[None, :])
-                self.affine.append(con)
-            elif isinstance(con, QuadCon):
-                H = M.T @ con.H @ M
-                self.nonlin.append((self._quad, con,
-                                    _readonly(0.5 * (H + H.T))))
-                if np.min(np.linalg.eigvalsh(con.H)) < -1e-8:
-                    self.nonconvex = True
-            elif isinstance(con, RidgeCon):
-                self.nonlin.append((self._ridge, con,
-                                    (_readonly(con.X @ M),
-                                     _readonly(con.lin @ M))))
-            else:
-                raise TypeError(f"unknown constraint type {type(con).__name__}")
-        self.rows = _readonly(np.vstack(rows))
-
-    def _quad(self, con, H, m):
-        w = _readonly(self.M.T @ (con.H @ m + con.w))
-        c0 = float(0.5 * m @ con.H @ m + con.w @ m + con.c0)
-        return QuadCon(H, w, c0)
-
-    def _ridge(self, con, X_lin, m):
-        X, lin = X_lin
-        return replace(con, X=X, x_off=_readonly(con.X @ m + con.x_off),
-                       lin=lin, c=float(con.lin @ m + con.c))
+        lifted = zs.constraints.lift(M)
+        self.rows = _readonly(np.vstack([zs.lifted_C @ M, lifted.rows]))
+        self.nonlin = replace(lifted, rows=lifted.rows[:0],
+                              offsets=lifted.offsets[:0])
+        self.nonconvex = bool(np.any(
+            np.linalg.eigvalsh(zs.constraints.H) < -1e-8))
 
     def offsets(self, m):
-        """Right-hand sides of the rows, and the nonlinear constraints."""
-        offs = [self.zs.lifted_d - self.zs.lifted_C @ m]
-        offs += [[con.offset - float(con.row @ m)] for con in self.affine]
-        return (_readonly(np.concatenate(offs)),
-                tuple(make(con, part, m) for make, con, part in self.nonlin))
+        """Right-hand sides of the rows, and the nonlinear constraints: the
+        stage constraints shifted by m, then lifted by M, whose products
+        with rows, X, lin and H are those of the lift above."""
+        cons = self.zs.constraints.shift(m)
+        return (_readonly(np.concatenate(
+                    [self.zs.lifted_d - self.zs.lifted_C @ m, cons.offsets])),
+                replace(self.nonlin, x_off=cons.x_off, c=cons.c, c0=cons.c0,
+                        w=_readonly((self.M.T @ cons.w[:, :, None])[:, :, 0]))
+                if len(self.nonlin) else self.nonlin)
 
 
 class _Horizon:
@@ -193,8 +181,10 @@ class _Horizon:
         # entry lives
         self.lin, self.zsets, self.terminal = lin, tuple(zsets), terminal
         self.Q = _readonly(Q.copy())
-        # for fixed x0 a template: each state condenses its own offset
-        ops = condense(lin, N, None if free else np.zeros(lin.A_hat.shape[0]))
+        self.Gamma, self.Phi = map(_readonly, _responses(lin, N))
+        # for fixed x0 a template: each state takes its own offset Phi x0
+        ops = _operators(self.Gamma, self.Phi,
+                         None if free else np.zeros(lin.A_hat.shape[0]))
         self.ops = ops
         _readonly(ops.S)
         _readonly(ops.offset)
@@ -256,8 +246,7 @@ class _Offsets:
     def __init__(self, hz, x0):
         ops = hz.ops
         if x0 is not None:
-            ops = condense(hz.lin, ops.N, _readonly(x0.copy()))
-            _readonly(ops.S)
+            ops = _operators(hz.Gamma, hz.Phi, _readonly(x0.copy()))
             _readonly(ops.offset)
         f = np.zeros(ops.n_vars)
         c0 = 0.0
@@ -271,13 +260,16 @@ class _Offsets:
         f += 2.0 * (oN @ hz.PS)
         c0 += float(oN @ hz.terminal.P @ oN)
         tset = hz.terminal.tset
-        self.term_offs, self.term_nonlin = _readonly(np.zeros(0)), ()
+        self.term_offs = _readonly(np.zeros(0))
         if isinstance(tset, Polytope):
             self.term_offs = _readonly(tset.d - tset.C @ oN)
+            self.term_nonlin = Constraints.of(ops.n_vars, ops.n)
         else:
-            wq = _readonly(2.0 * (SN.T @ tset.P_shape @ oN))
+            wq = 2.0 * (SN.T @ tset.P_shape @ oN)
             cq = float(oN @ tset.P_shape @ oN) - tset.level
-            self.term_nonlin = (QuadCon(hz.term_hess, wq, cq),)
+            self.term_nonlin = Constraints.of(ops.n_vars, ops.n,
+                                              H=[hz.term_hess], w=[wq],
+                                              c0=[cq])
         self.hint = (None if x0 is None
                      else hz.rollout(np.zeros(ops.n_vars), ops.x0.copy()))
         self.hz, self.ops, self.f, self.c0 = hz, ops, _readonly(f), c0
@@ -321,8 +313,8 @@ class ConvexProgram:
     """Condensed scenario subproblem.
 
     Objective value is z'Hz + f.z + c0 (H symmetric PSD under the stage-cost
-    conventions). Affine rows are stacked as A z <= b; the remaining
-    constraints keep their oracles.
+    conventions). Affine rows are stacked as A z <= b, the nonlinear
+    constraints in nonlin (ridges, then quadratics, in step order).
     """
 
     n_vars: int
@@ -331,7 +323,7 @@ class ConvexProgram:
     c0: float
     A_mat: np.ndarray
     b_vec: np.ndarray
-    nonlin: tuple
+    nonlin: Constraints
     prog_class: str
     coeffs: tuple
     scenario_j: int
@@ -354,78 +346,11 @@ class ConvexProgram:
         m = self.A_mat.shape[0]
         vals = np.empty(self.n_constraints)
         vals[:m] = self.A_mat @ z - self.b_vec
-        vals[m:] = self._blocks.values(z)
+        vals[m:] = self.nonlin.values(z)
         return vals
 
-    @cached_property
-    def _blocks(self):
-        return _Blocks(self.nonlin, self.n_vars)
 
-
-class _Blocks:
-    """A program's nonlinear constraints by class: the ridges stacked, the
-    quadratics as they are, and where each sits among the constraints.
-
-    values and grads keep RidgeCon's own rounding: X z + x_off as one
-    product per constraint, x.dir and lin.z as one dot per constraint, never
-    folded into one matrix product over all of them.
-    """
-
-    def __init__(self, cons, d):
-        self.n, self.d = len(cons), d
-        ridge = [k for k, con in enumerate(cons) if isinstance(con, RidgeCon)]
-        self.quad_at = [k for k, con in enumerate(cons)
-                        if isinstance(con, QuadCon)]
-        if len(ridge) + len(self.quad_at) != len(cons):
-            other = next(con for con in cons
-                         if not isinstance(con, (RidgeCon, QuadCon)))
-            raise TypeError(
-                f"no barrier block for constraint {type(other).__name__}")
-        self.ridge_at = np.array(ridge, dtype=int)
-        self.quads = tuple(cons[k] for k in self.quad_at)
-        ridges = [cons[k] for k in ridge]
-        if not ridges:
-            return
-        for name in ("scale", "freq", "dir", "phase", "lo", "hi", "X",
-                     "x_off", "lin", "c"):
-            setattr(self, name, np.array([getattr(con, name)
-                                          for con in ridges]))
-        self.XT = self.X.transpose(0, 2, 1)
-        # the barrier's phase q.z + r
-        self.Qm = self.freq[:, None] * (self.XT @ self.dir[:, :, None])[:, :, 0]
-        self.r = (self.freq * (self.dir[:, None, :]
-                               @ self.x_off[:, :, None])[:, 0, 0]
-                  + self.phase)
-
-    def _phase(self, z):
-        x = (self.X @ z[:, None])[:, :, 0] + self.x_off
-        th = (self.freq * (x[:, None, :] @ self.dir[:, :, None])[:, 0, 0]
-              + self.phase)
-        return th, np.clip(th, self.lo, self.hi)
-
-    def values(self, z):
-        out = np.empty(self.n)
-        if self.ridge_at.size:
-            th, thc = self._phase(z)
-            val = self.scale * np.cos(thc)
-            slope = -self.scale * np.sin(thc)
-            out[self.ridge_at] = (val + slope * (th - thc)
-                                  + (self.lin[:, None, :]
-                                     @ z[:, None])[:, 0, 0] + self.c)
-        for k, con in zip(self.quad_at, self.quads):
-            out[k] = con.value(z)
-        return out
-
-    def grads(self, z):
-        out = np.empty((self.n, self.d))
-        if self.ridge_at.size:
-            _, thc = self._phase(z)
-            slope = -self.scale * np.sin(thc)
-            u = (slope * self.freq)[:, None] * self.dir
-            out[self.ridge_at] = (self.XT @ u[:, :, None])[:, :, 0] + self.lin
-        for k, con in zip(self.quad_at, self.quads):
-            out[k] = con.grad(z)
-        return out
+PROG_CLASS = {"smooth": "NLP", "quadratic": "QCQP", "affine": "QP"}
 
 
 def encode(coeffs, s):
@@ -468,8 +393,8 @@ def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
     steps = [st.step(e - 1, k) for k, e in enumerate(coeffs)]
     A_mat = np.vstack([blk.rows for blk, _, _ in steps] + [st.hz.term_rows])
     b_vec = np.concatenate([offs for _, offs, _ in steps] + [st.term_offs])
-    nonlin = tuple(con for _, _, cons in steps for con in cons)
-    nonlin += st.term_nonlin
+    nonlin = Constraints.join([cons for _, _, cons in steps]
+                              + [st.term_nonlin])
 
     # Rows without any decision-variable dependence (fixed-x0 region rows at
     # k = 0) are checked once and removed; they cannot steer the solver.
@@ -478,13 +403,9 @@ def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
     pre_violation = float(np.max(-b_vec[constant])) if np.any(constant) else -np.inf
     A_mat, b_vec = A_mat[~constant], b_vec[~constant]
 
-    kinds = {con.kind for con in nonlin}
-    prog_class = ("NLP" if "smooth" in kinds
-                  else "QCQP" if "quadratic" in kinds else "QP")
-
     return ConvexProgram(n_vars=st.ops.n_vars, H=st.hz.H, f=st.f, c0=st.c0,
                          A_mat=_readonly(A_mat), b_vec=_readonly(b_vec),
-                         nonlin=nonlin, prog_class=prog_class,
+                         nonlin=nonlin, prog_class=PROG_CLASS[nonlin.kind],
                          coeffs=coeffs, scenario_j=j, ops=st.ops,
                          pre_violation=pre_violation,
                          z0_hint=st.hz.hints[coeffs[0] - 1] if x0 is None
@@ -589,9 +510,9 @@ class _Stack:
         relaxes = [self.relaxes[r] for r in rows]
         d, k = progs[0].n_vars, len(progs)
         w = d + 1 if aug else d
-        blocks = [p._blocks for p in progs]
-        m, ms, nq = (progs[0].A_mat.shape[0], len(blocks[0].ridge_at),
-                     len(blocks[0].quads))
+        cons = [p.nonlin for p in progs]
+        m, ms, nq = (progs[0].A_mat.shape[0], len(cons[0].scale),
+                     len(cons[0].c0))
         self.d, self.m, self.ms, self.nq = d, m, ms, nq
         self.A = np.empty((k, m, w))
         self.A[:, :, :d] = [p.A_mat for p in progs]
@@ -612,21 +533,22 @@ class _Stack:
             self.arrays += ["H", "f", "c0"]
         if ms:
             self.Qm, self.Lin = np.zeros((k, ms, w)), np.zeros((k, ms, w))
-            self.Qm[:, :, :d] = [bl.Qm for bl in blocks]
-            self.Lin[:, :, :d] = [bl.lin for bl in blocks]
+            self.Qm[:, :, :d] = [c.barrier_phase[0] for c in cons]
+            self.Lin[:, :, :d] = [c.lin for c in cons]
             if aug:
                 self.Lin[:, :, d] = -1.0
-            for name, attr in (("r", "r"), ("lc", "c"), ("scale", "scale"),
-                               ("lo", "lo"), ("hi", "hi")):
-                setattr(self, name, np.array([getattr(bl, attr)
-                                              for bl in blocks]))
+            self.r = np.array([c.barrier_phase[1] for c in cons])
+            for name, attr in (("lc", "c"), ("scale", "scale"), ("lo", "lo"),
+                               ("hi", "hi")):
+                setattr(self, name, np.array([getattr(c, attr)
+                                              for c in cons]))
             self.neg_scale = -self.scale
             self.arrays += ["Qm", "Lin", "r", "lc", "scale", "neg_scale", "lo",
                             "hi"]
         if nq:
-            self.qH = np.array([[q.H for q in bl.quads] for bl in blocks])
-            self.qw = np.array([[q.w for q in bl.quads] for bl in blocks])
-            self.qc = np.array([[q.c0 for q in bl.quads] for bl in blocks])
+            self.qH = np.array([c.H for c in cons])
+            self.qw = np.array([c.w for c in cons])
+            self.qc = np.array([c.c0 for c in cons])
             # constant Hessians, padded with the zero t row and column once
             self.qhess = np.zeros((k, nq, w, w))
             self.qhess[:, :, :d, :d] = self.qH
@@ -813,8 +735,8 @@ class _Batch:
 
     def __init__(self, progs):
         self.progs, self.stacks = list(progs), {}
-        self.shapes = [(p.n_vars, p.A_mat.shape[0], len(p._blocks.ridge_at),
-                        len(p._blocks.quads)) for p in self.progs]
+        self.shapes = [(p.n_vars, p.A_mat.shape[0], len(p.nonlin.scale),
+                        len(p.nonlin.c0)) for p in self.progs]
 
     def member(self, i, aug, relax=0.0):
         """(stack, row) of program i entering phase I (aug) or phase II."""
@@ -1051,7 +973,7 @@ def _kkt_residual(prog, z, mu_last, relax, cfg):
     m = prog.A_mat.shape[0]
     vals = np.empty(prog.n_constraints)
     vals[:m] = -((prog.b_vec + relax) - prog.A_mat @ z)
-    vals[m:] = prog._blocks.values(z) - relax
+    vals[m:] = prog.nonlin.values(z) - relax
     violation = float(np.max(vals, initial=0.0)) + relax
     gap = mu_last * max(prog.n_constraints, 1)
     if not vals.size:
@@ -1059,7 +981,7 @@ def _kkt_residual(prog, z, mu_last, relax, cfg):
 
     J = np.empty((vals.size, prog.n_vars))
     J[:m] = prog.A_mat
-    J[m:] = prog._blocks.grads(z)
+    J[m:] = prog.nonlin.grads(z)
     s = np.maximum(-vals, 1e-300)
     stat_barrier = float(np.max(np.abs(g0 + J.T @ (mu_last / s))))
     stationarity = stat_barrier
@@ -1257,14 +1179,6 @@ def _lowest_max(a, c):
     return best, v
 
 
-def _head_con(con, k):
-    """A nonlinear constraint of a fixed-x0 program on its first k inputs,
-    the columns its stage block can depend on."""
-    if isinstance(con, RidgeCon):
-        return replace(con, X=con.X[:, :k], lin=con.lin[:k])
-    return QuadCon(con.H[:k, :k], con.w[:k], con.c0)
-
-
 def _head_phase1(batch, i, cfg):
     """Phase I of head program i of the batch (a generator of requests):
     (z, low, Newton steps), z and low None when it is undecided."""
@@ -1298,10 +1212,9 @@ class Screen:
         # affine in v (the last gradient entry), region rows are flat; the
         # next region's rows C x1 - d have C b_hat
         n = lin.A_hat.shape[0]
-        self.slopes = [np.array([con.grad(np.zeros(n + 1))[n]
-                                 for con in zs.constraints]
-                                + [0.0] * zs.region.n_rows)
-                       for zs in self.zsets]
+        self.slopes = [np.concatenate([
+            zs.constraints.grads(np.zeros(n + 1))[:, n],
+            np.zeros(zs.region.n_rows)]) for zs in self.zsets]
         self.next_rows = [(zs.region.C @ lin.A_hat, zs.region.d,
                            zs.region.C @ lin.b_hat) for zs in self.zsets]
         try:  # x0(v0) = A_hat^-1 x1 - (A_hat^-1 b_hat) v0 steps to x1
@@ -1332,7 +1245,8 @@ class Screen:
         prog = ConvexProgram(
             n_vars=d, H=np.zeros((d, d)), f=np.zeros(d), c0=0.0,
             A_mat=np.vstack([first.rows, second.rows]),
-            b_vec=np.concatenate([b0, b1]), nonlin=cons0 + cons1,
+            b_vec=np.concatenate([b0, b1]),
+            nonlin=Constraints.join([cons0, cons1]),
             prog_class="", coeffs=(), scenario_j=0, ops=self.ops,
             pre_violation=-np.inf, z0_hint=hint, nonconvex_data=False)
         try:  # no feas_tol can end this phase I early
@@ -1438,8 +1352,9 @@ class Screen:
         return ConvexProgram(
             n_vars=k, H=np.zeros((k, k)), f=np.zeros(k), c0=0.0,
             A_mat=A_mat[keep], b_vec=b_vec[keep],
-            nonlin=tuple(_head_con(con, k) for _, _, cons in steps
-                         for con in cons),
+            # on z = (v_0..v_{k-1}, 0): the stage blocks read no other input
+            nonlin=Constraints.join([cons for _, _, cons in steps]).lift(
+                np.eye(st.ops.n_vars, k)),
             prog_class="", coeffs=head, scenario_j=0, ops=st.ops,
             pre_violation=-np.inf, z0_hint=np.append(parent, v),
             nonconvex_data=False)
@@ -1465,8 +1380,8 @@ class Screen:
         v = lo + (hi - lo) * WITNESS_GRID
         Z = np.column_stack([p - v[:, None] * q, v])
         worst = np.max(np.column_stack(
-            [con.value_batch(Z) for con in zs.constraints]
-            + [Z @ zs.lifted_C.T - zs.lifted_d]), axis=1)
+            [zs.constraints.values_batch(Z), Z @ zs.lifted_C.T - zs.lifted_d]),
+            axis=1)
         k = int(np.argmin(worst))
         return np.concatenate([v[k:k + 1], witness[:-n], Z[k, :n]])
 

@@ -5,15 +5,18 @@ b0 v - alpha.x must lie in. On a region where beta*g >= 0 the interval is
 [beta g(x) u_lo, beta g(x) u_hi]; on a region where beta*g <= 0 the bounds
 swap. Under the curvature assumptions both defining inequalities are convex.
 
-Constraints are exposed as (value, gradient, Hessian) oracles in the joint
-variable z = (x, v), in three forms: AffineCon for affine gains, QuadCon for
-quadratic ones and RidgeCon (a tangent-extended cosine ridge plus a linear
-term) for sinusoidal ones. Each form stays in its form when composed with
-the prediction map. Piecewise-affine gains are expanded into one affine row
-per relevant affine piece, so those stage sets are purely polyhedral and the
-downstream subproblems become QPs.
+A stage set's constraints are one stacked value (Constraints) in the joint
+variable z = (x, v), with values and gradients: affine rows for affine
+gains, quadratics for quadratic ones and tangent-extended cosine ridges
+plus a linear term for sinusoidal ones. Each form stays in its form when
+composed with the prediction map, so the programs built from the stage
+sets hold their constraints in the same stacked value. Piecewise-affine
+gains are expanded into one affine row per relevant affine piece, so those
+stage sets are purely polyhedral and the downstream subproblems become
+QPs.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,57 +33,29 @@ def _readonly(a):
 
 
 # ---------------------------------------------------------------------------
-# constraint oracles (value <= 0 convention)
+# constraints (value <= 0 convention)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineCon:
-    """row.z - offset <= 0"""
+def _dots(rows, z):
+    """rows[k].z for each k, one dot product per row: a stacked matrix
+    product rounds differently from the per-row ones."""
+    return (rows[:, None, :] @ z[:, None])[:, 0, 0]
 
-    row: np.ndarray
-    offset: float
-    kind = "affine"
 
-    def value(self, z):
-        return float(self.row @ z - self.offset)
-
-    def value_batch(self, Z):
-        return Z @ self.row - self.offset
-
-    def grad(self, z):
-        return self.row.copy()
-
-    def hess(self, z):
-        m = self.row.shape[0]
-        return np.zeros((m, m))
+FORMS = (("rows", "offsets"),
+         ("scale", "freq", "dir", "phase", "lo", "hi", "X", "x_off", "lin",
+          "c"),
+         ("H", "w", "c0"))
 
 
 @dataclass(frozen=True)
-class QuadCon:
-    """0.5 z'Hz + w.z + c0 <= 0"""
+class Constraints:
+    """Convex inequalities f(z) <= 0 in z, stacked by form: affine rows,
+    then ridges, then quadratics, each form in its own order.
 
-    H: np.ndarray
-    w: np.ndarray
-    c0: float
-    kind = "quadratic"
-
-    def value(self, z):
-        return float(0.5 * z @ self.H @ z + self.w @ z + self.c0)
-
-    def value_batch(self, Z):
-        return (0.5 * np.einsum("ij,jk,ik->i", Z, self.H, Z)
-                + Z @ self.w + self.c0)
-
-    def grad(self, z):
-        return self.H @ z + self.w
-
-    def hess(self, z):
-        return self.H
-
-
-@dataclass(frozen=True)
-class RidgeCon:
-    """scale * cos~(freq * dir.(X z + x_off) + phase) + lin.z + c <= 0.
+    - affine:    rows.z - offsets
+    - ridge:     scale * cos~(freq * dir.(X z + x_off) + phase) + lin.z + c
+    - quadratic: 0.5 z'Hz + w.z + c0
 
     cos~ is the cosine on the phase band [lo, hi], continued along its
     tangents outside it. The band is where the scaled cosine is convex, so
@@ -88,54 +63,147 @@ class RidgeCon:
     region's band, the constraint agrees with the raw sinusoid bound on the
     region, so the stage set is untouched, while phase-I iterates that stray
     outside the band see a convex landscape and cannot stall in spurious
-    local minima. In a stage set X = [I 0], x_off = 0 and c = 0; composed
-    with an affine map z = M y + m it is a RidgeCon again, with X M,
-    X m + x_off, lin M and lin.m + c.
+    local minima. In a stage set X = [I 0], x_off = 0 and c = 0.
+
+    Each form keeps its form under an affine map z = M y + m: shift(m),
+    then lift(M). Every product is taken per constraint (matrix products
+    per slice of a stack, vector products over a unit axis), so a stack of
+    constraints rounds as each of them alone.
     """
 
-    scale: float
-    freq: float
-    dir: np.ndarray
-    phase: float
-    lo: float
-    hi: float
-    X: np.ndarray
-    x_off: np.ndarray
-    lin: np.ndarray
-    c: float
-    kind = "smooth"
+    rows: np.ndarray  # (a, d)
+    offsets: np.ndarray  # (a,)
+    scale: np.ndarray  # (r,)
+    freq: np.ndarray  # (r,)
+    dir: np.ndarray  # (r, n)
+    phase: np.ndarray  # (r,)
+    lo: np.ndarray  # (r,)
+    hi: np.ndarray  # (r,)
+    X: np.ndarray  # (r, n, d)
+    x_off: np.ndarray  # (r, n)
+    lin: np.ndarray  # (r, d)
+    c: np.ndarray  # (r,)
+    H: np.ndarray  # (q, d, d)
+    w: np.ndarray  # (q, d)
+    c0: np.ndarray  # (q,)
 
-    def _branch(self, x):
-        """cos~ at the phase of x (rows of x for a batch), with its slope
-        and curvature in the phase."""
-        th = self.freq * (x @ self.dir) + self.phase
-        lo, hi = self.lo, self.hi
-        th_c = np.clip(th, lo, hi)
-        val = self.scale * np.cos(th_c)
-        slope = -self.scale * np.sin(th_c)
-        return val + slope * (th - th_c), slope, np.where(
-            (th < lo) | (th > hi), 0.0, -self.scale * np.cos(th_c))
+    @classmethod
+    def of(cls, d, n, **given):
+        """Constraints on z in R^d with ridge phases on x in R^n, from the
+        given fields (one entry per constraint); the others are empty."""
+        shapes = {"rows": (d,), "dir": (n,), "X": (n, d), "x_off": (n,),
+                  "lin": (d,), "H": (d, d), "w": (d,)}
+        return cls(**{name: _readonly(np.array(
+            given.get(name, np.zeros((0,) + shapes.get(name, ()))),
+            dtype=float)) for form in FORMS for name in form})
 
-    def value(self, z):
-        val, _, _ = self._branch(self.X @ z + self.x_off)
-        return float(val + self.lin @ z + self.c)
+    @classmethod
+    def join(cls, parts):
+        """The constraints of all parts, each form in the parts' order."""
+        out = {}
+        for form in FORMS:
+            some = [p for p in parts if len(getattr(p, form[0]))] or parts[:1]
+            out.update({name: getattr(some[0], name) if len(some) == 1
+                        else _readonly(np.concatenate([getattr(p, name)
+                                                       for p in some]))
+                        for name in form})
+        return cls(**out)
 
-    def value_batch(self, Z):
-        val, _, _ = self._branch(Z @ self.X.T + self.x_off)
-        return val + Z @ self.lin + self.c
+    def __len__(self):
+        return len(self.rows) + len(self.scale) + len(self.c0)
 
-    def grad(self, z):
-        _, slope, _ = self._branch(self.X @ z + self.x_off)
-        return self.X.T @ (float(slope) * self.freq * self.dir) + self.lin
+    @property
+    def kind(self):
+        """'smooth' with a ridge, else 'quadratic' with a quadratic, else
+        'affine'."""
+        return ("smooth" if len(self.scale)
+                else "quadratic" if len(self.c0) else "affine")
 
-    def hess(self, z):
-        _, _, curv = self._branch(self.X @ z + self.x_off)
-        return self.X.T @ (float(curv) * self.freq ** 2
-                           * np.outer(self.dir, self.dir)) @ self.X
+    def shift(self, m):
+        """The constraints of z + m, as constraints in z."""
+        new = {}
+        if len(self.rows):
+            new["offsets"] = self.offsets - _dots(self.rows, m)
+        if len(self.scale):
+            new.update(x_off=self.X @ m + self.x_off,
+                       c=_dots(self.lin, m) + self.c)
+        if len(self.c0):
+            new.update(w=self.H @ m + self.w,
+                       c0=(_dots((0.5 * m) @ self.H, m) + _dots(self.w, m)
+                           + self.c0))
+        return replace(self, **{k: _readonly(a) for k, a in new.items()})
+
+    def lift(self, M):
+        """The constraints of M y, as constraints in y."""
+        H = M.T @ self.H @ M
+        return replace(self, rows=_readonly((self.rows[:, None, :] @ M)[:, 0]),
+                       X=_readonly(self.X @ M),
+                       lin=_readonly((self.lin[:, None, :] @ M)[:, 0]),
+                       H=_readonly(0.5 * (H + H.transpose(0, 2, 1))),
+                       w=_readonly((M.T @ self.w[:, :, None])[:, :, 0]))
+
+    def _phase(self, z):
+        """The ridges' phase at z, as freq * dir.(X z + x_off) + phase, and
+        clipped to the band."""
+        x = (self.X @ z[:, None])[:, :, 0] + self.x_off
+        th = (self.freq * (x[:, None, :] @ self.dir[:, :, None])[:, 0, 0]
+              + self.phase)
+        return th, np.clip(th, self.lo, self.hi)
+
+    def values(self, z):
+        """f(z) of every constraint, in order."""
+        out = [_dots(self.rows, z) - self.offsets]
+        if len(self.scale):
+            th, thc = self._phase(z)
+            out.append(self.scale * np.cos(thc)
+                       + -self.scale * np.sin(thc) * (th - thc)
+                       + _dots(self.lin, z) + self.c)
+        if len(self.c0):
+            out.append(_dots((0.5 * z) @ self.H, z) + _dots(self.w, z)
+                       + self.c0)
+        return np.concatenate(out)
+
+    def values_batch(self, Z):
+        """f at each row of Z: one row of values per point."""
+        out = [(Z @ self.rows[:, :, None])[:, :, 0] - self.offsets[:, None]]
+        if len(self.scale):
+            x = Z @ self.X.transpose(0, 2, 1) + self.x_off[:, None, :]
+            th = (self.freq[:, None] * (x @ self.dir[:, :, None])[:, :, 0]
+                  + self.phase[:, None])
+            thc = np.clip(th, self.lo[:, None], self.hi[:, None])
+            scale = self.scale[:, None]
+            out.append(scale * np.cos(thc) + -scale * np.sin(thc) * (th - thc)
+                       + (Z @ self.lin[:, :, None])[:, :, 0] + self.c[:, None])
+        # one einsum per quadratic: a stacked one rounds differently
+        out += [0.5 * np.einsum("ij,jk,ik->i", Z, H, Z) + Z @ w + c0
+                for H, w, c0 in zip(self.H, self.w, self.c0)]
+        return np.vstack(out).T
+
+    def grads(self, z):
+        """The gradient of every constraint at z, one row each, in order."""
+        out = [self.rows]
+        if len(self.scale):
+            _, thc = self._phase(z)
+            u = ((-self.scale * np.sin(thc)) * self.freq)[:, None] * self.dir
+            out.append((self.X.transpose(0, 2, 1) @ u[:, :, None])[:, :, 0]
+                       + self.lin)
+        if len(self.c0):
+            out.append(self.H @ z + self.w)
+        return np.concatenate(out)
+
+    @cached_property
+    def barrier_phase(self):
+        """(q, r): the ridges' phase as q.z + r with q = freq * X'dir and
+        r = freq * (dir.x_off) + phase, the barrier's rounding of it."""
+        q = self.freq[:, None] * (self.X.transpose(0, 2, 1)
+                                  @ self.dir[:, :, None])[:, :, 0]
+        r = (self.freq * (self.dir[:, None, :]
+                          @ self.x_off[:, :, None])[:, 0, 0] + self.phase)
+        return q, r
 
 
 def _gain_bound_constraint(field, g_coef, alpha, b0, upper, region):
-    """One side of the interval condition as a constraint oracle in (x, v).
+    """One side of the interval condition as one constraint in (x, v).
 
     lower side: g_coef*g(x) - (b0 v - alpha.x) <= 0
     upper side: (b0 v - alpha.x) - g_coef*g(x) <= 0
@@ -155,22 +223,21 @@ def _gain_bound_constraint(field, g_coef, alpha, b0, upper, region):
     if isinstance(field, Affine):
         row = lin.copy()
         row[:n] += coef * field.w
-        return AffineCon(row, -coef * field.d)
+        return Constraints.of(n + 1, n, rows=[row], offsets=[-coef * field.d])
     if isinstance(field, Quadratic):
         H = np.zeros((n + 1, n + 1))
         H[:n, :n] = coef * field.H
         w = lin.copy()
         w[:n] += coef * field.w
-        return QuadCon(H, w, coef * field.d)
+        return Constraints.of(n + 1, n, H=[H], w=[w], c0=[coef * field.d])
     if isinstance(field, Sinusoid):
         lo = -region.support(-field.freq * field.dir)
         hi = region.support(field.freq * field.dir)
-        return RidgeCon(scale=coef * field.amp, freq=field.freq,
-                        dir=_readonly(field.dir.copy()), phase=field.phase,
-                        lo=lo + field.phase, hi=hi + field.phase,
-                        X=_readonly(np.eye(n, n + 1)),
-                        x_off=_readonly(np.zeros(n)), lin=_readonly(lin),
-                        c=0.0)
+        return Constraints.of(
+            n + 1, n, scale=[coef * field.amp], freq=[field.freq],
+            dir=[field.dir], phase=[field.phase], lo=[lo + field.phase],
+            hi=[hi + field.phase], X=[np.eye(n, n + 1)], x_off=[np.zeros(n)],
+            lin=[lin], c=[0.0])
     raise TypeError(f"no stage constraint for gain {type(field).__name__}")
 
 
@@ -205,29 +272,36 @@ class StageSet:
     index : 1-based region index.
     region : state polytope X_i.
     sign_beta_g : +1 if beta*g >= 0 on the region, else -1.
-    constraints : interval-side oracles in z = (x, v).
-    kind : 'affine' | 'quadratic' | 'smooth' (worst constraint class).
+    constraints : the interval sides, as Constraints in z = (x, v).
     lifted_C, lifted_d : region rows lifted to (x, v)-space.
     """
 
     index: int
     region: Polytope
     sign_beta_g: int
-    constraints: tuple
-    kind: str
+    constraints: Constraints
     lifted_C: np.ndarray
     lifted_d: np.ndarray
 
+    @property
+    def kind(self):
+        """'affine' | 'quadratic' | 'smooth' (the constraints' kind)."""
+        return self.constraints.kind
+
     def all_values(self, x, v):
-        z = np.concatenate([np.asarray(x, dtype=float), [float(v)]])
-        vals = [con.value(z) for con in self.constraints]
-        vals.extend(self.lifted_C @ z - self.lifted_d)
-        return np.array(vals)
+        """The interval sides' values at (x, v), then the region rows'."""
+        z = _joint(x, v)
+        return np.concatenate([self.constraints.values(z),
+                               self.lifted_C @ z - self.lifted_d])
 
     def contains(self, x, v, tol=MEMBERSHIP_TOL):
         # the region rows first: most points that miss a set miss its region
-        return (self.region.contains(x, tol)
-                and bool(np.max(self.all_values(x, v)) <= tol))
+        return (self.region.contains(x, tol) and bool(
+            np.max(self.constraints.values(_joint(x, v))) <= tol))
+
+
+def _joint(x, v):
+    return np.concatenate([np.asarray(x, dtype=float), [float(v)]])
 
 
 def _check_sign(spec, lin, idx, region, expected_sign, seed):
@@ -262,17 +336,14 @@ def build_stage_sets(spec, lin, seed=0):
         gains = ([Affine(w, d) for w, d in
                   _overlapping_pieces(spec.g.pieces, region)]
                  if isinstance(spec.g, PwaField) else [spec.g])
-        cons = tuple(
+        cons = Constraints.join([
             _gain_bound_constraint(g, lin.beta * mult, lin.alpha, lin.b0,
                                    upper=upper, region=region)
             for upper, mult in ((False, lo_mult), (True, hi_mult))
-            for g in gains)
-        kinds = {con.kind for con in cons}
-        kind = ("smooth" if "smooth" in kinds
-                else "quadratic" if "quadratic" in kinds else "affine")
+            for g in gains])
         lifted_C = np.hstack([region.C, np.zeros((region.n_rows, 1))])
         sets.append(StageSet(index=idx, region=region, sign_beta_g=sign_beta_g,
-                             constraints=cons, kind=kind, lifted_C=lifted_C,
+                             constraints=cons, lifted_C=lifted_C,
                              lifted_d=region.d.copy()))
     return sets
 

@@ -89,13 +89,8 @@ def _stage_rows_under_gain(z1, kappa):
             "maximal admissible set needs a purely affine first stage set")
     n = kappa.shape[0]
     lift = np.vstack([np.eye(n), kappa])
-    rows = [z1.lifted_C @ lift]
-    offsets = [z1.lifted_d]
-    for con in z1.constraints:
-        rows.append((con.row @ lift)[None, :])
-        offsets.append(np.array([con.offset]))
-    C = np.vstack(rows)
-    d = np.concatenate(offsets)
+    C = np.vstack([z1.lifted_C @ lift, z1.constraints.lift(lift).rows])
+    d = np.concatenate([z1.lifted_d, z1.constraints.offsets])
     norms = np.linalg.norm(C, axis=1)
     keep = norms > 1e-14
     return C[keep] / norms[keep, None], d[keep] / norms[keep]
@@ -158,9 +153,8 @@ def ellipsoidal_terminal(P, kappa, z1, A_cl, n_samples=N_LEVEL_SAMPLES, seed=0):
         if np.any(X @ z1.region.C.T - z1.region.d > 1e-12):
             return False
         Z = np.hstack([X, (X @ kappa)[:, None]])
-        for con in z1.constraints:
-            if np.any(con.value_batch(Z) > 1e-12):
-                return False
+        if np.any(z1.constraints.values_batch(Z) > 1e-12):
+            return False
         Xn = X @ A_cl.T
         return not np.any(
             np.einsum("ij,jk,ik->i", Xn, P, Xn) > level * (1 + 1e-12))
@@ -244,7 +238,7 @@ def verify_terminal_axioms(ti, zsets, Q, rho, n_samples=2000, seed=0):
     for x in X:
         v = float(ti.kappa @ x)
         z = np.concatenate([x, [v]])
-        adm = max(max(con.value(z) for con in z1.constraints),
+        adm = max(float(np.max(z1.constraints.values(z))),
                   z1.region.violation(x))
         x_next = ti.A_cl @ x
         inv = ti.tset.violation(x_next)

@@ -2,9 +2,11 @@
 
 Everything here is deliberately independent of the solver path it checks:
 grid search for optima, finite differences for derivatives, direct
-enumeration for scenario pruning.
+enumeration for scenario pruning, one oracle object per constraint for the
+stacked constraints.
 """
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -23,6 +25,105 @@ def toy_spec(A, b, g=None, box=1.0, sign=1, u=(-1.0, 1.0)):
     return cn.SystemSpec(A=A, b=np.asarray(b, dtype=float), g=g,
                          regions=((cn.Polytope(C, d), sign),),
                          u_lo=u[0], u_hi=u[1])
+
+
+@dataclass(frozen=True)
+class AffineCon:
+    """row.z - offset <= 0"""
+
+    row: np.ndarray
+    offset: float
+
+    def value(self, z):
+        return float(self.row @ z - self.offset)
+
+    def value_batch(self, Z):
+        return Z @ self.row - self.offset
+
+    def grad(self, z):
+        return self.row.copy()
+
+
+@dataclass(frozen=True)
+class QuadCon:
+    """0.5 z'Hz + w.z + c0 <= 0"""
+
+    H: np.ndarray
+    w: np.ndarray
+    c0: float
+
+    def value(self, z):
+        return float(0.5 * z @ self.H @ z + self.w @ z + self.c0)
+
+    def value_batch(self, Z):
+        return (0.5 * np.einsum("ij,jk,ik->i", Z, self.H, Z)
+                + Z @ self.w + self.c0)
+
+    def grad(self, z):
+        return self.H @ z + self.w
+
+
+@dataclass(frozen=True)
+class RidgeCon:
+    """scale * cos~(freq * dir.(X z + x_off) + phase) + lin.z + c <= 0, cos~
+    the cosine on [lo, hi] continued along its tangents."""
+
+    scale: float
+    freq: float
+    dir: np.ndarray
+    phase: float
+    lo: float
+    hi: float
+    X: np.ndarray
+    x_off: np.ndarray
+    lin: np.ndarray
+    c: float
+
+    def _branch(self, x):
+        """cos~ at the phase of x (rows of x for a batch), with its slope
+        in the phase."""
+        th = self.freq * (x @ self.dir) + self.phase
+        th_c = np.clip(th, self.lo, self.hi)
+        val = self.scale * np.cos(th_c)
+        slope = -self.scale * np.sin(th_c)
+        return val + slope * (th - th_c), slope
+
+    def value(self, z):
+        val, _ = self._branch(self.X @ z + self.x_off)
+        return float(val + self.lin @ z + self.c)
+
+    def value_batch(self, Z):
+        val, _ = self._branch(Z @ self.X.T + self.x_off)
+        return val + Z @ self.lin + self.c
+
+    def grad(self, z):
+        _, slope = self._branch(self.X @ z + self.x_off)
+        return self.X.T @ (float(slope) * self.freq * self.dir) + self.lin
+
+
+def composed(con, M, m):
+    """The oracle of con(M z + m), by the per-constraint products of
+    composing one oracle at a time."""
+    if isinstance(con, AffineCon):
+        return AffineCon(con.row @ M, con.offset - float(con.row @ m))
+    if isinstance(con, QuadCon):
+        H = M.T @ con.H @ M
+        return QuadCon(0.5 * (H + H.T), M.T @ (con.H @ m + con.w),
+                       float(0.5 * m @ con.H @ m + con.w @ m + con.c0))
+    return RidgeCon(con.scale, con.freq, con.dir, con.phase, con.lo, con.hi,
+                    con.X @ M, con.X @ m + con.x_off, con.lin @ M,
+                    float(con.lin @ m + con.c))
+
+
+def oracles(cons):
+    """One oracle object per constraint of a stacked Constraints, in its
+    order: the reference its values, values_batch and grads must equal bit
+    for bit."""
+    return ([AffineCon(*f) for f in zip(cons.rows, cons.offsets)]
+            + [RidgeCon(*f) for f in zip(cons.scale, cons.freq, cons.dir,
+                                         cons.phase, cons.lo, cons.hi, cons.X,
+                                         cons.x_off, cons.lin, cons.c)]
+            + [QuadCon(*f) for f in zip(cons.H, cons.w, cons.c0)])
 
 
 def finite_diff_grad(f, z, h=1e-6):
@@ -80,12 +181,12 @@ def _grid_scan(prog, cand, feas_tol):
     ok = np.ones(len(cand), dtype=bool)
     if prog.A_mat.size:
         ok &= np.max(cand @ prog.A_mat.T - prog.b_vec, axis=1) <= feas_tol
-    for con in prog.nonlin:
-        if not ok.any():
-            break
-        idx = np.where(ok)[0]
-        vals = con.value_batch(cand[idx])
-        ok[idx[vals > feas_tol]] = False
+    idx = np.where(ok)[0]
+    for start in range(0, len(idx), 100_000):  # the ridge products, in bounds
+        part = idx[start:start + 100_000]
+        if len(prog.nonlin):
+            worst = np.max(prog.nonlin.values_batch(cand[part]), axis=1)
+            ok[part[worst > feas_tol]] = False
     if not ok.any():
         return np.inf, None
     pts = cand[ok]

@@ -187,8 +187,9 @@ def test_criterion_6_union_and_convexity_suites(name, request):
         v = rng.uniform(-4, 4)
         if bool(cn.stage_membership(zsets, x, v, tol)) != \
                 cn.in_union_direct(spec, lin, x, v, tol):
-            resid = min(abs(con.value(np.concatenate([x, [v]])))
-                        for zs in zsets for con in zs.constraints)
+            z = np.concatenate([x, [v]])
+            resid = min(np.min(np.abs(zs.constraints.values(z)))
+                        for zs in zsets)
             assert resid <= 10 * tol
             boundary_only += 1
 

@@ -15,6 +15,7 @@ import pytest
 import convexnmpc as cn
 import convexnmpc.solver as solver_module
 from conftest import _pipeline
+from helpers import AffineCon, composed, oracles
 
 ONES = (1,) * 12
 
@@ -271,23 +272,59 @@ def test_batch_stalls_only_candidates_that_step(request, monkeypatch):
 
 @pytest.mark.parametrize("system, x0, coeffs", [
     ("ex2", None, (2, 1, 1) + ONES), ("ex2", (-0.9, 0.8), (2, 2, 1) + ONES),
-    ("ex3", (-1.0, 0.6), (4, 1, 1) + ONES)])
+    ("ex3", (-1.0, 0.6), (4, 1, 1) + ONES), ("ex1", (0.2, -0.1), (1, 1, 1))])
 def test_stacked_constraints_match_their_oracles(request, system, x0, coeffs):
-    # ConvexProgram.constraint_values and the KKT residual read every
-    # nonlinear constraint through _Blocks: bit for bit its own oracle
-    prog = _program(request.getfixturevalue(system), coeffs, x0)
-    blocks, cons = prog._blocks, prog.nonlin
+    # the stacked Constraints of a program (its nonlinear constraints, read
+    # by constraint_values and the KKT residual) and of each stage set (read
+    # by membership, the screens and the terminal): bit for bit one oracle
+    # object per constraint, in order
+    data = request.getfixturevalue(system)
+    prog = _program(data, coeffs, x0)
     rng = np.random.default_rng(7)
-    # near the hint, inside the ridges' phase bands, and far out on their
-    # tangents
-    for scale in (0.0, 0.1, 3.0):
-        for z in prog.z0_hint + rng.normal(scale=scale, size=(4, prog.n_vars)):
-            assert blocks.values(z).tobytes() == np.array(
-                [con.value(z) for con in cons]).tobytes()
-            assert blocks.grads(z).tobytes() == np.array(
-                [con.grad(z) for con in cons]).reshape(
-                    len(cons), prog.n_vars).tobytes()
+    for cons, z0 in [(prog.nonlin, prog.z0_hint)] + [
+            (zs.constraints, np.zeros(3)) for zs in data["zsets"]]:
+        refs = oracles(cons)
+        assert len(refs) == len(cons)
+        # near the hint, inside the ridges' phase bands, and far out on
+        # their tangents
+        for scale in (0.0, 0.1, 3.0):
+            Z = z0 + rng.normal(scale=scale, size=(4, z0.size))
+            for z in Z:
+                assert cons.values(z).tobytes() == np.array(
+                    [ref.value(z) for ref in refs]).tobytes()
+                assert cons.grads(z).tobytes() == np.array(
+                    [ref.grad(z) for ref in refs]).reshape(
+                        len(refs), z0.size).tobytes()
+            assert cons.values_batch(Z).tobytes() == np.array(
+                [ref.value_batch(Z) for ref in refs]).T.reshape(
+                    4, len(refs)).tobytes()
+    kinds = {"ex1": "quadratic", "ex2": "smooth", "ex3": "affine"}
+    assert [zs.kind for zs in data["zsets"]] == [kinds[system]] * len(
+        data["zsets"])
     if system == "ex2":
-        assert blocks.ridge_at.size and blocks.quad_at
-        th, thc = blocks._phase(prog.z0_hint + 3.0)
+        assert len(prog.nonlin.scale) and len(prog.nonlin.c0)
+        th, thc = prog.nonlin._phase(prog.z0_hint + 3.0)
         assert (th != thc).any() and (th == thc).any()
+
+
+@pytest.mark.parametrize("system, x0, coeffs", [
+    ("ex2", None, (2, 1, 1) + ONES), ("ex2", (-0.9, 0.8), (2, 2, 1) + ONES),
+    ("ex3", (-1.0, 0.6), (4, 1, 1) + ONES), ("ex1", (0.2, -0.1), (1, 1, 1))])
+def test_blocks_compose_their_stage_constraints(request, system, x0, coeffs):
+    # each step's rows and nonlinear constraints, lifted by the step map
+    # once per horizon and shifted once per state: bit for bit the
+    # composition of one stage oracle at a time
+    data = request.getfixturevalue(system)
+    prog = _program(data, coeffs, x0)
+    st = solver_module._horizon(
+        data["lin"], data["zsets"], data["terminal"],
+        np.atleast_2d(data["Q"]), float(data["rho"]), len(coeffs),
+        x0 is None).at(None if x0 is None else np.array(x0))
+    for k, e in enumerate(coeffs):
+        blk, offs, nonlin = st.step(e - 1, k)
+        want = [composed(con, *prog.ops.step_map(k))
+                for con in oracles(data["zsets"][e - 1].constraints)]
+        a = sum(isinstance(con, AffineCon) for con in want)
+        got = [AffineCon(row, off) for row, off in
+               zip(blk.rows[len(blk.rows) - a:], offs[len(offs) - a:])]
+        assert _exact(got + oracles(nonlin)) == _exact(want)

@@ -10,7 +10,8 @@ Prints sha256[:16] over one float-hex line per result for nine sets:
             levels of the stored catalog: (sequence, feasible, t*);
 - programs: every candidate program at the states of the benchmark pools
             (the loop-ex2 starts and the query-ex3 states): every array and
-            scalar field of the ConvexProgram, constraint oracles included;
+            scalar field of the ConvexProgram, then one line per nonlinear
+            constraint (see constraint_lines);
 - solves:   the solve of each of those programs: status, V, v_seq,
             kkt_residual, phase1_violation, n_newton, nonconvex_flag and
             degenerate;
@@ -27,12 +28,19 @@ Prints sha256[:16] over one float-hex line per result for nine sets:
 - prune:    the sorted levels and meta["screened"] of fresh ex2 N=15 and
             ex3 N=6 prunes (prune_catalog itself, screen and warm starts
             included);
-- stagesets: every stage set of ex1, ex2 and ex3: its sign, kind, every
-            field of every constraint oracle, lifted_C and lifted_d;
+- stagesets: every stage set of ex1, ex2 and ex3: its sign, kind,
+            lifted_C and lifted_d, then one line per constraint;
 - geometry: for ex1, ex2 and ex3, every region's bounding box,
             Chebyshev centre and PWA overlap list, and the terminal's
             polytope rows or ellipsoid level; then the PWA piece index at
             every query-ex3 pool state.
+
+A constraint's line is its form's class name with its fields, in the
+order the program or stage set holds them, as AffineCon{row,offset},
+RidgeCon{scale,freq,dir,phase,lo,hi,X,x_off,lin,c} or QuadCon{H,w,c0}:
+read from one oracle object per constraint where a checkout has them, and
+from the stacked arrays of its Constraints where it has those. So the two
+layouts give equal lines for equal constraints.
 
 Two checkouts whose digests agree assemble, solve and decide bit for bit
 alike.
@@ -72,7 +80,7 @@ LOOP_STEPS = 25
 
 
 def hexed(value):
-    """Exact text of a scalar, array, tuple or constraint oracle."""
+    """Exact text of a scalar, array, tuple or dataclass."""
     if value is None or isinstance(value, (bool, str, np.bool_)):
         return repr(bool(value) if isinstance(value, np.bool_) else value)
     if isinstance(value, (int, np.integer)):
@@ -90,6 +98,34 @@ def hexed(value):
     return (type(value).__name__ + "{"
             + ",".join(f"{k}={hexed(getattr(value, k))}" for k in fields)
             + "}")
+
+
+FORMS = (("AffineCon", ("row", "offset"), ("rows", "offsets")),
+         ("RidgeCon", ("scale", "freq", "dir", "phase", "lo", "hi", "X",
+                       "x_off", "lin", "c"), None),
+         ("QuadCon", ("H", "w", "c0"), None))
+
+
+def constraint_lines(cons):
+    """The text of each constraint, in order (see the module docstring):
+    a tuple holds one oracle per constraint, a Constraints stacks them by
+    form."""
+    if isinstance(cons, tuple):
+        return [hexed(con) for con in cons]
+    lines = []
+    for name, fields, stacked in FORMS:
+        arrays = [getattr(cons, f) for f in stacked or fields]
+        lines += [name + "{" + ",".join(f"{f}={hexed(a[k])}"
+                                        for f, a in zip(fields, arrays))
+                  + "}" for k in range(len(arrays[0]))]
+    return lines
+
+
+def program_lines(prog):
+    """The program's fields but its nonlinear constraints, then those."""
+    fields = [f for f in prog.__dataclass_fields__ if f != "nonlin"]
+    return [[getattr(prog, f) for f in fields]] + [
+        [line] for line in constraint_lines(prog.nonlin)]
 
 
 class Digest:
@@ -146,7 +182,8 @@ def pool_digests():
                               pipe.terminal, pipe.Q, pipe.rho)
                      for sc in filter_for_state(catalog, pipe.spec, x)]
             for prog in progs:
-                programs.add(prog)
+                for line in program_lines(prog):
+                    programs.add(*line)
                 solves.add(*solution_line(solve(prog, pipe.solver_cfg)))
             for sol in solve_many(progs, pipe.solver_cfg)[0]:
                 batched.add(*solution_line(sol))
@@ -215,8 +252,10 @@ def stageset_digest():
     out = Digest()
     for system in ("ex1", "ex2", "ex3"):
         for zs in pipeline(system).zsets:
-            out.add(system, zs.index, zs.sign_beta_g, zs.kind, zs.constraints,
-                    zs.lifted_C, zs.lifted_d)
+            out.add(system, zs.index, zs.sign_beta_g, zs.kind, zs.lifted_C,
+                    zs.lifted_d)
+            for line in constraint_lines(zs.constraints):
+                out.add(line)
     return out
 
 
