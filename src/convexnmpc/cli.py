@@ -260,18 +260,21 @@ def cmd_prune(args):
         pipe.spec, pipe.lin, pipe.zsets, pipe.terminal, cfg.horizon,
         solver_cfg=pipe.solver_cfg, n_workers=cfg.threads,
         start_levels=None if resumed is None else resumed.levels,
+        start_witnesses=None if resumed is None else resumed.witnesses,
         progress=lambda lvl, cnt: print(f"level {lvl}: {cnt} feasible",
                                         file=sys.stderr))
     if resumed is not None:  # keep the counts of the resumed levels
-        for key in ("screened", "warm"):
+        for key in ("screened", "warm", "appended"):
             catalog.meta[key] = {**resumed.meta.get(key, {}),
                                  **catalog.meta[key]}
     levels, meta = catalog.levels, catalog.meta
     screened = sum(meta["screened"].values())
     cands = sum(catalog.s * len(levels.get(lvl - 1, ((),)))
                 for lvl in levels)
-    print(f"{cands - screened} probes, {sum(meta['warm'].values())} settled "
-          f"by a witness; {screened} candidates screened", file=sys.stderr)
+    warm, appended = (sum(meta[key].values()) for key in ("warm", "appended"))
+    print(f"{cands - screened} probes, {warm} settled by a witness "
+          f"({warm - appended} extended, {appended} appended); {screened} "
+          f"candidates screened", file=sys.stderr)
     catalog.save(path)
     print(f"catalog with {catalog.count()} feasible scenarios at horizon "
           f"{catalog.N} written to {path}")

@@ -7,11 +7,13 @@ some initial state; extending a sequence prepends a fresh first step, so an
 infeasible tail can never become feasible again and the catalog is closed
 under suffixes. Extensions that the transition bound of their first two
 steps proves infeasible (solver.Screen) are never probed. Every survivor
-keeps a witness, a point where its free-x0 program is strictly feasible;
-the probe of an extension starts from its tail's witness extended by one
-step (Screen.extend), and a start that passes phase I's hint test settles
-the probe with no Newton step. Any other probe runs phase I from its cold
-hint, so the catalog does not depend on the witnesses.
+keeps a witness, a point where its free-x0 program is strictly feasible,
+and the catalog stores them. A probe tests two starts from the witnesses of
+the level below (Screen.starts): its tail's extended by a first step, then
+its prefix's with the terminal controller's input appended as a last step;
+the first that passes phase I's hint test settles the probe with no Newton
+step. Any other probe runs phase I from its cold hint, so the catalog does
+not depend on the witnesses.
 """
 import hashlib
 import json
@@ -80,7 +82,12 @@ def catalog_hash(spec, lin, terminal, feas_tol):
 
 @dataclass
 class FeasibleCatalog:
-    """Per-horizon feasible coefficient sequences plus provenance metadata."""
+    """Per-horizon feasible coefficient sequences plus provenance metadata.
+
+    witnesses holds, per level, a strictly feasible point (v, x0) of each
+    survivor's free-x0 program that has one ({sequence: point}); it is
+    outside content_hash, and a file without witnesses loads with none.
+    """
 
     s: int
     N: int
@@ -89,6 +96,7 @@ class FeasibleCatalog:
     terminal_kind: str
     content_hash: str
     meta: dict = field(default_factory=dict)
+    witnesses: dict = field(default_factory=dict)
 
     def sequences(self, horizon=None):
         horizon = self.N if horizon is None else horizon
@@ -121,16 +129,26 @@ class FeasibleCatalog:
             "meta": self.meta,
             "levels": {str(k): [list(seq) for seq in v]
                        for k, v in sorted(self.levels.items())},
+            # aligned with levels, null for a survivor without a witness
+            "witnesses": {str(k): [None if w.get(seq) is None
+                                   else w[seq].tolist()
+                                   for seq in self.levels[k]]
+                          for k, w in sorted(self.witnesses.items())},
         }
 
     @classmethod
     def from_dict(cls, obj):
         levels = {int(k): tuple(tuple(int(e) for e in seq) for seq in v)
                   for k, v in obj["levels"].items()}
+        witnesses = {int(k): {seq: np.array(w, dtype=float)
+                              for seq, w in zip(levels[int(k)], ws)
+                              if w is not None}
+                     for k, ws in obj.get("witnesses", {}).items()}
         return cls(s=int(obj["s"]), N=int(obj["N"]), levels=levels,
                    feas_tol=float(obj["tol"]),
                    terminal_kind=obj["terminal_kind"],
-                   content_hash=obj["hash"], meta=obj.get("meta", {}))
+                   content_hash=obj["hash"], meta=obj.get("meta", {}),
+                   witnesses=witnesses)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -169,23 +187,25 @@ def worker_map(fn, args, n_workers, chunksize):
 
 
 def _candidate_feasible(item, spec, lin, zsets, terminal, cfg):
-    """Probe of one (coeffs, start) item: (feasible, witness, whether the
-    start settled it); the witness is the probe's point when strictly
-    feasible."""
-    coeffs, start = item
+    """Probe of one (coeffs, starts) item, starts by name (Screen.starts):
+    (feasible, witness, whether a start settled it); the witness is the
+    probe's point when strictly feasible."""
+    coeffs, starts = item
     prog = assemble(coeffs, None, spec, lin, zsets, terminal,
                     Q=np.eye(spec.n), rho=1.0)
     try:
-        feasible, slack, z = solve_feasibility(prog, cfg, start)
+        feasible, slack, z = solve_feasibility(prog, cfg,
+                                               tuple(starts.values()))
     except NoConvergenceError as exc:
         exc.details["sequence"] = list(coeffs)
         raise
     return (feasible, z if slack < 0 else None,
-            start is not None and z is start)
+            any(z is start for start in starts.values()))
 
 
 def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
-                  n_workers=1, start_levels=None, progress=None):
+                  n_workers=1, start_levels=None, start_witnesses=None,
+                  progress=None):
     """Iterative-deepening scenario pruning up to horizon N.
 
     Level 1 keeps every region whose stage set can reach the terminal set in
@@ -193,11 +213,15 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     region index i to each survivor whose transition bound from i to its
     first step is at most feas_tol, and re-probes feasibility with the
     initial state free over the new first region; meta["screened"] counts
-    the others per level. Each probe starts from its tail's witness, a
-    strictly feasible point, extended by one step (Screen.extend);
-    meta["warm"] counts per level the probes that start settled with no
-    Newton step. start_levels resumes from a previously computed catalog
-    prefix, whose survivors have no witness. One process pool serves every
+    the others per level. A probe tests up to two starts built from the
+    witnesses of the level below (Screen.starts): its tail's extended by a
+    first step, then its prefix's with the terminal controller's input
+    appended. meta["warm"] counts per level the probes a start settled with
+    no Newton step, meta["appended"] those the appended start settled; the
+    catalog's witnesses are its survivors' strictly feasible points.
+    start_levels resumes from a previously computed catalog prefix, and
+    start_witnesses ({level: {sequence: witness}}) gives its witnesses,
+    which warm the first resumed level. One process pool serves every
     level.
     """
     if N < 1:
@@ -205,8 +229,9 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     cfg = solver_cfg or SolverConfig()
     s = spec.n_regions
     levels = dict(start_levels or {})
+    witnesses = dict(start_witnesses or {})
     screen = infeasibility_screen(lin, zsets)
-    screened, warm, witness = {}, {}, {}
+    screened, warm, appended = {}, {}, {}
 
     start = max(levels) + 1 if levels else 1
     with worker_map(_candidate_feasible, (spec, lin, zsets, terminal, cfg),
@@ -220,14 +245,21 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
             kept = [c for c in cands if len(c) == 1
                     or screen.transition(c[0], c[1]) <= cfg.feas_tol]
             screened[str(level)] = len(cands) - len(kept)
-            probes = check_all([(c, screen.extend(c[0], witness.get(c[1:])))
-                                for c in kept])
-            warm[str(level)] = sum(settled for _, _, settled in probes)
+            below = witnesses.get(level - 1, {})
+            items = [(c, screen.starts(c, below, terminal.kappa))
+                     for c in kept]
+            probes = check_all(items)
+            # which start settled a probe: the first equal to its witness
+            by = [next(name for name, start in starts.items()
+                       if np.array_equal(start, z)) if settled else None
+                  for (_, starts), (_, z, settled) in zip(items, probes)]
+            warm[str(level)] = sum(name is not None for name in by)
+            appended[str(level)] = by.count("appended")
             survivors = [c for c, (ok, _, _) in zip(kept, probes) if ok]
             survivors.sort(key=lambda c: encode(c, s))
             levels[level] = tuple(survivors)
-            witness = {c: z for c, (ok, z, _) in zip(kept, probes)
-                       if ok and z is not None}
+            witnesses[level] = {c: z for c, (ok, z, _) in zip(kept, probes)
+                                if ok and z is not None}
             if progress is not None:
                 progress(level, len(survivors))
 
@@ -237,7 +269,8 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
         else "ellipsoid",
         content_hash=catalog_hash(spec, lin, terminal, cfg.feas_tol),
         meta={"n_workers": int(n_workers), "screened": screened,
-              "warm": warm},
+              "warm": warm, "appended": appended},
+        witnesses=witnesses,
     )
 
 

@@ -1050,23 +1050,23 @@ def phase1(prog, cfg):
     return z, t
 
 
-def solve_feasibility(prog, cfg=SolverConfig(), start=None):
+def solve_feasibility(prog, cfg=SolverConfig(), starts=()):
     """Phase-I only: decide feasibility against cfg.feas_tol.
 
-    Returns (feasible, slack, z). A start that passes phase I's hint test
-    (every constraint below -HINT_MARGIN) settles the probe with no Newton
-    step: it is returned as z, with its worst constraint value as the
-    slack. Phase I on convex data cannot certify infeasibility while such a
-    point exists, so the decision is phase I's; on nonconvex data the start
-    is ignored. Otherwise phase I runs from prog.z0_hint, and z is its point
-    (None when a constant row decides). Raises NoConvergenceError when the
-    Newton budget runs out or a line search stalls before a decision, so
-    callers never confuse an undecided probe with a certified
-    infeasibility.
+    Returns (feasible, slack, z). The starts are tested in order, and the
+    first that passes phase I's hint test (every constraint below
+    -HINT_MARGIN) settles the probe with no Newton step: it is returned
+    itself as z, with its worst constraint value as the slack. Phase I on
+    convex data cannot certify infeasibility while such a point exists, so
+    the decision is phase I's; on nonconvex data the starts are ignored.
+    Otherwise phase I runs from prog.z0_hint, and z is its point (None when
+    a constant row decides). Raises NoConvergenceError when the Newton
+    budget runs out or a line search stalls before a decision, so callers
+    never confuse an undecided probe with a certified infeasibility.
     """
     if prog.pre_violation > cfg.feas_tol:
         return False, prog.pre_violation, None
-    if start is not None and not prog.nonconvex_data:
+    for start in () if prog.nonconvex_data else starts:
         worst = float(np.max(prog.constraint_values(start)))
         if worst < -HINT_MARGIN:
             return True, worst, start
@@ -1179,6 +1179,20 @@ def _lowest_max(a, c):
     return best, v
 
 
+def _transition_phase1(batch, i):
+    """Phase I of transition program i of the batch (a generator of
+    requests): its bound (see Screen.transition)."""
+    prog, cfg = batch.progs[i], SolverConfig(feas_tol=np.inf)
+    try:  # no feas_tol can end this phase I early
+        _, t, _ = yield from _phase1(batch, i, cfg, _Work(cfg))
+    except _Undecided:
+        return -np.inf
+    # t <= t_last, and t* >= t_last - m*mu_last on the central path
+    m = max(prog.n_constraints, 1)
+    return (-np.inf if t < -STRICT_MARGIN
+            else t - m * _mu_schedule(prog.n_constraints)[-1])
+
+
 def _head_phase1(batch, i, cfg):
     """Phase I of head program i of the batch (a generator of requests):
     (z, low, Newton steps), z and low None when it is undecided."""
@@ -1197,9 +1211,9 @@ class Screen:
     subset of a program's constraints, in its own units, bounds its t* from
     below: above feas_tol, the program is Infeasible with no Newton step.
     Offline the subset is a free-x0 program's first transition (transition),
-    online a fixed-x0 program's head (heads). It also extends a strictly
-    feasible point of a free-x0 program by one step, as the start of the
-    probe one level up (extend).
+    online a fixed-x0 program's head (heads). It also builds the starts of
+    an offline probe from strictly feasible points of the programs one
+    level down (starts).
     """
 
     def __init__(self, lin, zsets):
@@ -1227,36 +1241,41 @@ class Screen:
         """Bound for every free-x0 program with stage sets i, j first, from
         phase I of that two-step program (no terminal set) through the whole
         mu schedule; -inf when that phase I finds a strictly feasible point
-        or is undecided, or for nonconvex data."""
-        if (i, j) not in self.pairs:  # a race computes the same value twice
-            self.pairs[(i, j)] = self._transition(i, j)
+        or is undecided, or for nonconvex data. The first call bounds every
+        pair, their phases I run together in one lockstep drive."""
+        if not self.pairs:  # a race computes the same values twice
+            self.pairs = self._transitions()
         return self.pairs[(i, j)]
 
-    def _transition(self, i, j):
+    def _transitions(self):
+        s = len(self.zsets)
+        pairs = [(i, j) for i in range(1, s + 1) for j in range(1, s + 1)]
+        progs = {pair: self._transition_program(*pair) for pair in pairs}
+        live = [pair for pair in pairs if progs[pair] is not None]
+        batch = _Batch([progs[pair] for pair in live])
+        bounds, _ = _drive([_transition_phase1(batch, k)
+                            for k in range(len(live))])
+        return {**dict.fromkeys(pairs, -np.inf), **dict(zip(live, bounds))}
+
+    def _transition_program(self, i, j):
+        """The two-step program of stage sets i, j on (v0, v1, x0), started
+        with x0 at region i's centre; None for nonconvex data."""
         first, second = self.blocks[i - 1][0], self.blocks[j - 1][1]
         if first.nonconvex or second.nonconvex:
-            return -np.inf
+            return None
         (b0, cons0), (b1, cons1) = (blk.offsets(np.zeros(blk.M.shape[0]))
                                     for blk in (first, second))
         d = self.ops.n_vars
-        hint = np.zeros(d)  # (v0, v1, x0): x0 at region i's centre
+        hint = np.zeros(d)
         center, _ = self.zsets[i - 1].region.chebyshev_center()
         hint[2:] = 0.0 if center is None else center
-        prog = ConvexProgram(
+        return ConvexProgram(
             n_vars=d, H=np.zeros((d, d)), f=np.zeros(d), c0=0.0,
             A_mat=np.vstack([first.rows, second.rows]),
             b_vec=np.concatenate([b0, b1]),
             nonlin=Constraints.join([cons0, cons1]),
             prog_class="", coeffs=(), scenario_j=0, ops=self.ops,
             pre_violation=-np.inf, z0_hint=hint, nonconvex_data=False)
-        try:  # no feas_tol can end this phase I early
-            _, t = phase1(prog, SolverConfig(feas_tol=np.inf))
-        except _Undecided:
-            return -np.inf
-        # t <= t_last, and t* >= t_last - m*mu_last on the central path
-        m = max(prog.n_constraints, 1)
-        return (-np.inf if t < -STRICT_MARGIN
-                else t - m * _mu_schedule(prog.n_constraints)[-1])
 
     def one_step(self, x, e1, e2=None):
         """Bound for every fixed-x0 program at state x with stage sets e1,
@@ -1384,6 +1403,25 @@ class Screen:
             axis=1)
         k = int(np.argmin(worst))
         return np.concatenate([v[k:k + 1], witness[:-n], Z[k, :n]])
+
+    def starts(self, coeffs, below, kappa):
+        """Starts for the free-x0 program of coeffs from the witnesses
+        (v, x0) of the level below ({sequence: witness}), by name in the
+        order a probe tests them: "extended", its tail's witness extended
+        by a first step (extend); "appended", its prefix's witness with the
+        terminal controller's input kappa x appended as a last step: the
+        prefix's last state x lies in the terminal set, which that input
+        keeps invariant. A start without its witness is left out."""
+        out = {"extended": self.extend(coeffs[0], below.get(coeffs[1:]))}
+        prefix = below.get(coeffs[:-1])
+        if prefix is not None:
+            n = self.lin.A_hat.shape[0]
+            x = prefix[-n:]
+            for v in prefix[:-n]:
+                x = self.lin.A_hat @ x + self.lin.b_hat * v
+            out["appended"] = np.concatenate(
+                [prefix[:-n], [float(kappa @ x)], prefix[-n:]])
+        return {name: z for name, z in out.items() if z is not None}
 
 
 def _groups(seqs, indices, k):

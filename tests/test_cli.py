@@ -169,7 +169,8 @@ def test_prune_resume_keeps_level_counts(tmp_path, capsys):
     assert run(["prune", EX2, *LINFLAGS, "--horizon", "5",
                 "--catalog", straight, "--threads", "1"]) == 0
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "35 probes, 24 settled by a witness; 40 candidates screened")
+        "35 probes, 32 settled by a witness (24 extended, 8 appended); "
+        "40 candidates screened")
     assert run(["prune", EX2, *LINFLAGS, "--horizon", "3",
                 "--catalog", resumed, "--threads", "1"]) == 0
     assert run(["prune", EX2, *LINFLAGS, "--horizon", "5",
@@ -179,10 +180,10 @@ def test_prune_resume_keeps_level_counts(tmp_path, capsys):
                  for path in (straight, resumed))
     assert got["levels"] == want["levels"]
     assert got["meta"]["screened"] == want["meta"]["screened"]
-    # the resumed level-3 survivors carry no witness: level 4 probes cold
-    assert got["meta"]["warm"]["4"] == 0 < want["meta"]["warm"]["4"]
-    del got["meta"]["warm"]["4"], want["meta"]["warm"]["4"]
+    # the file carries the level-3 witnesses: level 4 starts as it would
     assert got["meta"]["warm"] == want["meta"]["warm"]
+    assert got["meta"]["appended"] == want["meta"]["appended"]
+    assert got["witnesses"] == want["witnesses"]
 
 
 def test_infeasible_solve_exit_code(tmp_path, capsys):

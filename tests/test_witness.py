@@ -1,11 +1,15 @@
-"""Prune probes started from their tails' witnesses.
+"""Prune probes started from the witnesses of the level below.
 
-A probe whose start (the tail's witness extended by one step) has every
-constraint below -1e-6 is settled with no Newton step; any other runs phase
-I from its cold hint. Catalogs must equal those of cold probes level for
-level, every kept witness must be strictly feasible by the plain constraint
-oracles, and nonconvex data or a singular A_hat must take the cold path.
+A probe tests two starts, its tail's witness extended by a first step and
+its prefix's witness with the terminal controller's input appended; the
+first with every constraint below -1e-6 settles it with no Newton step, and
+with neither it runs phase I from its cold hint. Catalogs must equal those
+of cold probes level for level, every kept witness must be strictly
+feasible by the plain constraint oracles, nonconvex data must take the cold
+path, and the catalog file must carry the witnesses to a resumed prune.
 """
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -25,16 +29,22 @@ def _program(data, coeffs):
                        Q=np.eye(data["spec"].n), rho=1.0)
 
 
+def _cold(monkeypatch):
+    """Give every probe no start: both start sources off."""
+    monkeypatch.setattr(solver_module.Screen, "starts",
+                        lambda self, coeffs, below, kappa: {})
+
+
 @pytest.mark.parametrize("name, N", [("ex1", 15), ("ex2", 6), ("ex3", 4)])
 def test_prune_equals_cold_prune(request, monkeypatch, name, N):
     data = request.getfixturevalue(name)
     warm = _prune(data, N)
-    monkeypatch.setattr(solver_module.Screen, "extend",
-                        lambda self, i, witness: None)
+    _cold(monkeypatch)
     cold = _prune(data, N)
     assert warm.levels == cold.levels
     assert warm.meta["screened"] == cold.meta["screened"]
     assert set(cold.meta["warm"].values()) == {0}
+    assert set(cold.meta["appended"].values()) == {0}
     assert warm.meta["warm"]["1"] == 0
     settled = sum(warm.meta["warm"].values())
     if name == "ex1":  # nonconvex data: every probe is cold
@@ -70,19 +80,34 @@ def test_ex2_n15_counts(ex2_catalog_n15):
     probes = sum(catalog.s * len(levels.get(k - 1, ((),))) for k in levels)
     probes -= sum(meta["screened"].values())
     assert probes == 255
-    assert meta["warm"] == {"1": 0, "2": 3, "3": 5, "4": 7, "5": 9, "6": 11,
-                            "7": 13, "8": 15, "9": 17, "10": 19, "11": 19,
-                            "12": 21, "13": 21, "14": 21, "15": 21}
-    assert probes - sum(meta["warm"].values()) == 53  # phase-I probes
+    assert meta["warm"] == {"1": 0, "2": 5, "3": 7, "4": 9, "5": 11, "6": 13,
+                            "7": 15, "8": 17, "9": 19, "10": 21, "11": 21,
+                            "12": 25, "13": 25, "14": 27, "15": 29}
+    assert meta["appended"] == {"1": 0, "2": 2, "3": 2, "4": 2, "5": 2,
+                                "6": 2, "7": 2, "8": 2, "9": 2, "10": 2,
+                                "11": 2, "12": 4, "13": 4, "14": 6, "15": 8}
+    assert sum(meta["warm"].values()) - sum(meta["appended"].values()) == 202
+    assert probes - sum(meta["warm"].values()) == 11  # phase-I probes
 
 
 def test_start_that_fails_the_test_is_cold(ex2):
     prog = _program(ex2, (2, 1, 1))
     cold = cn.solve_feasibility(prog)
-    for start in (np.full(prog.n_vars, 10.0), None):
-        got = cn.solve_feasibility(prog, start=start)
+    failing = np.full(prog.n_vars, 10.0)
+    for starts in ((failing,), (failing, failing.copy()), ()):
+        got = cn.solve_feasibility(prog, starts=starts)
         assert got[:2] == cold[:2]
         assert np.array_equal(got[2], cold[2])
+
+
+def test_first_passing_start_settles(ex2):
+    prog = _program(ex2, (2, 1, 1))
+    feasible = cn.solve_feasibility(prog)[2].copy()
+    assert np.max(prog.constraint_values(feasible)) < -1e-6
+    failing = np.full(prog.n_vars, 10.0)
+    got = cn.solve_feasibility(prog, starts=(failing, feasible))
+    assert got[0] and got[2] is feasible
+    assert got[1] == float(np.max(prog.constraint_values(feasible)))
 
 
 def test_nonconvex_program_ignores_a_feasible_start(ex1):
@@ -91,13 +116,13 @@ def test_nonconvex_program_ignores_a_feasible_start(ex1):
     cold = cn.solve_feasibility(prog)
     start = cold[2].copy()
     assert np.max(prog.constraint_values(start)) < -1e-6
-    got = cn.solve_feasibility(prog, start=start)
+    got = cn.solve_feasibility(prog, starts=(start,))
     assert got[2] is not start
     assert got[:2] == cold[:2]
     assert np.array_equal(got[2], cold[2])
 
 
-def test_singular_a_hat_takes_the_cold_path():
+def test_singular_a_hat_takes_the_cold_path(monkeypatch):
     # x1+ = x2, x2+ = u: A_hat = A has no inverse
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     C = np.vstack([np.eye(2), -np.eye(2)])
@@ -112,6 +137,34 @@ def test_singular_a_hat_takes_the_cold_path():
                              kind="ellipsoid")
     screen = solver_module.infeasibility_screen(lin, zsets)
     assert screen.extend(1, np.zeros(3)) is None
+    # the appended start needs no inverse of A_hat
     catalog = cn.prune_catalog(spec, lin, zsets, term, 3)
     assert catalog.count(3) > 0
-    assert set(catalog.meta["warm"].values()) == {0}
+    assert catalog.meta["warm"] == catalog.meta["appended"]
+    _cold(monkeypatch)
+    cold = cn.prune_catalog(spec, lin, zsets, term, 3)
+    assert catalog.levels == cold.levels
+    assert catalog.meta["screened"] == cold.meta["screened"]
+
+
+def test_witnesses_round_trip_the_file(ex2, tmp_path):
+    catalog = _prune(ex2, 5)
+    assert catalog.witnesses.keys() == catalog.levels.keys()
+    path = tmp_path / "cat.json"
+    catalog.save(path)
+    loaded = cn.FeasibleCatalog.load(path)
+    assert loaded.levels == catalog.levels
+    assert loaded.witnesses.keys() == catalog.witnesses.keys()
+    for level, witnesses in catalog.witnesses.items():
+        assert loaded.witnesses[level].keys() == witnesses.keys()
+        for seq, w in witnesses.items():
+            assert loaded.witnesses[level][seq].tobytes() == w.tobytes()
+    assert loaded.to_dict() == catalog.to_dict()
+
+
+def test_file_without_witnesses_loads():
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
+    catalog = cn.FeasibleCatalog.load(path / "ex2_N15_catalog.json")
+    assert catalog.count() == 31
+    assert catalog.witnesses == {}
+    assert catalog.to_dict()["witnesses"] == {}
