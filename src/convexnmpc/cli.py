@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -166,15 +166,20 @@ def _matching_catalog(pipe, path):
 
 
 def _load_catalog_checked(pipe):
+    """The matching catalog cut to the requested horizon, so that every
+    command reads the scenarios of that level."""
     path = pipe.cfg.catalog
     if not path:
         raise SchemaError("a catalog file is required (--catalog)")
     catalog = _matching_catalog(pipe, path)
-    if catalog.N < pipe.cfg.horizon:
+    horizon = pipe.cfg.horizon
+    if catalog.N < horizon:
         raise SchemaError(
             f"catalog horizon {catalog.N} is shorter than requested "
-            f"{pipe.cfg.horizon}")
-    return catalog
+            f"{horizon}")
+    return replace(catalog, N=horizon,
+                   levels={k: v for k, v in catalog.levels.items()
+                           if k <= horizon})
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +306,10 @@ def cmd_solve(args):
     x = _parse_vec(args.x0, "--x0", pipe.spec.n)
     catalog = _load_catalog_checked(pipe)
     if args.scenario is not None:
-        coeffs = decode(args.scenario, catalog.s, cfg.horizon)
+        coeffs = decode(args.scenario, catalog.s, catalog.N)
         cands = [Scenario(coeffs, catalog.s)]
     else:
-        cands = filter_for_state(catalog, pipe.spec, x,
-                                 horizon=cfg.horizon)
+        cands = filter_for_state(catalog, pipe.spec, x)
     if not cands:
         raise InfeasibleStateError(
             "no catalog scenario starts in a region containing the query "

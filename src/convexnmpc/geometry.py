@@ -155,15 +155,6 @@ class Polytope:
             raise RegionEmptyError("no interior samples found")
         return np.array(out[:n_points])
 
-    def ray_boundary_point(self, direction):
-        """Farthest point t*direction still inside (t >= 0); zeros are +0."""
-        direction = np.asarray(direction, dtype=float)
-        den = self.C @ direction
-        pos = den > 1e-14
-        if not np.any(pos):
-            return None
-        return 0.0 + np.min(self.d[pos] / den[pos]) * direction
-
 
 def dedup_rows(C, d):
     """Drop rows that duplicate an earlier (normalized) row with >= offset."""
@@ -280,19 +271,20 @@ class Ellipsoid:
     def contains(self, x, tol=0.0):
         return self.violation(x) <= tol
 
-    def boundary_points(self, n_points, seed):
-        dirs = unit_directions(n_points, self.dim, seed)
+    @cached_property
+    def half_inverse(self):
+        """P_shape^(-1/2), symmetric: it maps the unit sphere onto the
+        shell x' P_shape x = 1."""
         w, V = np.linalg.eigh(self.P_shape)
         if np.any(w <= 0):
             raise ValueError("shape matrix is not positive definite")
-        half_inv = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-        return np.sqrt(self.level) * dirs @ half_inv.T
+        return V @ np.diag(1.0 / np.sqrt(w)) @ V.T
 
-
-def unit_directions(n_points, dim, seed):
-    """Deterministic unit vectors; shared by set construction and checks."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_points, dim))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms < 1e-14] = 1.0
-    return dirs / norms
+    def boundary_points(self, n_points, seed):
+        """n_points deterministic points of the shell x' P_shape x = level,
+        along unit directions drawn from seed."""
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((n_points, self.dim))
+        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+        norms[norms < 1e-14] = 1.0
+        return np.sqrt(self.level) * (dirs / norms) @ self.half_inverse.T

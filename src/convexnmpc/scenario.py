@@ -188,8 +188,8 @@ def worker_map(fn, args, n_workers, chunksize):
 
 def _candidate_feasible(item, spec, lin, zsets, terminal, cfg):
     """Probe of one (coeffs, starts) item, starts by name (Screen.starts):
-    (feasible, witness, whether a start settled it); the witness is the
-    probe's point when strictly feasible."""
+    (feasible, witness, the name of the start that settled it or None);
+    the witness is the probe's point when strictly feasible."""
     coeffs, starts = item
     prog = assemble(coeffs, None, spec, lin, zsets, terminal,
                     Q=np.eye(spec.n), rho=1.0)
@@ -200,7 +200,8 @@ def _candidate_feasible(item, spec, lin, zsets, terminal, cfg):
         exc.details["sequence"] = list(coeffs)
         raise
     return (feasible, z if slack < 0 else None,
-            any(z is start for start in starts.values()))
+            next((name for name, start in starts.items() if z is start),
+                 None))
 
 
 def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
@@ -249,10 +250,7 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
             items = [(c, screen.starts(c, below, terminal.kappa))
                      for c in kept]
             probes = check_all(items)
-            # which start settled a probe: the first equal to its witness
-            by = [next(name for name, start in starts.items()
-                       if np.array_equal(start, z)) if settled else None
-                  for (_, starts), (_, z, settled) in zip(items, probes)]
+            by = [name for _, _, name in probes]
             warm[str(level)] = sum(name is not None for name in by)
             appended[str(level)] = by.count("appended")
             survivors = [c for c, (ok, _, _) in zip(kept, probes) if ok]
@@ -274,12 +272,13 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     )
 
 
-def filter_for_state(catalog, spec, x, tol=MEMBERSHIP_TOL, horizon=None):
-    """Scenarios whose first region contains x, ascending by index."""
+def filter_for_state(catalog, spec, x, tol=MEMBERSHIP_TOL):
+    """Scenarios of the catalog's horizon whose first region contains x,
+    ascending by index."""
     members = region_membership(spec, x, tol)
     if not members:
         return []
-    out = [Scenario(c, catalog.s) for c in catalog.sequences(horizon)
+    out = [Scenario(c, catalog.s) for c in catalog.sequences()
            if c[0] in members]
     out.sort(key=lambda sc: sc.j)
     return out

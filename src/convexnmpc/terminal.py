@@ -4,7 +4,12 @@ The terminal set is polyhedral (exact maximal admissible set) when the first
 stage set is purely affine, and an invariant ellipsoidal sublevel set of the
 Riccati cost otherwise. Both are certified against the stability axioms:
 admissibility of the terminal controller, positive invariance, and cost
-decrease by at least the stage cost.
+decrease by at least the stage cost. Under v = kappa.x the decrease is a
+quadratic form and an ellipsoid's invariance one eigenvalue (contraction):
+matrix tests, with no sampling. Admissibility (for convex stage sets) and a
+polytope's invariance are convex in x, so their worst lies at an extreme
+point: exact at a polytope's vertices, and sampled on an ellipsoid's shell,
+where the ridge constraints make the worst point a nonlinear problem.
 """
 from dataclasses import dataclass, field
 
@@ -13,7 +18,7 @@ import numpy as np
 from .errors import (NoConvergenceError, NoFiniteDeterminationError,
                      NoPositiveLevelError, PreconditionError)
 from .geometry import (Ellipsoid, Polytope, dedup_rows, reduce_rows,
-                       rows_redundant, unit_directions)
+                       rows_redundant, vertices)
 
 DARE_TOL = 1e-12
 DARE_MAX_ITER = 100_000
@@ -131,33 +136,37 @@ def maximal_admissible_set(A_cl, kappa, z1, max_power=500):
 N_LEVEL_SAMPLES = 10_000
 
 
-def ellipsoidal_terminal(P, kappa, z1, A_cl, n_samples=N_LEVEL_SAMPLES, seed=0):
-    """Largest sampled-certified invariant sublevel set {x'Px <= c}.
+def contraction(ell, A_cl):
+    """Smallest c with (A_cl x)' S (A_cl x) <= c x'Sx for every x, S the
+    ellipsoid's shape: lambda_max(S^(-1/2) A_cl' S A_cl S^(-1/2)). The
+    closed loop maps every sublevel set of S into itself iff c <= 1."""
+    H = ell.half_inverse
+    return float(np.linalg.eigvalsh(H @ A_cl.T @ ell.P_shape @ A_cl @ H)[-1])
 
-    Feasibility of a level is checked on deterministic boundary samples:
-    state membership in the region, admissibility of the terminal controller
-    there, and one-step invariance. Bisection to relative width 1e-6. The
-    certificate is sample-based; downstream axiom checks reuse the same
-    direction generator so both sides see identical points.
+
+def ellipsoidal_terminal(P, kappa, z1, A_cl, n_samples=N_LEVEL_SAMPLES, seed=0):
+    """Largest invariant sublevel set {x'Px <= c} admissible on samples.
+
+    Invariance does not depend on the level: it is the contraction test,
+    made once (to 1e-12), and NoPositiveLevelError when it fails. A level
+    is admissible when the region and the stage constraints hold under
+    v = kappa.x; for convex stage sets both are convex in x, so they are
+    checked on deterministic samples of the shell x'Px = c only. Bisection
+    to relative width 1e-6.
     """
-    P = 0.5 * (np.asarray(P, dtype=float) + np.asarray(P, dtype=float).T)
-    n = P.shape[0]
-    w, V = np.linalg.eigh(P)
-    if np.min(w) <= 0:
-        raise ValueError("terminal cost matrix must be positive definite")
-    half_inv = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    dirs = unit_directions(n_samples, n, seed) @ half_inv.T  # x'Px = 1 shell
+    shell = Ellipsoid(P, 1.0)
+    if contraction(shell, A_cl) > 1 + 1e-12:
+        raise NoPositiveLevelError(
+            "the closed loop does not contract the terminal cost, so no "
+            "sublevel set is invariant")
+    unit_shell = shell.boundary_points(n_samples, seed)
 
     def feasible(level):
-        X = np.sqrt(level) * dirs
+        X = np.sqrt(level) * unit_shell
         if np.any(X @ z1.region.C.T - z1.region.d > 1e-12):
             return False
         Z = np.hstack([X, (X @ kappa)[:, None]])
-        if np.any(z1.constraints.values_batch(Z) > 1e-12):
-            return False
-        Xn = X @ A_cl.T
-        return not np.any(
-            np.einsum("ij,jk,ik->i", Xn, P, Xn) > level * (1 + 1e-12))
+        return not np.any(z1.constraints.values_batch(Z) > 1e-12)
 
     lo = 1e-12
     if not feasible(lo):
@@ -180,30 +189,15 @@ def ellipsoidal_terminal(P, kappa, z1, A_cl, n_samples=N_LEVEL_SAMPLES, seed=0):
     return Ellipsoid(P, lo * (1.0 - 1e-9))
 
 
-def sample_terminal_set(tset, n_samples, seed):
-    """Deterministic interior + boundary samples of a terminal set."""
-    if isinstance(tset, Ellipsoid):
-        boundary = tset.boundary_points(n_samples - n_samples // 2, seed)
-        interior = tset.boundary_points(n_samples // 2, seed)
-        scales = np.linspace(0.0, 0.97, interior.shape[0])[:, None]
-        return np.vstack([boundary, interior * scales])
-    dirs = unit_directions(n_samples, tset.dim, seed)
-    pts = []
-    for k, d in enumerate(dirs):
-        bp = tset.ray_boundary_point(d)
-        if bp is None:
-            continue
-        pts.append(bp if k % 2 == 0 else bp * (k % 97) / 97.0)
-    return np.array(pts)
-
-
 @dataclass
 class AxiomReport:
-    """Worst slacks of the three terminal axioms over sampled states.
+    """Worst slacks of the three terminal axioms over the terminal set.
 
     admissibility: stage-constraint value of (x, kappa.x); invariance:
     terminal-set violation of the successor; decrease: terminal-cost descent
     defect against the stage cost. All should be <= their tolerances.
+    n_checked counts the points where admissibility was evaluated, and
+    witnesses holds up to ten of them, (x, adm, inv, dec), that exceed tol.
     """
 
     worst_admissibility: float
@@ -230,29 +224,34 @@ class AxiomReport:
 
 
 def verify_terminal_axioms(ti, zsets, Q, rho, n_samples=2000, seed=0):
-    """Check the three stability axioms on sampled terminal-set states."""
-    z1 = zsets[0]
-    X = sample_terminal_set(ti.tset, n_samples, seed)
-    worst_a = worst_b = worst_c = -np.inf
-    witnesses = []
-    for x in X:
-        v = float(ti.kappa @ x)
-        z = np.concatenate([x, [v]])
-        adm = max(float(np.max(z1.constraints.values(z))),
-                  z1.region.violation(x))
-        x_next = ti.A_cl @ x
-        inv = ti.tset.violation(x_next)
-        dec = (ti.cost(x_next) - ti.cost(x)
-               + float(x @ Q @ x) + rho * v * v)
-        if adm > max(worst_a, 1e-8) or inv > max(worst_b, 1e-8) \
-                or dec > max(worst_c, 1e-8):
-            witnesses.append((x.copy(), adm, inv, dec))
-        worst_a = max(worst_a, adm)
-        worst_b = max(worst_b, inv)
-        worst_c = max(worst_c, dec)
-    return AxiomReport(worst_admissibility=worst_a, worst_invariance=worst_b,
-                       worst_decrease=worst_c, n_checked=len(X),
-                       witnesses=witnesses[:10])
+    """The three stability axioms over the terminal set (module docstring):
+    decrease x'Dx, D = A_cl'PA_cl - P + Q + rho kappa kappa', is bounded by
+    max(lambda_max(D), 0) times the set's largest |x|^2; admissibility is
+    read at a polytope's vertices or at n_samples points of an ellipsoid's
+    shell, drawn from seed."""
+    z1, tset, kappa = zsets[0], ti.tset, ti.kappa
+    D = ti.A_cl.T @ ti.P @ ti.A_cl - ti.P + Q + rho * np.outer(kappa, kappa)
+    ellipsoid = isinstance(tset, Ellipsoid)
+    X = (tset.boundary_points(n_samples, seed) if ellipsoid
+         else vertices(tset.C, tset.d))
+    Z = np.hstack([X, (X @ kappa)[:, None]])
+    adm = np.maximum(np.max(z1.constraints.values_batch(Z), axis=1),
+                     np.max(X @ z1.region.C.T - z1.region.d, axis=1))
+    inv = np.array([tset.violation(x) for x in X @ ti.A_cl.T])
+    dec = np.einsum("ij,jk,ik->i", X, D, X)
+    if ellipsoid:
+        worst_inv = tset.level * (contraction(tset, ti.A_cl) - 1.0)
+        radius2 = tset.level / float(np.linalg.eigvalsh(tset.P_shape)[0])
+    else:
+        worst_inv = float(np.max(inv))
+        radius2 = float(np.max(np.sum(X * X, axis=1)))
+    report = AxiomReport(
+        worst_admissibility=float(np.max(adm)), worst_invariance=worst_inv,
+        worst_decrease=max(float(np.linalg.eigvalsh(D)[-1]), 0.0) * radius2,
+        n_checked=len(X))
+    bad = (adm > report.tol) | (inv > report.tol) | (dec > report.tol)
+    report.witnesses = list(zip(X[bad], adm[bad], inv[bad], dec[bad]))[:10]
+    return report
 
 
 def build_terminal(spec, lin, zsets, Q, rho, kind="auto", seed=0):

@@ -3,7 +3,7 @@
 Everything here is deliberately independent of the solver path it checks:
 grid search for optima, finite differences for derivatives, direct
 enumeration for scenario pruning, one oracle object per constraint for the
-stacked constraints.
+stacked constraints, and point-by-point samples of the terminal axioms.
 """
 import itertools
 from dataclasses import dataclass
@@ -335,3 +335,36 @@ def row_by_row_region_reports(spec, n_samples, seed):
             not any(v.kind == "sign" for v in local),
             not any(v.kind != "sign" for v in local), local))
     return reports
+
+
+def sampled_terminal_axioms(ti, zsets, Q, rho, n_samples=2000, seed=0):
+    """Largest (admissibility, invariance, decrease) slacks over sampled
+    terminal-set states, each axiom evaluated point by point: an ellipsoid
+    on half its samples along its shell and on half scaled in by up to 0.97,
+    a polytope at the ends of rays from the origin, every second one scaled
+    in by (k mod 97)/97."""
+    tset = ti.tset
+    if isinstance(tset, cn.Ellipsoid):
+        boundary = tset.boundary_points(n_samples - n_samples // 2, seed)
+        interior = tset.boundary_points(n_samples // 2, seed)
+        scales = np.linspace(0.0, 0.97, interior.shape[0])[:, None]
+        X = np.vstack([boundary, interior * scales])
+    else:
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((n_samples, tset.dim))
+        X = []
+        for k, d in enumerate(dirs / np.linalg.norm(dirs, axis=1)[:, None]):
+            den = tset.C @ d
+            bp = np.min(tset.d[den > 1e-14] / den[den > 1e-14]) * d
+            X.append(bp if k % 2 == 0 else bp * (k % 97) / 97.0)
+    z1 = zsets[0]
+    worst = np.full(3, -np.inf)
+    for x in X:
+        v = float(ti.kappa @ x)
+        x_next = ti.A_cl @ x
+        worst = np.maximum(worst, [
+            max(float(np.max(z1.constraints.values(np.append(x, v)))),
+                z1.region.violation(x)),
+            tset.violation(x_next),
+            ti.cost(x_next) - ti.cost(x) + float(x @ Q @ x) + rho * v * v])
+    return worst

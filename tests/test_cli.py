@@ -85,6 +85,19 @@ def test_terminal_with_axioms(capsys):
     assert out["axioms"]["ok"] is True
 
 
+def test_ellipsoid_terminal_with_axioms(capsys):
+    assert run(["terminal", EX2, *LINFLAGS, "--check-axioms",
+                "--samples", "200"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "ellipsoid"
+    assert float.hex(out["level"]) == "0x1.d5112ff828274p-3"
+    axioms = out["axioms"]
+    assert axioms["ok"] is True and axioms["n_checked"] == 200
+    # invariance and decrease are matrix tests: --samples does not move them
+    assert axioms["worst_invariance"] < -0.038
+    assert 0.0 <= axioms["worst_decrease"] <= 1e-11
+
+
 def test_prune_solve_simulate_grid_pipeline(tmp_path, capsys):
     cat = str(tmp_path / "cat.json")
     assert run(["prune", EX2, *LINFLAGS, "--horizon", "2",
@@ -255,6 +268,31 @@ def test_solve_outside_every_region(ex2_catalog_n3_file, capsys):
                 "--catalog", ex2_catalog_n3_file, "--x0=5,5"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "INFEASIBLE_STATE"
+
+
+def test_every_command_reads_the_requested_horizon(ex2_catalog_n3_file,
+                                                   capsys):
+    # an N=3 catalog read at horizons 2 and 3: solve, simulate and grid
+    # each use the level of the horizon asked for
+    base = [EX2, *LINFLAGS, "--catalog", ex2_catalog_n3_file]
+    out = {}
+    for horizon in ("2", "3"):
+        argv = [*base, "--horizon", horizon]
+        capsys.readouterr()
+        assert run(["solve", *argv, "--x0", "0.5,0.1"]) == 0
+        V = json.loads(capsys.readouterr().out)["V"]
+        assert run(["simulate", *argv, "--x0", "0.5,0.1",
+                    "--steps", "2"]) == 0
+        traj = capsys.readouterr().out.splitlines()
+        assert run(["grid", *argv, "--resolution", "9",
+                    "--threads", "1"]) == 0
+        out[horizon] = V, traj, capsys.readouterr().out
+        # the first closed-loop step applies what solve reports
+        assert traj[0] == "k,x1,x2,u,v,V,j_star"
+        assert float(traj[1].split(",")[5]) == V
+    assert out["2"][0] != out["3"][0]
+    assert out["2"][1] != out["3"][1]
+    assert out["2"][2] != out["3"][2]
 
 
 @pytest.mark.parametrize("argv, nmpc_threads", [

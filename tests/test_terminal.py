@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import convexnmpc as cn
-from helpers import toy_spec
+from convexnmpc.geometry import vertices
+from convexnmpc.terminal import contraction
+from helpers import sampled_terminal_axioms, toy_spec
 
 
 class TestDare:
@@ -89,11 +91,10 @@ class TestMaximalAdmissibleSet:
         ti = ex3["terminal"]
         x1 = ex3["spec"].region(1)
         assert ti.tset.contains(np.zeros(2), -1e-12)  # strict interior
-        for k in range(64):
-            ang = 2 * np.pi * k / 64
-            bp = ti.tset.ray_boundary_point(np.array([np.cos(ang),
-                                                      np.sin(ang)]))
-            assert x1.contains(bp, 1e-9)
+        corners = vertices(ti.tset.C, ti.tset.d)
+        assert len(corners) == 6
+        for x in corners:  # the polytope is the hull of its vertices
+            assert x1.contains(x, 1e-9)
 
     def test_unstable_loop_rejected(self):
         spec, lin, zsets = self._affine_pipeline(
@@ -141,13 +142,33 @@ class TestEllipsoidalTerminal:
             cn.ellipsoidal_terminal(np.eye(2), np.zeros(2), shifted,
                                     A_cl=0.5 * np.eye(2))
 
+    def test_non_contracting_loop_raises(self):
+        # A_cl is stable (both eigenvalues 0.5) but stretches the unit
+        # circle: lambda_max(A_cl'A_cl) = 0.75 + sqrt(0.5) > 1, so no
+        # level of x'x is invariant, however small
+        spec = toy_spec(np.array([[0.5, 0.0], [0.0, 0.4]]), [1.0, 0.5],
+                        u=(-10.0, 10.0))
+        lin = cn.build_linearization(
+            spec, cn.compute_output_vector(spec.A, spec.b, 1.0), b0=1.0)
+        zsets = cn.build_stage_sets(spec, lin)
+        A_cl = np.array([[0.5, 1.0], [0.0, 0.5]])
+        assert contraction(cn.Ellipsoid(np.eye(2), 1.0), A_cl) > 1.4
+        with pytest.raises(cn.NoPositiveLevelError):
+            cn.ellipsoidal_terminal(np.eye(2), np.zeros(2), zsets[0],
+                                    A_cl=A_cl)
+
     def test_ex2_positive_level(self, ex2):
         assert ex2["terminal"].kind == "ellipsoid"
         assert ex2["terminal"].tset.level > 0
 
 
+def _halved(ti):
+    return cn.TerminalIngredients(P=0.5 * ti.P, kappa=ti.kappa,
+                                  tset=ti.tset, A_cl=ti.A_cl)
+
+
 class TestAxioms:
-    @pytest.mark.parametrize("name", ["ex2", "ex3"])
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     def test_axioms_hold_on_examples(self, name, request):
         data = request.getfixturevalue(name)
         rep = cn.verify_terminal_axioms(data["terminal"], data["zsets"],
@@ -163,14 +184,44 @@ class TestAxioms:
         assert abs(rep.worst_decrease) <= 1e-8
 
     def test_shrunken_cost_matrix_violates_decrease(self, ex2):
-        ti = ex2["terminal"]
-        bad = cn.TerminalIngredients(P=0.5 * ti.P, kappa=ti.kappa,
-                                     tset=ti.tset, A_cl=ti.A_cl)
-        rep = cn.verify_terminal_axioms(bad, ex2["zsets"], ex2["Q"],
+        rep = cn.verify_terminal_axioms(_halved(ex2["terminal"]),
+                                        ex2["zsets"], ex2["Q"],
                                         ex2["rho"], n_samples=500, seed=1)
         assert rep.worst_decrease > 1e-8
         assert not rep.ok
         assert rep.witnesses
+        assert all(dec > 1e-8 for _, _, _, dec in rep.witnesses)
+
+    @pytest.mark.parametrize("halved", [False, True])
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    def test_exact_bounds_the_sampled_worst(self, name, halved, request):
+        # exact certificates never report less than point-by-point samples
+        data = request.getfixturevalue(name)
+        ti = _halved(data["terminal"]) if halved else data["terminal"]
+        rep = cn.verify_terminal_axioms(ti, data["zsets"], data["Q"],
+                                        data["rho"])
+        sampled = sampled_terminal_axioms(ti, data["zsets"], data["Q"],
+                                          data["rho"])
+        exact = (rep.worst_admissibility, rep.worst_invariance,
+                 rep.worst_decrease)
+        assert np.all(np.array(exact) >= sampled - 1e-12), (exact, sampled)
+        # a halved cost fails decrease, and the check names states that do
+        assert rep.ok is not halved
+        assert bool(rep.witnesses) is halved
+
+    def test_polytope_invariance_fails_at_a_vertex(self, ex3):
+        # the closed loop's rows swapped and scaled up: not invariant
+        ti = ex3["terminal"]
+        bad = cn.TerminalIngredients(P=ti.P, kappa=ti.kappa, tset=ti.tset,
+                                     A_cl=1.2 * ti.A_cl[::-1])
+        rep = cn.verify_terminal_axioms(bad, ex3["zsets"], ex3["Q"],
+                                        ex3["rho"])
+        assert rep.worst_invariance > 1e-8 and not rep.ok
+        corners = vertices(ti.tset.C, ti.tset.d)
+        assert rep.n_checked == len(corners)
+        worst = max(rep.witnesses, key=lambda w: w[2])
+        assert worst[2] == rep.worst_invariance
+        assert any(np.array_equal(worst[0], x) for x in corners)
 
 
 def test_auto_terminal_kind_dispatch(ex2, ex3, ex1):

@@ -66,12 +66,13 @@ def test_every_witness_is_strictly_feasible(request, monkeypatch, name, N):
     catalog = _prune(data, N)
     survivors = [seq for seqs in catalog.levels.values() for seq in seqs]
     for seq in survivors:
-        feasible, witness, settled = probes[seq]
+        feasible, witness, start = probes[seq]
         assert feasible
         worst = np.max(_program(data, seq).constraint_values(witness))
-        assert worst < (-1e-6 if settled else 0.0)
-    settled = sum(out[2] for out in probes.values())
-    assert settled == sum(catalog.meta["warm"].values())
+        assert worst < (-1e-6 if start is not None else 0.0)
+    starts = [out[2] for out in probes.values() if out[2] is not None]
+    assert len(starts) == sum(catalog.meta["warm"].values())
+    assert starts.count("appended") == sum(catalog.meta["appended"].values())
 
 
 def test_ex2_n15_counts(ex2_catalog_n15):
