@@ -485,7 +485,10 @@ def make_parser():
     p = sub.add_parser("terminal", help="compute terminal ingredients")
     _add_common(p, horizon=False)
     p.add_argument("--check-axioms", action="store_true")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=int, default=2000,
+                   help="shell samples of an ellipsoid terminal's "
+                        "admissibility check (a polytope is checked at its "
+                        "vertices)")
     p.set_defaults(func=cmd_terminal)
 
     p = sub.add_parser("prune", help="offline scenario-tree pruning")

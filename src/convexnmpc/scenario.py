@@ -243,8 +243,8 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
             else:
                 cands = [(i,) + tail for tail in levels[level - 1]
                          for i in range(1, s + 1)]
-            kept = [c for c in cands if len(c) == 1
-                    or screen.transition(c[0], c[1]) <= cfg.feas_tol]
+            kept = [c for c in cands if len(c) == 1 or screen.transitions(
+                terminal, cfg)[c[:2]] <= cfg.feas_tol]
             screened[str(level)] = len(cands) - len(kept)
             below = witnesses.get(level - 1, {})
             items = [(c, screen.starts(c, below, terminal.kappa))

@@ -7,6 +7,14 @@ feasibility probing) as the only decision variables. One log-barrier
 interior-point method covers all constraint classes; the QP/QCQP/NLP tag
 is reporting metadata, not a solver dispatch.
 
+One builder (_program) makes every program from one compiled horizon: a
+scenario's program (assemble), and the phase-I program of a head, a
+scenario's first k stage blocks without the terminal set, whose value
+bounds the scenario's from below. The screens test heads under one
+phase-I rule: offline a pair of stage sets is the depth-2 head of the
+free-x0 horizon-2 program (Screen.transitions), online the heads that
+several candidates share are walked depth by depth (Screen.heads).
+
 The Newton kernel keeps two invariants. Each trial point of the line search
 is evaluated once: the accepted trial's margins, sinusoid phase pieces and
 barrier value become the next iterate's, so no iterate is evaluated twice
@@ -378,7 +386,8 @@ def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
     x0=None leaves the initial state free (used by the offline pruning);
     otherwise the program is parameterized by the fixed initial state. The
     program's arrays are read-only: those that do not depend on x0 are
-    shared by every program of its horizon.
+    shared by every program of its horizon. The scenario is checked here;
+    _program builds it, as it builds the screens' head programs.
     """
     coeffs = _scenario_coeffs(scenario)
     N = len(coeffs)
@@ -386,32 +395,56 @@ def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
         raise HorizonMismatchError(
             f"scenario length {N} does not match requested horizon {horizon}")
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    j = encode(coeffs, len(zsets))
+    encode(coeffs, len(zsets))
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-    st = _horizon(lin, zsets, terminal, Q, float(rho), N, x0 is None).at(x0)
-    steps = [st.step(e - 1, k) for k, e in enumerate(coeffs)]
-    A_mat = np.vstack([blk.rows for blk, _, _ in steps] + [st.hz.term_rows])
-    b_vec = np.concatenate([offs for _, offs, _ in steps] + [st.term_offs])
-    nonlin = Constraints.join([cons for _, _, cons in steps]
-                              + [st.term_nonlin])
+    return _program(_horizon(lin, zsets, terminal, Q, float(rho), N,
+                             x0 is None).at(x0), coeffs)
+
+
+def _program(st, coeffs, start=None):
+    """The program of coeffs at the state of the offsets st.
+
+    Without a start, the scenario's: its stage blocks, the terminal set and
+    the cost, on all the horizon's variables. With one, the phase-I program
+    of the head coeffs (k steps): its stage blocks alone, on their inputs
+    v_0..v_{k-1} and x0 when it is free, with no terminal and zero cost,
+    started at start.
+    """
+    hz, ops, head = st.hz, st.ops, start is not None
+    blks, offs, cons = map(list, zip(*(st.step(e - 1, k)
+                                       for k, e in enumerate(coeffs))))
+    rows = [blk.rows for blk in blks]
+    if not head:
+        rows.append(hz.term_rows)
+        offs.append(st.term_offs)
+        cons.append(st.term_nonlin)
+        start = st.hint if st.hint is not None else hz.hints[coeffs[0] - 1]
+    A_mat, b_vec = np.vstack(rows), np.concatenate(offs)
+    nonlin = Constraints.join(cons)
+    n_vars, H, f, c0 = ops.n_vars, hz.H, st.f, st.c0
+    if head:
+        cols = [*range(len(coeffs)), *range(ops.N, n_vars)]
+        if len(cols) < n_vars:  # cut the inputs past the head
+            A_mat = A_mat[:, cols]
+            nonlin = nonlin.lift(np.eye(n_vars)[:, cols])
+        n_vars = len(cols)
+        H, f, c0 = np.zeros((n_vars, n_vars)), np.zeros(n_vars), 0.0
 
     # Rows without any decision-variable dependence (fixed-x0 region rows at
     # k = 0) are checked once and removed; they cannot steer the solver.
     norms = np.max(np.abs(A_mat), axis=1)
     constant = norms < 1e-13
-    pre_violation = float(np.max(-b_vec[constant])) if np.any(constant) else -np.inf
+    pre_violation = float(np.max(-b_vec[constant], initial=-np.inf))
     A_mat, b_vec = A_mat[~constant], b_vec[~constant]
 
-    return ConvexProgram(n_vars=st.ops.n_vars, H=st.hz.H, f=st.f, c0=st.c0,
+    return ConvexProgram(n_vars=n_vars, H=H, f=f, c0=c0,
                          A_mat=_readonly(A_mat), b_vec=_readonly(b_vec),
                          nonlin=nonlin, prog_class=PROG_CLASS[nonlin.kind],
-                         coeffs=coeffs, scenario_j=j, ops=st.ops,
-                         pre_violation=pre_violation,
-                         z0_hint=st.hz.hints[coeffs[0] - 1] if x0 is None
-                         else st.hint,
-                         nonconvex_data=any(blk.nonconvex
-                                            for blk, _, _ in steps))
+                         coeffs=coeffs,
+                         scenario_j=encode(coeffs, len(hz.zsets)), ops=ops,
+                         pre_violation=pre_violation, z0_hint=start,
+                         nonconvex_data=any(blk.nonconvex for blk in blks))
 
 
 # ---------------------------------------------------------------------------
@@ -999,10 +1032,12 @@ def _phase1(batch, i, cfg, work, head=False):
     phase1. Returns (z, t, low), low the central-path bound t_mu - m*mu on
     t* at the last stage run (-inf when it ends as feasible).
 
-    The phase I of a head (Screen.heads) only decides whether its bound
-    can exceed feas_tol, so it ends as feasible once its start or its t is
-    below feas_tol, and it starts at the first barrier weight whose gap
-    m*mu is no larger than the start's violation.
+    The phase I of a head (Screen.heads and Screen.transitions, the one
+    screen rule) only decides whether its bound can exceed feas_tol, so it
+    ends as feasible once its start or its t is below feas_tol, and it
+    starts at the first barrier weight whose gap m*mu is no larger than
+    the start's violation. Any other end leaves low a central-path bound
+    taken at a centred stage.
     """
     prog = batch.progs[i]
     z = prog.z0_hint.copy()
@@ -1179,20 +1214,6 @@ def _lowest_max(a, c):
     return best, v
 
 
-def _transition_phase1(batch, i):
-    """Phase I of transition program i of the batch (a generator of
-    requests): its bound (see Screen.transition)."""
-    prog, cfg = batch.progs[i], SolverConfig(feas_tol=np.inf)
-    try:  # no feas_tol can end this phase I early
-        _, t, _ = yield from _phase1(batch, i, cfg, _Work(cfg))
-    except _Undecided:
-        return -np.inf
-    # t <= t_last, and t* >= t_last - m*mu_last on the central path
-    m = max(prog.n_constraints, 1)
-    return (-np.inf if t < -STRICT_MARGIN
-            else t - m * _mu_schedule(prog.n_constraints)[-1])
-
-
 def _head_phase1(batch, i, cfg):
     """Phase I of head program i of the batch (a generator of requests):
     (z, low, Newton steps), z and low None when it is undecided."""
@@ -1210,18 +1231,17 @@ class Screen:
     Phase I relaxes every constraint by the same t, so the min-max over any
     subset of a program's constraints, in its own units, bounds its t* from
     below: above feas_tol, the program is Infeasible with no Newton step.
-    Offline the subset is a free-x0 program's first transition (transition),
-    online a fixed-x0 program's head (heads). It also builds the starts of
-    an offline probe from strictly feasible points of the programs one
-    level down (starts).
+    The subset is a head, the program of the first k stage blocks, built
+    by _program and tested under one phase-I rule (see _phase1): offline
+    the depth-2 heads of the free-x0 programs (transitions), online the
+    heads of the fixed-x0 programs at a state (heads). It also builds the
+    starts of an offline probe from strictly feasible points of the
+    programs one level down (starts).
     """
 
     def __init__(self, lin, zsets):
         # strong references: no id in the cache key is reused
         self.lin, self.zsets, self.pairs = lin, tuple(zsets), {}
-        self.ops = condense(lin, 2)
-        self.blocks = [[_StageBlock(zs, self.ops.step_map(k)[0])
-                        for k in (0, 1)] for zs in self.zsets]
         # slopes in v0, in StageSet.all_values order: stage constraints are
         # affine in v (the last gradient entry), region rows are flat; the
         # next region's rows C x1 - d have C b_hat
@@ -1237,45 +1257,32 @@ class Screen:
         except np.linalg.LinAlgError:
             self.back = None
 
-    def transition(self, i, j):
-        """Bound for every free-x0 program with stage sets i, j first, from
-        phase I of that two-step program (no terminal set) through the whole
-        mu schedule; -inf when that phase I finds a strictly feasible point
-        or is undecided, or for nonconvex data. The first call bounds every
-        pair, their phases I run together in one lockstep drive."""
-        if not self.pairs:  # a race computes the same values twice
-            self.pairs = self._transitions()
-        return self.pairs[(i, j)]
-
-    def _transitions(self):
-        s = len(self.zsets)
-        pairs = [(i, j) for i in range(1, s + 1) for j in range(1, s + 1)]
-        progs = {pair: self._transition_program(*pair) for pair in pairs}
-        live = [pair for pair in pairs if progs[pair] is not None]
-        batch = _Batch([progs[pair] for pair in live])
-        bounds, _ = _drive([_transition_phase1(batch, k)
-                            for k in range(len(live))])
-        return {**dict.fromkeys(pairs, -np.inf), **dict(zip(live, bounds))}
-
-    def _transition_program(self, i, j):
-        """The two-step program of stage sets i, j on (v0, v1, x0), started
-        with x0 at region i's centre; None for nonconvex data."""
-        first, second = self.blocks[i - 1][0], self.blocks[j - 1][1]
-        if first.nonconvex or second.nonconvex:
-            return None
-        (b0, cons0), (b1, cons1) = (blk.offsets(np.zeros(blk.M.shape[0]))
-                                    for blk in (first, second))
-        d = self.ops.n_vars
-        hint = np.zeros(d)
-        center, _ = self.zsets[i - 1].region.chebyshev_center()
-        hint[2:] = 0.0 if center is None else center
-        return ConvexProgram(
-            n_vars=d, H=np.zeros((d, d)), f=np.zeros(d), c0=0.0,
-            A_mat=np.vstack([first.rows, second.rows]),
-            b_vec=np.concatenate([b0, b1]),
-            nonlin=Constraints.join([cons0, cons1]),
-            prog_class="", coeffs=(), scenario_j=0, ops=self.ops,
-            pre_violation=-np.inf, z0_hint=hint, nonconvex_data=False)
+    def transitions(self, terminal, cfg):
+        """{(i, j): a lower bound on t* of every free-x0 program with stage
+        sets i, j first}, kept per (terminal, cfg). The pair is the head
+        (i, j) of the free-x0 horizon 2 with Q = I, rho = 1 (the horizon a
+        prune's level-2 probes compile), started from its hint for region
+        i; all pairs run phase I together in one lockstep drive. -inf when
+        a start or an iterate falls below cfg.feas_tol, when phase I is
+        undecided, or for nonconvex data."""
+        key = (id(terminal), cfg)
+        if key not in self.pairs:  # a race computes the same values twice
+            n, s = self.lin.A_hat.shape[0], len(self.zsets)
+            st = _horizon(self.lin, self.zsets, terminal, np.eye(n), 1.0, 2,
+                          True).at(None)
+            progs = {(i, j): _program(st, (i, j), st.hz.hints[i - 1])
+                     for i in range(1, s + 1) for j in range(1, s + 1)}
+            live = [pair for pair, prog in progs.items()
+                    if not prog.nonconvex_data]
+            batch = _Batch([progs[pair] for pair in live])
+            results, _ = _drive([_head_phase1(batch, k, cfg)
+                                 for k in range(len(live))])
+            bounds = dict.fromkeys(progs, -np.inf)
+            bounds.update((pair, low) for pair, (_, low, _)
+                          in zip(live, results) if low is not None)
+            # strong reference: no id in the key is reused
+            self.pairs[key] = terminal, bounds
+        return self.pairs[key][1]
 
     def one_step(self, x, e1, e2=None):
         """Bound for every fixed-x0 program at state x with stage sets e1,
@@ -1336,7 +1343,7 @@ class Screen:
                        self._head_program(st, head, points[head[:up]]))
                       for head, members in _groups(seqs, walked, k).items()
                       if len(members) > 1]
-            tested = [test for test in tested if test[2] is not None]
+            tested = [test for test in tested if not test[2].nonconvex_data]
             batch = _Batch([prog for _, _, prog in tested])
             results, _ = _drive([_head_phase1(batch, i, cfg)
                                  for i in range(len(tested))])
@@ -1354,29 +1361,13 @@ class Screen:
 
     def _head_program(self, st, head, parent):
         """Phase-I program of a depth-k head at the state of offsets st,
-        started from the parent head's point extended by one step; None
-        for nonconvex data."""
-        k = len(head)
-        steps = [st.step(e - 1, j) for j, e in enumerate(head)]
-        if any(blk.nonconvex for blk, _, _ in steps):
-            return None
+        started from the parent head's point extended by the v_{k-1} with
+        the lowest max of stage set e_k's lines at x_{k-1}."""
+        k, e = len(head), head[-1]
         Sx, ox = st.ops.state_rows(k - 1)
-        e = head[-1]
         _, v = _lowest_max(self.slopes[e - 1], self.zsets[e - 1].all_values(
             Sx[:, :k - 1] @ parent + ox, 0.0))
-        A_mat = np.vstack([blk.rows[:, :k] for blk, _, _ in steps])
-        b_vec = np.concatenate([offs for _, offs, _ in steps])
-        # rows without a decision variable (the first region's) hold at x
-        keep = np.max(np.abs(A_mat), axis=1) >= 1e-13
-        return ConvexProgram(
-            n_vars=k, H=np.zeros((k, k)), f=np.zeros(k), c0=0.0,
-            A_mat=A_mat[keep], b_vec=b_vec[keep],
-            # on z = (v_0..v_{k-1}, 0): the stage blocks read no other input
-            nonlin=Constraints.join([cons for _, _, cons in steps]).lift(
-                np.eye(st.ops.n_vars, k)),
-            prog_class="", coeffs=head, scenario_j=0, ops=st.ops,
-            pre_violation=-np.inf, z0_hint=np.append(parent, v),
-            nonconvex_data=False)
+        return _program(st, head, np.append(parent, v))
 
     def extend(self, i, witness):
         """A start for the free-x0 program of (i,) + tail from a witness
@@ -1433,6 +1424,7 @@ def _groups(seqs, indices, k):
 
 
 def infeasibility_screen(lin, zsets):
-    """The Screen of (lin, zsets), kept in the LRU of compiled horizons."""
+    """The Screen of (lin, zsets), kept in the LRU of compiled horizons;
+    its transition bounds are kept in it, per (terminal, cfg)."""
     key = ("screen", id(lin), tuple(map(id, zsets)))
     return _cached(key, lambda: Screen(lin, zsets))

@@ -3,7 +3,10 @@
 Everything here is deliberately independent of the solver path it checks:
 grid search for optima, finite differences for derivatives, direct
 enumeration for scenario pruning, one oracle object per constraint for the
-stacked constraints, and point-by-point samples of the terminal axioms.
+stacked constraints, and point-by-point samples of the terminal axioms. The
+screen references are the programs and rule the screens used before they
+became heads of one compiled horizon: hand-built from stage blocks, with
+phase I through its whole schedule.
 """
 import itertools
 from dataclasses import dataclass
@@ -12,6 +15,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 import convexnmpc as cn
+import convexnmpc.solver as solver_module
+from convexnmpc.stagesets import Constraints
 
 
 def toy_spec(A, b, g=None, box=1.0, sign=1, u=(-1.0, 1.0)):
@@ -209,6 +214,74 @@ def brute_force_level(spec, lin, zsets, terminal, horizon, cfg=None):
             out.append(coeffs)
     out.sort(key=lambda c: cn.encode(c, s))
     return out
+
+
+def full_schedule_transitions(lin, zsets):
+    """{(i, j): bound} by the full-schedule rule: phase I of the two-step
+    free-x0 program of stage sets i, j on (v0, v1, x0), built from stage
+    blocks of condense(lin, 2) with no terminal set and started with zero
+    inputs and x0 at region i's Chebyshev centre, run through the whole mu
+    schedule (feas_tol = inf). The bound is t - m*mu_last; -inf when phase
+    I finds a strictly feasible point or is undecided, or for nonconvex
+    data."""
+    ops = cn.condense(lin, 2)
+    cfg = cn.SolverConfig(feas_tol=np.inf)
+    s, out = len(zsets), {}
+    for i, j in itertools.product(range(1, s + 1), repeat=2):
+        blocks = [solver_module._StageBlock(zs, ops.step_map(k)[0])
+                  for k, zs in enumerate((zsets[i - 1], zsets[j - 1]))]
+        out[(i, j)] = -np.inf
+        if any(blk.nonconvex for blk in blocks):
+            continue
+        (b0, cons0), (b1, cons1) = (blk.offsets(np.zeros(blk.M.shape[0]))
+                                    for blk in blocks)
+        hint = np.zeros(ops.n_vars)
+        center, _ = zsets[i - 1].region.chebyshev_center()
+        hint[2:] = 0.0 if center is None else center
+        d = ops.n_vars
+        prog = solver_module.ConvexProgram(
+            n_vars=d, H=np.zeros((d, d)), f=np.zeros(d), c0=0.0,
+            A_mat=np.vstack([blk.rows for blk in blocks]),
+            b_vec=np.concatenate([b0, b1]),
+            nonlin=Constraints.join([cons0, cons1]),
+            prog_class="", coeffs=(), scenario_j=0, ops=ops,
+            pre_violation=-np.inf, z0_hint=hint, nonconvex_data=False)
+        try:
+            _, t = solver_module.phase1(prog, cfg)
+        except solver_module._Undecided:
+            continue
+        m = max(prog.n_constraints, 1)
+        if t >= -solver_module.STRICT_MARGIN:
+            out[(i, j)] = t - m * solver_module._mu_schedule(m)[-1]
+    return out
+
+
+def hand_built_head_program(screen, st, head, parent):
+    """The phase-I program of a depth-k head at the state of the offsets
+    st, stacked by hand from its stage blocks' first k columns, started
+    from the parent head's point extended by one step; None for nonconvex
+    data."""
+    k = len(head)
+    steps = [st.step(e - 1, j) for j, e in enumerate(head)]
+    if any(blk.nonconvex for blk, _, _ in steps):
+        return None
+    Sx, ox = st.ops.state_rows(k - 1)
+    e = head[-1]
+    _, v = solver_module._lowest_max(
+        screen.slopes[e - 1],
+        screen.zsets[e - 1].all_values(Sx[:, :k - 1] @ parent + ox, 0.0))
+    A_mat = np.vstack([blk.rows[:, :k] for blk, _, _ in steps])
+    b_vec = np.concatenate([offs for _, offs, _ in steps])
+    # rows without a decision variable (the first region's) hold at x
+    keep = np.max(np.abs(A_mat), axis=1) >= 1e-13
+    return solver_module.ConvexProgram(
+        n_vars=k, H=np.zeros((k, k)), f=np.zeros(k), c0=0.0,
+        A_mat=A_mat[keep], b_vec=b_vec[keep],
+        nonlin=Constraints.join([cons for _, _, cons in steps]).lift(
+            np.eye(st.ops.n_vars, k)),
+        prog_class="", coeffs=head, scenario_j=0, ops=st.ops,
+        pre_violation=-np.inf, z0_hint=np.append(parent, v),
+        nonconvex_data=False)
 
 
 def random_instance(rng, kind):

@@ -85,6 +85,26 @@ def test_terminal_with_axioms(capsys):
     assert out["axioms"]["ok"] is True
 
 
+def test_terminal_samples_set_only_an_ellipsoid_shell(capsys):
+    checked = {}
+    for system in (EX2, EX3):
+        for samples in (200, 2000):
+            assert run(["terminal", system, *LINFLAGS, "--check-axioms",
+                        "--samples", str(samples)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            checked[out["kind"], samples] = out["axioms"]["n_checked"]
+    # an ellipsoid's admissibility is sampled on its shell, a polytope's
+    # read at its vertices (ex3's terminal has 6)
+    assert checked == {("ellipsoid", 200): 200, ("ellipsoid", 2000): 2000,
+                       ("polytope", 200): 6, ("polytope", 2000): 6}
+    with pytest.raises(SystemExit):
+        run(["terminal", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--samples SAMPLES shell samples of an ellipsoid terminal's "
+            "admissibility check (a polytope is checked at its vertices)"
+            in text)
+
+
 def test_ellipsoid_terminal_with_axioms(capsys):
     assert run(["terminal", EX2, *LINFLAGS, "--check-axioms",
                 "--samples", "200"]) == 0

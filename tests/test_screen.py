@@ -1,27 +1,33 @@
 """Infeasibility screens on the packaged example systems.
 
 A screen rejects a candidate scenario by a certified lower bound on its
-phase-I value t*, taken from a subset of its constraints. Offline the
-subset is the first transition (i, j) of a free-x0 probe, online a head of
-the program at the query state: first the constraints that depend on v0
-alone, then the first k stage blocks that several candidates share.
+phase-I value t*, taken from a subset of its constraints: a head, the
+program of its first k stage blocks. Offline the head is the first
+transition (i, j) of a free-x0 probe, online a head of the program at the
+query state: first the constraints that depend on v0 alone, then the first
+k stage blocks that several candidates share.
 Everything a screen rejects must be Infeasible, and pruning and evaluation
 must come out exactly as without the screen.
 """
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import convexnmpc as cn
 import convexnmpc.solver as solver_module
-from helpers import brute_force_level
+from helpers import (brute_force_level, full_schedule_transitions,
+                     hand_built_head_program)
 
 FEAS_TOL = cn.SolverConfig().feas_tol
 SYSTEMS = ("ex2", "ex3")
 # test ids name the systems after the package data they are built from
-IDS = {name: f"packaged_{name}" for name in SYSTEMS}
+IDS = {name: f"packaged_{name}" for name in ("ex1",) + SYSTEMS}
 GRID = [np.array([a, b]) for a in np.linspace(-1.9, 1.9, 7)
         for b in np.linspace(-1.9, 1.9, 7)]
+BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 
 
 def _screen(data):
@@ -55,8 +61,11 @@ def pruned(request):
 
 
 def _without_transition_screen(monkeypatch):
-    monkeypatch.setattr(solver_module.Screen, "transition",
-                        lambda self, i, j: -np.inf)
+    monkeypatch.setattr(
+        solver_module.Screen, "transitions",
+        lambda self, terminal, cfg: dict.fromkeys(
+            [(i, j) for i in range(1, len(self.zsets) + 1)
+             for j in range(1, len(self.zsets) + 1)], -np.inf))
 
 
 def _without_one_step_screen(monkeypatch):
@@ -76,8 +85,9 @@ def test_screened_pairs_probe_infeasible(request, name, n_screened):
     data = request.getfixturevalue(name)
     screen = _screen(data)
     s = data["spec"].n_regions
-    bounds = {(i, j): screen.transition(i, j)
-              for i in range(1, s + 1) for j in range(1, s + 1)}
+    bounds = screen.transitions(data["terminal"], cn.SolverConfig())
+    assert set(bounds) == {(i, j) for i in range(1, s + 1)
+                           for j in range(1, s + 1)}
     pairs = [pair for pair, bound in bounds.items() if bound > FEAS_TOL]
     assert len(pairs) == n_screened
     longer = pairs[0] + (1,) * 13
@@ -86,6 +96,32 @@ def test_screened_pairs_probe_infeasible(request, name, n_screened):
         assert not feasible
         # the bound is a lower bound on the probe's phase-I value
         assert t_star >= bounds[coeffs[:2]] - 1e-9
+
+
+@pytest.mark.parametrize("name", ("ex1",) + SYSTEMS, ids=IDS.get)
+def test_transition_rule_matches_full_schedule(request, name):
+    # the head walk's rule screens the pairs that phase I through its whole
+    # schedule screens, and each finite bound is below the pair's probe
+    data = request.getfixturevalue(name)
+    bounds = _screen(data).transitions(data["terminal"], cn.SolverConfig())
+    reference = full_schedule_transitions(data["lin"], data["zsets"])
+    assert bounds.keys() == reference.keys()
+    screened = {pair for pair, bound in bounds.items() if bound > FEAS_TOL}
+    assert screened == {pair for pair, bound in reference.items()
+                        if bound > FEAS_TOL}
+    assert len(screened) == {"ex1": 0, "ex2": 4, "ex3": 50}[name]
+    for pair, bound in bounds.items():
+        if np.isfinite(bound):
+            assert bound <= _probe(data, pair)[1] + 1e-9
+
+
+def test_transitions_are_kept_per_terminal_and_config(ex2):
+    screen = _screen(ex2)
+    cfg = cn.SolverConfig()
+    bounds = screen.transitions(ex2["terminal"], cfg)
+    assert screen.transitions(ex2["terminal"], cn.SolverConfig()) is bounds
+    loose = screen.transitions(ex2["terminal"], cn.SolverConfig(feas_tol=1.0))
+    assert loose is not bounds and loose.keys() == bounds.keys()
 
 
 @pytest.mark.parametrize("name, N", [("ex2", 5), ("ex3", 3)],
@@ -258,6 +294,43 @@ def test_head_walk_keeps_decisions(deep, monkeypatch, name):
     assert sum(d[-1] for d in plain) == 0
 
 
+def test_head_programs_match_hand_built(ex3, monkeypatch):
+    # every head program of the walk at 20 query-ex3 pool states, one in
+    # 13 across the pool's regions (stored N=15 catalog), is the hand-built
+    # one, array for array
+    catalog = cn.FeasibleCatalog.load(BENCH_DATA / "ex3_N15_catalog.json")
+    pool = json.loads((BENCH_DATA / "reference.json").read_text())["pools"]
+    built, head_program = [], solver_module.Screen._head_program
+
+    def recorded(self, st, head, parent):
+        prog = head_program(self, st, head, parent)
+        built.append((prog, hand_built_head_program(self, st, head, parent)))
+        return prog
+
+    monkeypatch.setattr(solver_module.Screen, "_head_program", recorded)
+    screen = _screen(ex3)
+    for entry in pool["query-ex3"][::13]:
+        x = np.array(entry["x0"], dtype=float)
+        seqs = [sc.coeffs
+                for sc in cn.filter_for_state(catalog, ex3["spec"], x)]
+        screen.heads(x, seqs, ex3["terminal"], ex3["Q"], ex3["rho"],
+                     cn.SolverConfig())
+    assert len(built) > 20
+    for prog, ref in built:
+        assert prog.n_vars == ref.n_vars
+        for name in ("A_mat", "b_vec", "z0_hint"):
+            got, want = getattr(prog, name), getattr(ref, name)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for name in prog.nonlin.__dataclass_fields__:
+            got, want = getattr(prog.nonlin, name), getattr(ref.nonlin, name)
+            if isinstance(got, np.ndarray):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+            else:
+                assert got == want, name
+
+
 def test_heads_of_nonconvex_data_take_no_newton_step(ex1):
     catalog = _prune(ex1, 5)
     screen = _screen(ex1)
@@ -291,7 +364,8 @@ def test_stalled_line_search_is_undecided(ex2, monkeypatch):
     with pytest.raises(cn.NoConvergenceError):
         _probe(data, (1, 2, 1))
     fresh = solver_module.Screen(data["lin"], data["zsets"])
-    assert fresh.transition(1, 2) == -np.inf
+    assert fresh.transitions(data["terminal"], cn.SolverConfig())[(1, 2)] \
+        == -np.inf
     catalog = cn.FeasibleCatalog(s=3, N=3, levels={3: ((1, 1, 1),)},
                                  feas_tol=FEAS_TOL, terminal_kind="ellipsoid",
                                  content_hash="")
