@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -54,7 +54,8 @@ def _at_least(value, least, flag):
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline run needs, mirroring the common CLI flags."""
+    """Everything a pipeline run needs. Each flag of a pipeline subcommand
+    fills the field named by its dest; a flag left out keeps the default."""
 
     system: str
     horizon: int = PAPER_DEFS["horizon"]
@@ -83,30 +84,17 @@ class RunConfig:
 
 
 def config_from_args(args):
-    threads = args.threads
-    if threads is None:
+    """The RunConfig of the flags the subcommand has. Where --threads exists
+    and is not given, NMPC_THREADS sets it, else the core count."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if hasattr(args, f.name)}
+    if "threads" in given and given["threads"] is None:
         text = os.environ.get("NMPC_THREADS") or str(os.cpu_count() or 1)
         try:
-            threads = int(text)
+            given["threads"] = int(text)
         except ValueError:
             raise SchemaError(f"NMPC_THREADS must be an integer: {text!r}")
-    return RunConfig(
-        system=args.system,
-        horizon=getattr(args, "horizon", RunConfig.horizon),
-        q_diag=args.q,
-        rho=args.rho,
-        b0=args.b0,
-        c=_parse_vec(args.c, "--c") if args.c else None,
-        beta_target=args.beta_target,
-        a=None if args.a == "charpoly" else _parse_vec(args.a, "--a"),
-        feas_tol=args.feas_tol,
-        kkt_tol=args.kkt_tol,
-        terminal_kind=args.terminal,
-        catalog=getattr(args, "catalog", None),
-        out=getattr(args, "out", None),
-        seed=args.seed,
-        threads=threads,
-    )
+    return RunConfig(**given)
 
 
 @dataclass
@@ -121,14 +109,19 @@ class Pipeline:
     cfg: RunConfig
 
 
-def build_pipeline(cfg, need_terminal=True):
+def _linearization(cfg):
+    """The system and its exact linearization."""
     spec = load_system(cfg.system)
     _check_length(cfg.c, spec.n, "--c")
     _check_length(cfg.a, spec.n, "--a")
     c = cfg.c
     if c is None:
         c = compute_output_vector(spec.A, spec.b, cfg.beta_target)
-    lin = build_linearization(spec, c, b0=cfg.b0, a=cfg.a)
+    return spec, build_linearization(spec, c, b0=cfg.b0, a=cfg.a)
+
+
+def build_pipeline(cfg, need_terminal=True):
+    spec, lin = _linearization(cfg)
     zsets = build_stage_sets(spec, lin, seed=cfg.seed)
     Q = cfg.q_diag * np.eye(spec.n)
     rho = cfg.rho if cfg.rho is not None else 0.1 * cfg.b0 ** 2 / lin.beta ** 2
@@ -197,8 +190,8 @@ def cmd_validate(args):
 
 def cmd_linearize(args):
     cfg = config_from_args(args)
-    pipe = build_pipeline(cfg, need_terminal=False)
-    _dump_json(pipe.lin.to_dict(), cfg.out)
+    _, lin = _linearization(cfg)
+    _dump_json(lin.to_dict(), cfg.out)
     return 0
 
 
@@ -263,15 +256,9 @@ def cmd_prune(args):
         resumed = _matching_catalog(pipe, path)
     catalog = prune_catalog(
         pipe.spec, pipe.lin, pipe.zsets, pipe.terminal, cfg.horizon,
-        solver_cfg=pipe.solver_cfg, n_workers=cfg.threads,
-        start_levels=None if resumed is None else resumed.levels,
-        start_witnesses=None if resumed is None else resumed.witnesses,
+        solver_cfg=pipe.solver_cfg, n_workers=cfg.threads, resume=resumed,
         progress=lambda lvl, cnt: print(f"level {lvl}: {cnt} feasible",
                                         file=sys.stderr))
-    if resumed is not None:  # keep the counts of the resumed levels
-        for key in ("screened", "warm", "appended"):
-            catalog.meta[key] = {**resumed.meta.get(key, {}),
-                                 **catalog.meta[key]}
     levels, meta = catalog.levels, catalog.meta
     screened = sum(meta["screened"].values())
     cands = sum(catalog.s * len(levels.get(lvl - 1, ((),)))
@@ -315,7 +302,7 @@ def cmd_solve(args):
             "no catalog scenario starts in a region containing the query "
             "state", details_x=x.tolist())
     sols, n_rounds = solve_many(
-        [assemble(sc, x, pipe.spec, pipe.lin, pipe.zsets, pipe.terminal,
+        [assemble(sc, x, pipe.lin, pipe.zsets, pipe.terminal,
                   pipe.Q, pipe.rho) for sc in cands], pipe.solver_cfg)
     results = [_solution_dict(pipe, x, sol) for sol in sols]
     # the candidate evaluate_ocp applies, or the first when none is Optimal
@@ -429,29 +416,43 @@ def cmd_repro(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p, horizon=True):
+# the flags of the pipeline subcommands; each one's dest (argparse's, or
+# the one given) is the RunConfig field it fills
+_FLAGS = {
+    "--c": dict(type=lambda text: _parse_vec(text, "--c"),
+                help="output vector, comma-separated (default: solved from "
+                     "--beta-target)"),
+    "--beta-target": dict(type=float),
+    "--b0": dict(type=float),
+    "--a": dict(type=lambda text: None if text == "charpoly"
+                else _parse_vec(text, "--a"),
+                help="feedback coefficients, comma-separated or 'charpoly' "
+                     "(default)"),
+    "--q": dict(dest="q_diag", type=float, help="state weight Q = q*I"),
+    "--rho": dict(type=float, help="input weight (default 0.1 b0^2/beta^2)"),
+    "--terminal": dict(dest="terminal_kind",
+                       choices=("auto", "polytope", "ellipsoid")),
+    "--feas-tol": dict(type=float),
+    "--kkt-tol": dict(type=float),
+    "--seed": dict(type=int),
+    "--threads": dict(type=int, default=None, help="worker processes "
+                      "(default: NMPC_THREADS or all cores)"),
+    "--out": dict(help="output file (default stdout)"),
+    "--horizon": dict(type=int),
+    "--catalog": {},
+}
+_LINEARIZATION = "--c --beta-target --b0 --a"
+_TERMINAL = _LINEARIZATION + " --q --rho --terminal --seed"
+_CATALOG = _TERMINAL + " --feas-tol --horizon --catalog"
+
+
+def _add_pipeline(sub, name, flags, help):
+    """A subcommand on a system file that takes the given _FLAGS."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("system", help="system description JSON file")
-    p.add_argument("--c", default=None,
-                   help="output vector, comma-separated (default: solved "
-                        "from --beta-target)")
-    p.add_argument("--beta-target", type=float, default=1.0)
-    p.add_argument("--b0", type=float, default=PAPER_DEFS["b0"])
-    p.add_argument("--a", default="charpoly",
-                   help="feedback coefficients, comma-separated or 'charpoly'")
-    p.add_argument("--q", type=float, default=PAPER_DEFS["q_diag"],
-                   help="state weight Q = q*I")
-    p.add_argument("--rho", type=float, default=None,
-                   help="input weight (default 0.1 b0^2/beta^2)")
-    p.add_argument("--feas-tol", type=float, default=SolverConfig.feas_tol)
-    p.add_argument("--kkt-tol", type=float, default=SolverConfig.kkt_tol)
-    p.add_argument("--terminal", choices=("auto", "polytope", "ellipsoid"),
-                   default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: NMPC_THREADS or all cores)")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    if horizon:
-        p.add_argument("--horizon", type=int, default=PAPER_DEFS["horizon"])
+    for flag in flags.split():
+        p.add_argument(flag, **{"default": argparse.SUPPRESS, **_FLAGS[flag]})
+    return p
 
 
 class _Parser(argparse.ArgumentParser):
@@ -468,22 +469,22 @@ def make_parser():
                     "systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the system-class assumptions")
-    _add_common(p, horizon=False)
+    p = _add_pipeline(sub, "validate", "--seed",
+                      help="check the system-class assumptions")
     p.add_argument("--samples", type=int, default=256)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("linearize", help="print the exact linearization")
-    _add_common(p, horizon=False)
+    p = _add_pipeline(sub, "linearize", _LINEARIZATION + " --out",
+                      help="print the exact linearization")
     p.set_defaults(func=cmd_linearize)
 
-    p = sub.add_parser("stagesets", help="emit stage-set classes and bounds")
-    _add_common(p, horizon=False)
+    p = _add_pipeline(sub, "stagesets", _LINEARIZATION + " --seed --out",
+                      help="emit stage-set classes and bounds")
     p.add_argument("--resolution", type=int, default=11)
     p.set_defaults(func=cmd_stagesets)
 
-    p = sub.add_parser("terminal", help="compute terminal ingredients")
-    _add_common(p, horizon=False)
+    p = _add_pipeline(sub, "terminal", _TERMINAL + " --out",
+                      help="compute terminal ingredients")
     p.add_argument("--check-axioms", action="store_true")
     p.add_argument("--samples", type=int, default=2000,
                    help="shell samples of an ellipsoid terminal's "
@@ -491,32 +492,28 @@ def make_parser():
                         "vertices)")
     p.set_defaults(func=cmd_terminal)
 
-    p = sub.add_parser("prune", help="offline scenario-tree pruning")
-    _add_common(p)
-    p.add_argument("--catalog", default=None)
+    p = _add_pipeline(sub, "prune", _CATALOG + " --threads",
+                      help="offline scenario-tree pruning")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("solve", help="solve the subproblems at one state")
-    _add_common(p)
+    p = _add_pipeline(sub, "solve", _CATALOG + " --kkt-tol --out",
+                      help="solve the subproblems at one state")
     p.add_argument("--x0", required=True)
-    p.add_argument("--catalog", default=None)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--scenario", type=int, default=None)
     group.add_argument("--all-feasible", action="store_true")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("simulate", help="closed-loop run of the true plant")
-    _add_common(p)
+    p = _add_pipeline(sub, "simulate", _CATALOG + " --out",
+                      help="closed-loop run of the true plant")
     p.add_argument("--x0", required=True)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--catalog", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("grid", help="sample the state space to CSV")
-    _add_common(p)
+    p = _add_pipeline(sub, "grid", _CATALOG + " --threads --out",
+                      help="sample the state space to CSV")
     p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--catalog", default=None)
     p.add_argument("--per-scenario", action="store_true")
     p.set_defaults(func=cmd_grid)
 

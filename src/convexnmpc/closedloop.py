@@ -135,7 +135,7 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
         x, [sc.coeffs for sc in candidates], terminal, Q, rho, cfg)
     screened = [low > cfg.feas_tol for low in bounds]
     solved, n_rounds = solve_many(
-        [assemble(sc, x, spec, lin, zsets, terminal, Q, rho)
+        [assemble(sc, x, lin, zsets, terminal, Q, rho)
          for sc, out in zip(candidates, screened) if not out], cfg)
     found = iter(solved)
     sols = [None if out else next(found) for out in screened]

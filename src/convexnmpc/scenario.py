@@ -102,9 +102,6 @@ class FeasibleCatalog:
         horizon = self.N if horizon is None else horizon
         return self.levels[horizon]
 
-    def scenarios(self, horizon=None):
-        return [Scenario(c, self.s) for c in self.sequences(horizon)]
-
     def count(self, horizon=None):
         return len(self.sequences(horizon))
 
@@ -191,7 +188,7 @@ def _candidate_feasible(item, spec, lin, zsets, terminal, cfg):
     (feasible, witness, the name of the start that settled it or None);
     the witness is the probe's point when strictly feasible."""
     coeffs, starts = item
-    prog = assemble(coeffs, None, spec, lin, zsets, terminal,
+    prog = assemble(coeffs, None, lin, zsets, terminal,
                     Q=np.eye(spec.n), rho=1.0)
     try:
         feasible, slack, z = solve_feasibility(prog, cfg,
@@ -205,8 +202,7 @@ def _candidate_feasible(item, spec, lin, zsets, terminal, cfg):
 
 
 def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
-                  n_workers=1, start_levels=None, start_witnesses=None,
-                  progress=None):
+                  n_workers=1, resume=None, progress=None):
     """Iterative-deepening scenario pruning up to horizon N.
 
     Level 1 keeps every region whose stage set can reach the terminal set in
@@ -220,19 +216,20 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     appended. meta["warm"] counts per level the probes a start settled with
     no Newton step, meta["appended"] those the appended start settled; the
     catalog's witnesses are its survivors' strictly feasible points.
-    start_levels resumes from a previously computed catalog prefix, and
-    start_witnesses ({level: {sequence: witness}}) gives its witnesses,
-    which warm the first resumed level. One process pool serves every
-    level.
+    resume, a catalog of a shorter horizon, supplies the first levels with
+    their witnesses, which warm the first new level, and their counts.
+    One process pool serves every level.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
     cfg = solver_cfg or SolverConfig()
     s = spec.n_regions
-    levels = dict(start_levels or {})
-    witnesses = dict(start_witnesses or {})
+    levels = dict(resume.levels) if resume else {}
+    witnesses = dict(resume.witnesses) if resume else {}
+    meta = resume.meta if resume else {}
+    screened, warm, appended = (dict(meta.get(key, {}))
+                                for key in ("screened", "warm", "appended"))
     screen = infeasibility_screen(lin, zsets)
-    screened, warm, appended = {}, {}, {}
 
     start = max(levels) + 1 if levels else 1
     with worker_map(_candidate_feasible, (spec, lin, zsets, terminal, cfg),

@@ -380,7 +380,7 @@ def _scenario_coeffs(scenario):
     return coeffs
 
 
-def assemble(scenario, x0, spec, lin, zsets, terminal, Q, rho, horizon=None):
+def assemble(scenario, x0, lin, zsets, terminal, Q, rho, horizon=None):
     """Build the condensed convex program for one constraint scenario.
 
     x0=None leaves the initial state free (used by the offline pruning);

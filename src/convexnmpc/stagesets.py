@@ -14,6 +14,10 @@ sets hold their constraints in the same stacked value. Piecewise-affine
 gains are expanded into one affine row per relevant affine piece, so those
 stage sets are purely polyhedral and the downstream subproblems become
 QPs.
+
+The sign of beta*g, which orients each region's interval, is decided
+exactly at the region's vertices for an affine gain and for the affine
+pieces of a PWA gain; a quadratic or sinusoidal gain is checked on samples.
 """
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -21,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError, SignAmbiguousError
-from .geometry import MEMBERSHIP_TOL, Polytope
+from .geometry import MEMBERSHIP_TOL, Polytope, vertices
 from .linearize import v_of_u
 from .model import (EPS_G, Affine, PwaField, Quadratic, Sinusoid,
                     region_membership)
@@ -304,9 +308,8 @@ def _joint(x, v):
     return np.concatenate([np.asarray(x, dtype=float), [float(v)]])
 
 
-def _check_sign(spec, lin, idx, region, expected_sign, seed):
-    pts = region.sample(256, seed=seed + 97 * idx)
-    vals = lin.beta * spec.g.value(pts)
+def _check_sign(vals, idx, expected_sign):
+    """Raise unless the values of beta*g show at most expected_sign."""
     has_pos = bool(np.any(vals > EPS_G))
     has_neg = bool(np.any(vals < -EPS_G))
     if has_pos and has_neg:
@@ -321,21 +324,30 @@ def _check_sign(spec, lin, idx, region, expected_sign, seed):
 
 def build_stage_sets(spec, lin, seed=0):
     """One stage set per region, with the interval orientation fixed by the
-    sign of beta*g there. Raises SignAmbiguousError when 256 samples find a
-    strict sign change inside a region (assumption violation)."""
+    sign of beta*g there. Raises SignAmbiguousError where beta*g changes
+    sign strictly inside a region or has the other sign than declared
+    (assumption violation). An affine gain, and each affine piece of a PWA
+    gain that the stage set holds as a row, takes its extremes over the
+    region at the region's vertices, so its values there decide the sign
+    exactly; any other gain is checked on 256 samples of the region."""
     n = spec.n
     beta_sign = 1 if lin.beta > 0 else -1
     sets = []
     for idx, (region, sigma) in enumerate(spec.regions, start=1):
         sign_beta_g = sigma * beta_sign
-        _check_sign(spec, lin, idx, region, sign_beta_g, seed)
-        lo_mult = spec.u_lo if sign_beta_g > 0 else spec.u_hi
-        hi_mult = spec.u_hi if sign_beta_g > 0 else spec.u_lo
         # a concave (convex) PWA gain is the min (max) of the affine
         # extensions of the pieces meeting the region: one row per piece
         gains = ([Affine(w, d) for w, d in
                   _overlapping_pieces(spec.g.pieces, region)]
                  if isinstance(spec.g, PwaField) else [spec.g])
+        if isinstance(gains[0], Affine):
+            V = vertices(region.C, region.d)
+            vals = np.concatenate([g.value(V) for g in gains])
+        else:
+            vals = spec.g.value(region.sample(256, seed=seed + 97 * idx))
+        _check_sign(lin.beta * vals, idx, sign_beta_g)
+        lo_mult = spec.u_lo if sign_beta_g > 0 else spec.u_hi
+        hi_mult = spec.u_hi if sign_beta_g > 0 else spec.u_lo
         cons = Constraints.join([
             _gain_bound_constraint(g, lin.beta * mult, lin.alpha, lin.b0,
                                    upper=upper, region=region)

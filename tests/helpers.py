@@ -207,7 +207,7 @@ def brute_force_level(spec, lin, zsets, terminal, horizon, cfg=None):
     s = spec.n_regions
     out = []
     for coeffs in itertools.product(range(1, s + 1), repeat=horizon):
-        prog = cn.assemble(coeffs, None, spec, lin, zsets, terminal,
+        prog = cn.assemble(coeffs, None, lin, zsets, terminal,
                            Q=np.eye(spec.n), rho=1.0)
         feasible, _, _ = cn.solve_feasibility(prog, cfg)
         if feasible:

@@ -43,7 +43,7 @@ def test_criterion_1_linearization_golden_values(ex2):
 def test_criterion_2_single_region_example(ex1):
     cat = cn.prune_catalog(ex1["spec"], ex1["lin"], ex1["zsets"],
                            ex1["terminal"], 15)
-    prog = cn.assemble((1,) * 15, None, ex1["spec"], ex1["lin"],
+    prog = cn.assemble((1,) * 15, None, ex1["lin"],
                        ex1["zsets"], ex1["terminal"], ex1["Q"], ex1["rho"])
     ok = (cat.count() == 1 and cat.sequences(15) == ((1,) * 15,)
           and prog.prog_class == "QCQP")
@@ -133,7 +133,7 @@ def test_criterion_4_solver_matches_grid_oracle():
             rng, kinds[trials % 3])
         N = int(rng.integers(1, 3))
         x0 = rng.uniform(-0.3, 0.3, spec.n)
-        prog = cn.assemble((1,) * N, x0, spec, lin, zsets, terminal, Q, rho)
+        prog = cn.assemble((1,) * N, x0, lin, zsets, terminal, Q, rho)
         sol = cn.solve(prog)
         step = 5e-3
         V_grid, _ = grid_minimize(prog, -4.0, 4.0, step)

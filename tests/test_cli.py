@@ -1,9 +1,14 @@
+import argparse
 import json
 
+import numpy as np
 import pytest
 
-from convexnmpc.cli import run
+import convexnmpc as cn
+from convexnmpc.cli import make_parser, run
+from convexnmpc.model import system_to_dict
 from conftest import PACKAGED
+from helpers import toy_spec
 
 EX1 = str(PACKAGED / "ex1.json")
 EX2 = str(PACKAGED / "ex2.json")
@@ -319,8 +324,9 @@ def test_every_command_reads_the_requested_horizon(ex2_catalog_n3_file,
     (["linearize", EX2, "--c", "5,x"], "1"),
     (["linearize", EX2, "--c", "5,-1,3"], "1"),
     (["linearize", EX2, *LINFLAGS, "--a", "1"], "1"),
-    (["linearize", EX2, *LINFLAGS, "--threads", "-2"], "1"),
-    (["linearize", EX2, *LINFLAGS], "abc"),
+    (["prune", EX2, *LINFLAGS, "--horizon", "1", "--catalog", "NEW",
+      "--threads", "-2"], "1"),
+    (["prune", EX2, *LINFLAGS, "--horizon", "1", "--catalog", "NEW"], "abc"),
     (["validate", EX2, "--samples", "0"], "1"),
     (["solve", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG",
       "--x0=0.1"], "1"),
@@ -331,17 +337,97 @@ def test_every_command_reads_the_requested_horizon(ex2_catalog_n3_file,
     (["grid", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG",
       "--resolution", "1"], "1"),
     # errors of the argument parser itself
-    (["linearize", EX2, *LINFLAGS, "--threads", "abc"], "1"),
+    (["prune", EX2, *LINFLAGS, "--horizon", "1", "--catalog", "NEW",
+      "--threads", "abc"], "1"),
     (["solve", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG"],
      "1"),
+    # flags that these subcommands took and ignored: --out wrote no file
+    (["validate", EX2, "--out", "OUT"], "1"),
+    (["prune", EX2, *LINFLAGS, "--horizon", "1", "--catalog", "NEW",
+      "--out", "OUT"], "1"),
+    (["validate", EX2, "--q", "1"], "1"),
+    (["simulate", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG",
+      "--x0", "0.2,0.2", "--steps", "1", "--kkt-tol", "1e-8"], "1"),
 ], ids=["c-not-numeric", "c-length", "a-length", "threads-negative",
         "env-threads-not-integer", "samples-zero", "x0-length",
         "x0-not-numeric", "steps-negative", "resolution-one",
-        "threads-not-integer", "x0-missing"])
-def test_bad_input_is_schema_error(ex2_catalog_n3_file, monkeypatch, capsys,
-                                   argv, nmpc_threads):
+        "threads-not-integer", "x0-missing", "validate-out", "prune-out",
+        "validate-q", "simulate-kkt-tol"])
+def test_bad_input_is_schema_error(ex2_catalog_n3_file, tmp_path, monkeypatch,
+                                   capsys, argv, nmpc_threads):
     monkeypatch.setenv("NMPC_THREADS", nmpc_threads)
-    argv = [ex2_catalog_n3_file if arg == "CATALOG" else arg for arg in argv]
+    paths = {"CATALOG": ex2_catalog_n3_file, "NEW": str(tmp_path / "new"),
+             "OUT": str(tmp_path / "out")}
+    argv = [paths.get(arg, arg) for arg in argv]
     capsys.readouterr()
     assert run(argv) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "SCHEMA"
+    assert not any(tmp_path.iterdir())
+
+
+_LIN = {"--c", "--beta-target", "--b0", "--a"}
+_TERMINAL = _LIN | {"--q", "--rho", "--terminal", "--seed"}
+# each subcommand's options: exactly the flags its command reads
+OPTIONS = {
+    "validate": {"--seed", "--samples"},
+    "linearize": _LIN | {"--out"},
+    "stagesets": _LIN | {"--seed", "--out", "--resolution"},
+    "terminal": _TERMINAL | {"--out", "--check-axioms", "--samples"},
+    "prune": _TERMINAL | {"--feas-tol", "--threads", "--horizon", "--catalog",
+                          "--resume"},
+    "solve": _TERMINAL | {"--feas-tol", "--kkt-tol", "--out", "--horizon",
+                          "--catalog", "--x0", "--scenario", "--all-feasible"},
+    "simulate": _TERMINAL | {"--feas-tol", "--out", "--horizon", "--catalog",
+                             "--x0", "--steps"},
+    "grid": _TERMINAL | {"--feas-tol", "--threads", "--out", "--horizon",
+                         "--catalog", "--resolution", "--per-scenario"},
+    "repro": {"--system", "--horizon", "--threads", "--catalog"},
+}
+# the flags most pipeline subcommands share: a subcommand takes only those
+# its command reads, and any other is an unknown flag
+COMMON = _TERMINAL | {"--feas-tol", "--kkt-tol", "--threads", "--out"}
+
+
+def _subcommand_options():
+    sub = next(action for action in make_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: {opt for action in p._actions
+                   for opt in action.option_strings
+                   if opt not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    options = _subcommand_options()
+    assert options == OPTIONS
+    assert sum(map(len, options.values())) == 87
+
+
+def test_flags_a_subcommand_does_not_read_are_unknown(capsys):
+    # every dropped pair, with the subcommand's required flags given
+    required = {"solve": ["--x0", "0,0"], "simulate": ["--x0", "0,0"],
+                "grid": ["--resolution", "3"]}
+    dropped = [(name, flag) for name, opts in OPTIONS.items()
+               if name != "repro" for flag in sorted(COMMON - opts)]
+    assert len(dropped) == 33
+    for name, flag in dropped:
+        capsys.readouterr()
+        assert run([name, EX2, *required.get(name, []), flag, "1"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SCHEMA"
+        assert f"unrecognized arguments: {flag} 1" in err["message"]
+
+
+def test_linearize_builds_no_stage_sets(tmp_path, capsys):
+    # the gain changes sign inside the region: no stage set exists, but the
+    # linearization does
+    g = cn.Quadratic(-np.eye(2), np.zeros(2), 0.5)
+    spec = toy_spec(np.array([[0.9, 0.1], [0.0, 0.8]]), [0.1, 0.2], g=g,
+                    sign=1)
+    path = tmp_path / "ambiguous.json"
+    path.write_text(json.dumps(system_to_dict(spec)))
+    flags = ["--beta-target", "1", "--b0", "1"]
+    assert run(["stagesets", str(path), *flags]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "SIGN_AMBIGUOUS"
+    assert run(["linearize", str(path), *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["beta"] == pytest.approx(1.0)

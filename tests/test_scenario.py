@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,12 +108,19 @@ class TestCatalog:
         assert sum(serial.meta["appended"].values()) > 0
 
     def test_resume_from_prefix(self, ex2, ex2_catalog_n3):
+        def cut(by_level):
+            return {k: v for k, v in by_level.items() if int(k) <= 2}
+
+        full = ex2_catalog_n3
+        prefix = replace(full, N=2, levels=cut(full.levels),
+                         witnesses=cut(full.witnesses),
+                         meta={key: cut(v) if isinstance(v, dict) else v
+                               for key, v in full.meta.items()})
         cat = cn.prune_catalog(ex2["spec"], ex2["lin"], ex2["zsets"],
-                               ex2["terminal"], 3,
-                               start_levels={k: v for k, v in
-                                             ex2_catalog_n3.levels.items()
-                                             if k <= 2})
-        assert cat.levels == ex2_catalog_n3.levels
+                               ex2["terminal"], 3, resume=prefix)
+        assert cat.levels == full.levels
+        # the prefix's counts are kept, and level 3 starts as it would
+        assert cat.meta == full.meta
 
     def test_round_trip_file(self, ex2_catalog_n3, tmp_path):
         path = tmp_path / "cat.json"

@@ -40,7 +40,7 @@ def _prune(data, N, **kwargs):
 
 
 def _probe(data, coeffs):
-    prog = cn.assemble(coeffs, None, data["spec"], data["lin"],
+    prog = cn.assemble(coeffs, None, data["lin"],
                        data["zsets"], data["terminal"], Q=np.eye(2), rho=1.0)
     return cn.solve_feasibility(prog)
 
@@ -202,7 +202,7 @@ def test_one_step_screened_candidates_are_infeasible(pruned, name):
             if bound <= FEAS_TOL:
                 continue
             n_screened += 1
-            sol = cn.solve(cn.assemble(sc, x, data["spec"], data["lin"],
+            sol = cn.solve(cn.assemble(sc, x, data["lin"],
                                        data["zsets"], data["terminal"],
                                        data["Q"], data["rho"]))
             assert sol.status == "Infeasible"
@@ -273,7 +273,7 @@ def test_head_screened_candidates_are_infeasible(deep, name):
                     or screen.one_step(x, *sc.coeffs[:2])[0] > FEAS_TOL):
                 continue  # kept, or screened by its one-step bound
             n_heads += 1
-            sol = cn.solve(cn.assemble(sc, x, data["spec"], data["lin"],
+            sol = cn.solve(cn.assemble(sc, x, data["lin"],
                                        data["zsets"], data["terminal"],
                                        data["Q"], data["rho"]))
             assert sol.status in ("Infeasible", "IterLimit", "Stalled")
@@ -357,7 +357,7 @@ def test_stalled_line_search_is_undecided(ex2, monkeypatch):
     # iterate itself and passes with an equal barrier value.)
     monkeypatch.setattr(solver_module, "ARMIJO_SLOPE", np.inf)
     x = np.array([0.5, 0.5])
-    prog = cn.assemble((1, 1, 1), x, data["spec"], data["lin"],
+    prog = cn.assemble((1, 1, 1), x, data["lin"],
                        data["zsets"], data["terminal"], data["Q"],
                        data["rho"])
     assert cn.solve(prog).status == "Stalled"

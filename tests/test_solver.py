@@ -47,26 +47,26 @@ class TestCondense:
 class TestAssemble:
     def test_class_tags(self, ex1, ex2, ex3):
         for data, expect in ((ex1, "QCQP"), (ex2, "NLP"), (ex3, "QP")):
-            prog = cn.assemble((1, 1), np.zeros(2), data["spec"], data["lin"],
+            prog = cn.assemble((1, 1), np.zeros(2), data["lin"],
                                data["zsets"], data["terminal"], data["Q"],
                                data["rho"])
             assert prog.prog_class == expect
 
     def test_horizon_mismatch(self, ex2):
         with pytest.raises(cn.HorizonMismatchError):
-            cn.assemble((1, 1, 1), np.zeros(2), ex2["spec"], ex2["lin"],
+            cn.assemble((1, 1, 1), np.zeros(2), ex2["lin"],
                         ex2["zsets"], ex2["terminal"], ex2["Q"], ex2["rho"],
                         horizon=2)
 
     def test_objective_hessian_psd(self, ex2):
-        prog = cn.assemble((1, 1, 1, 1), np.array([0.2, 0.1]), ex2["spec"],
+        prog = cn.assemble((1, 1, 1, 1), np.array([0.2, 0.1]),
                            ex2["lin"], ex2["zsets"], ex2["terminal"],
                            ex2["Q"], ex2["rho"])
         assert np.min(np.linalg.eigvalsh(prog.H)) >= -1e-12
 
     def test_fixed_state_outside_region_pre_infeasible(self, ex2):
         # x0 deep inside region 2 violates the region-1 rows at step 0
-        prog = cn.assemble((1, 1), np.array([-1.5, 1.5]), ex2["spec"],
+        prog = cn.assemble((1, 1), np.array([-1.5, 1.5]),
                            ex2["lin"], ex2["zsets"], ex2["terminal"],
                            ex2["Q"], ex2["rho"])
         assert prog.pre_violation > 1e-3
@@ -74,7 +74,7 @@ class TestAssemble:
         assert sol.status == "Infeasible"
 
     def test_nonconvex_data_flagged_at_assembly(self, ex1):
-        prog = cn.assemble((1, 1), np.zeros(2), ex1["spec"], ex1["lin"],
+        prog = cn.assemble((1, 1), np.zeros(2), ex1["lin"],
                            ex1["zsets"], ex1["terminal"], ex1["Q"],
                            ex1["rho"])
         assert prog.nonconvex_data
@@ -82,7 +82,7 @@ class TestAssemble:
 
 class TestSolve:
     def test_origin_is_free(self, ex2):
-        prog = cn.assemble((1,) * 15, np.zeros(2), ex2["spec"], ex2["lin"],
+        prog = cn.assemble((1,) * 15, np.zeros(2), ex2["lin"],
                            ex2["zsets"], ex2["terminal"], ex2["Q"],
                            ex2["rho"])
         sol = cn.solve(prog)
@@ -105,14 +105,14 @@ class TestSolve:
                                          cn.lqr_gain(P, lin.A_hat,
                                                      lin.b_hat, rho)))
         x0 = np.array([2.0])
-        prog = cn.assemble((1,), x0, spec, lin, zsets, term, Q, rho)
+        prog = cn.assemble((1,), x0, lin, zsets, term, Q, rho)
         sol = cn.solve(prog)
         assert sol.optimal
         expect = float(-P[0, 0] / (rho + P[0, 0]) * x0[0])
         assert abs(sol.v_seq[0] - expect) < 1e-7
 
     def test_certificates_on_optimal(self, ex2):
-        prog = cn.assemble((1, 1, 1), np.array([0.4, 0.0]), ex2["spec"],
+        prog = cn.assemble((1, 1, 1), np.array([0.4, 0.0]),
                            ex2["lin"], ex2["zsets"], ex2["terminal"],
                            ex2["Q"], ex2["rho"])
         sol = cn.solve(prog)
@@ -121,7 +121,7 @@ class TestSolve:
         assert sol.max_constraint <= 1e-8
 
     def test_infeasible_certificate(self, ex2):
-        prog = cn.assemble((1, 1), np.array([1.9, 1.9]), ex2["spec"],
+        prog = cn.assemble((1, 1), np.array([1.9, 1.9]),
                            ex2["lin"], ex2["zsets"], ex2["terminal"],
                            ex2["Q"], ex2["rho"])
         sol = cn.solve(prog)
@@ -130,7 +130,7 @@ class TestSolve:
 
     def test_iteration_limit_reported_not_infeasible(self, ex2):
         cfg = cn.SolverConfig(max_newton=3)
-        prog = cn.assemble((1, 1, 1, 1), np.array([0.6, 0.2]), ex2["spec"],
+        prog = cn.assemble((1, 1, 1, 1), np.array([0.6, 0.2]),
                            ex2["lin"], ex2["zsets"], ex2["terminal"],
                            ex2["Q"], ex2["rho"])
         sol = cn.solve(prog, cfg)
@@ -139,7 +139,7 @@ class TestSolve:
     def test_determinism_bit_identical(self, ex2):
         def run():
             prog = cn.assemble((1, 1, 1), np.array([0.35, -0.1]),
-                               ex2["spec"], ex2["lin"], ex2["zsets"],
+                               ex2["lin"], ex2["zsets"],
                                ex2["terminal"], ex2["Q"], ex2["rho"])
             return cn.solve(prog)
 
@@ -150,7 +150,7 @@ class TestSolve:
         assert a.n_newton == b.n_newton
 
     def test_barrier_path_monotone(self, ex2):
-        prog = cn.assemble((1, 1, 1), np.array([0.3, 0.3]), ex2["spec"],
+        prog = cn.assemble((1, 1, 1), np.array([0.3, 0.3]),
                            ex2["lin"], ex2["zsets"], ex2["terminal"],
                            ex2["Q"], ex2["rho"])
         sol = cn.solve(prog)
@@ -159,19 +159,19 @@ class TestSolve:
         assert np.all(np.diff(vals) <= 1e-10)
 
     def test_nonconvex_flag_on_shipped_quadratic(self, ex1):
-        prog = cn.assemble((1,) * 15, np.array([0.5, 0.5]), ex1["spec"],
+        prog = cn.assemble((1,) * 15, np.array([0.5, 0.5]),
                            ex1["lin"], ex1["zsets"], ex1["terminal"],
                            ex1["Q"], ex1["rho"])
         sol = cn.solve(prog)
         assert sol.nonconvex_flag
 
     def test_free_initial_state_probe(self, ex2):
-        prog = cn.assemble((2, 1, 1), None, ex2["spec"], ex2["lin"],
+        prog = cn.assemble((2, 1, 1), None, ex2["lin"],
                            ex2["zsets"], ex2["terminal"], ex2["Q"],
                            ex2["rho"])
         feasible, slack, _ = cn.solve_feasibility(prog)
         assert feasible and slack <= 1e-7
-        prog = cn.assemble((1, 2, 1), None, ex2["spec"], ex2["lin"],
+        prog = cn.assemble((1, 2, 1), None, ex2["lin"],
                            ex2["zsets"], ex2["terminal"], ex2["Q"],
                            ex2["rho"])
         feasible, slack, _ = cn.solve_feasibility(prog)
@@ -182,7 +182,7 @@ class TestAgainstGridOracle:
     def test_reference_two_step_case(self, ex2):
         """Solver matches the 1e-3-step screened grid from a feasible state."""
         x0 = np.array([0.3, 0.3])
-        prog = cn.assemble((1, 1), x0, ex2["spec"], ex2["lin"], ex2["zsets"],
+        prog = cn.assemble((1, 1), x0, ex2["lin"], ex2["zsets"],
                            ex2["terminal"], ex2["Q"], ex2["rho"])
         sol = cn.solve(prog)
         assert sol.optimal
@@ -201,7 +201,7 @@ class TestAgainstGridOracle:
             N = int(rng.integers(1, 3))
             x0 = rng.uniform(-0.3, 0.3, spec.n)
             coeffs = (1,) * N
-            prog = cn.assemble(coeffs, x0, spec, lin, zsets, terminal, Q, rho)
+            prog = cn.assemble(coeffs, x0, lin, zsets, terminal, Q, rho)
             sol = cn.solve(prog)
             step = 5e-3
             V_grid, z_grid = grid_minimize(prog, -4.0, 4.0, step)
@@ -219,7 +219,7 @@ class TestAgainstGridOracle:
 
 
 def test_smooth_constraint_gradients_composed(ex2):
-    prog = cn.assemble((1, 2, 3), None, ex2["spec"], ex2["lin"],
+    prog = cn.assemble((1, 2, 3), None, ex2["lin"],
                        ex2["zsets"], ex2["terminal"], ex2["Q"], ex2["rho"])
     rng = np.random.default_rng(12)
     cons = prog.nonlin

@@ -21,7 +21,7 @@ ONES = (1,) * 12
 
 
 def _probe(data, coeffs, cfg):
-    prog = cn.assemble(coeffs, None, data["spec"], data["lin"],
+    prog = cn.assemble(coeffs, None, data["lin"],
                        data["zsets"], data["terminal"], Q=np.eye(2), rho=1.0)
     return cn.solve_feasibility(prog, cfg)
 
@@ -64,7 +64,7 @@ SOLVES = [
 @pytest.mark.parametrize("system, x0, coeffs, status, V, n_newton", SOLVES)
 def test_fixed_state_solve(request, system, x0, coeffs, status, V, n_newton):
     data = request.getfixturevalue(system)
-    prog = cn.assemble(coeffs, np.array(x0), data["spec"], data["lin"],
+    prog = cn.assemble(coeffs, np.array(x0), data["lin"],
                        data["zsets"], data["terminal"], data["Q"],
                        data["rho"])
     sol = cn.solve(prog)
@@ -79,7 +79,7 @@ def test_fixed_state_solve(request, system, x0, coeffs, status, V, n_newton):
 
 def test_ex1_solution_flagged_nonconvex(ex1):
     data = ex1
-    prog = cn.assemble((1, 1, 1), np.array([0.2, -0.1]), data["spec"],
+    prog = cn.assemble((1, 1, 1), np.array([0.2, -0.1]),
                        data["lin"], data["zsets"], data["terminal"],
                        data["Q"], data["rho"])
     sol = cn.solve(prog)
@@ -120,7 +120,7 @@ def _arrays(value):
 
 def _program(data, coeffs, x0, Q=None, rho=None):
     return cn.assemble(coeffs, None if x0 is None else np.array(x0),
-                       data["spec"], data["lin"], data["zsets"],
+                       data["lin"], data["zsets"],
                        data["terminal"], data["Q"] if Q is None else Q,
                        data["rho"] if rho is None else rho)
 

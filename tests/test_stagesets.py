@@ -55,6 +55,17 @@ class TestBuild:
         with pytest.raises(cn.SignAmbiguousError):
             cn.build_stage_sets(spec, lin)
 
+    def test_sign_change_at_a_corner_rejected(self):
+        # g(-1, -1) = -0.01 is the only negative value on the box, at a
+        # vertex: an affine gain's sign is read at the region's vertices
+        g = cn.Affine(np.array([0.3, 0.3]), 0.59)
+        spec = toy_spec(np.array([[0.9, 0.1], [0.0, 0.8]]), [0.1, 0.2],
+                        g=g, sign=1)
+        lin = cn.build_linearization(
+            spec, cn.compute_output_vector(spec.A, spec.b, 1.0), b0=1.0)
+        with pytest.raises(cn.SignAmbiguousError, match="changes sign"):
+            cn.build_stage_sets(spec, lin)
+
 
 def _box(lo, hi):
     return cn.Polytope(np.vstack([np.eye(2), -np.eye(2)]),
@@ -171,7 +182,7 @@ class TestOracles:
         # pushed through the prediction map z -> (x_hat(k), v_k) = M z + m,
         # a ridge constraint is the stage one evaluated at M z + m
         data, coeffs = ex2, (2, 3, 1)
-        prog = cn.assemble(coeffs, np.array([-0.9, 0.8]), data["spec"],
+        prog = cn.assemble(coeffs, np.array([-0.9, 0.8]),
                            data["lin"], data["zsets"], data["terminal"],
                            data["Q"], data["rho"])
         cons = prog.nonlin

@@ -24,7 +24,7 @@ def _prune(data, N, **kwargs):
 
 
 def _program(data, coeffs):
-    return cn.assemble(coeffs, None, data["spec"], data["lin"],
+    return cn.assemble(coeffs, None, data["lin"],
                        data["zsets"], data["terminal"],
                        Q=np.eye(data["spec"].n), rho=1.0)
 

@@ -156,7 +156,7 @@ def probe_digest():
         for tail in tails:
             for i in range(1, catalog.s + 1):
                 seq = (i,) + tuple(tail)
-                prog = assemble(seq, None, pipe.spec, pipe.lin, pipe.zsets,
+                prog = assemble(seq, None, pipe.lin, pipe.zsets,
                                 pipe.terminal, Q=np.eye(pipe.spec.n), rho=1.0)
                 feasible, t_star = solve_feasibility(prog,
                                                      pipe.solver_cfg)[:2]
@@ -178,7 +178,7 @@ def pool_digests():
         catalog = FeasibleCatalog.load(DATA / f"{system}_N15_catalog.json")
         for entry in pools[pool]:
             x = np.array(entry["x0"], dtype=float)
-            progs = [assemble(sc, x, pipe.spec, pipe.lin, pipe.zsets,
+            progs = [assemble(sc, x, pipe.lin, pipe.zsets,
                               pipe.terminal, pipe.Q, pipe.rho)
                      for sc in filter_for_state(catalog, pipe.spec, x)]
             for prog in progs:
