@@ -5,13 +5,12 @@ output, decompose the joint (state, input) constraints into convex stage
 sets, compute terminal ingredients, prune the scenario tree offline, and
 solve the per-scenario convex subproblems online.
 """
-from .errors import (CatalogMismatchError, HorizonMismatchError,
-                     IllConditionedError, InfeasibleStateError,
-                     InvalidOutputVectorError, NoConvergenceError,
-                     NoFiniteDeterminationError, NoPositiveLevelError,
-                     OutOfRangeError, PreconditionError, RegionEmptyError,
-                     SchemaError, SignAmbiguousError, ToolkitError,
-                     UncontrollableError)
+from .errors import (CatalogMismatchError, IllConditionedError,
+                     InfeasibleStateError, InvalidOutputVectorError,
+                     NoConvergenceError, NoFiniteDeterminationError,
+                     NoPositiveLevelError, OutOfRangeError, PreconditionError,
+                     RegionEmptyError, SchemaError, SignAmbiguousError,
+                     ToolkitError, UncontrollableError)
 from .geometry import Ellipsoid, Polytope
 from .model import (EPS_G, Affine, PwaField, Quadratic, Sinusoid, SystemSpec,
                     dynamics_step, load_system, region_membership,

@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -170,9 +170,7 @@ def _load_catalog_checked(pipe):
         raise SchemaError(
             f"catalog horizon {catalog.N} is shorter than requested "
             f"{horizon}")
-    return replace(catalog, N=horizon,
-                   levels={k: v for k, v in catalog.levels.items()
-                           if k <= horizon})
+    return catalog.cut(horizon)
 
 
 # ---------------------------------------------------------------------------

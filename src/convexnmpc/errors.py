@@ -73,11 +73,6 @@ class OutOfRangeError(ToolkitError):
     exit_code = 3
 
 
-class HorizonMismatchError(ToolkitError):
-    code = "HORIZON_MISMATCH"
-    exit_code = 3
-
-
 class InfeasibleStateError(ToolkitError):
     """Raised when no candidate scenario is optimal for a query state."""
 

@@ -74,7 +74,7 @@ class Polytope:
         return float(np.max(self.C @ x - self.d))
 
     def contains(self, x, tol=0.0):
-        return self.violation(x) <= tol
+        return bool((self.C @ x - self.d).max() <= tol)
 
     def contains_batch(self, X, tol=0.0):
         """Vectorized membership for points stacked as rows of X."""

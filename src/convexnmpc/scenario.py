@@ -19,7 +19,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,6 +104,15 @@ class FeasibleCatalog:
 
     def count(self, horizon=None):
         return len(self.sequences(horizon))
+
+    def cut(self, horizon):
+        """Levels 1..horizon, with their witnesses and meta counts."""
+        def upto(by_level):
+            return {k: v for k, v in by_level.items() if int(k) <= horizon}
+        return replace(self, N=horizon, levels=upto(self.levels),
+                       witnesses=upto(self.witnesses),
+                       meta={key: upto(v) if isinstance(v, dict) else v
+                             for key, v in self.meta.items()})
 
     def suffix_closed(self):
         """Check the defining closure: dropping the first step of any stored
@@ -216,14 +225,15 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     appended. meta["warm"] counts per level the probes a start settled with
     no Newton step, meta["appended"] those the appended start settled; the
     catalog's witnesses are its survivors' strictly feasible points.
-    resume, a catalog of a shorter horizon, supplies the first levels with
-    their witnesses, which warm the first new level, and their counts.
+    resume, a stored catalog, supplies its levels up to N with their
+    witnesses, which warm the first new level, and their counts.
     One process pool serves every level.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
     cfg = solver_cfg or SolverConfig()
     s = spec.n_regions
+    resume = resume.cut(N) if resume else None
     levels = dict(resume.levels) if resume else {}
     witnesses = dict(resume.witnesses) if resume else {}
     meta = resume.meta if resume else {}

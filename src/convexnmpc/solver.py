@@ -24,13 +24,15 @@ is, so a program's nonconvex_data is its solution's nonconvex_flag.
 
 Assembly keeps a third: blocks are compiled once per horizon. What does not
 depend on x0 is built on first use and kept read-only in a small LRU; per
-state only the offsets are computed, once, with the per-row expressions of
-a from-scratch build, so programs stay bit-identical. A parametric form
+state only the offsets are computed, once, with the expressions of a
+from-scratch build, so programs stay bit-identical. A parametric form
 b + E x0 is avoided on purpose: one stacked matrix product rounds
-differently from the per-row products and would move the last bits.
+differently from the per-row products and would move the last bits. For
+the same reason a program's affine values stay one matrix product,
+rows @ z - offsets, where Constraints.values takes one dot per row.
 
-For the same reason a ridge constraint's cosine phase is rounded two ways.
-Constraints.values and grads (the phase-I start and end, constraint
+A ridge constraint's cosine phase is rounded two ways, too.
+Constraints.curved_values and grads (the phase-I start and end, constraint
 values, the KKT residual) take freq * (x.dir) + phase at x = X z + x_off,
 evaluated for all of a program's ridges at once but with one product and
 one dot per constraint; the barrier's stacked group takes its
@@ -60,7 +62,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import nnls
 
-from .errors import HorizonMismatchError, NoConvergenceError, OutOfRangeError
+from .errors import NoConvergenceError, OutOfRangeError
 from .geometry import Ellipsoid, Polytope
 from .stagesets import Constraints, _readonly
 
@@ -156,28 +158,30 @@ def _operators(Gamma, Phi, x0):
 
 class _StageBlock:
     """Stage set zs at one step, composed with the step map
-    z -> (x_hat(k), v_k) = M z + m: its constraints lifted by M, and
-    offsets(m) for the rest."""
+    z -> (x_hat(k), v_k) = M z + m: its constraints lifted by M, the region
+    rows first, then the interval sides, with the offsets of m = 0; and
+    at(m) for any m."""
 
     def __init__(self, zs, M):
         self.zs, self.M = zs, _readonly(M)
         lifted = zs.constraints.lift(M)
-        self.rows = _readonly(np.vstack([zs.lifted_C @ M, lifted.rows]))
-        self.nonlin = replace(lifted, rows=lifted.rows[:0],
-                              offsets=lifted.offsets[:0])
+        self.cons = replace(
+            lifted, rows=_readonly(np.vstack([zs.lifted_C @ M, lifted.rows])),
+            offsets=_readonly(np.concatenate([zs.lifted_d, lifted.offsets])))
         self.nonconvex = bool(np.any(
             np.linalg.eigvalsh(zs.constraints.H) < -1e-8))
 
-    def offsets(self, m):
-        """Right-hand sides of the rows, and the nonlinear constraints: the
-        stage constraints shifted by m, then lifted by M, whose products
-        with rows, X, lin and H are those of the lift above."""
-        cons = self.zs.constraints.shift(m)
-        return (_readonly(np.concatenate(
-                    [self.zs.lifted_d - self.zs.lifted_C @ m, cons.offsets])),
-                replace(self.nonlin, x_off=cons.x_off, c=cons.c, c0=cons.c0,
-                        w=_readonly((self.M.T @ cons.w[:, :, None])[:, :, 0]))
-                if len(self.nonlin) else self.nonlin)
+    def at(self, m):
+        """The constraints at m: the stage constraints shifted by m, then
+        lifted by M, whose products with rows, X, lin and H are those of
+        the lift above (the region rows by one matrix product, the sides
+        per row)."""
+        cons, zs = self.zs.constraints.shift(m), self.zs
+        return replace(
+            self.cons, offsets=_readonly(np.concatenate(
+                [zs.lifted_d - zs.lifted_C @ m, cons.offsets])),
+            x_off=cons.x_off, c=cons.c, c0=cons.c0,
+            w=_readonly((self.M.T @ cons.w[:, :, None])[:, :, 0]))
 
 
 class _Horizon:
@@ -209,13 +213,17 @@ class _Horizon:
         self.PS = _readonly(terminal.P @ SN)
         H += SN.T @ self.PS
         self.H = _readonly(0.5 * (H + H.T))
+        # the terminal set at x_hat(N) = SN z, with the offsets of oN = 0
         tset = terminal.tset
         if isinstance(tset, Polytope):
-            self.term_rows = _readonly(tset.C @ SN)
+            self.term = Constraints.of(ops.n_vars, ops.n, rows=tset.C @ SN,
+                                       offsets=tset.d)
         elif isinstance(tset, Ellipsoid):
             Hq = 2.0 * (SN.T @ tset.P_shape @ SN)
-            self.term_hess = _readonly(0.5 * (Hq + Hq.T))
-            self.term_rows = _readonly(np.zeros((0, ops.n_vars)))
+            self.term = Constraints.of(ops.n_vars, ops.n,
+                                       H=[0.5 * (Hq + Hq.T)],
+                                       w=[np.zeros(ops.n_vars)],
+                                       c0=[-tset.level])
         else:
             raise TypeError("terminal set must be a Polytope or an Ellipsoid")
         self.hints = []  # free x0: from the Chebyshev centre of region i
@@ -268,26 +276,24 @@ class _Offsets:
         f += 2.0 * (oN @ hz.PS)
         c0 += float(oN @ hz.terminal.P @ oN)
         tset = hz.terminal.tset
-        self.term_offs = _readonly(np.zeros(0))
         if isinstance(tset, Polytope):
-            self.term_offs = _readonly(tset.d - tset.C @ oN)
-            self.term_nonlin = Constraints.of(ops.n_vars, ops.n)
+            self.term = replace(hz.term,
+                                offsets=_readonly(tset.d - tset.C @ oN))
         else:
-            wq = 2.0 * (SN.T @ tset.P_shape @ oN)
-            cq = float(oN @ tset.P_shape @ oN) - tset.level
-            self.term_nonlin = Constraints.of(ops.n_vars, ops.n,
-                                              H=[hz.term_hess], w=[wq],
-                                              c0=[cq])
+            self.term = replace(
+                hz.term, w=_readonly((2.0 * (SN.T @ tset.P_shape @ oN))[None]),
+                c0=_readonly(np.array(
+                    [float(oN @ tset.P_shape @ oN) - tset.level])))
         self.hint = (None if x0 is None
                      else hz.rollout(np.zeros(ops.n_vars), ops.x0.copy()))
         self.hz, self.ops, self.f, self.c0 = hz, ops, _readonly(f), c0
         self.steps = {}
 
     def step(self, i, k):
-        """(block, offsets, nonlinear constraints) of stage set i at step k."""
+        """(block, constraints) of stage set i at step k."""
         if (i, k) not in self.steps:
             blk = self.hz.blocks[i][k]
-            self.steps[(i, k)] = (blk, *blk.offsets(self.ms[k]))
+            self.steps[(i, k)] = blk, blk.at(self.ms[k])
         return self.steps[(i, k)]
 
 
@@ -321,17 +327,15 @@ class ConvexProgram:
     """Condensed scenario subproblem.
 
     Objective value is z'Hz + f.z + c0 (H symmetric PSD under the stage-cost
-    conventions). Affine rows are stacked as A z <= b, the nonlinear
-    constraints in nonlin (ridges, then quadratics, in step order).
+    conventions). The constraints cons <= 0 are one Constraints, each form
+    in step order, the terminal set's last.
     """
 
     n_vars: int
     H: np.ndarray
     f: np.ndarray
     c0: float
-    A_mat: np.ndarray
-    b_vec: np.ndarray
-    nonlin: Constraints
+    cons: Constraints
     prog_class: str
     coeffs: tuple
     scenario_j: int
@@ -342,7 +346,7 @@ class ConvexProgram:
 
     @property
     def n_constraints(self):
-        return self.A_mat.shape[0] + len(self.nonlin)
+        return len(self.cons)
 
     def objective_value(self, z):
         return float(z @ self.H @ z + self.f @ z + self.c0)
@@ -351,11 +355,9 @@ class ConvexProgram:
         return 2.0 * (self.H @ z) + self.f
 
     def constraint_values(self, z):
-        m = self.A_mat.shape[0]
-        vals = np.empty(self.n_constraints)
-        vals[:m] = self.A_mat @ z - self.b_vec
-        vals[m:] = self.nonlin.values(z)
-        return vals
+        cons = self.cons
+        return np.concatenate([cons.rows @ z - cons.offsets,
+                               cons.curved_values(z)])
 
 
 PROG_CLASS = {"smooth": "NLP", "quadratic": "QCQP", "affine": "QP"}
@@ -380,7 +382,7 @@ def _scenario_coeffs(scenario):
     return coeffs
 
 
-def assemble(scenario, x0, lin, zsets, terminal, Q, rho, horizon=None):
+def assemble(scenario, x0, lin, zsets, terminal, Q, rho):
     """Build the condensed convex program for one constraint scenario.
 
     x0=None leaves the initial state free (used by the offline pruning);
@@ -390,16 +392,12 @@ def assemble(scenario, x0, lin, zsets, terminal, Q, rho, horizon=None):
     _program builds it, as it builds the screens' head programs.
     """
     coeffs = _scenario_coeffs(scenario)
-    N = len(coeffs)
-    if horizon is not None and horizon != N:
-        raise HorizonMismatchError(
-            f"scenario length {N} does not match requested horizon {horizon}")
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     encode(coeffs, len(zsets))
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-    return _program(_horizon(lin, zsets, terminal, Q, float(rho), N,
-                             x0 is None).at(x0), coeffs)
+    return _program(_horizon(lin, zsets, terminal, Q, float(rho),
+                             len(coeffs), x0 is None).at(x0), coeffs)
 
 
 def _program(st, coeffs, start=None):
@@ -412,36 +410,30 @@ def _program(st, coeffs, start=None):
     started at start.
     """
     hz, ops, head = st.hz, st.ops, start is not None
-    blks, offs, cons = map(list, zip(*(st.step(e - 1, k)
-                                       for k, e in enumerate(coeffs))))
-    rows = [blk.rows for blk in blks]
+    blks, parts = map(list, zip(*(st.step(e - 1, k)
+                                  for k, e in enumerate(coeffs))))
     if not head:
-        rows.append(hz.term_rows)
-        offs.append(st.term_offs)
-        cons.append(st.term_nonlin)
+        parts.append(st.term)
         start = st.hint if st.hint is not None else hz.hints[coeffs[0] - 1]
-    A_mat, b_vec = np.vstack(rows), np.concatenate(offs)
-    nonlin = Constraints.join(cons)
+    cons = Constraints.join(parts)
     n_vars, H, f, c0 = ops.n_vars, hz.H, st.f, st.c0
     if head:
         cols = [*range(len(coeffs)), *range(ops.N, n_vars)]
         if len(cols) < n_vars:  # cut the inputs past the head
-            A_mat = A_mat[:, cols]
-            nonlin = nonlin.lift(np.eye(n_vars)[:, cols])
+            cons = replace(cons.lift(np.eye(n_vars)[:, cols]),
+                           rows=cons.rows[:, cols])
         n_vars = len(cols)
         H, f, c0 = np.zeros((n_vars, n_vars)), np.zeros(n_vars), 0.0
 
     # Rows without any decision-variable dependence (fixed-x0 region rows at
     # k = 0) are checked once and removed; they cannot steer the solver.
-    norms = np.max(np.abs(A_mat), axis=1)
-    constant = norms < 1e-13
-    pre_violation = float(np.max(-b_vec[constant], initial=-np.inf))
-    A_mat, b_vec = A_mat[~constant], b_vec[~constant]
+    constant = np.max(np.abs(cons.rows), axis=1) < 1e-13
+    pre_violation = float(np.max(-cons.offsets[constant], initial=-np.inf))
+    cons = replace(cons, rows=_readonly(cons.rows[~constant]),
+                   offsets=_readonly(cons.offsets[~constant]))
 
-    return ConvexProgram(n_vars=n_vars, H=H, f=f, c0=c0,
-                         A_mat=_readonly(A_mat), b_vec=_readonly(b_vec),
-                         nonlin=nonlin, prog_class=PROG_CLASS[nonlin.kind],
-                         coeffs=coeffs,
+    return ConvexProgram(n_vars=n_vars, H=H, f=f, c0=c0, cons=cons,
+                         prog_class=PROG_CLASS[cons.kind], coeffs=coeffs,
                          scenario_j=encode(coeffs, len(hz.zsets)), ops=ops,
                          pre_violation=pre_violation, z0_hint=start,
                          nonconvex_data=any(blk.nonconvex for blk in blks))
@@ -543,17 +535,16 @@ class _Stack:
         relaxes = [self.relaxes[r] for r in rows]
         d, k = progs[0].n_vars, len(progs)
         w = d + 1 if aug else d
-        cons = [p.nonlin for p in progs]
-        m, ms, nq = (progs[0].A_mat.shape[0], len(cons[0].scale),
-                     len(cons[0].c0))
+        cons = [p.cons for p in progs]
+        m, ms, nq = len(cons[0].rows), len(cons[0].scale), len(cons[0].c0)
         self.d, self.m, self.ms, self.nq = d, m, ms, nq
         self.A = np.empty((k, m, w))
-        self.A[:, :, :d] = [p.A_mat for p in progs]
+        self.A[:, :, :d] = [c.rows for c in cons]
         if aug:
             self.A[:, :, d] = -1.0
         self.relax = np.array(relaxes)
-        self.b = np.array([p.b_vec + relax for p, relax in
-                           zip(progs, relaxes)]).reshape(k, m)
+        self.b = np.array([c.offsets + relax for c, relax in
+                           zip(cons, relaxes)]).reshape(k, m)
         self.arrays = ["A", "b", "relax"]
         if aug:  # phase I minimizes t alone
             self.grad_t = np.zeros((k, w))
@@ -768,8 +759,8 @@ class _Batch:
 
     def __init__(self, progs):
         self.progs, self.stacks = list(progs), {}
-        self.shapes = [(p.n_vars, p.A_mat.shape[0], len(p.nonlin.scale),
-                        len(p.nonlin.c0)) for p in self.progs]
+        self.shapes = [(p.n_vars, len(p.cons.rows), len(p.cons.scale),
+                        len(p.cons.c0)) for p in self.progs]
 
     def member(self, i, aug, relax=0.0):
         """(stack, row) of program i entering phase I (aug) or phase II."""
@@ -1002,19 +993,15 @@ def _kkt_residual(prog, z, mu_last, relax, cfg):
     boundary; for boundary-hugging solutions a nonnegative least-squares
     refinement over the near-active constraints gives a tighter certificate.
     """
-    g0 = prog.objective_grad(z)
-    m = prog.A_mat.shape[0]
-    vals = np.empty(prog.n_constraints)
-    vals[:m] = -((prog.b_vec + relax) - prog.A_mat @ z)
-    vals[m:] = prog.nonlin.values(z) - relax
+    g0, cons = prog.objective_grad(z), prog.cons
+    vals = np.concatenate([-((cons.offsets + relax) - cons.rows @ z),
+                           cons.curved_values(z) - relax])
     violation = float(np.max(vals, initial=0.0)) + relax
     gap = mu_last * max(prog.n_constraints, 1)
     if not vals.size:
         return max(float(np.max(np.abs(g0))), gap, violation)
 
-    J = np.empty((vals.size, prog.n_vars))
-    J[:m] = prog.A_mat
-    J[m:] = prog.nonlin.grads(z)
+    J = cons.grads(z)
     s = np.maximum(-vals, 1e-300)
     stat_barrier = float(np.max(np.abs(g0 + J.T @ (mu_last / s))))
     stationarity = stat_barrier

@@ -156,7 +156,12 @@ class Constraints:
 
     def values(self, z):
         """f(z) of every constraint, in order."""
-        out = [_dots(self.rows, z) - self.offsets]
+        return np.concatenate([_dots(self.rows, z) - self.offsets,
+                               self.curved_values(z)])
+
+    def curved_values(self, z):
+        """f(z) of the ridges, then of the quadratics."""
+        out = [np.zeros(0)]
         if len(self.scale):
             th, thc = self._phase(z)
             out.append(self.scale * np.cos(thc)

@@ -9,7 +9,7 @@ became heads of one compiled horizon: hand-built from stage blocks, with
 phase I through its whole schedule.
 """
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -184,13 +184,15 @@ def grid_minimize(prog, lo, hi, step, feas_tol=1e-7):
 
 def _grid_scan(prog, cand, feas_tol):
     ok = np.ones(len(cand), dtype=bool)
-    if prog.A_mat.size:
-        ok &= np.max(cand @ prog.A_mat.T - prog.b_vec, axis=1) <= feas_tol
+    cons = prog.cons
+    if cons.rows.size:
+        ok &= np.max(cand @ cons.rows.T - cons.offsets, axis=1) <= feas_tol
+    curved = replace(cons, rows=cons.rows[:0], offsets=cons.offsets[:0])
     idx = np.where(ok)[0]
     for start in range(0, len(idx), 100_000):  # the ridge products, in bounds
         part = idx[start:start + 100_000]
-        if len(prog.nonlin):
-            worst = np.max(prog.nonlin.values_batch(cand[part]), axis=1)
+        if len(curved):
+            worst = np.max(curved.values_batch(cand[part]), axis=1)
             ok[part[worst > feas_tol]] = False
     if not ok.any():
         return np.inf, None
@@ -233,17 +235,14 @@ def full_schedule_transitions(lin, zsets):
         out[(i, j)] = -np.inf
         if any(blk.nonconvex for blk in blocks):
             continue
-        (b0, cons0), (b1, cons1) = (blk.offsets(np.zeros(blk.M.shape[0]))
-                                    for blk in blocks)
         hint = np.zeros(ops.n_vars)
         center, _ = zsets[i - 1].region.chebyshev_center()
         hint[2:] = 0.0 if center is None else center
         d = ops.n_vars
         prog = solver_module.ConvexProgram(
             n_vars=d, H=np.zeros((d, d)), f=np.zeros(d), c0=0.0,
-            A_mat=np.vstack([blk.rows for blk in blocks]),
-            b_vec=np.concatenate([b0, b1]),
-            nonlin=Constraints.join([cons0, cons1]),
+            cons=Constraints.join([blk.at(np.zeros(blk.M.shape[0]))
+                                   for blk in blocks]),
             prog_class="", coeffs=(), scenario_j=0, ops=ops,
             pre_violation=-np.inf, z0_hint=hint, nonconvex_data=False)
         try:
@@ -263,22 +262,21 @@ def hand_built_head_program(screen, st, head, parent):
     data."""
     k = len(head)
     steps = [st.step(e - 1, j) for j, e in enumerate(head)]
-    if any(blk.nonconvex for blk, _, _ in steps):
+    if any(blk.nonconvex for blk, _ in steps):
         return None
     Sx, ox = st.ops.state_rows(k - 1)
     e = head[-1]
     _, v = solver_module._lowest_max(
         screen.slopes[e - 1],
         screen.zsets[e - 1].all_values(Sx[:, :k - 1] @ parent + ox, 0.0))
-    A_mat = np.vstack([blk.rows[:, :k] for blk, _, _ in steps])
-    b_vec = np.concatenate([offs for _, offs, _ in steps])
+    cons = Constraints.join([cons for _, cons in steps])
+    rows = cons.rows[:, :k]
     # rows without a decision variable (the first region's) hold at x
-    keep = np.max(np.abs(A_mat), axis=1) >= 1e-13
+    keep = np.max(np.abs(rows), axis=1) >= 1e-13
     return solver_module.ConvexProgram(
         n_vars=k, H=np.zeros((k, k)), f=np.zeros(k), c0=0.0,
-        A_mat=A_mat[keep], b_vec=b_vec[keep],
-        nonlin=Constraints.join([cons for _, _, cons in steps]).lift(
-            np.eye(st.ops.n_vars, k)),
+        cons=replace(cons.lift(np.eye(st.ops.n_vars, k)), rows=rows[keep],
+                     offsets=cons.offsets[keep]),
         prog_class="", coeffs=head, scenario_j=0, ops=st.ops,
         pre_violation=-np.inf, z0_hint=np.append(parent, v),
         nonconvex_data=False)

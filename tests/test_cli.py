@@ -201,6 +201,20 @@ def test_prune_resume_extends(tmp_path, capsys):
     assert set(stored["levels"]) == {"1", "2", "3"}
 
 
+def test_prune_resume_to_a_shorter_horizon(tmp_path, capsys):
+    cat = str(tmp_path / "cat.json")
+    assert run(["prune", EX2, *LINFLAGS, "--horizon", "4",
+                "--catalog", cat, "--threads", "1"]) == 0
+    assert run(["prune", EX2, *LINFLAGS, "--horizon", "2",
+                "--catalog", cat, "--resume", "--threads", "1"]) == 0
+    capsys.readouterr()
+    stored = json.loads(open(cat).read())
+    assert stored["N"] == 2
+    assert set(stored["levels"]) == set(stored["witnesses"]) == {"1", "2"}
+    for key in ("screened", "warm", "appended"):
+        assert set(stored["meta"][key]) == {"1", "2"}
+
+
 def test_prune_resume_keeps_level_counts(tmp_path, capsys):
     straight, resumed = (str(tmp_path / f"{name}.json")
                          for name in ("straight", "resumed"))

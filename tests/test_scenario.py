@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,14 +107,10 @@ class TestCatalog:
         assert sum(serial.meta["appended"].values()) > 0
 
     def test_resume_from_prefix(self, ex2, ex2_catalog_n3):
-        def cut(by_level):
-            return {k: v for k, v in by_level.items() if int(k) <= 2}
-
         full = ex2_catalog_n3
-        prefix = replace(full, N=2, levels=cut(full.levels),
-                         witnesses=cut(full.witnesses),
-                         meta={key: cut(v) if isinstance(v, dict) else v
-                               for key, v in full.meta.items()})
+        prefix = full.cut(2)
+        assert set(prefix.levels) == set(prefix.witnesses) == {1, 2}
+        assert set(prefix.meta["screened"]) == {"1", "2"}
         cat = cn.prune_catalog(ex2["spec"], ex2["lin"], ex2["zsets"],
                                ex2["terminal"], 3, resume=prefix)
         assert cat.levels == full.levels

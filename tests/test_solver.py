@@ -52,12 +52,6 @@ class TestAssemble:
                                data["rho"])
             assert prog.prog_class == expect
 
-    def test_horizon_mismatch(self, ex2):
-        with pytest.raises(cn.HorizonMismatchError):
-            cn.assemble((1, 1, 1), np.zeros(2), ex2["lin"],
-                        ex2["zsets"], ex2["terminal"], ex2["Q"], ex2["rho"],
-                        horizon=2)
-
     def test_objective_hessian_psd(self, ex2):
         prog = cn.assemble((1, 1, 1, 1), np.array([0.2, 0.1]),
                            ex2["lin"], ex2["zsets"], ex2["terminal"],
@@ -222,7 +216,7 @@ def test_smooth_constraint_gradients_composed(ex2):
     prog = cn.assemble((1, 2, 3), None, ex2["lin"],
                        ex2["zsets"], ex2["terminal"], ex2["Q"], ex2["rho"])
     rng = np.random.default_rng(12)
-    cons = prog.nonlin
+    cons = prog.cons
     for k in range(len(cons)):
         for _ in range(5):
             z = rng.uniform(-1, 1, prog.n_vars)

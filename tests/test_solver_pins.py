@@ -6,6 +6,8 @@ statuses and Newton counts must match exactly; slacks and values are held
 to 1e-12.
 """
 import dataclasses
+import json
+import pathlib
 import sys
 import threading
 
@@ -15,8 +17,10 @@ import pytest
 import convexnmpc as cn
 import convexnmpc.solver as solver_module
 from conftest import _pipeline
+from convexnmpc.stagesets import _dots
 from helpers import AffineCon, composed, oracles
 
+BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 ONES = (1,) * 12
 
 
@@ -274,14 +278,13 @@ def test_batch_stalls_only_candidates_that_step(request, monkeypatch):
     ("ex2", None, (2, 1, 1) + ONES), ("ex2", (-0.9, 0.8), (2, 2, 1) + ONES),
     ("ex3", (-1.0, 0.6), (4, 1, 1) + ONES), ("ex1", (0.2, -0.1), (1, 1, 1))])
 def test_stacked_constraints_match_their_oracles(request, system, x0, coeffs):
-    # the stacked Constraints of a program (its nonlinear constraints, read
-    # by constraint_values and the KKT residual) and of each stage set (read
-    # by membership, the screens and the terminal): bit for bit one oracle
-    # object per constraint, in order
+    # the stacked Constraints of a program (read by the KKT residual's
+    # Jacobian) and of each stage set (read by membership, the screens and
+    # the terminal): bit for bit one oracle object per constraint, in order
     data = request.getfixturevalue(system)
     prog = _program(data, coeffs, x0)
     rng = np.random.default_rng(7)
-    for cons, z0 in [(prog.nonlin, prog.z0_hint)] + [
+    for cons, z0 in [(prog.cons, prog.z0_hint)] + [
             (zs.constraints, np.zeros(3)) for zs in data["zsets"]]:
         refs = oracles(cons)
         assert len(refs) == len(cons)
@@ -302,8 +305,8 @@ def test_stacked_constraints_match_their_oracles(request, system, x0, coeffs):
     assert [zs.kind for zs in data["zsets"]] == [kinds[system]] * len(
         data["zsets"])
     if system == "ex2":
-        assert len(prog.nonlin.scale) and len(prog.nonlin.c0)
-        th, thc = prog.nonlin._phase(prog.z0_hint + 3.0)
+        assert len(prog.cons.scale) and len(prog.cons.c0)
+        th, thc = prog.cons._phase(prog.z0_hint + 3.0)
         assert (th != thc).any() and (th == thc).any()
 
 
@@ -311,8 +314,8 @@ def test_stacked_constraints_match_their_oracles(request, system, x0, coeffs):
     ("ex2", None, (2, 1, 1) + ONES), ("ex2", (-0.9, 0.8), (2, 2, 1) + ONES),
     ("ex3", (-1.0, 0.6), (4, 1, 1) + ONES), ("ex1", (0.2, -0.1), (1, 1, 1))])
 def test_blocks_compose_their_stage_constraints(request, system, x0, coeffs):
-    # each step's rows and nonlinear constraints, lifted by the step map
-    # once per horizon and shifted once per state: bit for bit the
+    # each step's constraints after its region rows, lifted by the step
+    # map once per horizon and shifted once per state: bit for bit the
     # composition of one stage oracle at a time
     data = request.getfixturevalue(system)
     prog = _program(data, coeffs, x0)
@@ -321,10 +324,56 @@ def test_blocks_compose_their_stage_constraints(request, system, x0, coeffs):
         np.atleast_2d(data["Q"]), float(data["rho"]), len(coeffs),
         x0 is None).at(None if x0 is None else np.array(x0))
     for k, e in enumerate(coeffs):
-        blk, offs, nonlin = st.step(e - 1, k)
+        _, cons = st.step(e - 1, k)
         want = [composed(con, *prog.ops.step_map(k))
                 for con in oracles(data["zsets"][e - 1].constraints)]
         a = sum(isinstance(con, AffineCon) for con in want)
-        got = [AffineCon(row, off) for row, off in
-               zip(blk.rows[len(blk.rows) - a:], offs[len(offs) - a:])]
-        assert _exact(got + oracles(nonlin)) == _exact(want)
+        assert _exact(oracles(cons)[len(cons.rows) - a:]) == _exact(want)
+
+
+class _Concatenations:
+    """numpy, as the solver module sees it, keeping each concatenate's
+    result."""
+
+    def __init__(self):
+        self.out = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def concatenate(self, parts, *args, **kwargs):
+        self.out.append(np.concatenate(parts, *args, **kwargs))
+        return self.out[-1]
+
+
+@pytest.mark.parametrize("system", ["ex2", "ex3"])
+def test_affine_values_are_one_matrix_product(request, monkeypatch, system):
+    # constraint_values and the KKT residual take a program's affine values
+    # as one matrix product, rows @ z - offsets, before its ridges and
+    # quadratics: bit for bit at every candidate program of three benchmark
+    # pool states, where per-row dots round differently
+    data = request.getfixturevalue(system)
+    catalog = cn.FeasibleCatalog.load(BENCH_DATA / f"{system}_N15_catalog.json")
+    pool = json.loads((BENCH_DATA / "reference.json").read_text())["pools"]
+    entries = pool["loop-ex2" if system == "ex2" else "query-ex3"][::40][:3]
+    rng = np.random.default_rng(3)
+    spy, cfg, apart = _Concatenations(), cn.SolverConfig(), 0
+    for entry in entries:
+        x = np.array(entry["x0"], dtype=float)
+        for sc in cn.filter_for_state(catalog, data["spec"], x):
+            prog = _program(data, sc.coeffs, x)
+            cons = prog.cons
+            z = prog.z0_hint + rng.normal(scale=0.1, size=prog.n_vars)
+            affine, curved = cons.rows @ z, cons.curved_values(z)
+            apart += int(np.sum(_dots(cons.rows, z) != affine))
+            assert prog.constraint_values(z).tobytes() == np.concatenate(
+                [affine - cons.offsets, curved]).tobytes()
+            for relax in (0.0, 1e-6):
+                monkeypatch.setattr(solver_module, "np", spy)
+                spy.out.clear()
+                solver_module._kkt_residual(prog, z, 1e-12, relax, cfg)
+                monkeypatch.undo()
+                assert spy.out[0].tobytes() == np.concatenate(
+                    [-((cons.offsets + relax) - affine),
+                     curved - relax]).tobytes()
+    assert apart > 0

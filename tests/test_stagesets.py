@@ -185,13 +185,15 @@ class TestOracles:
         prog = cn.assemble(coeffs, np.array([-0.9, 0.8]),
                            data["lin"], data["zsets"], data["terminal"],
                            data["Q"], data["rho"])
-        cons = prog.nonlin
+        cons = prog.cons
         stage = [(k, j, data["zsets"][e - 1].constraints)
                  for k, e in enumerate(coeffs) for j in range(2)]
-        # the ridges in step order, then the terminal ellipsoid
-        assert len(cons.scale) == len(stage) == 6 and len(cons) == 7
+        # after the region rows, the ridges in step order, then the
+        # terminal ellipsoid
+        a = len(cons.rows)
+        assert len(cons.scale) == len(stage) == 6 and len(cons) == a + 7
         rng = np.random.default_rng(43)
-        for i, (k, j, stage_cons) in enumerate(stage):
+        for i, (k, j, stage_cons) in enumerate(stage, start=a):
             M, m = prog.ops.step_map(k)
             for _ in range(10):
                 z = rng.uniform(-2, 2, prog.n_vars)

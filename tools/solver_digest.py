@@ -10,8 +10,9 @@ Prints sha256[:16] over one float-hex line per result for nine sets:
             levels of the stored catalog: (sequence, feasible, t*);
 - programs: every candidate program at the states of the benchmark pools
             (the loop-ex2 starts and the query-ex3 states): every array and
-            scalar field of the ConvexProgram, then one line per nonlinear
-            constraint (see constraint_lines);
+            scalar field of the ConvexProgram, its affine rows and offsets
+            in the place of its constraints, then one line per ridge and
+            quadratic (see constraint_lines);
 - solves:   the solve of each of those programs: status, V, v_seq,
             kkt_residual, phase1_violation, n_newton, nonconvex_flag and
             degenerate;
@@ -122,10 +123,14 @@ def constraint_lines(cons):
 
 
 def program_lines(prog):
-    """The program's fields but its nonlinear constraints, then those."""
-    fields = [f for f in prog.__dataclass_fields__ if f != "nonlin"]
-    return [[getattr(prog, f) for f in fields]] + [
-        [line] for line in constraint_lines(prog.nonlin)]
+    """The program's fields, with its constraints' affine rows and offsets
+    in their place, then one line per ridge and quadratic."""
+    cons = prog.cons
+    first = [part for f in prog.__dataclass_fields__
+             for part in ((cons.rows, cons.offsets) if f == "cons"
+                          else (getattr(prog, f),))]
+    return [first] + [[line] for line
+                      in constraint_lines(cons)[len(cons.rows):]]
 
 
 class Digest:
