@@ -258,10 +258,11 @@ def cmd_prune(args):
         progress=lambda lvl, cnt: print(f"level {lvl}: {cnt} feasible",
                                         file=sys.stderr))
     levels, meta = catalog.levels, catalog.meta
-    screened = sum(meta["screened"].values())
-    cands = sum(catalog.s * len(levels.get(lvl - 1, ((),)))
-                for lvl in levels)
-    warm, appended = (sum(meta[key].values()) for key in ("warm", "appended"))
+    probed = [lvl for lvl in levels if resumed is None
+              or lvl not in resumed.levels]  # the levels this run probed
+    screened, warm, appended = (sum(meta[key][str(lvl)] for lvl in probed)
+                                for key in ("screened", "warm", "appended"))
+    cands = sum(catalog.s * len(levels.get(lvl - 1, ((),))) for lvl in probed)
     print(f"{cands - screened} probes, {warm} settled by a witness "
           f"({warm - appended} extended, {appended} appended); {screened} "
           f"candidates screened", file=sys.stderr)

@@ -5,9 +5,9 @@ The simulator always propagates the true nonlinear plant; the linear
 prediction model lives only inside the optimal control problems. Ties
 between equally optimal scenarios are broken toward the smallest index so
 results are independent of solve order. A candidate whose head bound
-(solver.Screen.heads: the one-step bound, then phase I on the heads it
-shares with other candidates) exceeds the feasibility tolerance is
-Infeasible and is screened instead of solved.
+(solver.heads: the one-step bound, then phase I on the heads it shares
+with other candidates) exceeds the feasibility tolerance is Infeasible and
+is screened instead of solved.
 """
 from dataclasses import dataclass, field
 
@@ -19,8 +19,8 @@ from .linearize import u_of_v
 from .model import dynamics_step
 from .scenario import filter_for_state, worker_map
 # solve is not called here, but perfbench/tracing.py wraps closedloop.solve
-from .solver import (SolverConfig, assemble, infeasibility_screen,  # noqa: F401
-                     solve, solve_many)
+from .solver import (SolverConfig, assemble, heads, solve,  # noqa: F401
+                     solve_many)
 
 TIE_TOL = 1e-9
 UNDECIDED = ("IterLimit", "Stalled")  # statuses that decide nothing
@@ -38,7 +38,7 @@ class MpcStepResult:
     n_screened: int = 0
     n_newton: int = 0  # Newton steps summed over the solved candidates
     n_rounds: int = 0  # lockstep rounds of their batch (solver.solve_many)
-    n_head_newton: int = 0  # Newton steps of the head tests (Screen.heads)
+    n_head_newton: int = 0  # Newton steps of the head tests (solver.heads)
 
 
 def _fmt(x):
@@ -115,7 +115,7 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     """Solve every candidate scenario at state x and pick the best.
 
     Candidates are the catalog scenarios whose first region contains x;
-    one whose head bound (solver.Screen.heads: the one-step bound per
+    one whose head bound (solver.heads: the one-step bound per
     distinct first two steps, then one phase I per head that two or more
     candidates share) exceeds cfg.feas_tol is Screened, not solved; the
     others are solved together, in one solve_many batch. The reported input
@@ -131,8 +131,8 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
     candidates = filter_for_state(catalog, spec, x)
-    bounds, n_head_newton = infeasibility_screen(lin, zsets).heads(
-        x, [sc.coeffs for sc in candidates], terminal, Q, rho, cfg)
+    bounds, n_head_newton = heads(x, [sc.coeffs for sc in candidates], lin,
+                                  zsets, terminal, Q, rho, cfg)
     screened = [low > cfg.feas_tol for low in bounds]
     solved, n_rounds = solve_many(
         [assemble(sc, x, lin, zsets, terminal, Q, rho)

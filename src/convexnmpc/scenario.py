@@ -6,14 +6,14 @@ horizons 1..N, keeping only coefficient sequences whose subproblem admits
 some initial state; extending a sequence prepends a fresh first step, so an
 infeasible tail can never become feasible again and the catalog is closed
 under suffixes. Extensions that the transition bound of their first two
-steps proves infeasible (solver.Screen) are never probed. Every survivor
-keeps a witness, a point where its free-x0 program is strictly feasible,
-and the catalog stores them. A probe tests two starts from the witnesses of
-the level below (Screen.starts): its tail's extended by a first step, then
-its prefix's with the terminal controller's input appended as a last step;
-the first that passes phase I's hint test settles the probe with no Newton
-step. Any other probe runs phase I from its cold hint, so the catalog does
-not depend on the witnesses.
+steps proves infeasible (solver.transitions) are never probed. Every
+survivor keeps a witness, a point where its free-x0 program is strictly
+feasible, and the catalog stores them. A probe tests two starts from the
+witnesses of the level below (starts): its tail's extended by a first step,
+then its prefix's with the terminal controller's input appended as a last
+step; the first that passes phase I's hint test settles the probe with no
+Newton step. Any other probe runs phase I from its cold hint, so the
+catalog does not depend on the witnesses.
 """
 import hashlib
 import json
@@ -26,8 +26,8 @@ import numpy as np
 from .errors import NoConvergenceError, OutOfRangeError
 from .geometry import MEMBERSHIP_TOL, Ellipsoid, Polytope
 from .model import EPS_G, region_membership, system_to_dict
-from .solver import (SolverConfig, assemble, encode, infeasibility_screen,
-                     solve_feasibility)
+from .solver import (SolverConfig, assemble, encode, solve_feasibility,
+                     transitions)
 
 
 def decode(j, s, N):
@@ -192,8 +192,59 @@ def worker_map(fn, args, n_workers, chunksize):
                                           chunksize=chunksize))
 
 
+WITNESS_GRID = np.arange(1, 8) / 8.0  # interior points of a v0 interval
+
+
+def _extend(zs, back, witness):
+    """A start for the free-x0 program of (zs.index,) + tail from a witness
+    (v_tail, x1) of the tail's: (v0, v_tail, x0(v0)), where x0(v0) =
+    A_hat^-1 x1 - (A_hat^-1 b_hat) v0 steps to x1 (back holds the two
+    factors, None for singular A_hat), so the tail's constraints see their
+    witness again. v0 is the point of a fixed grid inside the interval that
+    region zs's rows allow along that line with the lowest worst value of
+    zs's constraints. None without a witness or back, or without interval."""
+    if witness is None or back is None:
+        return None
+    inv, q = back
+    n = q.size
+    p = inv @ witness[-n:]
+    a, c = -(zs.region.C @ q), zs.region.C @ p - zs.region.d
+    lo = np.max(-c[a < 0] / a[a < 0], initial=-np.inf)
+    hi = np.min(-c[a > 0] / a[a > 0], initial=np.inf)
+    if not (lo < hi and np.isfinite(hi - lo)):
+        return None
+    v = lo + (hi - lo) * WITNESS_GRID
+    Z = np.column_stack([p - v[:, None] * q, v])
+    worst = np.max(np.column_stack(
+        [zs.constraints.values_batch(Z), Z @ zs.lifted_C.T - zs.lifted_d]),
+        axis=1)
+    k = int(np.argmin(worst))
+    return np.concatenate([v[k:k + 1], witness[:-n], Z[k, :n]])
+
+
+def starts(coeffs, below, lin, zsets, back, kappa):
+    """Starts for the free-x0 program of coeffs from the witnesses (v, x0)
+    of the level below ({sequence: witness}), by name in the order a probe
+    tests them: "extended", its tail's witness extended by a first step
+    (_extend, with back as there); "appended", its prefix's witness with
+    the terminal controller's input kappa x appended as a last step: the
+    prefix's last state x lies in the terminal set, which that input keeps
+    invariant. A start without its witness is left out."""
+    out = {"extended": _extend(zsets[coeffs[0] - 1], back,
+                               below.get(coeffs[1:]))}
+    prefix = below.get(coeffs[:-1])
+    if prefix is not None:
+        n = lin.A_hat.shape[0]
+        x = prefix[-n:]
+        for v in prefix[:-n]:
+            x = lin.A_hat @ x + lin.b_hat * v
+        out["appended"] = np.concatenate(
+            [prefix[:-n], [float(kappa @ x)], prefix[-n:]])
+    return {name: z for name, z in out.items() if z is not None}
+
+
 def _candidate_feasible(item, spec, lin, zsets, terminal, cfg):
-    """Probe of one (coeffs, starts) item, starts by name (Screen.starts):
+    """Probe of one (coeffs, starts) item, starts by name (see starts):
     (feasible, witness, the name of the start that settled it or None);
     the witness is the probe's point when strictly feasible."""
     coeffs, starts = item
@@ -220,7 +271,7 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     first step is at most feas_tol, and re-probes feasibility with the
     initial state free over the new first region; meta["screened"] counts
     the others per level. A probe tests up to two starts built from the
-    witnesses of the level below (Screen.starts): its tail's extended by a
+    witnesses of the level below (starts): its tail's extended by a
     first step, then its prefix's with the terminal controller's input
     appended. meta["warm"] counts per level the probes a start settled with
     no Newton step, meta["appended"] those the appended start settled; the
@@ -239,9 +290,14 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     meta = resume.meta if resume else {}
     screened, warm, appended = (dict(meta.get(key, {}))
                                 for key in ("screened", "warm", "appended"))
-    screen = infeasibility_screen(lin, zsets)
-
     start = max(levels) + 1 if levels else 1
+    pairs = (transitions(lin, zsets, terminal, cfg) if N >= max(start, 2)
+             else None)
+    try:  # for _extend
+        inv = np.linalg.inv(lin.A_hat)
+        back = inv, inv @ lin.b_hat
+    except np.linalg.LinAlgError:
+        back = None
     with worker_map(_candidate_feasible, (spec, lin, zsets, terminal, cfg),
                     n_workers, chunksize=4) as check_all:
         for level in range(start, N + 1):
@@ -250,11 +306,11 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
             else:
                 cands = [(i,) + tail for tail in levels[level - 1]
                          for i in range(1, s + 1)]
-            kept = [c for c in cands if len(c) == 1 or screen.transitions(
-                terminal, cfg)[c[:2]] <= cfg.feas_tol]
+            kept = [c for c in cands
+                    if len(c) == 1 or pairs[c[:2]] <= cfg.feas_tol]
             screened[str(level)] = len(cands) - len(kept)
             below = witnesses.get(level - 1, {})
-            items = [(c, screen.starts(c, below, terminal.kappa))
+            items = [(c, starts(c, below, lin, zsets, back, terminal.kappa))
                      for c in kept]
             probes = check_all(items)
             by = [name for _, _, name in probes]

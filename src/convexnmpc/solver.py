@@ -10,10 +10,12 @@ is reporting metadata, not a solver dispatch.
 One builder (_program) makes every program from one compiled horizon: a
 scenario's program (assemble), and the phase-I program of a head, a
 scenario's first k stage blocks without the terminal set, whose value
-bounds the scenario's from below. The screens test heads under one
-phase-I rule: offline a pair of stage sets is the depth-2 head of the
-free-x0 horizon-2 program (Screen.transitions), online the heads that
-several candidates share are walked depth by depth (Screen.heads).
+bounds the scenario's from below. The infeasibility bounds test heads
+under one phase-I rule: offline a pair of stage sets is the depth-2 head
+of the free-x0 horizon-2 program (transitions, kept in the horizons' LRU),
+online the heads that several candidates share are walked depth by depth
+(heads), each start extended by the lines that a step's compiled block
+holds (_lines).
 
 The Newton kernel keeps two invariants. Each trial point of the line search
 is evaluated once: the accepted trial's margins, sinusoid phase pieces and
@@ -298,7 +300,7 @@ class _Offsets:
 
 
 _HORIZONS, _HORIZONS_MAX = {}, 32  # least recently used first
-_HORIZONS_LOCK = threading.Lock()
+_HORIZONS_LOCK = threading.RLock()  # a build may compile a horizon
 
 
 def _cached(key, build):
@@ -420,8 +422,9 @@ def _program(st, coeffs, start=None):
     if head:
         cols = [*range(len(coeffs)), *range(ops.N, n_vars)]
         if len(cols) < n_vars:  # cut the inputs past the head
-            cons = replace(cons.lift(np.eye(n_vars)[:, cols]),
-                           rows=cons.rows[:, cols])
+            cons = replace(cons, rows=cons.rows[:, cols],
+                           X=cons.X[:, :, cols], lin=cons.lin[:, cols],
+                           H=cons.H[:, cols][:, :, cols], w=cons.w[:, cols])
         n_vars = len(cols)
         H, f, c0 = np.zeros((n_vars, n_vars)), np.zeros(n_vars), 0.0
 
@@ -1019,11 +1022,11 @@ def _phase1(batch, i, cfg, work, head=False):
     phase1. Returns (z, t, low), low the central-path bound t_mu - m*mu on
     t* at the last stage run (-inf when it ends as feasible).
 
-    The phase I of a head (Screen.heads and Screen.transitions, the one
-    screen rule) only decides whether its bound can exceed feas_tol, so it
-    ends as feasible once its start or its t is below feas_tol, and it
-    starts at the first barrier weight whose gap m*mu is no larger than
-    the start's violation. Any other end leaves low a central-path bound
+    The phase I of a head (heads and transitions, the one screen rule)
+    only decides whether its bound can exceed feas_tol, so it ends as
+    feasible once its start or its t is below feas_tol, and it starts at
+    the first barrier weight whose gap m*mu is no larger than the start's
+    violation. Any other end leaves low a central-path bound
     taken at a centred stage.
     """
     prog = batch.progs[i]
@@ -1179,11 +1182,10 @@ def solve(prog, cfg=SolverConfig()):
 
 
 # ---------------------------------------------------------------------------
-# infeasibility screens
+# infeasibility bounds: phase I relaxes every constraint by the same t, so
+# the min-max over a head's constraints bounds the t* of every program
+# under it; above feas_tol, the program is Infeasible with no Newton step
 # ---------------------------------------------------------------------------
-
-WITNESS_GRID = np.arange(1, 8) / 8.0  # interior points of a v0 interval
-
 
 def _lowest_max(a, c):
     """min over v of max_k (a_k v + c_k), and a v attaining it: the largest
@@ -1212,194 +1214,125 @@ def _head_phase1(batch, i, cfg):
     return z, low, work.steps
 
 
-class Screen:
-    """Certified lower bounds on the phase-I value t* of candidate programs.
+def transitions(lin, zsets, terminal, cfg):
+    """{(i, j): a lower bound on t* of every free-x0 program with stage
+    sets i, j first}, kept in the LRU of compiled horizons per (lin, zsets,
+    terminal, cfg). The pair is the head (i, j) of the free-x0 horizon 2
+    with Q = I, rho = 1 (the horizon a prune's level-2 probes compile),
+    started from its hint for region i; all pairs run phase I together in
+    one lockstep drive. -inf when a start or an iterate falls below
+    cfg.feas_tol, when phase I is undecided, or for nonconvex data."""
+    def build():
+        n, s = lin.A_hat.shape[0], len(zsets)
+        st = _horizon(lin, zsets, terminal, np.eye(n), 1.0, 2, True).at(None)
+        progs = {(i, j): _program(st, (i, j), st.hz.hints[i - 1])
+                 for i in range(1, s + 1) for j in range(1, s + 1)}
+        live = [pair for pair, prog in progs.items()
+                if not prog.nonconvex_data]
+        batch = _Batch([progs[pair] for pair in live])
+        results, _ = _drive([_head_phase1(batch, k, cfg)
+                             for k in range(len(live))])
+        bounds = dict.fromkeys(progs, -np.inf)
+        bounds.update((pair, low) for pair, (_, low, _)
+                      in zip(live, results) if low is not None)
+        # strong references: no id in the key is reused while it lives
+        return lin, tuple(zsets), terminal, bounds
 
-    Phase I relaxes every constraint by the same t, so the min-max over any
-    subset of a program's constraints, in its own units, bounds its t* from
-    below: above feas_tol, the program is Infeasible with no Newton step.
-    The subset is a head, the program of the first k stage blocks, built
-    by _program and tested under one phase-I rule (see _phase1): offline
-    the depth-2 heads of the free-x0 programs (transitions), online the
-    heads of the fixed-x0 programs at a state (heads). It also builds the
-    starts of an offline probe from strictly feasible points of the
-    programs one level down (starts).
+    key = ("transitions", id(lin), tuple(map(id, zsets)), id(terminal), cfg)
+    return _cached(key, build)[-1]
+
+
+def _lines(st, e, k, z, nxt=None):
+    """The lines a v_k + c of stage set e's block at step k, at the state
+    of the offsets st, through z (whose v_k is 0): the block's values at z
+    and the v_k column of its gradients, as each of its constraints is
+    affine in v_k. With nxt, region nxt's rows at step k + 1 follow."""
+    _, cons = st.step(e - 1, k)
+    a, c = cons.grads(z)[:, k], cons.values(z)
+    if nxt is not None:
+        _, cons = st.step(nxt - 1, k + 1)
+        rows = slice(st.hz.zsets[nxt - 1].region.n_rows)
+        a = np.concatenate([a, cons.rows[rows, k]])
+        c = np.concatenate([c, cons.rows[rows] @ z - cons.offsets[rows]])
+    return a, c
+
+
+def one_step(st, e1, e2=None):
+    """Bound for every fixed-x0 program at the state of the offsets st
+    with stage sets e1, e2 first, from its constraints that depend on v0
+    alone (_lines at v0 = 0): stage set e1's, its region rows included,
+    and region e2's rows at step 1. Their lowest max, less a rounding
+    allowance, and a v0 where it is attained."""
+    a, c = _lines(st, e1, 0, np.zeros(st.ops.n_vars), e2)
+    low, v0 = _lowest_max(a, c)
+    return low - 1e-9 * (1.0 + np.abs(c).max()), v0
+
+
+def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
+    """Bounds for the fixed-x0 programs at state x of the coefficient
+    sequences seqs (one horizon), walking their heads: a depth-k head
+    is the program of a sequence's first k stage blocks, with no
+    terminal, on v_0..v_{k-1}, and its t* bounds every program under it.
+    Returns (bounds, Newton steps of the head tests); a bound above
+    cfg.feas_tol screens its program. No program is changed.
+
+    Depth 1 is one_step per distinct first two stage sets, exact here,
+    and its v0 is the point of that head. At depth k = 2, 3, .. each
+    convex head that two or more programs share, and whose parent head
+    (one depth up) has a point, starts from that point extended by the
+    v_{k-1} with the lowest max of stage set e_k's lines at step k - 1
+    (_head_program). The heads of one depth run phase I together, in one
+    lockstep drive; a start whose worst row is below feas_tol is the
+    head's point with no Newton step, as no bound can exceed feas_tol
+    then. A head whose central-path bound exceeds feas_tol screens its
+    programs; one that phase I leaves undecided screens nothing and ends
+    its walk; any other keeps phase I's point.
     """
-
-    def __init__(self, lin, zsets):
-        # strong references: no id in the cache key is reused
-        self.lin, self.zsets, self.pairs = lin, tuple(zsets), {}
-        # slopes in v0, in StageSet.all_values order: stage constraints are
-        # affine in v (the last gradient entry), region rows are flat; the
-        # next region's rows C x1 - d have C b_hat
-        n = lin.A_hat.shape[0]
-        self.slopes = [np.concatenate([
-            zs.constraints.grads(np.zeros(n + 1))[:, n],
-            np.zeros(zs.region.n_rows)]) for zs in self.zsets]
-        self.next_rows = [(zs.region.C @ lin.A_hat, zs.region.d,
-                           zs.region.C @ lin.b_hat) for zs in self.zsets]
-        try:  # x0(v0) = A_hat^-1 x1 - (A_hat^-1 b_hat) v0 steps to x1
-            inv = np.linalg.inv(lin.A_hat)
-            self.back = inv, inv @ lin.b_hat
-        except np.linalg.LinAlgError:
-            self.back = None
-
-    def transitions(self, terminal, cfg):
-        """{(i, j): a lower bound on t* of every free-x0 program with stage
-        sets i, j first}, kept per (terminal, cfg). The pair is the head
-        (i, j) of the free-x0 horizon 2 with Q = I, rho = 1 (the horizon a
-        prune's level-2 probes compile), started from its hint for region
-        i; all pairs run phase I together in one lockstep drive. -inf when
-        a start or an iterate falls below cfg.feas_tol, when phase I is
-        undecided, or for nonconvex data."""
-        key = (id(terminal), cfg)
-        if key not in self.pairs:  # a race computes the same values twice
-            n, s = self.lin.A_hat.shape[0], len(self.zsets)
-            st = _horizon(self.lin, self.zsets, terminal, np.eye(n), 1.0, 2,
-                          True).at(None)
-            progs = {(i, j): _program(st, (i, j), st.hz.hints[i - 1])
-                     for i in range(1, s + 1) for j in range(1, s + 1)}
-            live = [pair for pair, prog in progs.items()
-                    if not prog.nonconvex_data]
-            batch = _Batch([progs[pair] for pair in live])
-            results, _ = _drive([_head_phase1(batch, k, cfg)
-                                 for k in range(len(live))])
-            bounds = dict.fromkeys(progs, -np.inf)
-            bounds.update((pair, low) for pair, (_, low, _)
-                          in zip(live, results) if low is not None)
-            # strong reference: no id in the key is reused
-            self.pairs[key] = terminal, bounds
-        return self.pairs[key][1]
-
-    def one_step(self, x, e1, e2=None):
-        """Bound for every fixed-x0 program at state x with stage sets e1,
-        e2 first, from its constraints that depend on v0 alone, as lines
-        a v0 + c: stage set e1's at (x, v0), its region rows included, and
-        region e2's rows at A_hat x + b_hat v0. Their lowest max, less a
-        rounding allowance, and a v0 where it is attained."""
-        a, c = [self.slopes[e1 - 1]], [self.zsets[e1 - 1].all_values(x, 0.0)]
-        if e2 is not None:
-            CA, d, Cb = self.next_rows[e2 - 1]
-            a.append(Cb)
-            c.append(CA @ x - d)
-        a, c = np.concatenate(a), np.concatenate(c)
-        low, v0 = _lowest_max(a, c)
-        return low - 1e-9 * (1.0 + np.abs(c).max()), v0
-
-    def heads(self, x, seqs, terminal, Q, rho, cfg):
-        """Bounds for the fixed-x0 programs at state x of the coefficient
-        sequences seqs (one horizon), walking their heads: a depth-k head
-        is the program of a sequence's first k stage blocks, with no
-        terminal, on v_0..v_{k-1}, and its t* bounds every program under it.
-        Returns (bounds, Newton steps of the head tests); a bound above
-        cfg.feas_tol screens its program. No program is changed.
-
-        Depth 1 is one_step per distinct first two stage sets, exact here,
-        and its v0 is the point of that head. At depth k = 2, 3, .. each
-        convex head that two or more programs share, and whose parent head
-        (one depth up) has a point, starts from that point extended by the
-        v_{k-1} with the lowest max of stage set e_k's lines at x_{k-1}
-        (one_step's lines one step on). The heads of one depth run phase I
-        together, in one lockstep drive; a start whose worst row is below
-        feas_tol is the head's point with no Newton step, as no bound can
-        exceed feas_tol then. A head whose central-path bound exceeds
-        feas_tol screens its programs; one that phase I leaves undecided
-        screens nothing and ends its walk; any other keeps phase I's point.
-        """
-        if not seqs:
-            return [], 0
-        bounds, n_newton = [-np.inf] * len(seqs), 0
-        points = {}  # walked head -> its point (v_0..v_{k-1})
-        for head, members in _groups(seqs, range(len(seqs)), 2).items():
-            low, v0 = self.one_step(x, *head)
-            if low > cfg.feas_tol:
+    if not seqs:
+        return [], 0
+    N = len(seqs[0])
+    st = _horizon(lin, zsets, terminal,
+                  np.atleast_2d(np.asarray(Q, dtype=float)), float(rho), N,
+                  False).at(x)
+    bounds, n_newton = [-np.inf] * len(seqs), 0
+    points = {}  # walked head -> its point (v_0..v_{k-1})
+    for head, members in _groups(seqs, range(len(seqs)), 2).items():
+        low, v0 = one_step(st, *head)
+        if low > cfg.feas_tol:
+            for i in members:
+                bounds[i] = low
+        else:
+            points[head] = np.array([v0])
+    for k in range(2, N):
+        up = max(k - 1, 2)  # depth 1 is keyed by two stage sets
+        walked = [i for i, seq in enumerate(seqs) if seq[:up] in points]
+        tested = [(head, members, _head_program(st, head, points[head[:up]]))
+                  for head, members in _groups(seqs, walked, k).items()
+                  if len(members) > 1]
+        tested = [test for test in tested if not test[2].nonconvex_data]
+        batch = _Batch([prog for _, _, prog in tested])
+        results, _ = _drive([_head_phase1(batch, i, cfg)
+                             for i in range(len(tested))])
+        points = {}
+        for (head, members, _), (z, low, steps) in zip(tested, results):
+            n_newton += steps
+            if low is not None and low > cfg.feas_tol:
                 for i in members:
                     bounds[i] = low
-            else:
-                points[head] = np.array([v0])
-        if len(seqs) < 2:  # no head to share
-            return bounds, n_newton
-        N = len(seqs[0])
-        st = _horizon(self.lin, self.zsets, terminal,
-                      np.atleast_2d(np.asarray(Q, dtype=float)), float(rho),
-                      N, False).at(x)
-        for k in range(2, N):
-            up = max(k - 1, 2)  # depth 1 is keyed by two stage sets
-            walked = [i for i, seq in enumerate(seqs) if seq[:up] in points]
-            tested = [(head, members,
-                       self._head_program(st, head, points[head[:up]]))
-                      for head, members in _groups(seqs, walked, k).items()
-                      if len(members) > 1]
-            tested = [test for test in tested if not test[2].nonconvex_data]
-            batch = _Batch([prog for _, _, prog in tested])
-            results, _ = _drive([_head_phase1(batch, i, cfg)
-                                 for i in range(len(tested))])
-            points = {}
-            for (head, members, _), (z, low, steps) in zip(tested, results):
-                n_newton += steps
-                if low is not None and low > cfg.feas_tol:
-                    for i in members:
-                        bounds[i] = low
-                elif z is not None:
-                    points[head] = z
-            if not points:
-                break
-        return bounds, n_newton
+            elif z is not None:
+                points[head] = z
+        if not points:
+            break
+    return bounds, n_newton
 
-    def _head_program(self, st, head, parent):
-        """Phase-I program of a depth-k head at the state of offsets st,
-        started from the parent head's point extended by the v_{k-1} with
-        the lowest max of stage set e_k's lines at x_{k-1}."""
-        k, e = len(head), head[-1]
-        Sx, ox = st.ops.state_rows(k - 1)
-        _, v = _lowest_max(self.slopes[e - 1], self.zsets[e - 1].all_values(
-            Sx[:, :k - 1] @ parent + ox, 0.0))
-        return _program(st, head, np.append(parent, v))
 
-    def extend(self, i, witness):
-        """A start for the free-x0 program of (i,) + tail from a witness
-        (v_tail, x1) of the tail's: (v0, v_tail, x0(v0)), where x0(v0)
-        steps to x1 under v0, so the tail's constraints see their witness
-        again. v0 is the point of a fixed grid inside the interval that
-        region i's rows allow along that line with the lowest worst value
-        of stage set i's constraints. None without a witness, for singular
-        A_hat, or when region i leaves no interval."""
-        if witness is None or self.back is None:
-            return None
-        inv, q = self.back
-        zs, n = self.zsets[i - 1], q.size
-        p = inv @ witness[-n:]
-        a, c = -(zs.region.C @ q), zs.region.C @ p - zs.region.d
-        lo = np.max(-c[a < 0] / a[a < 0], initial=-np.inf)
-        hi = np.min(-c[a > 0] / a[a > 0], initial=np.inf)
-        if not (lo < hi and np.isfinite(hi - lo)):
-            return None
-        v = lo + (hi - lo) * WITNESS_GRID
-        Z = np.column_stack([p - v[:, None] * q, v])
-        worst = np.max(np.column_stack(
-            [zs.constraints.values_batch(Z), Z @ zs.lifted_C.T - zs.lifted_d]),
-            axis=1)
-        k = int(np.argmin(worst))
-        return np.concatenate([v[k:k + 1], witness[:-n], Z[k, :n]])
-
-    def starts(self, coeffs, below, kappa):
-        """Starts for the free-x0 program of coeffs from the witnesses
-        (v, x0) of the level below ({sequence: witness}), by name in the
-        order a probe tests them: "extended", its tail's witness extended
-        by a first step (extend); "appended", its prefix's witness with the
-        terminal controller's input kappa x appended as a last step: the
-        prefix's last state x lies in the terminal set, which that input
-        keeps invariant. A start without its witness is left out."""
-        out = {"extended": self.extend(coeffs[0], below.get(coeffs[1:]))}
-        prefix = below.get(coeffs[:-1])
-        if prefix is not None:
-            n = self.lin.A_hat.shape[0]
-            x = prefix[-n:]
-            for v in prefix[:-n]:
-                x = self.lin.A_hat @ x + self.lin.b_hat * v
-            out["appended"] = np.concatenate(
-                [prefix[:-n], [float(kappa @ x)], prefix[-n:]])
-        return {name: z for name, z in out.items() if z is not None}
+def _head_program(st, head, parent):
+    """Phase-I program of a depth-k head at the state of offsets st,
+    started from the parent head's point extended by the v_{k-1} with
+    the lowest max of stage set e_k's lines there."""
+    z = np.concatenate([parent, np.zeros(st.ops.n_vars - len(parent))])
+    _, v = _lowest_max(*_lines(st, head[-1], len(parent), z))
+    return _program(st, head, np.append(parent, v))
 
 
 def _groups(seqs, indices, k):
@@ -1408,10 +1341,3 @@ def _groups(seqs, indices, k):
     for i in indices:
         out.setdefault(seqs[i][:k], []).append(i)
     return out
-
-
-def infeasibility_screen(lin, zsets):
-    """The Screen of (lin, zsets), kept in the LRU of compiled horizons;
-    its transition bounds are kept in it, per (terminal, cfg)."""
-    key = ("screen", id(lin), tuple(map(id, zsets)))
-    return _cached(key, lambda: Screen(lin, zsets))

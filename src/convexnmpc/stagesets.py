@@ -297,12 +297,6 @@ class StageSet:
         """'affine' | 'quadratic' | 'smooth' (the constraints' kind)."""
         return self.constraints.kind
 
-    def all_values(self, x, v):
-        """The interval sides' values at (x, v), then the region rows'."""
-        z = _joint(x, v)
-        return np.concatenate([self.constraints.values(z),
-                               self.lifted_C @ z - self.lifted_d])
-
     def contains(self, x, v, tol=MEMBERSHIP_TOL):
         # the region rows first: most points that miss a set miss its region
         return (self.region.contains(x, tol) and bool(

@@ -255,20 +255,30 @@ def full_schedule_transitions(lin, zsets):
     return out
 
 
-def hand_built_head_program(screen, st, head, parent):
+def stage_lines(zs, x):
+    """The lines a v + c of stage set zs at state x, in stage space: its
+    region rows (flat in v), then its interval sides, at (x, 0)."""
+    z = np.append(x, 0.0)
+    c = np.concatenate([zs.lifted_C @ z - zs.lifted_d,
+                        zs.constraints.values(z)])
+    a = np.concatenate([np.zeros(zs.region.n_rows),
+                        zs.constraints.grads(z)[:, -1]])
+    return a, c
+
+
+def hand_built_head_program(st, head, parent):
     """The phase-I program of a depth-k head at the state of the offsets
     st, stacked by hand from its stage blocks' first k columns, started
-    from the parent head's point extended by one step; None for nonconvex
-    data."""
+    from the parent head's point extended by one step: the v with the
+    lowest max of stage set e_k's stage-space lines at x_hat(k-1); None for
+    nonconvex data."""
     k = len(head)
     steps = [st.step(e - 1, j) for j, e in enumerate(head)]
     if any(blk.nonconvex for blk, _ in steps):
         return None
     Sx, ox = st.ops.state_rows(k - 1)
-    e = head[-1]
-    _, v = solver_module._lowest_max(
-        screen.slopes[e - 1],
-        screen.zsets[e - 1].all_values(Sx[:, :k - 1] @ parent + ox, 0.0))
+    _, v = solver_module._lowest_max(*stage_lines(
+        st.hz.zsets[head[-1] - 1], Sx[:, :k - 1] @ parent + ox))
     cons = Constraints.join([cons for _, cons in steps])
     rows = cons.rows[:, :k]
     # rows without a decision variable (the first region's) hold at x
@@ -280,6 +290,34 @@ def hand_built_head_program(screen, st, head, parent):
         prog_class="", coeffs=head, scenario_j=0, ops=st.ops,
         pre_violation=-np.inf, z0_hint=np.append(parent, v),
         nonconvex_data=False)
+
+
+def stage_set_members(zs, rng, count=2000, tries=200_000):
+    """The members of stage set zs that the scalar sampling loop
+
+        while len(members) < count and used < tries:
+            x = rng.uniform(-2.2, 2.2, 2); v = rng.uniform(-4, 4)
+            if zs.contains(x, v, 0.0): members.append((x, v))
+
+    collects, as (x1, x2, v) rows, with rng left where the loop leaves it.
+    All tries are drawn at once (the same doubles, in the same order); a
+    batched test with 1e-9 of slack keeps a superset of the members, which
+    the scalar test then confirms in draw order."""
+    state = rng.bit_generator.state
+    Z = rng.uniform([-2.2, -2.2, -4.0], [2.2, 2.2, 4.0], size=(tries, 3))
+    region = zs.region
+    near = ((Z[:, :2] @ region.C.T - region.d).max(axis=1) <= 1e-9) & (
+        zs.constraints.values_batch(Z).max(axis=1) <= 1e-9)
+    members, used = [], tries
+    for i in np.flatnonzero(near):
+        if zs.contains(Z[i, :2], Z[i, 2], 0.0):
+            members.append(Z[i])
+            if len(members) == count:
+                used = int(i) + 1
+                break
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(3 * used)  # one 64-bit draw per double
+    return members
 
 
 def random_instance(rng, kind):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import convexnmpc as cn
-from helpers import brute_force_level, grid_minimize, random_instance
+from helpers import (brute_force_level, grid_minimize, random_instance,
+                     stage_set_members)
 
 A_REF = np.array([[1.0, 0.1], [0.1, 1.0]])
 
@@ -194,14 +195,7 @@ def test_criterion_6_union_and_convexity_suites(name, request):
             boundary_only += 1
 
     for zs in zsets:
-        members = []
-        tries = 0
-        while len(members) < 2000 and tries < 200_000:
-            tries += 1
-            x = rng.uniform(-2.2, 2.2, 2)
-            v = rng.uniform(-4, 4)
-            if zs.contains(x, v, 0.0):
-                members.append(np.concatenate([x, [v]]))
+        members = stage_set_members(zs, rng)
         for k in range(min(1000, len(members) // 2)):
             mid = 0.5 * (members[2 * k] + members[2 * k + 1])
             assert zs.contains(mid[:2], mid[2], 1e-9)

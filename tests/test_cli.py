@@ -215,6 +215,23 @@ def test_prune_resume_to_a_shorter_horizon(tmp_path, capsys):
         assert set(stored["meta"][key]) == {"1", "2"}
 
 
+def test_resume_summary_counts_only_this_runs_probes(tmp_path, capsys):
+    cat = str(tmp_path / "cat.json")
+    args = ["prune", EX2, *LINFLAGS, "--catalog", cat, "--threads", "1"]
+    assert run([*args, "--horizon", "4"]) == 0
+    # levels 1-4 are stored: a resume to horizon 2 probes nothing
+    assert run([*args, "--horizon", "2", "--resume"]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "0 probes, 0 settled by a witness (0 extended, 0 appended); "
+        "0 candidates screened")
+    # levels 1-2 are stored: a resume to horizon 5 probes levels 3-5, the
+    # counts of a straight horizon-5 prune (35 probes) less those of 1-2
+    assert run([*args, "--horizon", "5", "--resume"]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "27 probes, 27 settled by a witness (21 extended, 6 appended); "
+        "36 candidates screened")
+
+
 def test_prune_resume_keeps_level_counts(tmp_path, capsys):
     straight, resumed = (str(tmp_path / f"{name}.json")
                          for name in ("straight", "resumed"))

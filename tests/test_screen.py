@@ -11,15 +11,19 @@ must come out exactly as without the screen.
 """
 import json
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import convexnmpc as cn
+import convexnmpc.closedloop as closedloop_module
+import convexnmpc.scenario as scenario_module
 import convexnmpc.solver as solver_module
 from helpers import (brute_force_level, full_schedule_transitions,
-                     hand_built_head_program)
+                     hand_built_head_program, stage_lines)
 
 FEAS_TOL = cn.SolverConfig().feas_tol
 SYSTEMS = ("ex2", "ex3")
@@ -30,8 +34,28 @@ GRID = [np.array([a, b]) for a in np.linspace(-1.9, 1.9, 7)
 BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 
 
-def _screen(data):
-    return solver_module.infeasibility_screen(data["lin"], data["zsets"])
+def _transitions(data, cfg=None):
+    return solver_module.transitions(data["lin"], data["zsets"],
+                                     data["terminal"],
+                                     cfg or cn.SolverConfig())
+
+
+def _at(data, x, N):
+    """The offsets of the fixed-x0 horizon N at state x."""
+    Q = np.atleast_2d(np.asarray(data["Q"], dtype=float))
+    return solver_module._horizon(data["lin"], data["zsets"],
+                                  data["terminal"], Q, float(data["rho"]), N,
+                                  False).at(x)
+
+
+def _one_step(data, x, N, head):
+    return solver_module.one_step(_at(data, x, N), *head)
+
+
+def _walk(data, x, seqs):
+    return solver_module.heads(x, seqs, data["lin"], data["zsets"],
+                               data["terminal"], data["Q"], data["rho"],
+                               cn.SolverConfig())
 
 
 def _prune(data, N, **kwargs):
@@ -62,17 +86,16 @@ def pruned(request):
 
 def _without_transition_screen(monkeypatch):
     monkeypatch.setattr(
-        solver_module.Screen, "transitions",
-        lambda self, terminal, cfg: dict.fromkeys(
-            [(i, j) for i in range(1, len(self.zsets) + 1)
-             for j in range(1, len(self.zsets) + 1)], -np.inf))
+        scenario_module, "transitions",
+        lambda lin, zsets, terminal, cfg: dict.fromkeys(
+            [(i, j) for i in range(1, len(zsets) + 1)
+             for j in range(1, len(zsets) + 1)], -np.inf))
 
 
 def _without_one_step_screen(monkeypatch):
     # the one-step bound is the head walk's first depth: both go
-    monkeypatch.setattr(solver_module.Screen, "heads",
-                        lambda self, x, seqs, *args: ([-np.inf] * len(seqs),
-                                                      0))
+    monkeypatch.setattr(closedloop_module, "heads",
+                        lambda x, seqs, *args: ([-np.inf] * len(seqs), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +106,8 @@ def _without_one_step_screen(monkeypatch):
                          ids=IDS.get)
 def test_screened_pairs_probe_infeasible(request, name, n_screened):
     data = request.getfixturevalue(name)
-    screen = _screen(data)
     s = data["spec"].n_regions
-    bounds = screen.transitions(data["terminal"], cn.SolverConfig())
+    bounds = _transitions(data)
     assert set(bounds) == {(i, j) for i in range(1, s + 1)
                            for j in range(1, s + 1)}
     pairs = [pair for pair, bound in bounds.items() if bound > FEAS_TOL]
@@ -103,7 +125,7 @@ def test_transition_rule_matches_full_schedule(request, name):
     # the head walk's rule screens the pairs that phase I through its whole
     # schedule screens, and each finite bound is below the pair's probe
     data = request.getfixturevalue(name)
-    bounds = _screen(data).transitions(data["terminal"], cn.SolverConfig())
+    bounds = _transitions(data)
     reference = full_schedule_transitions(data["lin"], data["zsets"])
     assert bounds.keys() == reference.keys()
     screened = {pair for pair, bound in bounds.items() if bound > FEAS_TOL}
@@ -116,12 +138,31 @@ def test_transition_rule_matches_full_schedule(request, name):
 
 
 def test_transitions_are_kept_per_terminal_and_config(ex2):
-    screen = _screen(ex2)
-    cfg = cn.SolverConfig()
-    bounds = screen.transitions(ex2["terminal"], cfg)
-    assert screen.transitions(ex2["terminal"], cn.SolverConfig()) is bounds
-    loose = screen.transitions(ex2["terminal"], cn.SolverConfig(feas_tol=1.0))
+    bounds = _transitions(ex2)
+    assert _transitions(ex2, cn.SolverConfig()) is bounds
+    loose = _transitions(ex2, cn.SolverConfig(feas_tol=1.0))
     assert loose is not bounds and loose.keys() == bounds.keys()
+
+
+def test_threads_share_one_transition_entry(ex2, monkeypatch):
+    # an empty LRU: threads that ask at once wait for one computation
+    want = _transitions(ex2)
+    monkeypatch.setattr(solver_module, "_HORIZONS", {})
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(_transitions(ex2)))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 and all(bounds is got[0] for bounds in got)
+    assert got[0] == want
 
 
 @pytest.mark.parametrize("name, N", [("ex2", 5), ("ex3", 3)],
@@ -155,9 +196,10 @@ def _heads(data, catalog, x):
 
 def _one_step_lines(data, x, e1, e2=None):
     """The lines a v0 + c of the constraints that depend on v0 alone,
-    straight from the stage set's oracles and the regions."""
-    zs = data["zsets"][e1 - 1]
-    c, a = zs.all_values(x, 0.0), zs.all_values(x, 1.0) - zs.all_values(x, 0.0)
+    straight from the stage set's constraints and the regions: stage set
+    e1's region rows and sides at (x, v0), then region e2's rows at
+    A_hat x + b_hat v0."""
+    a, c = stage_lines(data["zsets"][e1 - 1], x)
     if e2 is not None:
         region, lin = data["zsets"][e2 - 1].region, data["lin"]
         c = np.append(c, region.C @ (lin.A_hat @ x) - region.d)
@@ -166,9 +208,38 @@ def _one_step_lines(data, x, e1, e2=None):
 
 
 @pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
+def test_lines_are_the_stage_space_lines(pruned, name):
+    # the lines read from the compiled blocks at v0 = 0: stage set e1's bit
+    # for bit, region e2's rows (C (A_hat x) there, (C A_hat) x in a block)
+    # to 1e-12; one and two steps on, through earlier inputs, to 1e-12
+    data, catalog = pruned[name]
+    checked = 0
+    for x in GRID:
+        st = _at(data, x, 3)
+        for e1, e2 in _heads(data, catalog, x):
+            a, c = solver_module._lines(st, e1, 0, np.zeros(3), e2)
+            ref_a, ref_c = _one_step_lines(data, x, e1, e2)
+            own = len(stage_lines(data["zsets"][e1 - 1], x)[0])
+            assert a.shape == ref_a.shape and c.shape == ref_c.shape
+            assert np.array_equal(a[:own], ref_a[:own])
+            assert c[:own].tobytes() == ref_c[:own].tobytes()
+            assert np.allclose(a[own:], ref_a[own:], rtol=0.0, atol=1e-12)
+            assert np.allclose(c[own:], ref_c[own:], rtol=0.0, atol=1e-12)
+            for k in (1, 2):
+                z = np.array([0.3, -0.2, 0.0]) * (np.arange(3) < k)
+                a, c = solver_module._lines(st, e2, k, z)
+                Sx, ox = st.ops.state_rows(k)
+                ref_a, ref_c = stage_lines(data["zsets"][e2 - 1],
+                                           Sx @ z + ox)
+                assert np.array_equal(a, ref_a)
+                assert np.allclose(c, ref_c, rtol=0.0, atol=1e-12)
+            checked += 1
+    assert checked > 20
+
+
+@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
 def test_one_step_closed_form_matches_linprog(pruned, name):
     data, catalog = pruned[name]
-    screen = _screen(data)
     checked = 0
     for x in GRID:
         for head in _heads(data, catalog, x):
@@ -183,7 +254,7 @@ def test_one_step_closed_form_matches_linprog(pruned, name):
             assert abs(np.max(a * v + c) - res.fun) <= 1e-9
             # the bound sits below the min-max by its rounding allowance
             allowance = 1e-9 * (1.0 + np.abs(c).max())
-            bound, v0 = screen.one_step(x, *head)
+            bound, v0 = _one_step(data, x, 3, head)
             assert abs(bound + allowance - res.fun) <= 1e-9
             # and its v0 attains the min-max
             assert np.max(a * v0 + c) - res.fun <= 1e-9
@@ -194,11 +265,10 @@ def test_one_step_closed_form_matches_linprog(pruned, name):
 @pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
 def test_one_step_screened_candidates_are_infeasible(pruned, name):
     data, catalog = pruned[name]
-    screen = _screen(data)
     n_screened = 0
     for x in GRID:
         for sc in cn.filter_for_state(catalog, data["spec"], x):
-            bound, _ = screen.one_step(x, *sc.coeffs[:2])
+            bound, _ = _one_step(data, x, 3, sc.coeffs[:2])
             if bound <= FEAS_TOL:
                 continue
             n_screened += 1
@@ -260,17 +330,14 @@ def deep(request):
 @pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
 def test_head_screened_candidates_are_infeasible(deep, name):
     data, catalog = deep[name]
-    screen = _screen(data)
     n_heads, n_newton = 0, 0
     for x in GRID:
         cands = cn.filter_for_state(catalog, data["spec"], x)
-        bounds, steps = screen.heads(x, [sc.coeffs for sc in cands],
-                                     data["terminal"], data["Q"],
-                                     data["rho"], cn.SolverConfig())
+        bounds, steps = _walk(data, x, [sc.coeffs for sc in cands])
         n_newton += steps
         for sc, bound in zip(cands, bounds):
             if (bound <= FEAS_TOL
-                    or screen.one_step(x, *sc.coeffs[:2])[0] > FEAS_TOL):
+                    or _one_step(data, x, 6, sc.coeffs[:2])[0] > FEAS_TOL):
                 continue  # kept, or screened by its one-step bound
             n_heads += 1
             sol = cn.solve(cn.assemble(sc, x, data["lin"],
@@ -294,27 +361,27 @@ def test_head_walk_keeps_decisions(deep, monkeypatch, name):
     assert sum(d[-1] for d in plain) == 0
 
 
-def test_head_programs_match_hand_built(ex3, monkeypatch):
-    # every head program of the walk at 20 query-ex3 pool states, one in
-    # 13 across the pool's regions (stored N=15 catalog), is the hand-built
-    # one, array for array
-    catalog = cn.FeasibleCatalog.load(BENCH_DATA / "ex3_N15_catalog.json")
-    pool = json.loads((BENCH_DATA / "reference.json").read_text())["pools"]
-    built, head_program = [], solver_module.Screen._head_program
+@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
+def test_head_programs_match_hand_built(request, monkeypatch, name):
+    # every head program of the walk at the benchmark pool's states, one in
+    # 2 on loop-ex2 (ridges) and one in 13 on query-ex3 (affine rows), with
+    # the stored N=15 catalogs, is the hand-built one, array for array
+    pool, every = {"ex2": ("loop-ex2", 2), "ex3": ("query-ex3", 13)}[name]
+    data = request.getfixturevalue(name)
+    catalog = cn.FeasibleCatalog.load(BENCH_DATA / f"{name}_N15_catalog.json")
+    states = json.loads((BENCH_DATA / "reference.json").read_text())["pools"]
+    built, head_program = [], solver_module._head_program
 
-    def recorded(self, st, head, parent):
-        prog = head_program(self, st, head, parent)
-        built.append((prog, hand_built_head_program(self, st, head, parent)))
+    def recorded(st, head, parent):
+        prog = head_program(st, head, parent)
+        built.append((prog, hand_built_head_program(st, head, parent)))
         return prog
 
-    monkeypatch.setattr(solver_module.Screen, "_head_program", recorded)
-    screen = _screen(ex3)
-    for entry in pool["query-ex3"][::13]:
+    monkeypatch.setattr(solver_module, "_head_program", recorded)
+    for entry in states[pool][::every]:
         x = np.array(entry["x0"], dtype=float)
-        seqs = [sc.coeffs
-                for sc in cn.filter_for_state(catalog, ex3["spec"], x)]
-        screen.heads(x, seqs, ex3["terminal"], ex3["Q"], ex3["rho"],
-                     cn.SolverConfig())
+        _walk(data, x, [sc.coeffs for sc in
+                        cn.filter_for_state(catalog, data["spec"], x)])
     assert len(built) > 20
     for prog, ref in built:
         assert prog.n_vars == ref.n_vars
@@ -331,14 +398,12 @@ def test_head_programs_match_hand_built(ex3, monkeypatch):
 
 def test_heads_of_nonconvex_data_take_no_newton_step(ex1):
     catalog = _prune(ex1, 5)
-    screen = _screen(ex1)
     for x in GRID:
         seqs = [sc.coeffs
                 for sc in cn.filter_for_state(catalog, ex1["spec"], x)]
-        bounds, steps = screen.heads(x, seqs, ex1["terminal"], ex1["Q"],
-                                     ex1["rho"], cn.SolverConfig())
+        bounds, steps = _walk(ex1, x, seqs)
         # only the one-step bounds screen
-        one_step = [screen.one_step(x, *seq[:2])[0] for seq in seqs]
+        one_step = [_one_step(ex1, x, 5, seq[:2])[0] for seq in seqs]
         assert steps == 0
         assert bounds == [low if low > FEAS_TOL else -np.inf
                           for low in one_step]
@@ -361,9 +426,9 @@ def test_stalled_line_search_is_undecided(ex2, monkeypatch):
     assert cn.solve(prog).status == "Stalled"
     with pytest.raises(cn.NoConvergenceError):
         _probe(data, (1, 2, 1))
-    fresh = solver_module.Screen(data["lin"], data["zsets"])
-    assert fresh.transitions(data["terminal"], cn.SolverConfig())[(1, 2)] \
-        == -np.inf
+    # an empty LRU: the transition bounds are computed under the stall
+    monkeypatch.setattr(solver_module, "_HORIZONS", {})
+    assert _transitions(data)[(1, 2)] == -np.inf
     catalog = cn.FeasibleCatalog(s=3, N=3, levels={3: ((1, 1, 1),)},
                                  feas_tol=FEAS_TOL, terminal_kind="ellipsoid",
                                  content_hash="")

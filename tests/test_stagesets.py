@@ -3,7 +3,8 @@ import pytest
 
 import convexnmpc as cn
 from convexnmpc.stagesets import _overlapping_pieces, _thin_slab
-from helpers import finite_diff_grad, finite_diff_hess, toy_spec
+from helpers import (finite_diff_grad, finite_diff_hess, stage_set_members,
+                     toy_spec)
 from test_geometry import lp_chebyshev
 
 # finite_diff_hess at h = 1e-4 reads the exactly flat directions of a ridge
@@ -233,18 +234,32 @@ class TestUnionEquivalence:
         zsets = data["zsets"]
         rng = np.random.default_rng(23)
         for zs in zsets:
-            members = []
-            tries = 0
-            while len(members) < 2_000 and tries < 200_000:
-                tries += 1
-                x = rng.uniform(-2.2, 2.2, 2)
-                v = rng.uniform(-4, 4)
-                if zs.contains(x, v, 0.0):
-                    members.append(np.concatenate([x, [v]]))
+            members = stage_set_members(zs, rng)
             pairs = min(1_000, len(members) // 2)
             for k in range(pairs):
                 mid = 0.5 * (members[2 * k] + members[2 * k + 1])
                 assert zs.contains(mid[:2], mid[2], 1e-9)
+
+    @pytest.mark.parametrize("name", ["ex2", "ex3"])
+    @pytest.mark.parametrize("count, tries", [(300, 3_000), (10**6, 500)])
+    def test_members_are_those_of_the_scalar_loop(self, name, count, tries,
+                                                  request):
+        # member bytes and the next draw, whether count or tries ends it
+        zsets = request.getfixturevalue(name)["zsets"]
+        for zs in zsets:
+            rng, ref = (np.random.default_rng(29 + zs.index)
+                        for _ in range(2))
+            members, used = [], 0
+            while len(members) < count and used < tries:
+                used += 1
+                x = ref.uniform(-2.2, 2.2, 2)
+                v = ref.uniform(-4, 4)
+                if zs.contains(x, v, 0.0):
+                    members.append(np.concatenate([x, [v]]))
+            got = stage_set_members(zs, rng, count, tries)
+            assert np.array(got).tobytes() == np.array(members).tobytes()
+            assert len(got) == len(members)
+            assert rng.random() == ref.random()
 
 
 class TestLemmaForward:

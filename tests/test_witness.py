@@ -15,7 +15,6 @@ import pytest
 
 import convexnmpc as cn
 import convexnmpc.scenario as scenario_module
-import convexnmpc.solver as solver_module
 
 
 def _prune(data, N, **kwargs):
@@ -31,8 +30,7 @@ def _program(data, coeffs):
 
 def _cold(monkeypatch):
     """Give every probe no start: both start sources off."""
-    monkeypatch.setattr(solver_module.Screen, "starts",
-                        lambda self, coeffs, below, kappa: {})
+    monkeypatch.setattr(scenario_module, "starts", lambda *args: {})
 
 
 @pytest.mark.parametrize("name, N", [("ex1", 15), ("ex2", 6), ("ex3", 4)])
@@ -136,11 +134,18 @@ def test_singular_a_hat_takes_the_cold_path(monkeypatch):
     zsets = cn.build_stage_sets(spec, lin)
     term = cn.build_terminal(spec, lin, zsets, 0.5 * np.eye(2), 1.0,
                              kind="ellipsoid")
-    screen = solver_module.infeasibility_screen(lin, zsets)
-    assert screen.extend(1, np.zeros(3)) is None
-    # the appended start needs no inverse of A_hat
+    made, starts = [], scenario_module.starts
+
+    def recorded(*args):
+        made.append(starts(*args))
+        return made[-1]
+
+    monkeypatch.setattr(scenario_module, "starts", recorded)
     catalog = cn.prune_catalog(spec, lin, zsets, term, 3)
     assert catalog.count(3) > 0
+    # no probe gets an extended start; the appended one needs no inverse
+    assert not any("extended" in out for out in made)
+    assert any("appended" in out for out in made)
     assert catalog.meta["warm"] == catalog.meta["appended"]
     _cold(monkeypatch)
     cold = cn.prune_catalog(spec, lin, zsets, term, 3)

@@ -4,7 +4,7 @@ Run from the root of a checkout (a minute or two on one core):
 
     python3 tools/solver_digest.py
 
-Prints sha256[:16] over one float-hex line per result for nine sets:
+Prints sha256[:16] over one float-hex line per result for ten sets:
 
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
@@ -34,7 +34,11 @@ Prints sha256[:16] over one float-hex line per result for nine sets:
 - geometry: for ex1, ex2 and ex3, every region's bounding box,
             Chebyshev centre and PWA overlap list, and the terminal's
             polytope rows or ellipsoid level; then the PWA piece index at
-            every query-ex3 pool state.
+            every query-ex3 pool state;
+- heads:    n_head_newton of evaluate_ocp at every pool state (from the
+            error's details at a state with no Optimal candidate): the
+            Newton steps of the head walk, which move with any change to
+            its head programs or their starts.
 
 A constraint's line is its form's class name with its fields, in the
 order the program or stage set holds them, as AffineCon{row,offset},
@@ -219,9 +223,9 @@ def decision_digest():
     return out
 
 
-def screen_digest():
+def screen_digests():
     pools = json.loads((DATA / "reference.json").read_text())["pools"]
-    out = Digest()
+    out, heads = Digest(), Digest()
     for system, pool in (("ex2", "loop-ex2"), ("ex3", "query-ex3")):
         pipe = pipeline(system)
         catalog = FeasibleCatalog.load(DATA / f"{system}_N15_catalog.json")
@@ -230,16 +234,19 @@ def screen_digest():
         for entry in pools[pool]:
             x = np.array(entry["x0"], dtype=float)
             try:
-                per = evaluate_ocp(x, *args, cfg=pipe.solver_cfg,
-                                   keep_per_scenario=True).per_scenario
+                step = evaluate_ocp(x, *args, cfg=pipe.solver_cfg,
+                                    keep_per_scenario=True)
+                per, n_head_newton = step.per_scenario, step.n_head_newton
             except InfeasibleStateError as exc:
-                # without per_scenario in the details, the screened count
-                per = exc.details.get("per_scenario")
-                if per is None:
-                    out.add("infeasible", exc.details["n_screened"])
-                    continue
-            out.add(*[(j, status) for j, status, _ in per])
-    return out
+                per, n_head_newton, n_screened = (
+                    exc.details.get("per_scenario"),
+                    exc.details["n_head_newton"], exc.details["n_screened"])
+            heads.add(n_head_newton)
+            if per is None:  # not in the details: the screened count
+                out.add("infeasible", n_screened)
+            else:
+                out.add(*[(j, status) for j, status, _ in per])
+    return out, heads
 
 
 def prune_digest():
@@ -290,10 +297,12 @@ def main():
     print(f"solves    {solves}", flush=True)
     print(f"decisions {decision_digest()}")
     print(f"batched   {batched}")
-    print(f"screens   {screen_digest()}")
+    screens, heads = screen_digests()
+    print(f"screens   {screens}")
     print(f"prune     {prune_digest()}")
     print(f"stagesets {stageset_digest()}")
     print(f"geometry  {geometry_digest()}")
+    print(f"heads     {heads}")
 
 
 if __name__ == "__main__":
