@@ -23,10 +23,10 @@ from .stagesets import (StageSet, build_stage_sets, in_union_direct,
 from .terminal import (TerminalIngredients, build_terminal, dare_residual,
                        ellipsoidal_terminal, lqr_gain, maximal_admissible_set,
                        solve_dare, verify_terminal_axioms)
-from .scenario import (FeasibleCatalog, Scenario, catalog_hash, decode,
-                       encode, filter_for_state, prune_catalog)
-from .solver import (ConvexProgram, Solution, SolverConfig, assemble,
-                     condense, solve, solve_feasibility, solve_many)
+from .scenario import (FeasibleCatalog, catalog_hash, decode, encode,
+                       filter_for_state, prune_catalog)
+from .solver import (ConvexProgram, Solution, SolverConfig, assemble, solve,
+                     solve_feasibility, solve_many)
 from .closedloop import (GridTable, MpcStepResult, Trajectory, evaluate_ocp,
                          sample_grid, simulate)
 

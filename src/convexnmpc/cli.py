@@ -21,7 +21,7 @@ from .errors import (CatalogMismatchError, InfeasibleStateError,
 from .linearize import (bound_interval, build_linearization,
                         compute_output_vector, u_of_v)
 from .model import load_system, validate_assumption1
-from .scenario import (FeasibleCatalog, Scenario, catalog_hash, decode,
+from .scenario import (FeasibleCatalog, catalog_hash, decode,
                        filter_for_state, prune_catalog)
 from .solver import SolverConfig, assemble, solve_many
 from .stagesets import build_stage_sets
@@ -75,11 +75,15 @@ class RunConfig:
 
     def __post_init__(self):
         _at_least(self.horizon, 1, "horizon")
-        for name in ("feas_tol", "kkt_tol"):
-            if getattr(self, name) <= 0:
+        for name in ("feas_tol", "kkt_tol", "rho"):  # rho None: derived
+            value = getattr(self, name)
+            if value is not None and value <= 0:
                 raise SchemaError(f"{name} must be positive")
         if self.q_diag < 0:
             raise SchemaError("state weight must be PSD")
+        for name in ("b0", "beta_target"):
+            if getattr(self, name) == 0:
+                raise SchemaError(f"{name} must be nonzero")
         _at_least(self.threads, 1, "thread count (--threads or NMPC_THREADS)")
 
 
@@ -292,8 +296,7 @@ def cmd_solve(args):
     x = _parse_vec(args.x0, "--x0", pipe.spec.n)
     catalog = _load_catalog_checked(pipe)
     if args.scenario is not None:
-        coeffs = decode(args.scenario, catalog.s, catalog.N)
-        cands = [Scenario(coeffs, catalog.s)]
+        cands = [decode(args.scenario, catalog.s, catalog.N)]
     else:
         cands = filter_for_state(catalog, pipe.spec, x)
     if not cands:
@@ -301,8 +304,8 @@ def cmd_solve(args):
             "no catalog scenario starts in a region containing the query "
             "state", details_x=x.tolist())
     sols, n_rounds = solve_many(
-        [assemble(sc, x, pipe.lin, pipe.zsets, pipe.terminal,
-                  pipe.Q, pipe.rho) for sc in cands], pipe.solver_cfg)
+        [assemble(c, x, pipe.lin, pipe.zsets, pipe.terminal,
+                  pipe.Q, pipe.rho) for c in cands], pipe.solver_cfg)
     results = [_solution_dict(pipe, x, sol) for sol in sols]
     # the candidate evaluate_ocp applies, or the first when none is Optimal
     shown = results[applied_candidate(sols) or 0]

@@ -19,8 +19,8 @@ from .linearize import u_of_v
 from .model import dynamics_step
 from .scenario import filter_for_state, worker_map
 # solve is not called here, but perfbench/tracing.py wraps closedloop.solve
-from .solver import (SolverConfig, assemble, heads, solve,  # noqa: F401
-                     solve_many)
+from .solver import (SolverConfig, assemble, encode, heads,  # noqa: F401
+                     solve, solve_many)
 
 TIE_TOL = 1e-9
 UNDECIDED = ("IterLimit", "Stalled")  # statuses that decide nothing
@@ -131,18 +131,18 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
     candidates = filter_for_state(catalog, spec, x)
-    bounds, n_head_newton = heads(x, [sc.coeffs for sc in candidates], lin,
-                                  zsets, terminal, Q, rho, cfg)
+    bounds, n_head_newton = heads(x, candidates, lin, zsets, terminal, Q, rho,
+                                  cfg)
     screened = [low > cfg.feas_tol for low in bounds]
     solved, n_rounds = solve_many(
-        [assemble(sc, x, lin, zsets, terminal, Q, rho)
-         for sc, out in zip(candidates, screened) if not out], cfg)
+        [assemble(c, x, lin, zsets, terminal, Q, rho)
+         for c, out in zip(candidates, screened) if not out], cfg)
     found = iter(solved)
     sols = [None if out else next(found) for out in screened]
     statuses = ["Screened" if sol is None else sol.status for sol in sols]
     n_undecided = sum(status in UNDECIDED for status in statuses)
     n_screened = statuses.count("Screened")
-    per = ([(c.j, status, np.nan if s is None else s.V)
+    per = ([(encode(c, catalog.s), status, np.nan if s is None else s.V)
             for c, status, s in zip(candidates, statuses, sols)]
            if keep_per_scenario else None)
     best = applied_candidate(sols)
@@ -152,10 +152,11 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
             details_x=x.tolist(), n_undecided=n_undecided,
             n_screened=n_screened, n_head_newton=n_head_newton,
             per_scenario=per)
-    sc, sol = candidates[best], sols[best]
+    sol = sols[best]
     v0 = float(sol.v_seq[0])
-    return MpcStepResult(u=u_of_v(lin, spec, x, v0), v=v0, j_star=sc.j,
-                         V=sol.V, n_scenarios_solved=len(sols) - n_screened,
+    return MpcStepResult(u=u_of_v(lin, spec, x, v0), v=v0,
+                         j_star=sol.scenario_j, V=sol.V,
+                         n_scenarios_solved=len(sols) - n_screened,
                          per_scenario=per, n_undecided=n_undecided,
                          n_screened=n_screened,
                          n_newton=sum(s.n_newton for s in solved),

@@ -1,7 +1,8 @@
 """Scenario indexing, tree pruning, and per-state filtering.
 
-A scenario assigns one stage set per prediction step. Scenarios are indexed
-by the base-s expansion j = 1 + sum_k (eps_k - 1) s^k. Offline pruning walks
+A scenario is a coefficient sequence, a tuple of one stage set per
+prediction step, indexed by the base-s expansion
+j = 1 + sum_k (eps_k - 1) s^k (encode, decode). Offline pruning walks
 horizons 1..N, keeping only coefficient sequences whose subproblem admits
 some initial state; extending a sequence prepends a fresh first step, so an
 infeasible tail can never become feasible again and the catalog is closed
@@ -40,23 +41,6 @@ def decode(j, s, N):
         coeffs.append(rem % s + 1)
         rem //= s
     return tuple(coeffs)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    coeffs: tuple
-    s: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(e) for e in self.coeffs))
-
-    @property
-    def j(self):
-        return encode(self.coeffs, self.s)
-
-    @property
-    def N(self):
-        return len(self.coeffs)
 
 
 def catalog_hash(spec, lin, terminal, feas_tol):
@@ -336,12 +320,8 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
 
 
 def filter_for_state(catalog, spec, x, tol=MEMBERSHIP_TOL):
-    """Scenarios of the catalog's horizon whose first region contains x,
-    ascending by index."""
+    """The coefficient sequences of the catalog's horizon whose first region
+    contains x, ascending by scenario index (encode)."""
     members = region_membership(spec, x, tol)
-    if not members:
-        return []
-    out = [Scenario(c, catalog.s) for c in catalog.sequences()
-           if c[0] in members]
-    out.sort(key=lambda sc: sc.j)
-    return out
+    return sorted((c for c in catalog.sequences() if c[0] in members),
+                  key=lambda c: encode(c, catalog.s))

@@ -1,11 +1,13 @@
 """Per-scenario convex programs in condensed form, a barrier solver, and
 certified bounds that screen infeasible programs before any Newton step.
 
-Predicted states are eliminated through the linear prediction map, leaving
-the artificial inputs (plus the initial state, when it is left free for
-feasibility probing) as the only decision variables. One log-barrier
-interior-point method covers all constraint classes; the QP/QCQP/NLP tag
-is reporting metadata, not a solver dispatch.
+Predicted states are eliminated through the condensed prediction map
+x_hat = S z + offset of a compiled horizon (_Horizon), leaving the
+artificial inputs (plus the initial state, when it is left free for
+feasibility probing) as the only decision variables z; a program carries
+its S and offset. A scenario is a coefficient sequence, one stage set per
+step. One log-barrier interior-point method covers all constraint
+classes; the QP/QCQP/NLP tag is reporting metadata, not a solver dispatch.
 
 One builder (_program) makes every program from one compiled horizon: a
 scenario's program (assemble), and the phase-I program of a head, a
@@ -70,60 +72,8 @@ from .stagesets import Constraints, _readonly
 
 
 # ---------------------------------------------------------------------------
-# condensed prediction
+# condensed prediction and compiled program blocks
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PredictionOperators:
-    """Linear map from the decision vector to the stacked predicted states.
-
-    states(z) = S z + offset, stacked as (N+1) blocks of length n. The
-    decision vector is (v_0..v_{N-1}) and, when the initial state is free,
-    the appended x0 block.
-    """
-
-    N: int
-    n: int
-    S: np.ndarray
-    offset: np.ndarray
-    x0: np.ndarray  # None when free
-    free_x0: bool
-
-    @property
-    def n_vars(self):
-        return self.S.shape[1]
-
-    def state_rows(self, k):
-        """Rows of (S, offset) giving x_hat(k)."""
-        sl = slice(k * self.n, (k + 1) * self.n)
-        return self.S[sl], self.offset[sl]
-
-    def step_map(self, k):
-        """Map z -> (x_hat(k), v_k) as (M, m)."""
-        Sx, ox = self.state_rows(k)
-        M = np.zeros((self.n + 1, self.n_vars))
-        M[: self.n] = Sx
-        M[self.n, k] = 1.0
-        m = np.concatenate([ox, [0.0]])
-        return M, m
-
-    def terminal_map(self):
-        return self.state_rows(self.N)
-
-    def states(self, z):
-        return (self.S @ z + self.offset).reshape(self.N + 1, self.n)
-
-
-def condense(lin, N, x0=None):
-    """Prediction operators for horizon N.
-
-    x0=None leaves the initial state free: its components are appended to
-    the decision vector and the offset vanishes.
-    """
-    if N < 1:
-        raise ValueError("horizon must be >= 1")
-    return _operators(*_responses(lin, N), x0)
-
 
 def _responses(lin, N):
     """(Gamma, Phi): the stacked states x_hat(0..N) are Gamma v + Phi x0."""
@@ -141,22 +91,6 @@ def _responses(lin, N):
             Gamma[k * n:(k + 1) * n, i] = impulse[k - 1 - i]
     return Gamma, np.vstack(powers)
 
-
-def _operators(Gamma, Phi, x0):
-    N, n = Gamma.shape[1], Phi.shape[1]
-    if x0 is None:
-        S = np.hstack([Gamma, Phi])
-        offset = np.zeros((N + 1) * n)
-        return PredictionOperators(N=N, n=n, S=S, offset=offset, x0=None,
-                                   free_x0=True)
-    x0 = np.asarray(x0, dtype=float)
-    return PredictionOperators(N=N, n=n, S=Gamma, offset=Phi @ x0, x0=x0,
-                               free_x0=False)
-
-
-# ---------------------------------------------------------------------------
-# compiled program blocks
-# ---------------------------------------------------------------------------
 
 class _StageBlock:
     """Stage set zs at one step, composed with the step map
@@ -188,49 +122,49 @@ class _StageBlock:
 
 class _Horizon:
     """The programs of one horizon: the parts that do not depend on x0,
-    compiled once, and the offsets of the latest state (see at)."""
+    compiled once, and the offsets of the latest state (see at). The states
+    x_hat(0..N) are S z + offset, z = (v_0..v_{N-1}) with x0 appended when
+    it is free: S is Gamma, or [Gamma Phi] when x0 is free, and the offset
+    is Phi x0, or 0 when x0 is free (_Offsets)."""
 
     def __init__(self, lin, zsets, terminal, Q, rho, N, free):
         # strong references: no id in the cache key is reused while the
         # entry lives
         self.lin, self.zsets, self.terminal = lin, tuple(zsets), terminal
         self.Q = _readonly(Q.copy())
-        self.Gamma, self.Phi = map(_readonly, _responses(lin, N))
-        # for fixed x0 a template: each state takes its own offset Phi x0
-        ops = _operators(self.Gamma, self.Phi,
-                         None if free else np.zeros(lin.A_hat.shape[0]))
-        self.ops = ops
-        _readonly(ops.S)
-        _readonly(ops.offset)
-        self.blocks = [[_StageBlock(zs, ops.step_map(k)[0])
-                        for k in range(N)] for zs in self.zsets]
-        H = np.zeros((ops.n_vars, ops.n_vars))
+        Gamma, Phi = _responses(lin, N)
+        self.N, self.n, self.Phi = N, Phi.shape[1], _readonly(Phi)
+        self.S = _readonly(np.hstack([Gamma, Phi]) if free else Gamma)
+        self.n_vars = self.S.shape[1]
+        self.blocks = [[_StageBlock(zs, self.step_map(k)) for k in range(N)]
+                       for zs in self.zsets]
+        H = np.zeros((self.n_vars, self.n_vars))
         self.QS = []
         for k in range(N):
-            Sx, _ = ops.state_rows(k)
+            Sx = self.rows(k)
             self.QS.append(_readonly(Q @ Sx))
             H += Sx.T @ self.QS[-1]
             H[k, k] += rho
-        SN, _ = ops.terminal_map()
+        SN = self.rows(N)
         self.PS = _readonly(terminal.P @ SN)
         H += SN.T @ self.PS
         self.H = _readonly(0.5 * (H + H.T))
         # the terminal set at x_hat(N) = SN z, with the offsets of oN = 0
         tset = terminal.tset
         if isinstance(tset, Polytope):
-            self.term = Constraints.of(ops.n_vars, ops.n, rows=tset.C @ SN,
-                                       offsets=tset.d)
+            self.term = Constraints.of(self.n_vars, self.n,
+                                       rows=tset.C @ SN, offsets=tset.d)
         elif isinstance(tset, Ellipsoid):
             Hq = 2.0 * (SN.T @ tset.P_shape @ SN)
-            self.term = Constraints.of(ops.n_vars, ops.n,
+            self.term = Constraints.of(self.n_vars, self.n,
                                        H=[0.5 * (Hq + Hq.T)],
-                                       w=[np.zeros(ops.n_vars)],
+                                       w=[np.zeros(self.n_vars)],
                                        c0=[-tset.level])
         else:
             raise TypeError("terminal set must be a Polytope or an Ellipsoid")
         self.hints = []  # free x0: from the Chebyshev centre of region i
         for zs in self.zsets if free else ():
-            z0 = np.zeros(ops.n_vars)
+            z0 = np.zeros(self.n_vars)
             center, _ = zs.region.chebyshev_center()
             if center is not None:
                 z0[N:] = center
@@ -238,6 +172,17 @@ class _Horizon:
         # a free horizon has one set of offsets, keyed None; a fixed one
         # starts with none (no state's key is None)
         self.latest = (None, _Offsets(self, None) if free else None)
+
+    def rows(self, k):
+        """The rows of S that give x_hat(k)."""
+        return self.S[k * self.n:(k + 1) * self.n]
+
+    def step_map(self, k):
+        """M of the step map z -> (x_hat(k), v_k) = M z + m (_Offsets.ms)."""
+        M = np.zeros((self.n + 1, self.n_vars))
+        M[:self.n] = self.rows(k)
+        M[self.n, k] = 1.0
+        return M
 
     def at(self, x0):
         """Offsets at x0 (None: free), computed once per state; only the
@@ -252,29 +197,27 @@ class _Horizon:
         """Fill z0's inputs with the terminal controller's rollout from
         x_roll: strictly feasible for any state well inside the feasible
         set, so phase I is then skipped."""
-        for k in range(self.ops.N):
+        for k in range(self.N):
             z0[k] = float(self.terminal.kappa @ x_roll)
             x_roll = self.lin.A_hat @ x_roll + self.lin.b_hat * z0[k]
         return _readonly(z0)
 
 
 class _Offsets:
-    """What the programs at one state add to their horizon's blocks."""
+    """What the programs at one state x0 (None: free) add to their
+    horizon's blocks, the offset of the prediction map first."""
 
     def __init__(self, hz, x0):
-        ops = hz.ops
-        if x0 is not None:
-            ops = _operators(hz.Gamma, hz.Phi, _readonly(x0.copy()))
-            _readonly(ops.offset)
-        f = np.zeros(ops.n_vars)
-        c0 = 0.0
+        self.offset = _readonly(np.zeros((hz.N + 1) * hz.n) if x0 is None
+                                else hz.Phi @ x0)
+        xs = self.offset.reshape(hz.N + 1, hz.n)
+        f, c0 = np.zeros(hz.n_vars), 0.0
         self.ms = []  # m of the step map at each k
-        for k, QS in enumerate(hz.QS):
-            _, ox = ops.state_rows(k)
+        for ox, QS in zip(xs, hz.QS):
             f += 2.0 * (ox @ QS)
             c0 += float(ox @ hz.Q @ ox)
             self.ms.append(_readonly(np.concatenate([ox, [0.0]])))
-        SN, oN = ops.terminal_map()
+        SN, oN = hz.rows(hz.N), xs[hz.N]
         f += 2.0 * (oN @ hz.PS)
         c0 += float(oN @ hz.terminal.P @ oN)
         tset = hz.terminal.tset
@@ -287,8 +230,8 @@ class _Offsets:
                 c0=_readonly(np.array(
                     [float(oN @ tset.P_shape @ oN) - tset.level])))
         self.hint = (None if x0 is None
-                     else hz.rollout(np.zeros(ops.n_vars), ops.x0.copy()))
-        self.hz, self.ops, self.f, self.c0 = hz, ops, _readonly(f), c0
+                     else hz.rollout(np.zeros(hz.n_vars), x0.copy()))
+        self.hz, self.f, self.c0 = hz, _readonly(f), c0
         self.steps = {}
 
     def step(self, i, k):
@@ -314,6 +257,9 @@ def _cached(key, build):
 
 
 def _horizon(lin, zsets, terminal, Q, rho, N, free):
+    """The compiled horizon, Q taken as a float matrix and rho as a
+    float."""
+    Q, rho = np.atleast_2d(np.asarray(Q, dtype=float)), float(rho)
     key = (id(lin), tuple(map(id, zsets)), id(terminal), Q.shape,
            Q.tobytes(), rho, N, free)
     return _cached(key, lambda: _Horizon(lin, zsets, terminal, Q, rho, N,
@@ -330,7 +276,8 @@ class ConvexProgram:
 
     Objective value is z'Hz + f.z + c0 (H symmetric PSD under the stage-cost
     conventions). The constraints cons <= 0 are one Constraints, each form
-    in step order, the terminal set's last.
+    in step order, the terminal set's last. The predicted states are
+    S z + offset over horizon N (see states and _Horizon).
     """
 
     n_vars: int
@@ -338,10 +285,10 @@ class ConvexProgram:
     f: np.ndarray
     c0: float
     cons: Constraints
-    prog_class: str
-    coeffs: tuple
     scenario_j: int
-    ops: PredictionOperators
+    N: int
+    S: np.ndarray
+    offset: np.ndarray
     pre_violation: float
     z0_hint: np.ndarray
     nonconvex_data: bool
@@ -349,6 +296,15 @@ class ConvexProgram:
     @property
     def n_constraints(self):
         return len(self.cons)
+
+    @property
+    def prog_class(self):
+        return {"smooth": "NLP", "quadratic": "QCQP",
+                "affine": "QP"}[self.cons.kind]
+
+    def states(self, z):
+        """The predicted states x_hat(0..N) at z, one per row."""
+        return (self.S @ z + self.offset).reshape(self.N + 1, -1)
 
     def objective_value(self, z):
         return float(z @ self.H @ z + self.f @ z + self.c0)
@@ -360,9 +316,6 @@ class ConvexProgram:
         cons = self.cons
         return np.concatenate([cons.rows @ z - cons.offsets,
                                cons.curved_values(z)])
-
-
-PROG_CLASS = {"smooth": "NLP", "quadratic": "QCQP", "affine": "QP"}
 
 
 def encode(coeffs, s):
@@ -377,29 +330,24 @@ def encode(coeffs, s):
     return j
 
 
-def _scenario_coeffs(scenario):
-    coeffs = tuple(scenario.coeffs) if hasattr(scenario, "coeffs") else tuple(scenario)
-    if not coeffs:
-        raise ValueError("empty scenario")
-    return coeffs
-
-
-def assemble(scenario, x0, lin, zsets, terminal, Q, rho):
-    """Build the condensed convex program for one constraint scenario.
+def assemble(coeffs, x0, lin, zsets, terminal, Q, rho):
+    """Build the condensed convex program of one scenario, a coefficient
+    sequence (one stage set per step).
 
     x0=None leaves the initial state free (used by the offline pruning);
     otherwise the program is parameterized by the fixed initial state. The
     program's arrays are read-only: those that do not depend on x0 are
-    shared by every program of its horizon. The scenario is checked here;
+    shared by every program of its horizon. The sequence is checked here;
     _program builds it, as it builds the screens' head programs.
     """
-    coeffs = _scenario_coeffs(scenario)
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    coeffs = tuple(coeffs)
+    if not coeffs:
+        raise ValueError("empty scenario")
     encode(coeffs, len(zsets))
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-    return _program(_horizon(lin, zsets, terminal, Q, float(rho),
-                             len(coeffs), x0 is None).at(x0), coeffs)
+    return _program(_horizon(lin, zsets, terminal, Q, rho, len(coeffs),
+                             x0 is None).at(x0), coeffs)
 
 
 def _program(st, coeffs, start=None):
@@ -411,16 +359,16 @@ def _program(st, coeffs, start=None):
     v_0..v_{k-1} and x0 when it is free, with no terminal and zero cost,
     started at start.
     """
-    hz, ops, head = st.hz, st.ops, start is not None
+    hz, head = st.hz, start is not None
     blks, parts = map(list, zip(*(st.step(e - 1, k)
                                   for k, e in enumerate(coeffs))))
     if not head:
         parts.append(st.term)
         start = st.hint if st.hint is not None else hz.hints[coeffs[0] - 1]
     cons = Constraints.join(parts)
-    n_vars, H, f, c0 = ops.n_vars, hz.H, st.f, st.c0
+    n_vars, H, f, c0 = hz.n_vars, hz.H, st.f, st.c0
     if head:
-        cols = [*range(len(coeffs)), *range(ops.N, n_vars)]
+        cols = [*range(len(coeffs)), *range(hz.N, n_vars)]
         if len(cols) < n_vars:  # cut the inputs past the head
             cons = replace(cons, rows=cons.rows[:, cols],
                            X=cons.X[:, :, cols], lin=cons.lin[:, cols],
@@ -436,8 +384,8 @@ def _program(st, coeffs, start=None):
                    offsets=_readonly(cons.offsets[~constant]))
 
     return ConvexProgram(n_vars=n_vars, H=H, f=f, c0=c0, cons=cons,
-                         prog_class=PROG_CLASS[cons.kind], coeffs=coeffs,
-                         scenario_j=encode(coeffs, len(hz.zsets)), ops=ops,
+                         scenario_j=encode(coeffs, len(hz.zsets)), N=hz.N,
+                         S=hz.S, offset=st.offset,
                          pre_violation=pre_violation, z0_hint=start,
                          nonconvex_data=any(blk.nonconvex for blk in blks))
 
@@ -1116,8 +1064,8 @@ def _solve(batch, i, cfg):
             V, v_seq, x_traj, maxc = nan, None, None, nan
         else:
             V = prog.objective_value(z)
-            v_seq = z[: prog.ops.N].copy()
-            x_traj = prog.ops.states(z)
+            v_seq = z[: prog.N].copy()
+            x_traj = prog.states(z)
             vals = prog.constraint_values(z)
             maxc = float(np.max(vals)) if vals.size else 0.0
         return Solution(status=status, V=V, v_seq=v_seq, x_traj=x_traj,
@@ -1263,7 +1211,7 @@ def one_step(st, e1, e2=None):
     alone (_lines at v0 = 0): stage set e1's, its region rows included,
     and region e2's rows at step 1. Their lowest max, less a rounding
     allowance, and a v0 where it is attained."""
-    a, c = _lines(st, e1, 0, np.zeros(st.ops.n_vars), e2)
+    a, c = _lines(st, e1, 0, np.zeros(st.hz.n_vars), e2)
     low, v0 = _lowest_max(a, c)
     return low - 1e-9 * (1.0 + np.abs(c).max()), v0
 
@@ -1291,9 +1239,7 @@ def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
     if not seqs:
         return [], 0
     N = len(seqs[0])
-    st = _horizon(lin, zsets, terminal,
-                  np.atleast_2d(np.asarray(Q, dtype=float)), float(rho), N,
-                  False).at(x)
+    st = _horizon(lin, zsets, terminal, Q, rho, N, False).at(x)
     bounds, n_newton = [-np.inf] * len(seqs), 0
     points = {}  # walked head -> its point (v_0..v_{k-1})
     for head, members in _groups(seqs, range(len(seqs)), 2).items():
@@ -1330,7 +1276,7 @@ def _head_program(st, head, parent):
     """Phase-I program of a depth-k head at the state of offsets st,
     started from the parent head's point extended by the v_{k-1} with
     the lowest max of stage set e_k's lines there."""
-    z = np.concatenate([parent, np.zeros(st.ops.n_vars - len(parent))])
+    z = np.concatenate([parent, np.zeros(st.hz.n_vars - len(parent))])
     _, v = _lowest_max(*_lines(st, head[-1], len(parent), z))
     return _program(st, head, np.append(parent, v))
 

@@ -148,25 +148,33 @@ def ellipsoidal_terminal(P, kappa, z1, A_cl, n_samples=N_LEVEL_SAMPLES, seed=0):
     """Largest invariant sublevel set {x'Px <= c} admissible on samples.
 
     Invariance does not depend on the level: it is the contraction test,
-    made once (to 1e-12), and NoPositiveLevelError when it fails. A level
+    made once (to 1e-12), and NoPositiveLevelError when it fails, as when
+    P is not positive definite (no sublevel set is bounded). A level
     is admissible when the region and the stage constraints hold under
     v = kappa.x; for convex stage sets both are convex in x, so they are
     checked on deterministic samples of the shell x'Px = c only. Bisection
     to relative width 1e-6.
     """
     shell = Ellipsoid(P, 1.0)
+    if np.linalg.eigvalsh(shell.P_shape)[0] <= 0:
+        raise NoPositiveLevelError("terminal cost P is not positive definite")
     if contraction(shell, A_cl) > 1 + 1e-12:
         raise NoPositiveLevelError(
             "the closed loop does not contract the terminal cost, so no "
             "sublevel set is invariant")
-    unit_shell = shell.boundary_points(n_samples, seed)
+    # blocks of 1,000 points keep each temporary small: one batch of all
+    # made glibc return heap pages and fault them back in on every call
+    blocks = np.array_split(shell.boundary_points(n_samples, seed),
+                            max(1, n_samples // 1000))
 
     def feasible(level):
-        X = np.sqrt(level) * unit_shell
-        if np.any(X @ z1.region.C.T - z1.region.d > 1e-12):
-            return False
-        Z = np.hstack([X, (X @ kappa)[:, None]])
-        return not np.any(z1.constraints.values_batch(Z) > 1e-12)
+        for X in (np.sqrt(level) * U for U in blocks):
+            if np.any(X @ z1.region.C.T - z1.region.d > 1e-12):
+                return False
+            Z = np.hstack([X, (X @ kappa)[:, None]])
+            if np.any(z1.constraints.values_batch(Z) > 1e-12):
+                return False
+        return True
 
     lo = 1e-12
     if not feasible(lo):

@@ -221,30 +221,31 @@ def brute_force_level(spec, lin, zsets, terminal, horizon, cfg=None):
 def full_schedule_transitions(lin, zsets):
     """{(i, j): bound} by the full-schedule rule: phase I of the two-step
     free-x0 program of stage sets i, j on (v0, v1, x0), built from stage
-    blocks of condense(lin, 2) with no terminal set and started with zero
-    inputs and x0 at region i's Chebyshev centre, run through the whole mu
-    schedule (feas_tol = inf). The bound is t - m*mu_last; -inf when phase
-    I finds a strictly feasible point or is undecided, or for nonconvex
-    data."""
-    ops = cn.condense(lin, 2)
+    blocks of the horizon-2 prediction map [Gamma Phi] with no terminal set
+    and started with zero inputs and x0 at region i's Chebyshev centre, run
+    through the whole mu schedule (feas_tol = inf). The bound is
+    t - m*mu_last; -inf when phase I finds a strictly feasible point or is
+    undecided, or for nonconvex data."""
+    Gamma, Phi = solver_module._responses(lin, 2)
+    S, n = np.hstack([Gamma, Phi]), Phi.shape[1]
+    d, offset = S.shape[1], np.zeros(len(S))
     cfg = cn.SolverConfig(feas_tol=np.inf)
     s, out = len(zsets), {}
     for i, j in itertools.product(range(1, s + 1), repeat=2):
-        blocks = [solver_module._StageBlock(zs, ops.step_map(k)[0])
+        blocks = [solver_module._StageBlock(zs, step_map(S, offset, n, k)[0])
                   for k, zs in enumerate((zsets[i - 1], zsets[j - 1]))]
         out[(i, j)] = -np.inf
         if any(blk.nonconvex for blk in blocks):
             continue
-        hint = np.zeros(ops.n_vars)
+        hint = np.zeros(d)
         center, _ = zsets[i - 1].region.chebyshev_center()
         hint[2:] = 0.0 if center is None else center
-        d = ops.n_vars
         prog = solver_module.ConvexProgram(
             n_vars=d, H=np.zeros((d, d)), f=np.zeros(d), c0=0.0,
             cons=Constraints.join([blk.at(np.zeros(blk.M.shape[0]))
                                    for blk in blocks]),
-            prog_class="", coeffs=(), scenario_j=0, ops=ops,
-            pre_violation=-np.inf, z0_hint=hint, nonconvex_data=False)
+            scenario_j=0, N=2, S=S, offset=offset, pre_violation=-np.inf,
+            z0_hint=hint, nonconvex_data=False)
         try:
             _, t = solver_module.phase1(prog, cfg)
         except solver_module._Undecided:
@@ -253,6 +254,13 @@ def full_schedule_transitions(lin, zsets):
         if t >= -solver_module.STRICT_MARGIN:
             out[(i, j)] = t - m * solver_module._mu_schedule(m)[-1]
     return out
+
+
+def step_map(S, offset, n, k):
+    """(M, m) of the step map z -> (x_hat(k), v_k) = M z + m of the
+    prediction map x_hat = S z + offset, of states of n components."""
+    M = np.vstack([S[k * n:(k + 1) * n], np.eye(S.shape[1])[k]])
+    return M, np.append(offset[k * n:(k + 1) * n], 0.0)
 
 
 def stage_lines(zs, x):
@@ -276,20 +284,20 @@ def hand_built_head_program(st, head, parent):
     steps = [st.step(e - 1, j) for j, e in enumerate(head)]
     if any(blk.nonconvex for blk, _ in steps):
         return None
-    Sx, ox = st.ops.state_rows(k - 1)
+    hz = st.hz
+    last = slice((k - 1) * hz.n, k * hz.n)  # the rows of x_hat(k-1)
     _, v = solver_module._lowest_max(*stage_lines(
-        st.hz.zsets[head[-1] - 1], Sx[:, :k - 1] @ parent + ox))
+        hz.zsets[head[-1] - 1], hz.S[last, :k - 1] @ parent + st.offset[last]))
     cons = Constraints.join([cons for _, cons in steps])
     rows = cons.rows[:, :k]
     # rows without a decision variable (the first region's) hold at x
     keep = np.max(np.abs(rows), axis=1) >= 1e-13
     return solver_module.ConvexProgram(
         n_vars=k, H=np.zeros((k, k)), f=np.zeros(k), c0=0.0,
-        cons=replace(cons.lift(np.eye(st.ops.n_vars, k)), rows=rows[keep],
+        cons=replace(cons.lift(np.eye(hz.n_vars, k)), rows=rows[keep],
                      offsets=cons.offsets[keep]),
-        prog_class="", coeffs=head, scenario_j=0, ops=st.ops,
-        pre_violation=-np.inf, z0_hint=np.append(parent, v),
-        nonconvex_data=False)
+        scenario_j=0, N=hz.N, S=hz.S, offset=st.offset, pre_violation=-np.inf,
+        z0_hint=np.append(parent, v), nonconvex_data=False)
 
 
 def stage_set_members(zs, rng, count=2000, tries=200_000):

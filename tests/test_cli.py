@@ -267,6 +267,14 @@ def test_infeasible_solve_exit_code(tmp_path, capsys):
     assert err["error"] == "INFEASIBLE_STATE"
 
 
+def test_zero_state_weight_has_no_terminal_level(capsys):
+    # q = 0 gives a Riccati cost P = 0, whose sublevel sets are unbounded
+    assert run(["terminal", EX2, "--c", "5,-1", "--q", "0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NO_POSITIVE_LEVEL"
+    assert "not positive definite" in err["message"]
+
+
 def test_solve_specific_scenario(tmp_path, capsys):
     cat = str(tmp_path / "cat.json")
     run(["prune", EX2, *LINFLAGS, "--horizon", "2", "--catalog", cat,
@@ -379,11 +387,17 @@ def test_every_command_reads_the_requested_horizon(ex2_catalog_n3_file,
     (["validate", EX2, "--q", "1"], "1"),
     (["simulate", EX2, *LINFLAGS, "--horizon", "3", "--catalog", "CATALOG",
       "--x0", "0.2,0.2", "--steps", "1", "--kkt-tol", "1e-8"], "1"),
+    # values the pipeline cannot take: they failed with a traceback
+    (["terminal", EX2, "--c", "5,-1", "--rho", "0"], "1"),
+    (["terminal", EX2, "--c", "5,-1", "--rho", "-1"], "1"),
+    (["terminal", EX2, "--c", "5,-1", "--b0", "0"], "1"),
+    (["linearize", EX2, "--beta-target", "0"], "1"),
 ], ids=["c-not-numeric", "c-length", "a-length", "threads-negative",
         "env-threads-not-integer", "samples-zero", "x0-length",
         "x0-not-numeric", "steps-negative", "resolution-one",
         "threads-not-integer", "x0-missing", "validate-out", "prune-out",
-        "validate-q", "simulate-kkt-tol"])
+        "validate-q", "simulate-kkt-tol", "rho-zero", "rho-negative",
+        "b0-zero", "beta-target-zero"])
 def test_bad_input_is_schema_error(ex2_catalog_n3_file, tmp_path, monkeypatch,
                                    capsys, argv, nmpc_threads):
     monkeypatch.setenv("NMPC_THREADS", nmpc_threads)

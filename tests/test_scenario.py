@@ -136,7 +136,7 @@ class TestFilterForState:
         out = cn.filter_for_state(ex2_catalog_n3, ex2["spec"],
                                   np.zeros(2))
         assert out
-        assert all(sc.coeffs[0] == 1 for sc in out)
+        assert all(c[0] == 1 for c in out)
 
     def test_outside_state_set_empty(self, ex2, ex2_catalog_n3):
         assert cn.filter_for_state(ex2_catalog_n3, ex2["spec"],
@@ -145,11 +145,11 @@ class TestFilterForState:
     def test_facet_state_sees_both_regions(self, ex2, ex2_catalog_n3):
         x = np.array([2.0 / 3.0, -2.0 / 3.0])
         out = cn.filter_for_state(ex2_catalog_n3, ex2["spec"], x, tol=1e-8)
-        firsts = {sc.coeffs[0] for sc in out}
+        firsts = {c[0] for c in out}
         assert firsts == {1, 3}
 
     def test_sorted_ascending_by_j(self, ex2, ex2_catalog_n3):
         x = np.array([-1.0, 1.0])
         out = cn.filter_for_state(ex2_catalog_n3, ex2["spec"], x)
-        js = [sc.j for sc in out]
+        js = [cn.encode(c, ex2_catalog_n3.s) for c in out]
         assert js == sorted(js)

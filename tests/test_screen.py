@@ -22,6 +22,7 @@ import convexnmpc as cn
 import convexnmpc.closedloop as closedloop_module
 import convexnmpc.scenario as scenario_module
 import convexnmpc.solver as solver_module
+from conftest import PACKAGED, PAPER_B0, PAPER_C, Q_DIAG
 from helpers import (brute_force_level, full_schedule_transitions,
                      hand_built_head_program, stage_lines)
 
@@ -190,8 +191,8 @@ def test_prune_equals_brute_force(pruned):
 # ---------------------------------------------------------------------------
 
 def _heads(data, catalog, x):
-    return sorted({sc.coeffs[:2]
-                   for sc in cn.filter_for_state(catalog, data["spec"], x)})
+    return sorted({c[:2]
+                   for c in cn.filter_for_state(catalog, data["spec"], x)})
 
 
 def _one_step_lines(data, x, e1, e2=None):
@@ -228,9 +229,8 @@ def test_lines_are_the_stage_space_lines(pruned, name):
             for k in (1, 2):
                 z = np.array([0.3, -0.2, 0.0]) * (np.arange(3) < k)
                 a, c = solver_module._lines(st, e2, k, z)
-                Sx, ox = st.ops.state_rows(k)
-                ref_a, ref_c = stage_lines(data["zsets"][e2 - 1],
-                                           Sx @ z + ox)
+                x_k = st.hz.rows(k) @ z + st.offset[2 * k:2 * k + 2]
+                ref_a, ref_c = stage_lines(data["zsets"][e2 - 1], x_k)
                 assert np.array_equal(a, ref_a)
                 assert np.allclose(c, ref_c, rtol=0.0, atol=1e-12)
             checked += 1
@@ -267,12 +267,12 @@ def test_one_step_screened_candidates_are_infeasible(pruned, name):
     data, catalog = pruned[name]
     n_screened = 0
     for x in GRID:
-        for sc in cn.filter_for_state(catalog, data["spec"], x):
-            bound, _ = _one_step(data, x, 3, sc.coeffs[:2])
+        for seq in cn.filter_for_state(catalog, data["spec"], x):
+            bound, _ = _one_step(data, x, 3, seq[:2])
             if bound <= FEAS_TOL:
                 continue
             n_screened += 1
-            sol = cn.solve(cn.assemble(sc, x, data["lin"],
+            sol = cn.solve(cn.assemble(seq, x, data["lin"],
                                        data["zsets"], data["terminal"],
                                        data["Q"], data["rho"]))
             assert sol.status == "Infeasible"
@@ -333,14 +333,14 @@ def test_head_screened_candidates_are_infeasible(deep, name):
     n_heads, n_newton = 0, 0
     for x in GRID:
         cands = cn.filter_for_state(catalog, data["spec"], x)
-        bounds, steps = _walk(data, x, [sc.coeffs for sc in cands])
+        bounds, steps = _walk(data, x, cands)
         n_newton += steps
-        for sc, bound in zip(cands, bounds):
+        for seq, bound in zip(cands, bounds):
             if (bound <= FEAS_TOL
-                    or _one_step(data, x, 6, sc.coeffs[:2])[0] > FEAS_TOL):
+                    or _one_step(data, x, 6, seq[:2])[0] > FEAS_TOL):
                 continue  # kept, or screened by its one-step bound
             n_heads += 1
-            sol = cn.solve(cn.assemble(sc, x, data["lin"],
+            sol = cn.solve(cn.assemble(seq, x, data["lin"],
                                        data["zsets"], data["terminal"],
                                        data["Q"], data["rho"]))
             assert sol.status in ("Infeasible", "IterLimit", "Stalled")
@@ -361,15 +361,9 @@ def test_head_walk_keeps_decisions(deep, monkeypatch, name):
     assert sum(d[-1] for d in plain) == 0
 
 
-@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
-def test_head_programs_match_hand_built(request, monkeypatch, name):
-    # every head program of the walk at the benchmark pool's states, one in
-    # 2 on loop-ex2 (ridges) and one in 13 on query-ex3 (affine rows), with
-    # the stored N=15 catalogs, is the hand-built one, array for array
-    pool, every = {"ex2": ("loop-ex2", 2), "ex3": ("query-ex3", 13)}[name]
-    data = request.getfixturevalue(name)
-    catalog = cn.FeasibleCatalog.load(BENCH_DATA / f"{name}_N15_catalog.json")
-    states = json.loads((BENCH_DATA / "reference.json").read_text())["pools"]
+def _head_programs(monkeypatch, data, catalog, states):
+    """(program, hand-built program) of every head the walk builds at the
+    states."""
     built, head_program = [], solver_module._head_program
 
     def recorded(st, head, parent):
@@ -378,11 +372,12 @@ def test_head_programs_match_hand_built(request, monkeypatch, name):
         return prog
 
     monkeypatch.setattr(solver_module, "_head_program", recorded)
-    for entry in states[pool][::every]:
-        x = np.array(entry["x0"], dtype=float)
-        _walk(data, x, [sc.coeffs for sc in
-                        cn.filter_for_state(catalog, data["spec"], x)])
-    assert len(built) > 20
+    for x in states:
+        _walk(data, x, cn.filter_for_state(catalog, data["spec"], x))
+    return built
+
+
+def _assert_hand_built(built):
     for prog, ref in built:
         assert prog.n_vars == ref.n_vars
         assert prog.z0_hint.shape == ref.z0_hint.shape
@@ -396,11 +391,44 @@ def test_head_programs_match_hand_built(request, monkeypatch, name):
                 assert got == want, name
 
 
+@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
+def test_head_programs_match_hand_built(request, monkeypatch, name):
+    # every head program of the walk at the benchmark pool's states, one in
+    # 2 on loop-ex2 (ridges) and one in 13 on query-ex3 (affine rows), with
+    # the stored N=15 catalogs, is the hand-built one, array for array
+    pool, every = {"ex2": ("loop-ex2", 2), "ex3": ("query-ex3", 13)}[name]
+    data = request.getfixturevalue(name)
+    catalog = cn.FeasibleCatalog.load(BENCH_DATA / f"{name}_N15_catalog.json")
+    states = json.loads((BENCH_DATA / "reference.json").read_text())["pools"]
+    built = _head_programs(monkeypatch, data, catalog,
+                           [np.array(entry["x0"], dtype=float)
+                            for entry in states[pool][::every]])
+    assert len(built) > 20
+    _assert_hand_built(built)
+
+
+def test_head_starts_off_centre_match_hand_built(monkeypatch):
+    # ex2 with the input interval [-1, 3], off centre: the sides of a stage
+    # set cross at v != 0, so a head's start extends its parent's point by
+    # a nonzero v, which the hand-built programs must match bit for bit
+    system = json.loads((PACKAGED / "ex2.json").read_text())
+    system["u"] = [-1.0, 3.0]
+    spec = cn.system_from_dict(system)
+    lin = cn.build_linearization(spec, PAPER_C, b0=PAPER_B0)
+    zsets = cn.build_stage_sets(spec, lin)
+    Q, rho = Q_DIAG * np.eye(2), 0.1 * PAPER_B0 ** 2 / lin.beta ** 2
+    data = dict(spec=spec, lin=lin, zsets=zsets, Q=Q, rho=rho,
+                terminal=cn.build_terminal(spec, lin, zsets, Q, rho))
+    built = _head_programs(monkeypatch, data, _prune(data, 5), GRID)
+    assert len(built) > 20
+    assert any(prog.z0_hint[-1] != 0.0 for prog, _ in built)
+    _assert_hand_built(built)
+
+
 def test_heads_of_nonconvex_data_take_no_newton_step(ex1):
     catalog = _prune(ex1, 5)
     for x in GRID:
-        seqs = [sc.coeffs
-                for sc in cn.filter_for_state(catalog, ex1["spec"], x)]
+        seqs = cn.filter_for_state(catalog, ex1["spec"], x)
         bounds, steps = _walk(ex1, x, seqs)
         # only the one-step bounds screen
         one_step = [_one_step(ex1, x, 5, seq[:2])[0] for seq in seqs]

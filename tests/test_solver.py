@@ -6,13 +6,17 @@ from helpers import (finite_diff_grad, grid_minimize, random_instance,
                      toy_spec)
 
 
+def _program(data, coeffs, x0):
+    return cn.assemble(coeffs, x0, data["lin"], data["zsets"],
+                       data["terminal"], data["Q"], data["rho"])
+
+
 class TestCondense:
+    # a program's prediction map, x_hat(0..N) = S z + offset (states)
     def test_single_step(self, ex2):
         lin = ex2["lin"]
-        ops = cn.condense(lin, 1, np.array([0.7, -0.2]))
-        Sx, ox = ops.state_rows(1)
-        z = np.array([1.3])
-        x1 = Sx @ z + ox
+        prog = _program(ex2, (1,), np.array([0.7, -0.2]))
+        x1 = prog.states(np.array([1.3]))[1]
         assert np.allclose(x1, lin.A_hat @ [0.7, -0.2] + lin.b_hat * 1.3,
                            atol=1e-14)
 
@@ -21,27 +25,31 @@ class TestCondense:
         lin = cn.build_linearization(
             spec, cn.compute_output_vector(spec.A, spec.b, 1.0), b0=1.0)
         assert np.allclose(lin.A_hat @ lin.A_hat, 0.0, atol=1e-14)
-        ops = cn.condense(lin, 3, np.zeros(2))
+        zsets = cn.build_stage_sets(spec, lin)
+        data = {"lin": lin, "zsets": zsets, "Q": np.eye(2), "rho": 1.0,
+                "terminal": cn.build_terminal(spec, lin, zsets, np.eye(2),
+                                              1.0)}
         v = np.array([0.5, -0.3, 0.8])
-        states = ops.states(v)
+        states = _program(data, (1, 1, 1), np.zeros(2)).states(v)
         for k in range(1, 4):
             expect = lin.A_hat @ states[k - 1] + lin.b_hat * v[k - 1]
             assert np.allclose(states[k], expect, atol=1e-14)
 
     def test_reference_two_step_drift(self, ex2):
-        ops = cn.condense(ex2["lin"], 2, np.array([1.0, 0.0]))
-        states = ops.states(np.zeros(2))
+        states = _program(ex2, (1, 1), np.array([1.0, 0.0])).states(
+            np.zeros(2))
         assert np.allclose(states[2], [1.01, 0.20], atol=1e-12)
 
     def test_free_initial_state_appends_columns(self, ex2):
-        ops = cn.condense(ex2["lin"], 4, None)
-        assert ops.free_x0 and ops.n_vars == 4 + 2
+        prog = _program(ex2, (1, 1, 1, 1), None)
+        assert prog.n_vars == 4 + 2 and prog.S.shape == (5 * 2, 4 + 2)
+        assert not prog.offset.any()
         z = np.concatenate([np.zeros(4), [0.3, -0.1]])
-        assert np.allclose(ops.states(z)[0], [0.3, -0.1])
+        assert np.allclose(prog.states(z)[0], [0.3, -0.1])
 
     def test_horizon_must_be_positive(self, ex2):
         with pytest.raises(ValueError):
-            cn.condense(ex2["lin"], 0, None)
+            _program(ex2, (), None)
 
 
 class TestAssemble:

@@ -18,7 +18,7 @@ import convexnmpc as cn
 import convexnmpc.solver as solver_module
 from conftest import _pipeline
 from convexnmpc.stagesets import _dots
-from helpers import AffineCon, composed, oracles
+from helpers import AffineCon, composed, oracles, step_map
 
 BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 ONES = (1,) * 12
@@ -325,7 +325,7 @@ def test_blocks_compose_their_stage_constraints(request, system, x0, coeffs):
         x0 is None).at(None if x0 is None else np.array(x0))
     for k, e in enumerate(coeffs):
         _, cons = st.step(e - 1, k)
-        want = [composed(con, *prog.ops.step_map(k))
+        want = [composed(con, *step_map(prog.S, prog.offset, 2, k))
                 for con in oracles(data["zsets"][e - 1].constraints)]
         a = sum(isinstance(con, AffineCon) for con in want)
         assert _exact(oracles(cons)[len(cons.rows) - a:]) == _exact(want)
@@ -360,8 +360,8 @@ def test_affine_values_are_one_matrix_product(request, monkeypatch, system):
     spy, cfg, apart = _Concatenations(), cn.SolverConfig(), 0
     for entry in entries:
         x = np.array(entry["x0"], dtype=float)
-        for sc in cn.filter_for_state(catalog, data["spec"], x):
-            prog = _program(data, sc.coeffs, x)
+        for seq in cn.filter_for_state(catalog, data["spec"], x):
+            prog = _program(data, seq, x)
             cons = prog.cons
             z = prog.z0_hint + rng.normal(scale=0.1, size=prog.n_vars)
             affine, curved = cons.rows @ z, cons.curved_values(z)

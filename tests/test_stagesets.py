@@ -4,7 +4,7 @@ import pytest
 import convexnmpc as cn
 from convexnmpc.stagesets import _overlapping_pieces, _thin_slab
 from helpers import (finite_diff_grad, finite_diff_hess, stage_set_members,
-                     toy_spec)
+                     step_map, toy_spec)
 from test_geometry import lp_chebyshev
 
 # finite_diff_hess at h = 1e-4 reads the exactly flat directions of a ridge
@@ -195,7 +195,7 @@ class TestOracles:
         assert len(cons.scale) == len(stage) == 6 and len(cons) == a + 7
         rng = np.random.default_rng(43)
         for i, (k, j, stage_cons) in enumerate(stage, start=a):
-            M, m = prog.ops.step_map(k)
+            M, m = step_map(prog.S, prog.offset, 2, k)
             for _ in range(10):
                 z = rng.uniform(-2, 2, prog.n_vars)
                 assert abs(cons.values(z)[i]

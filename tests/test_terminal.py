@@ -157,6 +157,12 @@ class TestEllipsoidalTerminal:
             cn.ellipsoidal_terminal(np.eye(2), np.zeros(2), zsets[0],
                                     A_cl=A_cl)
 
+    def test_singular_cost_raises(self, ex2):
+        # P = 0 (a zero state weight) bounds no sublevel set
+        with pytest.raises(cn.NoPositiveLevelError):
+            cn.ellipsoidal_terminal(np.zeros((2, 2)), np.zeros(2),
+                                    ex2["zsets"][0], A_cl=0.5 * np.eye(2))
+
     def test_ex2_positive_level(self, ex2):
         assert ex2["terminal"].kind == "ellipsoid"
         assert ex2["terminal"].tset.level > 0

@@ -9,10 +9,9 @@ Prints sha256[:16] over one float-hex line per result for ten sets:
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
 - programs: every candidate program at the states of the benchmark pools
-            (the loop-ex2 starts and the query-ex3 states): every array and
-            scalar field of the ConvexProgram, its affine rows and offsets
-            in the place of its constraints, then one line per ridge and
-            quadratic (see constraint_lines);
+            (the loop-ex2 starts and the query-ex3 states): the fields the
+            solver reads, in a fixed order (see program_lines), then one
+            line per ridge and quadratic (see constraint_lines);
 - solves:   the solve of each of those programs: status, V, v_seq,
             kkt_residual, phase1_violation, n_newton, nonconvex_flag and
             degenerate;
@@ -126,13 +125,21 @@ def constraint_lines(cons):
     return lines
 
 
+PROGRAM_FIELDS = ("n_vars", "H", "f", "c0", "rows", "offsets", "prog_class",
+                  "scenario_j", "N", "S", "offset", "pre_violation",
+                  "z0_hint", "nonconvex_data")
+
+
 def program_lines(prog):
-    """The program's fields, with its constraints' affine rows and offsets
-    in their place, then one line per ridge and quadratic."""
+    """The fields the solver reads of a program, in the fixed order of
+    PROGRAM_FIELDS: its constraints' affine rows and offsets, and N, S and
+    offset from its prediction operators where a checkout keeps them in
+    one (prog.ops); then one line per ridge and quadratic. So the line
+    does not depend on how a checkout lays out its ConvexProgram."""
     cons = prog.cons
-    first = [part for f in prog.__dataclass_fields__
-             for part in ((cons.rows, cons.offsets) if f == "cons"
-                          else (getattr(prog, f),))]
+    holders = (prog, cons, getattr(prog, "ops", prog))
+    first = [next(getattr(h, f) for h in holders if hasattr(h, f))
+             for f in PROGRAM_FIELDS]
     return [first] + [[line] for line
                       in constraint_lines(cons)[len(cons.rows):]]
 
