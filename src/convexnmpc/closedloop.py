@@ -7,7 +7,10 @@ between equally optimal scenarios are broken toward the smallest index so
 results are independent of solve order. A candidate whose head bound
 (solver.heads: the one-step bound, then phase I on the heads it shares
 with other candidates) exceeds the feasibility tolerance is Infeasible and
-is screened instead of solved.
+is screened instead of solved. In closed loop, the continuations of the
+previous step's sequence are solved first, and a later candidate that an
+objective cut shows cannot beat one of them is Dominated and not solved
+(evaluate_ocp, solver.dominated).
 """
 from dataclasses import dataclass, field
 
@@ -17,10 +20,10 @@ from .errors import InfeasibleStateError
 from .geometry import MEMBERSHIP_TOL
 from .linearize import u_of_v
 from .model import dynamics_step
-from .scenario import filter_for_state, worker_map
+from .scenario import decode, filter_for_state, worker_map
 # solve is not called here, but perfbench/tracing.py wraps closedloop.solve
-from .solver import (SolverConfig, assemble, encode, heads,  # noqa: F401
-                     solve, solve_many)
+from .solver import (SolverConfig, assemble, dominated,  # noqa: F401
+                     encode, heads, solve, solve_many)
 
 TIE_TOL = 1e-9
 UNDECIDED = ("IterLimit", "Stalled")  # statuses that decide nothing
@@ -39,6 +42,8 @@ class MpcStepResult:
     n_newton: int = 0  # Newton steps summed over the solved candidates
     n_rounds: int = 0  # lockstep rounds of their batch (solver.solve_many)
     n_head_newton: int = 0  # Newton steps of the head tests (solver.heads)
+    n_dominated: int = 0  # not solved: an earlier lead beats them
+    n_cut_newton: int = 0  # Newton steps of the cut tests (solver.dominated)
 
 
 def _fmt(x):
@@ -111,7 +116,7 @@ def applied_candidate(solutions):
 
 
 def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
-                 cfg=None, keep_per_scenario=False):
+                 cfg=None, keep_per_scenario=False, prev=None):
     """Solve every candidate scenario at state x and pick the best.
 
     Candidates are the catalog scenarios whose first region contains x;
@@ -127,19 +132,40 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     per_scenario when kept; n_newton and n_rounds show how full the batch's
     lockstep rounds were (a candidate alone in its program shape takes its
     steps outside the rounds).
+
+    With prev, the sequence applied at the previous state, its
+    continuations (c[:-1] == prev[1:]), the leads, are solved first. A later
+    d is Dominated, not solved, when solver.dominated shows that no Optimal
+    solve of d has V <= B_d = min V_c over the Optimal leads c of smaller
+    index. The decision cannot change: applied_candidate scans in ascending
+    index and replaces its best only when V < V_best - TIE_TOL, so once c
+    is scanned, V_best <= V_c + TIE_TOL never rises and a later d with
+    V_d >= V_c never becomes best; an earlier one can change the scan.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
     candidates = filter_for_state(catalog, spec, x)
     bounds, n_head_newton = heads(x, candidates, lin, zsets, terminal, Q, rho,
                                   cfg)
-    screened = [low > cfg.feas_tol for low in bounds]
-    solved, n_rounds = solve_many(
-        [assemble(c, x, lin, zsets, terminal, Q, rho)
-         for c, out in zip(candidates, screened) if not out], cfg)
-    found = iter(solved)
-    sols = [None if out else next(found) for out in screened]
-    statuses = ["Screened" if sol is None else sol.status for sol in sols]
+    statuses = ["Screened" if low > cfg.feas_tol else None for low in bounds]
+    progs = {i: assemble(c, x, lin, zsets, terminal, Q, rho)
+             for i, c in enumerate(candidates) if statuses[i] is None}
+    leads = [i for i in progs
+             if prev is not None and candidates[i][:-1] == tuple(prev[1:])]
+    solved, n_rounds = solve_many([progs[i] for i in leads], cfg)
+    found = dict(zip(leads, solved))
+    won = [c for c in leads if found[c].optimal]
+    cut = {d: min(found[c].V for c in won if c < d) for d in progs
+           if d not in found and won and won[0] < d}
+    out, n_cut_newton = dominated([progs[d] for d in cut], list(cut.values()),
+                                  cfg)
+    for d, gone in zip(cut, out):
+        statuses[d] = "Dominated" if gone else None
+    rest = [i for i in progs if i not in found and statuses[i] is None]
+    solved, rounds = solve_many([progs[i] for i in rest], cfg)
+    found.update(zip(rest, solved))
+    sols = [found.get(i) for i in range(len(candidates))]
+    statuses = [status or sol.status for status, sol in zip(statuses, sols)]
     n_undecided = sum(status in UNDECIDED for status in statuses)
     n_screened = statuses.count("Screened")
     per = ([(encode(c, catalog.s), status, np.nan if s is None else s.V)
@@ -156,32 +182,39 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     v0 = float(sol.v_seq[0])
     return MpcStepResult(u=u_of_v(lin, spec, x, v0), v=v0,
                          j_star=sol.scenario_j, V=sol.V,
-                         n_scenarios_solved=len(sols) - n_screened,
+                         n_scenarios_solved=len(found),
                          per_scenario=per, n_undecided=n_undecided,
                          n_screened=n_screened,
-                         n_newton=sum(s.n_newton for s in solved),
-                         n_rounds=n_rounds, n_head_newton=n_head_newton)
+                         n_newton=sum(s.n_newton for s in found.values()),
+                         n_rounds=n_rounds + rounds,
+                         n_head_newton=n_head_newton,
+                         n_dominated=statuses.count("Dominated"),
+                         n_cut_newton=n_cut_newton)
 
 
 def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho, cfg=None):
     """Receding-horizon run of the true plant from x0.
 
-    Raises InfeasibleStateError (with the step index and the partial
-    trajectory attached) if some visited state has no feasible scenario.
+    Each step passes the sequence it applied to the next evaluate_ocp as
+    prev, which leaves every decision as it is (see evaluate_ocp). Raises
+    InfeasibleStateError (with the step index and the partial trajectory
+    attached) if some visited state has no feasible scenario.
     """
     x = np.asarray(x0, dtype=float)
     xs = [x.copy()]
     us, vs, Vs, js = [], [], [], []
+    prev = None
     for k in range(steps):
         try:
             step = evaluate_ocp(x, catalog, spec, lin, zsets, terminal,
-                                Q, rho, cfg=cfg)
+                                Q, rho, cfg=cfg, prev=prev)
         except InfeasibleStateError as exc:
             exc.step = k
             exc.partial = Trajectory(x=np.array(xs), u=np.array(us),
                                      v=np.array(vs), V=np.array(Vs),
                                      j_star=np.array(js, dtype=int))
             raise
+        prev = decode(step.j_star, catalog.s, catalog.N)
         x = dynamics_step(spec, x, step.u)
         xs.append(x.copy())
         us.append(step.u)

@@ -17,7 +17,9 @@ under one phase-I rule: offline a pair of stage sets is the depth-2 head
 of the free-x0 horizon-2 program (transitions, kept in the horizons' LRU),
 online the heads that several candidates share are walked depth by depth
 (heads), each start extended by the lines that a step's compiled block
-holds (_lines).
+holds (_lines). The same rule on a program with one more row, the
+objective cut V(z) <= B, shows that no Optimal solve of the program has a
+value at most B (dominated).
 
 The Newton kernel keeps two invariants. Each trial point of the line search
 is evaluated once: the accepted trial's margins, sinusoid phase pieces and
@@ -402,6 +404,7 @@ BACKTRACK = 0.5
 INNER_TOL = 1e-18  # Newton decrement target of phase II's last stage
 STAGE_TOL = 1e-11  # Newton decrement target of every other stage
 STRICT_MARGIN = 1e-9  # a phase-I slack below -this is strictly feasible
+RELAX_PAD = 1e-9  # added to the relax of a degenerate program's phase II
 HINT_MARGIN = 1e-6  # a start with every constraint below -this skips phase I
 
 
@@ -1085,7 +1088,7 @@ def _solve(batch, i, cfg):
         return finish("Infeasible", p1=t_star)
 
     degenerate = t_star > -STRICT_MARGIN
-    relax = (max(t_star, 0.0) + 1e-9) if degenerate else 0.0
+    relax = (max(t_star, 0.0) + RELAX_PAD) if degenerate else 0.0
 
     member = batch.member(i, aug=False, relax=relax)
     schedule = _mu_schedule(prog.n_constraints)
@@ -1270,6 +1273,31 @@ def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
         if not points:
             break
     return bounds, n_newton
+
+
+def dominated(progs, bounds, cfg):
+    """Whether each fixed-x0 program is shown to have no Optimal solve of
+    value at most its bound, and the Newton steps spent: the head rule's
+    phase I on the program with one more row, the objective cut
+    z'Hz + f.z + c0 - bound <= 0 (all in one lockstep drive). Phase I
+    relaxes every row and the cut by one t, so a bound on t* above
+    feas_tol + RELAX_PAD leaves no z with every row within an Optimal
+    solve's relax (at most feas_tol + RELAX_PAD) and a value at most the
+    bound. Nonconvex data gets no cut, as in heads."""
+    live = [i for i, prog in enumerate(progs) if not prog.nonconvex_data]
+    cut = []
+    for i in live:
+        p = progs[i]
+        row = Constraints.of(p.n_vars, p.cons.dir.shape[1], H=[2.0 * p.H],
+                             w=[p.f], c0=[p.c0 - bounds[i]])
+        cut.append(replace(p, cons=Constraints.join([p.cons, row])))
+    batch = _Batch(cut)
+    results, _ = _drive([_head_phase1(batch, k, cfg)
+                         for k in range(len(live))])
+    out = [False] * len(progs)
+    for i, (_, low, _) in zip(live, results):
+        out[i] = low is not None and low > cfg.feas_tol + RELAX_PAD
+    return out, sum(steps for _, _, steps in results)
 
 
 def _head_program(st, head, parent):

@@ -107,8 +107,14 @@ def maximal_admissible_set(A_cl, kappa, z1, max_power=500):
     Standard constraint-accumulation iteration: propagate the stage rows
     through powers of the closed loop until every next-power row is already
     implied (the row's support over the accumulated set's vertices,
-    enumerated once per power).
+    enumerated once per power). Finite determination needs a stable closed
+    loop (Gilbert & Tan, IEEE TAC 1991): spectral radius 1 or more raises.
     """
+    radius = float(np.max(np.abs(np.linalg.eigvals(A_cl))))
+    if radius >= 1.0:
+        raise NoFiniteDeterminationError(
+            f"closed loop not asymptotically stable (spectral radius "
+            f"{radius:.6g})", spectral_radius=radius)
     Hz, dz = _stage_rows_under_gain(z1, kappa)
     acc_C, acc_d = dedup_rows(Hz.copy(), dz.copy())
     Ak = A_cl.copy()

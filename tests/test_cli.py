@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
@@ -273,6 +274,17 @@ def test_zero_state_weight_has_no_terminal_level(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NO_POSITIVE_LEVEL"
     assert "not positive definite" in err["message"]
+
+
+def test_zero_state_weight_polytope_terminal_is_refused(capsys):
+    # q = 0 gives P = 0 and kappa = 0, so the closed loop is A_hat itself,
+    # with an eigenvalue of modulus 1.1: no finite determination
+    t0 = time.perf_counter()
+    assert run(["terminal", EX3, "--c", "5,-1", "--q", "0"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NO_FINITE_DETERMINATION"
+    assert "spectral radius 1.1" in err["message"]
 
 
 def test_solve_specific_scenario(tmp_path, capsys):

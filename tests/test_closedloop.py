@@ -1,9 +1,14 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convexnmpc as cn
+from convexnmpc import closedloop
+from convexnmpc.solver import heads
 
 
 def _modules(data, catalog):
@@ -165,6 +170,160 @@ class TestSimulate:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == 0.3
+
+
+# ex2 starts for 10-step closed loops; the first three have Dominated
+# candidates at some steps
+LOOP_STARTS = ([-1.2, 1.2], [-0.9, 0.8], [-1.5, 0.3], [1.0, 1.0],
+               [1.3, -0.4], [-1.375, 1.625])
+
+
+def _recorded_simulate(monkeypatch, m, x0, steps):
+    """simulate from x0, with (x, prev, step result) of each of its
+    evaluate_ocp calls."""
+    calls, inner = [], closedloop.evaluate_ocp
+
+    def recorded(x, *args, **kwargs):
+        step = inner(x, *args, **kwargs)
+        calls.append((np.array(x), kwargs.get("prev"), step))
+        return step
+
+    monkeypatch.setattr(closedloop, "evaluate_ocp", recorded)
+    traj = cn.simulate(np.array(x0), steps, *m.values())
+    monkeypatch.setattr(closedloop, "evaluate_ocp", inner)
+    return traj, calls
+
+
+class TestDominance:
+    def test_simulate_applies_what_cold_queries_apply(self, monkeypatch, ex2,
+                                                      ex2_catalog_n15):
+        m = _modules(ex2, ex2_catalog_n15)
+        n_dominated = 0
+        for x0 in LOOP_STARTS:
+            traj, calls = _recorded_simulate(monkeypatch, m, x0, 10)
+            assert calls[0][1] is None
+            for k, (x, prev, step) in enumerate(calls):
+                assert np.array_equal(x, traj.x[k])
+                if k:
+                    assert prev == cn.decode(int(traj.j_star[k - 1]), 3, 15)
+                cold = cn.evaluate_ocp(x, *m.values())
+                assert cold.n_dominated == cold.n_cut_newton == 0
+                assert (cold.j_star, cold.u, cold.V) == (
+                    traj.j_star[k], traj.u[k], traj.V[k])
+                n_dominated += step.n_dominated
+        assert n_dominated > 0
+
+    def test_dominated_candidates_cannot_win(self, monkeypatch, ex2,
+                                             ex2_catalog_n15):
+        # prev continues each Optimal candidate in turn, not only the last
+        # winner, so a lead need not win and some cuts must not certify
+        m = _modules(ex2, ex2_catalog_n15)
+        cfg = cn.SolverConfig()
+        n_checked = n_lost = 0
+        for x0 in LOOP_STARTS[:2]:
+            _, calls = _recorded_simulate(monkeypatch, m, x0, 10)
+            for x, _, _ in calls:
+                cold = cn.evaluate_ocp(x, *m.values(), keep_per_scenario=True)
+                for lead, status, _ in cold.per_scenario:
+                    if status != "Optimal":
+                        continue
+                    prev = (1,) + cn.decode(lead, 3, 15)[:-1]
+                    warm = cn.evaluate_ocp(x, *m.values(), prev=prev,
+                                           keep_per_scenario=True)
+                    assert (warm.j_star, warm.u, warm.V) == (
+                        cold.j_star, cold.u, cold.V)
+                    n_lost += lead != cold.j_star
+                    n_checked += self._check_dominated(
+                        m, cfg, x, prev, warm, cold)
+        assert n_checked > 0 and n_lost > 0
+
+    @staticmethod
+    def _check_dominated(m, cfg, x, prev, warm, cold):
+        """Every candidate of warm that is not Dominated is as in cold, and
+        every Dominated one, solved alone, ends non-Optimal or above its
+        bound; the number of Dominated ones."""
+        leads = [(j, V) for j, status, V in warm.per_scenario
+                 if status == "Optimal"
+                 and cn.decode(j, 3, 15)[:-1] == prev[1:]]
+        n = 0
+        for (j, status, V), (cj, cstatus, cV) in zip(warm.per_scenario,
+                                                    cold.per_scenario):
+            assert j == cj
+            if status != "Dominated":  # solved as in a cold query
+                assert status == cstatus
+                assert V == cV or (np.isnan(V) and np.isnan(cV))
+                continue
+            bound = min(Vc for jc, Vc in leads if jc < j)
+            sol = cn.solve(cn.assemble(cn.decode(j, 3, 15), x, m["lin"],
+                                       m["zsets"], m["terminal"], m["Q"],
+                                       m["rho"]), cfg)
+            assert not sol.optimal or sol.V > bound
+            n += 1
+        assert warm.n_dominated == n
+        assert warm.n_scenarios_solved + warm.n_screened + n == len(
+            warm.per_scenario)
+        return n
+
+    def test_without_prev_every_unscreened_candidate_is_solved(
+            self, ex2, ex2_catalog_n15):
+        m = _modules(ex2, ex2_catalog_n15)
+        cfg = cn.SolverConfig()
+        for x in (np.array([-1.2, 1.2]), np.array([-1.5, 0.3])):
+            step = cn.evaluate_ocp(x, *m.values(), keep_per_scenario=True)
+            assert step.n_dominated == step.n_cut_newton == 0
+            seqs = cn.filter_for_state(m["catalog"], m["spec"], x)
+            bounds, _ = heads(x, seqs, m["lin"], m["zsets"], m["terminal"],
+                              m["Q"], m["rho"], cfg)
+            want = []
+            for seq, low in zip(seqs, bounds):
+                if low > cfg.feas_tol:
+                    want.append((cn.encode(seq, 3), "Screened", None))
+                    continue
+                sol = cn.solve(cn.assemble(seq, x, m["lin"], m["zsets"],
+                                           m["terminal"], m["Q"], m["rho"]),
+                               cfg)
+                want.append((cn.encode(seq, 3), sol.status,
+                             None if np.isnan(sol.V) else sol.V))
+            got = [(j, status, None if np.isnan(V) else V)
+                   for j, status, V in step.per_scenario]
+            assert got == want
+
+
+def _sols(values):
+    """Stand-ins for solutions: None (screened), or Optimal with value V,
+    or undecided (V None)."""
+    return [None if v == "screened" else
+            SimpleNamespace(optimal=v is not None,
+                            V=float("nan") if v is None else v)
+            for v in values]
+
+
+class TestTieRule:
+    def test_bounds_from_later_candidates_are_not_exact(self, monkeypatch):
+        monkeypatch.setattr(closedloop, "TIE_TOL", 1.0)
+        sols = _sols([4.0, 2.1, 1.6, 0.9, 0.0])
+        assert closedloop.applied_candidate(sols) == 3  # index 4
+        # 2.1 exceeds the winner of index 5 by more than 2 TIE_TOL, yet
+        # without it the scan applies index 5
+        sols[1] = None
+        assert closedloop.applied_candidate(sols) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 8), st.none(),
+                              st.just("screened")), min_size=1, max_size=8),
+           st.sets(st.integers(0, 7)))
+    def test_dominated_candidates_never_change_the_scan(self, ticks, leads):
+        # values a half TIE_TOL apart, so ties and near-ties are common
+        values = [t * 0.5 * closedloop.TIE_TOL if isinstance(t, int) else t
+                  for t in ticks]
+        sols = _sols(values)
+        leads = [c for c in sorted(leads)
+                 if c < len(sols) and sols[c] is not None and sols[c].optimal]
+        kept = [None if d not in leads and sol is not None and sol.optimal
+                and any(c < d and sol.V >= sols[c].V for c in leads)
+                else sol for d, sol in enumerate(sols)]
+        applied = closedloop.applied_candidate
+        assert applied(kept) == applied(sols)
 
 
 class TestGrid:

@@ -4,7 +4,7 @@ Run from the root of a checkout (a minute or two on one core):
 
     python3 tools/solver_digest.py
 
-Prints sha256[:16] over one float-hex line per result for ten sets:
+Prints sha256[:16] over one float-hex line per result for eleven sets:
 
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
@@ -37,7 +37,11 @@ Prints sha256[:16] over one float-hex line per result for ten sets:
 - heads:    n_head_newton of evaluate_ocp at every pool state (from the
             error's details at a state with no Optimal candidate): the
             Newton steps of the head walk, which move with any change to
-            its head programs or their starts.
+            its head programs or their starts;
+- dominance: (j*, n_dominated, n_cut_newton) of every step of a 25-step
+            simulate from every loop-ex2 start: which candidates the
+            objective cuts leave unsolved, and the Newton steps of the cut
+            tests (closedloop.evaluate_ocp with prev).
 
 A constraint's line is its form's class name with its fields, in the
 order the program or stage set holds them, as AffineCon{row,offset},
@@ -67,6 +71,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from convexnmpc.cli import RunConfig, build_pipeline  # noqa: E402
+from convexnmpc import closedloop  # noqa: E402
 from convexnmpc.closedloop import evaluate_ocp, simulate  # noqa: E402
 from convexnmpc.errors import InfeasibleStateError  # noqa: E402
 from convexnmpc.geometry import Polytope  # noqa: E402
@@ -256,6 +261,35 @@ def screen_digests():
     return out, heads
 
 
+def dominance_digest():
+    """Every step of simulate, read by wrapping the closedloop.evaluate_ocp
+    it calls (the checkout's own simulate, prev included); a checkout
+    without the two counts reads 0 for them."""
+    pools = json.loads((DATA / "reference.json").read_text())["pools"]
+    pipe = pipeline("ex2")
+    catalog = FeasibleCatalog.load(DATA / "ex2_N15_catalog.json")
+    out, inner = Digest(), closedloop.evaluate_ocp
+
+    def recorded(*args, **kwargs):
+        step = inner(*args, **kwargs)
+        out.add(step.j_star, getattr(step, "n_dominated", 0),
+                getattr(step, "n_cut_newton", 0))
+        return step
+
+    closedloop.evaluate_ocp = recorded
+    try:
+        for entry in pools["loop-ex2"]:
+            try:
+                simulate(np.array(entry["x0"], dtype=float), LOOP_STEPS,
+                         catalog, pipe.spec, pipe.lin, pipe.zsets,
+                         pipe.terminal, pipe.Q, pipe.rho, cfg=pipe.solver_cfg)
+            except InfeasibleStateError as exc:
+                out.add("infeasible", exc.step)
+    finally:
+        closedloop.evaluate_ocp = inner
+    return out
+
+
 def prune_digest():
     out = Digest()
     for system, N in (("ex2", HORIZON), ("ex3", 6)):
@@ -310,6 +344,7 @@ def main():
     print(f"stagesets {stageset_digest()}")
     print(f"geometry  {geometry_digest()}")
     print(f"heads     {heads}")
+    print(f"dominance {dominance_digest()}")
 
 
 if __name__ == "__main__":
