@@ -2,15 +2,14 @@
 and state-space grids for plotting.
 
 The simulator always propagates the true nonlinear plant; the linear
-prediction model lives only inside the optimal control problems. Ties
-between equally optimal scenarios are broken toward the smallest index so
-results are independent of solve order. A candidate whose head bound
-(solver.heads: the one-step bound, then phase I on the heads it shares
-with other candidates) exceeds the feasibility tolerance is Infeasible and
-is screened instead of solved. In closed loop, the continuations of the
-previous step's sequence are solved first, and a later candidate that an
-objective cut shows cannot beat one of them is Dominated and not solved
-(evaluate_ocp, solver.dominated).
+prediction model lives only inside the optimal control problems. The
+applied scenario is the smallest index within TIE_TOL of the least Optimal
+value, whatever the order of the solves. A candidate whose head bound
+exceeds the feasibility tolerance is screened instead of solved. The
+candidates at a state share their cost, so one objective cut at the value
+of the first solves (in closed loop, the continuations of the previous
+step's sequence; else an incumbent) shows which others cannot win: they
+are Dominated and not solved (evaluate_ocp, solver.dominated).
 """
 from dataclasses import dataclass, field
 
@@ -21,9 +20,8 @@ from .geometry import MEMBERSHIP_TOL
 from .linearize import u_of_v
 from .model import dynamics_step
 from .scenario import decode, filter_for_state, worker_map
-# solve is not called here, but perfbench/tracing.py wraps closedloop.solve
-from .solver import (SolverConfig, assemble, dominated,  # noqa: F401
-                     encode, heads, solve, solve_many)
+from .solver import (SolverConfig, assemble, dominated, encode, heads,
+                     solve, solve_many)
 
 TIE_TOL = 1e-9
 UNDECIDED = ("IterLimit", "Stalled")  # statuses that decide nothing
@@ -42,7 +40,7 @@ class MpcStepResult:
     n_newton: int = 0  # Newton steps summed over the solved candidates
     n_rounds: int = 0  # lockstep rounds of their batch (solver.solve_many)
     n_head_newton: int = 0  # Newton steps of the head tests (solver.heads)
-    n_dominated: int = 0  # not solved: an earlier lead beats them
+    n_dominated: int = 0  # not solved: a cut shows they cannot win
     n_cut_newton: int = 0  # Newton steps of the cut tests (solver.dominated)
 
 
@@ -103,44 +101,53 @@ class GridTable:
 
 
 def applied_candidate(solutions):
-    """Index of the solution that is applied among candidates in ascending
-    index order: the best Optimal one, ties within TIE_TOL going to the
-    earlier one. None when no solution is Optimal. A None solution (a
-    screened candidate) is skipped."""
-    best = None
-    for i, sol in enumerate(solutions):
-        if sol is not None and sol.optimal and (
-                best is None or sol.V < solutions[best].V - TIE_TOL):
-            best = i
-    return best
+    """Index of the applied solution, the smallest among the Optimal ones
+    within TIE_TOL of the least Optimal V, whatever order they were solved
+    in; None when none is Optimal. None solutions (not solved) are skipped."""
+    optimal = [(i, sol.V) for i, sol in enumerate(solutions)
+               if sol is not None and sol.optimal]
+    top = min((V for _, V in optimal), default=np.nan) + TIE_TOL
+    return next((i for i, V in optimal if V <= top), None)
+
+
+def _incumbent(progs):
+    """[the key of the program least violated at z_u = -H^-1 f / 2, their
+    shared unconstrained minimiser, ties to the smaller key] or []."""
+    if not progs:
+        return []
+    some = next(iter(progs.values()))
+    z_u = np.linalg.solve(some.H, -0.5 * some.f)
+    worst = {i: max(p.pre_violation,
+                    p.constraint_values(z_u).max(initial=-np.inf))
+             for i, p in progs.items()}
+    return [min(worst, key=worst.get)]
 
 
 def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
                  cfg=None, keep_per_scenario=False, prev=None):
-    """Solve every candidate scenario at state x and pick the best.
+    """Solve the candidate scenarios at state x and pick the best.
 
     Candidates are the catalog scenarios whose first region contains x;
-    one whose head bound (solver.heads: the one-step bound per
-    distinct first two steps, then one phase I per head that two or more
-    candidates share) exceeds cfg.feas_tol is Screened, not solved; the
-    others are solved together, in one solve_many batch. The reported input
-    is recovered through the linearizing feedback, falling back to u = 0
-    where the input gain vanishes. Only Optimal candidates compete (see
-    applied_candidate); IterLimit and Stalled ones are undecided.
-    n_undecided, n_screened and n_head_newton (the head tests' Newton
-    steps) are also in the details of InfeasibleStateError, with
-    per_scenario when kept; n_newton and n_rounds show how full the batch's
-    lockstep rounds were (a candidate alone in its program shape takes its
-    steps outside the rounds).
+    one whose head bound (solver.heads) exceeds cfg.feas_tol is Screened,
+    not solved. The first solves are the leads, with prev (the sequence
+    applied at the previous state) its continuations c[:-1] == prev[1:],
+    else the incumbent (_incumbent). If one is Optimal, each other
+    candidate that solver.dominated shows to have no Optimal solve with
+    V <= B = min V + TIE_TOL over the first solves is Dominated, not
+    solved; the rest are solved in one solve_many batch. The decision is
+    that of solving every candidate not Screened: all share the cost
+    z'Hz + f.z + c0, so one cut row serves them all, and an Optimal solve
+    of a Dominated d has V > B >= V_min + TIE_TOL. So d is not applied and
+    leaves V_min as it is: the applied index (applied_candidate) does not
+    change, whatever d's index.
 
-    With prev, the sequence applied at the previous state, its
-    continuations (c[:-1] == prev[1:]), the leads, are solved first. A later
-    d is Dominated, not solved, when solver.dominated shows that no Optimal
-    solve of d has V <= B_d = min V_c over the Optimal leads c of smaller
-    index. The decision cannot change: applied_candidate scans in ascending
-    index and replaces its best only when V < V_best - TIE_TOL, so once c
-    is scanned, V_best <= V_c + TIE_TOL never rises and a later d with
-    V_d >= V_c never becomes best; an earlier one can change the scan.
+    The input is recovered through the linearizing feedback, u = 0 where
+    the input gain vanishes. IterLimit and Stalled candidates are
+    undecided. n_undecided, n_screened and n_head_newton (the head tests'
+    Newton steps) are also in the details of InfeasibleStateError, with
+    per_scenario when kept; n_newton and n_rounds show how full the
+    lockstep rounds were (a candidate alone in its program shape steps
+    outside the rounds).
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
@@ -150,15 +157,14 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     statuses = ["Screened" if low > cfg.feas_tol else None for low in bounds]
     progs = {i: assemble(c, x, lin, zsets, terminal, Q, rho)
              for i, c in enumerate(candidates) if statuses[i] is None}
-    leads = [i for i in progs
-             if prev is not None and candidates[i][:-1] == tuple(prev[1:])]
-    solved, n_rounds = solve_many([progs[i] for i in leads], cfg)
-    found = dict(zip(leads, solved))
-    won = [c for c in leads if found[c].optimal]
-    cut = {d: min(found[c].V for c in won if c < d) for d in progs
-           if d not in found and won and won[0] < d}
-    out, n_cut_newton = dominated([progs[d] for d in cut], list(cut.values()),
-                                  cfg)
+    first = (_incumbent(progs) if prev is None else
+             [i for i in progs if candidates[i][:-1] == tuple(prev[1:])])
+    solved, n_rounds = solve_many([progs[i] for i in first], cfg)
+    found = dict(zip(first, solved))
+    won = [sol.V for sol in solved if sol.optimal]
+    cut = [d for d in progs if d not in found] if won else []
+    out, n_cut_newton = dominated([progs[d] for d in cut],
+                                  min(won, default=np.inf) + TIE_TOL, cfg)
     for d, gone in zip(cut, out):
         statuses[d] = "Dominated" if gone else None
     rest = [i for i in progs if i not in found and statuses[i] is None]
@@ -180,16 +186,13 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
             per_scenario=per)
     sol = sols[best]
     v0 = float(sol.v_seq[0])
-    return MpcStepResult(u=u_of_v(lin, spec, x, v0), v=v0,
-                         j_star=sol.scenario_j, V=sol.V,
-                         n_scenarios_solved=len(found),
-                         per_scenario=per, n_undecided=n_undecided,
-                         n_screened=n_screened,
-                         n_newton=sum(s.n_newton for s in found.values()),
-                         n_rounds=n_rounds + rounds,
-                         n_head_newton=n_head_newton,
-                         n_dominated=statuses.count("Dominated"),
-                         n_cut_newton=n_cut_newton)
+    return MpcStepResult(
+        u=u_of_v(lin, spec, x, v0), v=v0, j_star=sol.scenario_j, V=sol.V,
+        n_scenarios_solved=len(found), per_scenario=per,
+        n_undecided=n_undecided, n_screened=n_screened,
+        n_newton=sum(s.n_newton for s in found.values()),
+        n_rounds=n_rounds + rounds, n_head_newton=n_head_newton,
+        n_dominated=statuses.count("Dominated"), n_cut_newton=n_cut_newton)
 
 
 def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho, cfg=None):
@@ -200,29 +203,26 @@ def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho, cfg=None):
     InfeasibleStateError (with the step index and the partial trajectory
     attached) if some visited state has no feasible scenario.
     """
-    x = np.asarray(x0, dtype=float)
-    xs = [x.copy()]
-    us, vs, Vs, js = [], [], [], []
-    prev = None
+    xs, done, prev = [np.asarray(x0, dtype=float)], [], None
     for k in range(steps):
         try:
-            step = evaluate_ocp(x, catalog, spec, lin, zsets, terminal,
+            step = evaluate_ocp(xs[-1], catalog, spec, lin, zsets, terminal,
                                 Q, rho, cfg=cfg, prev=prev)
         except InfeasibleStateError as exc:
-            exc.step = k
-            exc.partial = Trajectory(x=np.array(xs), u=np.array(us),
-                                     v=np.array(vs), V=np.array(Vs),
-                                     j_star=np.array(js, dtype=int))
+            exc.step, exc.partial = k, _trajectory(xs, done)
             raise
         prev = decode(step.j_star, catalog.s, catalog.N)
-        x = dynamics_step(spec, x, step.u)
-        xs.append(x.copy())
-        us.append(step.u)
-        vs.append(step.v)
-        Vs.append(step.V)
-        js.append(step.j_star)
-    return Trajectory(x=np.array(xs), u=np.array(us), v=np.array(vs),
-                      V=np.array(Vs), j_star=np.array(js, dtype=int))
+        xs.append(dynamics_step(spec, xs[-1], step.u))
+        done.append(step)
+    return _trajectory(xs, done)
+
+
+def _trajectory(xs, steps):
+    """The Trajectory of the visited states xs and the steps taken."""
+    return Trajectory(x=np.array(xs), u=np.array([s.u for s in steps]),
+                      v=np.array([s.v for s in steps]),
+                      V=np.array([s.V for s in steps]),
+                      j_star=np.array([s.j_star for s in steps], dtype=int))
 
 
 def _grid_point(point, catalog, spec, lin, zsets, terminal, Q, rho, cfg,
@@ -234,7 +234,10 @@ def _grid_point(point, catalog, spec, lin, zsets, terminal, Q, rho, cfg,
                             rho, cfg=cfg, keep_per_scenario=keep_per_scenario)
     except InfeasibleStateError:
         return (0, np.nan, np.nan, 0, [])
-    per = [(j, status) for j, status, _ in step.per_scenario or []]
+    # the table asks whether a Dominated candidate is feasible: solve it
+    per = [(j, status if status != "Dominated" else solve(assemble(
+        decode(j, catalog.s, catalog.N), point, lin, zsets, terminal, Q,
+        rho), cfg).status) for j, status, _ in step.per_scenario or []]
     return (1, step.u, step.V, step.j_star, per)
 
 

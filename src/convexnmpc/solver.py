@@ -17,9 +17,9 @@ under one phase-I rule: offline a pair of stage sets is the depth-2 head
 of the free-x0 horizon-2 program (transitions, kept in the horizons' LRU),
 online the heads that several candidates share are walked depth by depth
 (heads), each start extended by the lines that a step's compiled block
-holds (_lines). The same rule on a program with one more row, the
-objective cut V(z) <= B, shows that no Optimal solve of the program has a
-value at most B (dominated).
+holds (_lines). The same rule with one more row, the objective cut
+V(z) <= B, which the programs at one state share as they share their
+cost, shows that a program has no Optimal solve of value <= B (dominated).
 
 The Newton kernel keeps two invariants. Each trial point of the line search
 is evaluated once: the accepted trial's margins, sinusoid phase pieces and
@@ -1275,9 +1275,9 @@ def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
     return bounds, n_newton
 
 
-def dominated(progs, bounds, cfg):
+def dominated(progs, bound, cfg):
     """Whether each fixed-x0 program is shown to have no Optimal solve of
-    value at most its bound, and the Newton steps spent: the head rule's
+    value at most bound, and the Newton steps spent: the head rule's
     phase I on the program with one more row, the objective cut
     z'Hz + f.z + c0 - bound <= 0 (all in one lockstep drive). Phase I
     relaxes every row and the cut by one t, so a bound on t* above
@@ -1285,13 +1285,10 @@ def dominated(progs, bounds, cfg):
     solve's relax (at most feas_tol + RELAX_PAD) and a value at most the
     bound. Nonconvex data gets no cut, as in heads."""
     live = [i for i, prog in enumerate(progs) if not prog.nonconvex_data]
-    cut = []
-    for i in live:
-        p = progs[i]
-        row = Constraints.of(p.n_vars, p.cons.dir.shape[1], H=[2.0 * p.H],
-                             w=[p.f], c0=[p.c0 - bounds[i]])
-        cut.append(replace(p, cons=Constraints.join([p.cons, row])))
-    batch = _Batch(cut)
+    rows = (Constraints.of(p.n_vars, p.cons.dir.shape[1], H=[2.0 * p.H],
+                           w=[p.f], c0=[p.c0 - bound]) for p in progs)
+    batch = _Batch([replace(p, cons=Constraints.join([p.cons, row]))
+                    for p, row in zip(progs, rows) if not p.nonconvex_data])
     results, _ = _drive([_head_phase1(batch, k, cfg)
                          for k in range(len(live))])
     out = [False] * len(progs)

@@ -1,14 +1,18 @@
 import dataclasses
+import json
+import pathlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import convexnmpc as cn
 from convexnmpc import closedloop
 from convexnmpc.solver import heads
+
+BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 
 
 def _modules(data, catalog):
@@ -62,30 +66,34 @@ class TestEvaluate:
         assert again.V == base.V
 
     def test_iter_limit_candidates_are_counted_not_chosen(self, ex2):
-        # at this state the three candidates need 61 (Infeasible), 114 and
-        # 21 Newton steps; only the last, and best, one fits a budget of 50.
-        # The first one's one-step bound (0.0203) screens it before any
-        # Newton step, so it is never undecided
-        seqs = tuple((2,) * k + (1,) * (15 - k) for k in (1, 2, 3))
+        # at this state the three candidates need 65 (Infeasible), 119 and
+        # 124 Newton steps; the second is the incumbent, solved first, and
+        # the third, the best, lies below it, so no cut certifies it. A
+        # budget of 120 fits the second alone. The first one's one-step
+        # bound (0.0388) screens it before any Newton step, so it is never
+        # undecided
+        seqs = tuple((2,) * k + (1,) * (15 - k) for k in (1, 5, 6))
         catalog = cn.FeasibleCatalog(s=3, N=15, levels={15: seqs},
                                      feas_tol=1e-7, terminal_kind="ellipsoid",
                                      content_hash="")
         m = _modules(ex2, catalog)
-        x = np.array([-0.9, 0.8])
+        x = np.array([-1.2, 0.6])
 
         def evaluate(max_newton):
             return cn.evaluate_ocp(x, *m.values(),
                                    cfg=cn.SolverConfig(max_newton=max_newton))
 
-        full, capped = evaluate(500), evaluate(50)
+        full, capped = evaluate(500), evaluate(120)
         assert (full.n_undecided, capped.n_undecided) == (0, 1)
         assert (full.n_screened, capped.n_screened) == (1, 1)
-        # the budget runs out at the 51st step; the two solves share rounds
-        assert (full.n_newton, capped.n_newton) == (114 + 21, 51 + 21)
-        assert 114 < full.n_rounds < full.n_newton
+        assert full.n_dominated == capped.n_dominated == 0
+        # the budget runs out at the 121st step; each solve is alone in its
+        # batch (the incumbent, then the rest), so none takes a round
+        assert (full.n_newton, capped.n_newton) == (119 + 124, 119 + 121)
+        assert full.n_rounds == capped.n_rounds == 0
         assert full.j_star == cn.encode(seqs[2], 3)
-        assert (capped.j_star, capped.u, capped.V) == (full.j_star, full.u,
-                                                       full.V)
+        assert capped.j_star == cn.encode(seqs[1], 3)
+        assert capped.V > full.V
         with pytest.raises(cn.InfeasibleStateError) as info:
             evaluate(5)
         assert info.value.details["n_undecided"] == 2
@@ -194,11 +202,51 @@ def _recorded_simulate(monkeypatch, m, x0, steps):
     return traj, calls
 
 
+def _alone(m, cfg, x):
+    """Each candidate at x: None when its head bound screens it, as in
+    evaluate_ocp, and otherwise its solve alone; with the sequences and
+    the programs of the unscreened ones."""
+    seqs = cn.filter_for_state(m["catalog"], m["spec"], x)
+    args = (m["lin"], m["zsets"], m["terminal"], m["Q"], m["rho"])
+    bounds, _ = heads(x, seqs, *args, cfg)
+    progs = {i: cn.assemble(seq, x, *args) for i, (seq, low)
+             in enumerate(zip(seqs, bounds)) if low <= cfg.feas_tol}
+    sols = [cn.solve(progs[i], cfg) if i in progs else None
+            for i in range(len(seqs))]
+    return seqs, progs, sols
+
+
+def _check_dominated(step, seqs, sols, first, s=3):
+    """Every entry of step that is not Dominated is as if solved alone
+    (sols), and every Dominated one, solved alone, ends non-Optimal or
+    above B = min V + TIE_TOL over the Optimal first solves; the decision
+    is that of solving every unscreened candidate. The number of Dominated
+    ones."""
+    won = [sols[i].V for i in first if sols[i].optimal]
+    n = 0
+    for (j, status, V), seq, sol in zip(step.per_scenario, seqs, sols):
+        assert j == cn.encode(seq, s)
+        if status == "Dominated":
+            assert not sol.optimal or sol.V > min(won) + closedloop.TIE_TOL
+            n += 1
+        elif sol is None:
+            assert status == "Screened"
+        else:
+            assert status == sol.status
+            assert V == sol.V or (np.isnan(V) and np.isnan(sol.V))
+    assert step.n_dominated == n
+    assert step.n_scenarios_solved + step.n_screened + n == len(seqs)
+    best = sols[closedloop.applied_candidate(sols)]
+    assert (step.j_star, step.v, step.V) == (best.scenario_j, best.v_seq[0],
+                                             best.V)
+    return n
+
+
 class TestDominance:
     def test_simulate_applies_what_cold_queries_apply(self, monkeypatch, ex2,
                                                       ex2_catalog_n15):
         m = _modules(ex2, ex2_catalog_n15)
-        n_dominated = 0
+        n_dominated = n_cold = 0
         for x0 in LOOP_STARTS:
             traj, calls = _recorded_simulate(monkeypatch, m, x0, 10)
             assert calls[0][1] is None
@@ -207,11 +255,11 @@ class TestDominance:
                 if k:
                     assert prev == cn.decode(int(traj.j_star[k - 1]), 3, 15)
                 cold = cn.evaluate_ocp(x, *m.values())
-                assert cold.n_dominated == cold.n_cut_newton == 0
                 assert (cold.j_star, cold.u, cold.V) == (
                     traj.j_star[k], traj.u[k], traj.V[k])
                 n_dominated += step.n_dominated
-        assert n_dominated > 0
+                n_cold += cold.n_dominated
+        assert n_dominated > 0 and n_cold > 0
 
     def test_dominated_candidates_cannot_win(self, monkeypatch, ex2,
                                              ex2_catalog_n15):
@@ -223,90 +271,86 @@ class TestDominance:
         for x0 in LOOP_STARTS[:2]:
             _, calls = _recorded_simulate(monkeypatch, m, x0, 10)
             for x, _, _ in calls:
-                cold = cn.evaluate_ocp(x, *m.values(), keep_per_scenario=True)
-                for lead, status, _ in cold.per_scenario:
-                    if status != "Optimal":
+                seqs, progs, sols = _alone(m, cfg, x)
+                for lead, sol in zip(seqs, sols):
+                    if sol is None or not sol.optimal:
                         continue
-                    prev = (1,) + cn.decode(lead, 3, 15)[:-1]
+                    prev = (1,) + lead[:-1]
                     warm = cn.evaluate_ocp(x, *m.values(), prev=prev,
                                            keep_per_scenario=True)
-                    assert (warm.j_star, warm.u, warm.V) == (
-                        cold.j_star, cold.u, cold.V)
-                    n_lost += lead != cold.j_star
-                    n_checked += self._check_dominated(
-                        m, cfg, x, prev, warm, cold)
+                    n_lost += sol.scenario_j != warm.j_star
+                    leads = [i for i in progs if seqs[i][:-1] == lead[:-1]]
+                    n_checked += _check_dominated(warm, seqs, sols, leads)
         assert n_checked > 0 and n_lost > 0
 
-    @staticmethod
-    def _check_dominated(m, cfg, x, prev, warm, cold):
-        """Every candidate of warm that is not Dominated is as in cold, and
-        every Dominated one, solved alone, ends non-Optimal or above its
-        bound; the number of Dominated ones."""
-        leads = [(j, V) for j, status, V in warm.per_scenario
-                 if status == "Optimal"
-                 and cn.decode(j, 3, 15)[:-1] == prev[1:]]
-        n = 0
-        for (j, status, V), (cj, cstatus, cV) in zip(warm.per_scenario,
-                                                    cold.per_scenario):
-            assert j == cj
-            if status != "Dominated":  # solved as in a cold query
-                assert status == cstatus
-                assert V == cV or (np.isnan(V) and np.isnan(cV))
+    @pytest.mark.parametrize("name", ["ex2", "ex3"])
+    def test_cold_dominated_candidates_cannot_win(self, request, name):
+        # cold queries at benchmark pool states (one loop-ex2 start in 2,
+        # one query-ex3 state in 4): the incumbent is solved first and
+        # cuts the others, whatever their index
+        data = request.getfixturevalue(name)
+        catalog = cn.FeasibleCatalog.load(BENCH_DATA
+                                          / f"{name}_N15_catalog.json")
+        pool, every = {"ex2": ("loop-ex2", 2), "ex3": ("query-ex3", 4)}[name]
+        entries = json.loads((BENCH_DATA / "reference.json").read_text())[
+            "pools"][pool][::every]
+        m = _modules(data, catalog)
+        cfg = cn.SolverConfig()
+        n_checked = n_infeasible = 0
+        for entry in entries:
+            x = np.array(entry["x0"], dtype=float)
+            seqs, progs, sols = _alone(m, cfg, x)
+            try:
+                step = cn.evaluate_ocp(x, *m.values(), keep_per_scenario=True)
+            except cn.InfeasibleStateError:
+                assert not any(sol is not None and sol.optimal
+                               for sol in sols)
+                n_infeasible += 1
                 continue
-            bound = min(Vc for jc, Vc in leads if jc < j)
-            sol = cn.solve(cn.assemble(cn.decode(j, 3, 15), x, m["lin"],
-                                       m["zsets"], m["terminal"], m["Q"],
-                                       m["rho"]), cfg)
-            assert not sol.optimal or sol.V > bound
-            n += 1
-        assert warm.n_dominated == n
-        assert warm.n_scenarios_solved + warm.n_screened + n == len(
-            warm.per_scenario)
-        return n
+            n_checked += _check_dominated(step, seqs, sols,
+                                          closedloop._incumbent(progs),
+                                          catalog.s)
+        assert n_checked > 0
+        assert n_infeasible > 0 or name == "ex2"
 
-    def test_without_prev_every_unscreened_candidate_is_solved(
+    def test_without_prev_undominated_candidates_are_as_if_solved_alone(
             self, ex2, ex2_catalog_n15):
         m = _modules(ex2, ex2_catalog_n15)
         cfg = cn.SolverConfig()
+        n_dominated = 0
         for x in (np.array([-1.2, 1.2]), np.array([-1.5, 0.3])):
             step = cn.evaluate_ocp(x, *m.values(), keep_per_scenario=True)
-            assert step.n_dominated == step.n_cut_newton == 0
-            seqs = cn.filter_for_state(m["catalog"], m["spec"], x)
-            bounds, _ = heads(x, seqs, m["lin"], m["zsets"], m["terminal"],
-                              m["Q"], m["rho"], cfg)
-            want = []
-            for seq, low in zip(seqs, bounds):
-                if low > cfg.feas_tol:
-                    want.append((cn.encode(seq, 3), "Screened", None))
-                    continue
-                sol = cn.solve(cn.assemble(seq, x, m["lin"], m["zsets"],
-                                           m["terminal"], m["Q"], m["rho"]),
-                               cfg)
-                want.append((cn.encode(seq, 3), sol.status,
-                             None if np.isnan(sol.V) else sol.V))
-            got = [(j, status, None if np.isnan(V) else V)
-                   for j, status, V in step.per_scenario]
-            assert got == want
+            seqs, progs, sols = _alone(m, cfg, x)
+            n_dominated += _check_dominated(step, seqs, sols,
+                                            closedloop._incumbent(progs))
+        assert n_dominated > 0
 
 
 def _sols(values):
     """Stand-ins for solutions: None (screened), or Optimal with value V,
-    or undecided (V None)."""
+    or undecided (V None); scenario_j is the position plus 1."""
     return [None if v == "screened" else
-            SimpleNamespace(optimal=v is not None,
+            SimpleNamespace(optimal=v is not None, scenario_j=j,
                             V=float("nan") if v is None else v)
-            for v in values]
+            for j, v in enumerate(values, start=1)]
+
+
+def _applied_j(sols):
+    best = closedloop.applied_candidate(sols)
+    return None if best is None else sols[best].scenario_j
 
 
 class TestTieRule:
-    def test_bounds_from_later_candidates_are_not_exact(self, monkeypatch):
+    def test_bounds_from_later_candidates_are_exact(self, monkeypatch):
         monkeypatch.setattr(closedloop, "TIE_TOL", 1.0)
         sols = _sols([4.0, 2.1, 1.6, 0.9, 0.0])
         assert closedloop.applied_candidate(sols) == 3  # index 4
-        # 2.1 exceeds the winner of index 5 by more than 2 TIE_TOL, yet
-        # without it the scan applies index 5
+        # index 4 is the smallest within TIE_TOL of the least value, so
+        # leaving out index 2 (2.1) changes nothing, where a scan that
+        # replaces its best only below V_best - TIE_TOL would then apply
+        # index 5
         sols[1] = None
-        assert closedloop.applied_candidate(sols) == 4
+        assert closedloop.applied_candidate(sols) == 3
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.integers(0, 8), st.none(),
@@ -324,6 +368,28 @@ class TestTieRule:
                 else sol for d, sol in enumerate(sols)]
         applied = closedloop.applied_candidate
         assert applied(kept) == applied(sols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 4),
+                              st.none(), st.just("screened")),
+                    min_size=2, max_size=8))
+    @example([3, 2, 0])
+    def test_losers_at_any_index_never_change_the_applied_scenario(
+            self, ticks):
+        # deleting a candidate that is not Optimal, or whose V exceeds
+        # V_min + TIE_TOL, from anywhere in the list; each alone, then
+        # all. At [3, 2, 0] a scan that replaces its best only below
+        # V_best - TIE_TOL applies the 0 only while the 3 is there
+        values = [t * 0.5 * closedloop.TIE_TOL if isinstance(t, int) else t
+                  for t in ticks]
+        sols = _sols(values)
+        optimal = [sol.V for sol in sols if sol is not None and sol.optimal]
+        top = min(optimal, default=np.inf) + closedloop.TIE_TOL
+        losers = [d for d, sol in enumerate(sols)
+                  if sol is None or not sol.optimal or sol.V > top]
+        for gone in [[d] for d in losers] + [losers]:
+            kept = [sol for d, sol in enumerate(sols) if d not in gone]
+            assert _applied_j(kept) == _applied_j(sols)
 
 
 class TestGrid:
@@ -368,6 +434,31 @@ class TestGrid:
                             "j_star"]
         assert any(c.startswith("feas_j") for c in head)
         assert len(lines) == 10
+
+    @pytest.mark.parametrize("name", ["ex2", "ex3"])
+    def test_per_scenario_columns_match_solves_alone(self, request, name):
+        # a Dominated candidate is left unsolved by evaluate_ocp, yet its
+        # feas_j column says whether it is Optimal when solved alone
+        data = request.getfixturevalue(name)
+        catalog = request.getfixturevalue(f"{name}_catalog_n15")
+        m = _modules(data, catalog)
+        table = cn.sample_grid(5, *m.values(), keep_per_scenario=True)
+        want, n_dominated = {}, 0
+        for k, x in enumerate(table.points):
+            if not table.feasible[k]:
+                continue
+            if not n_dominated:
+                n_dominated = cn.evaluate_ocp(x, *m.values()).n_dominated
+            for seq in cn.filter_for_state(catalog, data["spec"], x):
+                sol = cn.solve(cn.assemble(seq, x, data["lin"], data["zsets"],
+                                           data["terminal"], data["Q"],
+                                           data["rho"]))
+                column = want.setdefault(cn.encode(seq, catalog.s),
+                                         np.zeros(len(table.points), int))
+                column[k] = int(sol.optimal)
+        assert n_dominated > 0
+        assert table.to_csv() == dataclasses.replace(
+            table, per_scenario=want).to_csv()
 
     def test_parallel_grid_matches_serial(self, ex3, ex3_catalog_n15):
         m = _modules(ex3, ex3_catalog_n15)

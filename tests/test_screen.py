@@ -294,7 +294,9 @@ def _decisions(data, catalog):
             continue
         statuses = [status for _, status, _ in step.per_scenario]
         assert step.n_screened == statuses.count("Screened")
-        assert step.n_scenarios_solved + step.n_screened == len(statuses)
+        assert step.n_dominated == statuses.count("Dominated")
+        assert (step.n_scenarios_solved + step.n_screened + step.n_dominated
+                == len(statuses))
         out.append((step.j_star, step.u, step.V, step.n_screened,
                     step.n_head_newton))
     return out

@@ -39,9 +39,10 @@ Prints sha256[:16] over one float-hex line per result for eleven sets:
             Newton steps of the head walk, which move with any change to
             its head programs or their starts;
 - dominance: (j*, n_dominated, n_cut_newton) of every step of a 25-step
-            simulate from every loop-ex2 start: which candidates the
-            objective cuts leave unsolved, and the Newton steps of the cut
-            tests (closedloop.evaluate_ocp with prev).
+            simulate from every loop-ex2 start, then of evaluate_ocp at
+            every query-ex3 pool state: which candidates the objective
+            cuts leave unsolved, and the Newton steps of the cut tests
+            (closedloop.evaluate_ocp with prev, and cold).
 
 A constraint's line is its form's class name with its fields, in the
 order the program or stage set holds them, as AffineCon{row,offset},
@@ -263,11 +264,10 @@ def screen_digests():
 
 def dominance_digest():
     """Every step of simulate, read by wrapping the closedloop.evaluate_ocp
-    it calls (the checkout's own simulate, prev included); a checkout
-    without the two counts reads 0 for them."""
+    it calls (the checkout's own simulate, prev included), then every cold
+    query-ex3 pool state; a checkout without the two counts reads 0 for
+    them."""
     pools = json.loads((DATA / "reference.json").read_text())["pools"]
-    pipe = pipeline("ex2")
-    catalog = FeasibleCatalog.load(DATA / "ex2_N15_catalog.json")
     out, inner = Digest(), closedloop.evaluate_ocp
 
     def recorded(*args, **kwargs):
@@ -276,17 +276,24 @@ def dominance_digest():
                 getattr(step, "n_cut_newton", 0))
         return step
 
-    closedloop.evaluate_ocp = recorded
-    try:
-        for entry in pools["loop-ex2"]:
-            try:
-                simulate(np.array(entry["x0"], dtype=float), LOOP_STEPS,
-                         catalog, pipe.spec, pipe.lin, pipe.zsets,
-                         pipe.terminal, pipe.Q, pipe.rho, cfg=pipe.solver_cfg)
-            except InfeasibleStateError as exc:
-                out.add("infeasible", exc.step)
-    finally:
-        closedloop.evaluate_ocp = inner
+    for system, pool in (("ex2", "loop-ex2"), ("ex3", "query-ex3")):
+        pipe = pipeline(system)
+        catalog = FeasibleCatalog.load(DATA / f"{system}_N15_catalog.json")
+        args = (catalog, pipe.spec, pipe.lin, pipe.zsets, pipe.terminal,
+                pipe.Q, pipe.rho)
+        closedloop.evaluate_ocp = recorded
+        try:
+            for entry in pools[pool]:
+                x = np.array(entry["x0"], dtype=float)
+                try:
+                    if pool == "loop-ex2":
+                        simulate(x, LOOP_STEPS, *args, cfg=pipe.solver_cfg)
+                    else:
+                        closedloop.evaluate_ocp(x, *args, cfg=pipe.solver_cfg)
+                except InfeasibleStateError as exc:
+                    out.add("infeasible", getattr(exc, "step", None))
+        finally:
+            closedloop.evaluate_ocp = inner
     return out
 
 
