@@ -26,7 +26,7 @@ from .terminal import (TerminalIngredients, build_terminal, dare_residual,
 from .scenario import (FeasibleCatalog, catalog_hash, decode, encode,
                        filter_for_state, prune_catalog)
 from .solver import (ConvexProgram, Solution, SolverConfig, assemble, solve,
-                     solve_feasibility, solve_many)
+                     solve_feasibility)
 from .closedloop import (GridTable, MpcStepResult, Trajectory, evaluate_ocp,
                          sample_grid, simulate)
 

@@ -23,7 +23,7 @@ from .linearize import (bound_interval, build_linearization,
 from .model import load_system, validate_assumption1
 from .scenario import (FeasibleCatalog, catalog_hash, decode,
                        filter_for_state, prune_catalog)
-from .solver import SolverConfig, assemble, solve_many
+from .solver import SolverConfig, assemble, solve
 from .stagesets import build_stage_sets
 from .terminal import build_terminal, verify_terminal_axioms
 
@@ -303,9 +303,9 @@ def cmd_solve(args):
         raise InfeasibleStateError(
             "no catalog scenario starts in a region containing the query "
             "state", details_x=x.tolist())
-    sols, n_rounds = solve_many(
-        [assemble(c, x, pipe.lin, pipe.zsets, pipe.terminal,
-                  pipe.Q, pipe.rho) for c in cands], pipe.solver_cfg)
+    sols = [solve(assemble(c, x, pipe.lin, pipe.zsets, pipe.terminal,
+                           pipe.Q, pipe.rho), pipe.solver_cfg)
+            for c in cands]
     results = [_solution_dict(pipe, x, sol) for sol in sols]
     # the candidate evaluate_ocp applies, or the first when none is Optimal
     shown = results[applied_candidate(sols) or 0]
@@ -313,8 +313,7 @@ def cmd_solve(args):
     n_undecided = sum(sol.status in UNDECIDED for sol in sols)
     n_newton = sum(sol.n_newton for sol in sols)
     print(f"undecided candidates (IterLimit or Stalled): {n_undecided}; "
-          f"Newton steps: {n_newton} in {n_rounds} lockstep rounds",
-          file=sys.stderr)
+          f"Newton steps: {n_newton}", file=sys.stderr)
     return 0 if any(sol.optimal for sol in sols) else 2
 
 

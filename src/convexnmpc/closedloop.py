@@ -20,8 +20,7 @@ from .geometry import MEMBERSHIP_TOL
 from .linearize import u_of_v
 from .model import dynamics_step
 from .scenario import decode, filter_for_state, worker_map
-from .solver import (SolverConfig, assemble, dominated, encode, heads,
-                     solve, solve_many)
+from .solver import SolverConfig, assemble, dominated, encode, heads, solve
 
 TIE_TOL = 1e-9
 UNDECIDED = ("IterLimit", "Stalled")  # statuses that decide nothing
@@ -38,7 +37,6 @@ class MpcStepResult:
     n_undecided: int = 0
     n_screened: int = 0
     n_newton: int = 0  # Newton steps summed over the solved candidates
-    n_rounds: int = 0  # lockstep rounds of their batch (solver.solve_many)
     n_head_newton: int = 0  # Newton steps of the head tests (solver.heads)
     n_dominated: int = 0  # not solved: a cut shows they cannot win
     n_cut_newton: int = 0  # Newton steps of the cut tests (solver.dominated)
@@ -134,8 +132,8 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     else the incumbent (_incumbent). If one is Optimal, each other
     candidate that solver.dominated shows to have no Optimal solve with
     V <= B = min V + TIE_TOL over the first solves is Dominated, not
-    solved; the rest are solved in one solve_many batch. The decision is
-    that of solving every candidate not Screened: all share the cost
+    solved; the rest are solved one at a time. The decision is that of
+    solving every candidate not Screened: all share the cost
     z'Hz + f.z + c0, so one cut row serves them all, and an Optimal solve
     of a Dominated d has V > B >= V_min + TIE_TOL. So d is not applied and
     leaves V_min as it is: the applied index (applied_candidate) does not
@@ -145,9 +143,7 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     the input gain vanishes. IterLimit and Stalled candidates are
     undecided. n_undecided, n_screened and n_head_newton (the head tests'
     Newton steps) are also in the details of InfeasibleStateError, with
-    per_scenario when kept; n_newton and n_rounds show how full the
-    lockstep rounds were (a candidate alone in its program shape steps
-    outside the rounds).
+    per_scenario when kept.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
@@ -159,17 +155,15 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
              for i, c in enumerate(candidates) if statuses[i] is None}
     first = (_incumbent(progs) if prev is None else
              [i for i in progs if candidates[i][:-1] == tuple(prev[1:])])
-    solved, n_rounds = solve_many([progs[i] for i in first], cfg)
-    found = dict(zip(first, solved))
-    won = [sol.V for sol in solved if sol.optimal]
+    found = {i: solve(progs[i], cfg) for i in first}
+    won = [sol.V for sol in found.values() if sol.optimal]
     cut = [d for d in progs if d not in found] if won else []
     out, n_cut_newton = dominated([progs[d] for d in cut],
                                   min(won, default=np.inf) + TIE_TOL, cfg)
     for d, gone in zip(cut, out):
         statuses[d] = "Dominated" if gone else None
     rest = [i for i in progs if i not in found and statuses[i] is None]
-    solved, rounds = solve_many([progs[i] for i in rest], cfg)
-    found.update(zip(rest, solved))
+    found.update((i, solve(progs[i], cfg)) for i in rest)
     sols = [found.get(i) for i in range(len(candidates))]
     statuses = [status or sol.status for status, sol in zip(statuses, sols)]
     n_undecided = sum(status in UNDECIDED for status in statuses)
@@ -191,7 +185,7 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
         n_scenarios_solved=len(found), per_scenario=per,
         n_undecided=n_undecided, n_screened=n_screened,
         n_newton=sum(s.n_newton for s in found.values()),
-        n_rounds=n_rounds + rounds, n_head_newton=n_head_newton,
+        n_head_newton=n_head_newton,
         n_dominated=statuses.count("Dominated"), n_cut_newton=n_cut_newton)
 
 

@@ -46,19 +46,8 @@ Constraints.barrier_phase, (freq * X'dir).z + (freq * (dir.x_off) +
 phase). One formula for both moves Newton counts and t*, and closed-loop
 values by up to 1e-8 relative, which the stored references do not absorb.
 
-The fourth invariant: a batch does each candidate's arithmetic exactly.
-solve_many runs the Newton iterations of many programs in lockstep; each
-round forms the Newton systems and the first line-search trials of the live
-candidates of one program shape together (a program alone in its shape
-steps without waiting for a round), while phases, stages, budgets, line
-searches and certificates stay per candidate. Only products
-whose rounding does not depend on the stacking are shared: a stacked
-matrix product equals its per-slice products bit for bit when the slices
-have equal shapes, but a matrix-vector product changes with the number of
-rows, so none is padded or folded across candidates or constraints; every
-sum runs over one candidate's unpadded slice; and each system is factored
-on its own with LAPACK (a stacked Cholesky rounds differently). So solve is
-a batch of one, and no solution depends on the batch it was solved in.
+The fourth invariant: programs are solved one at a time, each Newton
+system factored with LAPACK.
 """
 import threading
 from dataclasses import dataclass, replace
@@ -454,83 +443,55 @@ class _Work:
 
 
 class _Stack:
-    """The barrier worksets of a batch's programs of one shape in one phase:
-    those still in it, stacked along a first axis.
+    """The barrier workset of one program in one phase.
 
     Three blocks: affine rows A z <= b, the ridge group and the convex
-    quadratics. A ridge member reads scale*cos~(q.z + r) + lin.z + c <= 0
-    with q = freq * X'dir and r = freq * (dir.x_off) + phase; its curvature
-    term is rank-one with weight curv >= 0. In phase I (aug) the iterate
-    carries the slack t as a last column, and every constraint f(z) <= 0
-    becomes f(z) - t <= 0. A member's relax shifts each of its constraints
-    by a nonnegative slack.
+    quadratics. A ridge reads scale*cos~(q.z + r) + lin.z + c <= 0 with
+    q = freq * X'dir and r = freq * (dir.x_off) + phase; its curvature term
+    is rank-one with weight curv >= 0. In phase I (aug) the iterate carries
+    the slack t as a last column, and every constraint f(z) <= 0 becomes
+    f(z) - t <= 0. relax shifts each constraint by a nonnegative slack.
 
     A point is one row: the margins (positive inside) of the three blocks,
     the ridge phase pieces (th, clipped th, cos, sin) from which the Newton
     step derives slopes and curvatures, and last the barrier value.
-
-    A stack is alone when no other program of its batch has its shape: its
-    one member shares no round, so its requests are served as they come.
     """
 
-    def __init__(self, aug, alone):
-        self.aug, self.alone, self.progs, self.relaxes = aug, alone, [], []
-        self.rows, self.pos, self.members = (), {}, None
-
-    def add(self, prog, relax):
-        """Row of a new member with its relax."""
-        self.progs.append(prog)
-        self.relaxes.append(relax)
-        return len(self.progs) - 1
-
-    def _build(self, rows):
-        """The arrays of the members rows, in their order."""
-        progs, aug = [self.progs[r] for r in rows], self.aug
-        relaxes = [self.relaxes[r] for r in rows]
-        d, k = progs[0].n_vars, len(progs)
+    def __init__(self, prog, aug, relax):
+        cons, d = prog.cons, prog.n_vars
         w = d + 1 if aug else d
-        cons = [p.cons for p in progs]
-        m, ms, nq = len(cons[0].rows), len(cons[0].scale), len(cons[0].c0)
-        self.d, self.m, self.ms, self.nq = d, m, ms, nq
-        self.A = np.empty((k, m, w))
-        self.A[:, :, :d] = [c.rows for c in cons]
+        m, ms, nq = len(cons.rows), len(cons.scale), len(cons.c0)
+        self.aug, self.d, self.m, self.ms, self.nq = aug, d, m, ms, nq
+        self.A = np.empty((m, w))
+        self.A[:, :d] = cons.rows
         if aug:
-            self.A[:, :, d] = -1.0
-        self.relax = np.array(relaxes)
-        self.b = np.array([c.offsets + relax for c, relax in
-                           zip(cons, relaxes)]).reshape(k, m)
-        self.arrays = ["A", "b", "relax"]
+            self.A[:, d] = -1.0
+        self.AT = self.A.T
+        self.relax = np.float64(relax)
+        self.b = np.array(cons.offsets + relax)
         if aug:  # phase I minimizes t alone
-            self.grad_t = np.zeros((k, w))
-            self.grad_t[:, d] = 1.0
-            self.arrays.append("grad_t")
+            self.grad_t = np.zeros(w)
+            self.grad_t[d] = 1.0
         else:
-            self.H = np.array([p.H for p in progs])
-            self.f = np.array([p.f for p in progs])
-            self.c0 = np.array([p.c0 for p in progs])
-            self.arrays += ["H", "f", "c0"]
+            self.H, self.f = np.array(prog.H), np.array(prog.f)
+            self.c0 = np.float64(prog.c0)
         if ms:
-            self.Qm, self.Lin = np.zeros((k, ms, w)), np.zeros((k, ms, w))
-            self.Qm[:, :, :d] = [c.barrier_phase[0] for c in cons]
-            self.Lin[:, :, :d] = [c.lin for c in cons]
+            self.Qm, self.Lin = np.zeros((ms, w)), np.zeros((ms, w))
+            self.Qm[:, :d] = cons.barrier_phase[0]
+            self.Lin[:, :d] = cons.lin
             if aug:
-                self.Lin[:, :, d] = -1.0
-            self.r = np.array([c.barrier_phase[1] for c in cons])
-            for name, attr in (("lc", "c"), ("scale", "scale"), ("lo", "lo"),
-                               ("hi", "hi")):
-                setattr(self, name, np.array([getattr(c, attr)
-                                              for c in cons]))
+                self.Lin[:, d] = -1.0
+            self.QT = self.Qm.T
+            self.r = np.array(cons.barrier_phase[1])
+            self.lc, self.scale = np.array(cons.c), np.array(cons.scale)
+            self.lo, self.hi = np.array(cons.lo), np.array(cons.hi)
             self.neg_scale = -self.scale
-            self.arrays += ["Qm", "Lin", "r", "lc", "scale", "neg_scale", "lo",
-                            "hi"]
         if nq:
-            self.qH = np.array([c.H for c in cons])
-            self.qw = np.array([c.w for c in cons])
-            self.qc = np.array([c.c0 for c in cons])
+            self.qH, self.qw = np.array(cons.H), np.array(cons.w)
+            self.qc = np.array(cons.c0)
             # constant Hessians, padded with the zero t row and column once
-            self.qhess = np.zeros((k, nq, w, w))
-            self.qhess[:, :, :d, :d] = self.qH
-            self.arrays += ["qH", "qw", "qc", "qhess"]
+            self.qhess = np.zeros((nq, w, w))
+            self.qhess[:, :d, :d] = self.qH
         # the point row: margins by block, phase pieces, barrier value
         ends = list(accumulate([0, m, ms, nq, ms, ms, ms, ms, 1]))
         (self.s_aff, self.s_grp, self.s_quad, self.th, self.thc, self.cos,
@@ -541,334 +502,116 @@ class _Stack:
                       for block in (self.s_aff, self.s_grp, self.s_quad)
                       if block.stop > block.start]
         self.width = ends[-1]
-        self.rows, self.pos = rows, {r: i for i, r in enumerate(rows)}
-        self.members = _Members(self, range(k))
 
-    def of(self, rows):
-        """_Members of the rows served together in a round: every member
-        still in this phase. The arrays are built again, of these members
-        only, whenever that set changes."""
-        rows = tuple(rows)
-        if rows != self.rows:
-            self._build(rows)
-        return self.members
-
-    def part(self, rows):
-        """_Members of some of the rows of the last of(), for one use."""
-        return _Members(self, [self.pos[r] for r in rows])
-
-    def values(self, s, Z, P, mu):
-        """Barrier values at iterates Z of the members s (see points), with
-        point rows P and barrier weights mu: inf outside the domain."""
-        one = Z.ndim == 1
-        if self.aug:
-            total = Z[-1] if one else Z[..., -1]
-        elif one:
-            total = Z @ s.H @ Z + s.f @ Z + s.c0
-        else:
-            total = (((Z[..., None, :] @ s.H) @ Z[..., None])
-                     + (s.f[..., None, :] @ Z[..., None]))[..., 0, 0] + s.c0
+    def values(self, z, P, mu):
+        """Barrier value at iterate z with point row P and barrier weight
+        mu: inf outside the domain."""
+        total = z[-1] if self.aug else z @ self.H @ z + self.f @ z + self.c0
         if not self.terms:
             return total
-        slack = P[..., self.slacks]
+        slack = P[self.slacks]
         inside = np.minimum.reduce(slack, axis=None) > 0
         if inside:
             logs = np.log(slack)
         else:  # outside: some block's least margin is <= 0
             outside = False
             for block, many in self.terms:
-                low = _at(slack, block)
-                outside = outside | ((low.min(axis=-1) if many else low) <= 0)
+                low = slack[block]
+                outside = outside | ((low.min() if many else low) <= 0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 logs = np.log(slack)
         for block, many in self.terms:
             # a one-term block is its own sum
-            term = logs[block] if one else logs[..., block]
-            total = total - mu * (np.add.reduce(term, axis=-1) if many
-                                  else term)
+            term = logs[block]
+            total = total - mu * (np.add.reduce(term) if many else term)
         return total if inside else np.where(outside, np.inf, total)
 
-    def margins(self, s, Z):
-        """Affine margins at iterates Z of the members s (see points)."""
-        return s.b - _mv(s.A, Z)
-
-    def points(self, s, Z, mu, margins=None):
-        """Point rows at iterates Z (.., w) of the members s, with barrier
-        weights mu (and their affine margins, if known): Z is (w,) for a
-        single member, (k, w) for several, or (K, k, w) for K trials of
-        each of several."""
-        P = np.empty(Z.shape[:-1] + (self.width,))
+    def points(self, z, mu, margins=None):
+        """Point row at iterate z with barrier weight mu (and its affine
+        margins, if known)."""
+        P = np.empty(self.width)
         if self.m:
-            P[..., self.s_aff] = (self.margins(s, Z) if margins is None
-                                  else margins)
-        relax = s.relax
+            P[self.s_aff] = self.b - self.A @ z if margins is None else margins
+        relax = self.relax
         if self.ms:
-            th = np.add(_mv(s.Qm, Z), s.r, out=P[..., self.th])
-            thc = th.clip(s.lo, s.hi, out=P[..., self.thc])
-            cos_c = np.cos(thc, out=P[..., self.cos])
-            sin_c = np.sin(thc, out=P[..., self.sin])
-            vals = (s.scale * (cos_c - sin_c * (th - thc))
-                    + _mv(s.Lin, Z) + s.lc)
-            np.subtract(relax[..., None] if s.several else relax, vals,
-                        out=P[..., self.s_grp])
-        X = Z[..., :self.d]
+            th = np.add(self.Qm @ z, self.r, out=P[self.th])
+            thc = th.clip(self.lo, self.hi, out=P[self.thc])
+            cos_c = np.cos(thc, out=P[self.cos])
+            sin_c = np.sin(thc, out=P[self.sin])
+            vals = (self.scale * (cos_c - sin_c * (th - thc))
+                    + self.Lin @ z + self.lc)
+            np.subtract(relax, vals, out=P[self.s_grp])
+        X = z[:self.d]
         for q in range(self.nq):
-            if Z.ndim == 1:
-                val = 0.5 * X @ s.qH[q] @ X + s.qw[q] @ X + s.qc[q]
-            else:
-                Xc = X[..., None]
-                val = ((((0.5 * X)[..., None, :] @ s.qH[..., q, :, :]) @ Xc
-                        + (s.qw[..., q, None, :] @ Xc))[..., 0, 0]
-                       + s.qc[..., q])
-            P[..., self.s_quad.start + q] = (
-                relax - (val - _at(Z, -1)) if self.aug else relax - val)
-        P[..., -1] = self.values(s, Z, P, mu)
+            val = 0.5 * X @ self.qH[q] @ X + self.qw[q] @ X + self.qc[q]
+            P[self.s_quad.start + q] = (
+                relax - (val - z[-1]) if self.aug else relax - val)
+        P[-1] = self.values(z, P, mu)
         return P
 
-    def newton(self, s, Z, P, mu):
-        """(steps, decrements, slopes) of the members s at iterates Z with
-        point rows P and barrier weights mu, each system factored on its
-        own: Z is (w,) for a single member and (k, w) for several."""
-        w, several = Z.shape[-1], s.several
-        mu_ = mu[:, None] if several else mu  # against a member's rows
+    def newton(self, z, P, mu):
+        """(step, decrement, slope) at iterate z with point row P and
+        barrier weight mu, the system factored with LAPACK."""
+        w = len(z)
         if self.aug:
-            grad, hess = s.grad_t, np.zeros(Z.shape + (w,))
+            grad, hess = self.grad_t, np.zeros((w, w))
         else:
-            grad = 2.0 * _mv(s.H, Z) + s.f
-            hess = 2.0 * s.H
+            grad = 2.0 * (self.H @ z) + self.f
+            hess = 2.0 * self.H
         if self.m:
-            inv = 1.0 / P[..., self.s_aff]
-            grad = grad + _mv(s.AT, mu_ * inv)
-            hess += (s.AT * (mu_ * inv ** 2)[..., None, :]) @ s.A
+            inv = 1.0 / P[self.s_aff]
+            grad = grad + self.AT @ (mu * inv)
+            hess += (self.AT * (mu * inv ** 2)[None, :]) @ self.A
         if self.ms:
-            s_grp = P[..., self.s_grp]
-            th = P[..., self.th]
-            dphi = s.neg_scale * P[..., self.sin]
-            curv = np.where((th < s.lo) | (th > s.hi), 0.0,
-                            s.neg_scale * P[..., self.cos])
-            G = dphi[..., None] * s.Qm + s.Lin
-            GT = G.swapaxes(-1, -2)
-            grad = grad + _mv(GT, mu_ / s_grp)
-            hess += (GT * (mu_ / s_grp ** 2)[..., None, :]) @ G
-            hess += (s.QT * (mu_ * curv / s_grp)[..., None, :]) @ s.Qm
-        X = Z[..., :self.d]
+            s_grp = P[self.s_grp]
+            th = P[self.th]
+            dphi = self.neg_scale * P[self.sin]
+            curv = np.where((th < self.lo) | (th > self.hi), 0.0,
+                            self.neg_scale * P[self.cos])
+            G = dphi[:, None] * self.Qm + self.Lin
+            GT = G.T
+            grad = grad + GT @ (mu / s_grp)
+            hess += (GT * (mu / s_grp ** 2)[None, :]) @ G
+            hess += (self.QT * (mu * curv / s_grp)[None, :]) @ self.Qm
+        X = z[:self.d]
         for q in range(self.nq):
-            gcon = np.empty(Z.shape)
-            np.add(_mv(s.qH[..., q, :, :], X), s.qw[..., q, :],
-                   out=gcon[..., :self.d])
+            gcon = np.empty(w)
+            np.add(self.qH[q] @ X, self.qw[q], out=gcon[:self.d])
             if self.aug:
-                gcon[..., -1] = -1.0
-            sq = _at(P, self.s_quad.start + q)
-            if several:
-                grad = grad + (mu / sq)[:, None] * gcon
-                hess += mu[:, None, None] * (
-                    gcon[:, :, None] * gcon[:, None, :]
-                    / (sq * sq)[:, None, None]
-                    + s.qhess[:, q] / sq[:, None, None])
-            else:
-                grad = grad + (mu / sq) * gcon
-                hess += mu * (gcon[:, None] * gcon / (sq * sq)
-                              + s.qhess[q] / sq)
-        if several:
-            steps = np.empty(grad.shape)
-            for j in range(len(steps)):
-                steps[j] = _newton_solve(hess[j], grad[j])
-            slope = (grad[:, None, :] @ steps[:, :, None])[:, 0, 0]
-        else:
-            steps = _newton_solve(hess, grad)
-            slope = grad @ steps
+                gcon[-1] = -1.0
+            sq = P[self.s_quad.start + q]
+            grad = grad + (mu / sq) * gcon
+            hess += mu * (gcon[:, None] * gcon / (sq * sq)
+                          + self.qhess[q] / sq)
+        step = _newton_solve(hess, grad)
+        slope = grad @ step
         # -grad.step, up to the sign of a zero
-        return steps, -slope, slope
+        return step, -slope, slope
 
 
-def _mv(M, Z):
-    """M z for each iterate z of Z (the last axis), one product each."""
-    return M @ Z if Z.ndim == 1 else (M @ Z[..., None])[..., 0]
-
-
-def _at(P, i):
-    """P[..., i], a scalar when P is one row and i an index."""
-    return P[i] if P.ndim == 1 else P[..., i]
-
-
-class _Members:
-    """Some members of a _Stack: its arrays at their positions, with a
-    first axis for several members and without one for a single member."""
-
-    def __init__(self, stack, positions):
-        self.several = len(positions) > 1
-        index = (positions[0] if not self.several
-                 else slice(None) if isinstance(positions, range)
-                 else np.array(positions))
-        for name in stack.arrays:
-            setattr(self, name, getattr(stack, name)[index])
-        self.AT = self.A.swapaxes(-1, -2)
-        if stack.ms:
-            self.QT = self.Qm.swapaxes(-1, -2)
-
-
-class _Batch:
-    """Programs solved together: one _Stack per phase and program shape,
-    holding the programs that entered that phase."""
-
-    def __init__(self, progs):
-        self.progs, self.stacks = list(progs), {}
-        self.shapes = [(p.n_vars, len(p.cons.rows), len(p.cons.scale),
-                        len(p.cons.c0)) for p in self.progs]
-
-    def member(self, i, aug, relax=0.0):
-        """(stack, row) of program i entering phase I (aug) or phase II."""
-        shape = self.shapes[i]
-        if (aug,) + shape not in self.stacks:
-            self.stacks[(aug,) + shape] = _Stack(
-                aug, alone=self.shapes.count(shape) == 1)
-        stack = self.stacks[(aug,) + shape]
-        return stack, stack.add(self.progs[i], relax)
-
-
-TRIALS = 5  # line-search trials evaluated together for several members
 OUTSIDE = _readonly(np.array([np.inf]))  # a trial rejected by its margins
 
 
-def _search(stack, s, z, step, mu, base, slope, t, tries):
-    """Backtracking line search of one member from step length t, with at
-    most tries trials: the accepted (iterate, point row, barrier value), or
-    None. A trial whose affine margins are not all positive is OUTSIDE, its
-    row holding only the barrier value inf."""
-    for _ in range(tries):
+def _search(stack, z, step, mu, base, slope):
+    """Backtracking line search from step length 1, with at most 80
+    trials: the accepted (iterate, point row, barrier value), or None. A
+    trial whose affine margins are not all positive is OUTSIDE, its row
+    holding only the barrier value inf."""
+    t = 1.0
+    for _ in range(80):
         z_new = z + t * step
         if stack.m:
-            margins = s.b - s.A @ z_new
+            margins = stack.b - stack.A @ z_new
             row = (OUTSIDE if np.minimum.reduce(margins) <= 0
-                   else stack.points(s, z_new, mu, margins))
+                   else stack.points(z_new, mu, margins))
         else:
-            row = stack.points(s, z_new, mu)
+            row = stack.points(z_new, mu)
         val = float(row[-1])
         # an infinite barrier value passes only an infinite bound
         if val <= base + ARMIJO_SLOPE * t * slope:
             return z_new, row, val
         t *= BACKTRACK
     return None
-
-
-def _line_searches(stack, s, rows, Z, steps, mu, base, slope, going):
-    """The line search of each of several members whose stage goes on (see
-    _search), 80 trials at most; None for the others. Their first TRIALS
-    trials are evaluated together."""
-    ts = [1.0]
-    for _ in range(TRIALS - 1):
-        ts.append(ts[-1] * BACKTRACK)
-    zs = Z + np.array(ts)[:, None, None] * steps  # trial, member, variable
-    points = stack.points(s, zs, mu)
-    found = []
-    for j, (b, sl) in enumerate(zip(base, slope)):
-        if not going[j]:
-            found.append(None)
-            continue
-        for i, t in enumerate(ts):
-            val = float(points[i, j, -1])
-            if val <= b + ARMIJO_SLOPE * t * sl:  # rows of their own
-                found.append((zs[i, j].copy(), points[i, j].copy(), val))
-                break
-        else:
-            found.append(_search(stack, stack.part([rows[j]]), Z[j], steps[j],
-                                 mu[j], b, sl, t * BACKTRACK, 80 - TRIALS))
-    return found
-
-
-def _serve_one(stack, req):
-    """The answer to a Newton request (stack, row, z, mu, point, base,
-    centered), which holds z, its point row (None: not known yet), its
-    barrier value at weight mu (None: not known at this weight) and the
-    stage's centered test. The answer holds the point row, the Newton
-    decrement, and unless the stage ends there, the line search's accepted
-    (iterate, point row, barrier value), None when it stalls."""
-    _, row, z, mu, point, base, centered = req
-    s = stack.of((row,))
-    if point is None:
-        point = stack.points(s, z, mu)
-        base = point[-1]
-    step, decrement, slope = stack.newton(s, z, point, mu)
-    decrement = float(decrement)
-    if centered(decrement):
-        return point, decrement, None
-    if base is None:
-        base = stack.values(s, z, point, mu)
-    return point, decrement, _search(stack, s, z, step, mu, float(base),
-                                     float(slope), 1.0, 80)
-
-
-def _serve(stack, reqs):
-    """The answers to several Newton requests on one stack (see
-    _serve_one), in order, formed together."""
-    _, rows, Z, mu, P, base, centered = zip(*reqs)
-    P, base = list(P), list(base)
-    s = stack.of(rows)
-    Z, mu = np.array(Z), np.array(mu)
-    missing = [j for j, point in enumerate(P) if point is None]
-    if missing:
-        fresh = stack.points(stack.part([rows[j] for j in missing]),
-                             Z[missing], mu[missing])
-        for j, point in zip(missing, fresh):
-            P[j], base[j] = point.copy(), point[-1]
-    points, P = P, np.array(P)
-    steps, decrement, slope = stack.newton(s, Z, P, mu)
-    decrement, slope = decrement.tolist(), slope.tolist()
-    # the barrier value and the line search serve only a stage that goes on
-    going = [not test(dec) for test, dec in zip(centered, decrement)]
-    if not any(going):
-        return [(point, dec, None) for point, dec in zip(points, decrement)]
-    stale = [j for j, value in enumerate(base)
-             if going[j] and value is None]
-    if stale:
-        fresh = stack.values(stack.part([rows[j] for j in stale]),
-                             Z[stale], P[stale], mu[stale])
-        for j, value in zip(stale, fresh):
-            base[j] = value
-    found = _line_searches(stack, s, rows, Z, steps, mu,
-                           [float(value) if go else np.inf
-                            for value, go in zip(base, going)], slope, going)
-    return list(zip(points, decrement, found))
-
-
-def _drive(runs):
-    """Run candidate generators in lockstep.
-
-    A generator yields Newton requests (see _serve) and returns its
-    result. Each round serves every waiting candidate's one request, those
-    on one stack together; a candidate on a stack that is alone serves its
-    own requests and yields none. Returns the results and the number of
-    rounds.
-    """
-    results, pending = [None] * len(runs), {}
-
-    def advance(i, answer):
-        try:
-            pending[i] = runs[i].send(answer)
-        except StopIteration as stop:
-            pending.pop(i, None)
-            results[i] = stop.value
-
-    for i in range(len(runs)):
-        advance(i, None)
-    rounds = 0
-    while pending:
-        rounds += 1
-        if len(pending) == 1:  # a lone candidate needs no grouping
-            (i, req), = pending.items()
-            advance(i, _serve_one(req[0], req))
-            continue
-        served = {}
-        for i, req in pending.items():
-            served.setdefault(req[0], []).append(i)
-        answers = []
-        for stack, ids in served.items():
-            answers += ([(ids[0], _serve_one(stack, pending[ids[0]]))]
-                        if len(ids) == 1 else
-                        zip(ids, _serve(stack, [pending[i] for i in ids])))
-        for i, answer in answers:
-            advance(i, answer)
-    return results, rounds
 
 
 def _newton_solve(Hm, g):
@@ -886,37 +629,35 @@ def _newton_solve(Hm, g):
     return -V @ ((V.T @ g) / w)
 
 
-def _barrier_stage(work, member, z, point, mu, inner_tol, stop=-np.inf):
-    """Newton iterations at fixed barrier weight mu on a stack member, until
-    the Newton decrement falls to 2 inner_tol (a generator of requests).
+def _barrier_stage(work, stack, z, point, mu, inner_tol, stop=-np.inf):
+    """Newton iterations at fixed barrier weight mu on a stack, until the
+    Newton decrement falls to 2 inner_tol.
 
-    point is z's point row, or None when it is not known yet. Each request
-    (yielded, or served at once on a stack that is alone) is answered with
-    the point row, the Newton decrement and, unless the stage ends, the
-    backtracking line search's accepted trial, whose point row and barrier
-    value become the next iterate's. Returns the iterate, its point row
-    and how the stage ended: "centered", "stalled" (80 backtracks, no
-    Armijo step) or "stopped": phase I ends the stage as soon as its t
-    falls below stop.
+    point is z's point row, or None when it is not known yet. Each step's
+    backtracking line search evaluates its trials once, and the accepted
+    trial's point row and barrier value become the next iterate's. Returns
+    the iterate, its point row and how the stage ended: "centered",
+    "stalled" (80 backtracks, no Armijo step) or "stopped": phase I ends
+    the stage as soon as its t falls below stop.
     """
-    stack, row = member
     base = None  # the barrier value at z, once known at this mu
     prev_decrement = np.inf
-
-    def centered(decrement):
+    while True:
+        if point is None:
+            point = stack.points(z, mu)
+            base = point[-1]
+        step, decrement, slope = stack.newton(z, point, mu)
+        decrement = float(decrement)
         # rounding floor: stiff barrier directions stop making progress long
         # before the decrement test; bail out once contraction stalls
-        return decrement <= 2.0 * inner_tol or (
-            decrement < 1e-12 and decrement > 0.3 * prev_decrement)
-
-    while True:
-        req = (stack, row, z, mu, point, base, centered)
-        point, decrement, found = (_serve_one(stack, req) if stack.alone
-                                   else (yield req))
-        if centered(decrement):
+        if decrement <= 2.0 * inner_tol or (
+                decrement < 1e-12 and decrement > 0.3 * prev_decrement):
             return z, point, "centered"
         prev_decrement = decrement
         work.spend()
+        if base is None:
+            base = stack.values(z, point, mu)
+        found = _search(stack, z, step, mu, float(base), float(slope))
         if found is None:
             return z, point, "stalled"
         z, point, base = found
@@ -968,10 +709,10 @@ def _kkt_residual(prog, z, mu_last, relax, cfg):
     return max(stationarity, gap, violation)
 
 
-def _phase1(batch, i, cfg, work, head=False):
-    """Phase I of program i of the batch (a generator of requests): see
-    phase1. Returns (z, t, low), low the central-path bound t_mu - m*mu on
-    t* at the last stage run (-inf when it ends as feasible).
+def _phase1(prog, cfg, work, head=False):
+    """Phase I of prog: see phase1. Returns (z, t, low), low the
+    central-path bound t_mu - m*mu on t* at the last stage run (-inf when
+    it ends as feasible).
 
     The phase I of a head (heads and transitions, the one screen rule)
     only decides whether its bound can exceed feas_tol, so it ends as
@@ -980,7 +721,6 @@ def _phase1(batch, i, cfg, work, head=False):
     violation. Any other end leaves low a central-path bound
     taken at a centred stage.
     """
-    prog = batch.progs[i]
     z = prog.z0_hint.copy()
     viol0 = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
     hint, stop = ((cfg.feas_tol, cfg.feas_tol) if head
@@ -989,7 +729,7 @@ def _phase1(batch, i, cfg, work, head=False):
         return z, viol0, -np.inf
     t0 = viol0 + 1.0
 
-    member = batch.member(i, aug=True)
+    stack = _Stack(prog, aug=True, relax=0.0)
     zt, point = np.concatenate([z, [t0]]), None
     done = False
     m = max(prog.n_constraints, 1)
@@ -997,8 +737,8 @@ def _phase1(batch, i, cfg, work, head=False):
     if head:
         schedule = [mu for mu in schedule if mu * m <= viol0] or schedule[-1:]
     for mu in schedule:
-        zt, point, how = yield from _barrier_stage(work, member, zt, point,
-                                                   mu, STAGE_TOL, stop)
+        zt, point, how = _barrier_stage(work, stack, zt, point, mu, STAGE_TOL,
+                                        stop)
         if zt[-1] < stop:
             done = True
             break
@@ -1022,7 +762,7 @@ def phase1(prog, cfg):
     the first strictly negative slack seen. A stalled stage raises
     _Undecided("Stalled").
     """
-    ((z, t, _),), _ = _drive([_phase1(_Batch([prog]), 0, cfg, _Work(cfg))])
+    z, t, _ = _phase1(prog, cfg, _Work(cfg))
     return z, t
 
 
@@ -1055,10 +795,14 @@ def solve_feasibility(prog, cfg=SolverConfig(), starts=()):
     return t_star <= cfg.feas_tol, t_star, z
 
 
-def _solve(batch, i, cfg):
-    """Phase I then phase II of program i of the batch (a generator of
-    requests): see solve."""
-    prog = batch.progs[i]
+def solve(prog, cfg=SolverConfig()):
+    """Phase-I feasibility then phase-II barrier minimization of prog: its
+    Solution.
+
+    Infeasibility is certified by the optimized phase-I slack exceeding the
+    feasibility tolerance; an exhausted Newton budget is reported as
+    IterLimit and a stalled line search as Stalled, never as infeasibility.
+    """
     work = _Work(cfg)
     nan = float("nan")
 
@@ -1081,7 +825,7 @@ def _solve(batch, i, cfg):
     if prog.pre_violation > cfg.feas_tol:
         return finish("Infeasible", p1=prog.pre_violation)
     try:
-        z, t_star, _ = yield from _phase1(batch, i, cfg, work)
+        z, t_star, _ = _phase1(prog, cfg, work)
     except _Undecided as exc:
         return finish(exc.args[0])
     if t_star > cfg.feas_tol:
@@ -1090,14 +834,14 @@ def _solve(batch, i, cfg):
     degenerate = t_star > -STRICT_MARGIN
     relax = (max(t_star, 0.0) + RELAX_PAD) if degenerate else 0.0
 
-    member = batch.member(i, aug=False, relax=relax)
+    stack = _Stack(prog, aug=False, relax=relax)
     schedule = _mu_schedule(prog.n_constraints)
     stage_values, point = [], None
     try:
         for stage, mu in enumerate(schedule):
             last = stage == len(schedule) - 1
-            z, point, how = yield from _barrier_stage(
-                work, member, z, point, mu, INNER_TOL if last else STAGE_TOL)
+            z, point, how = _barrier_stage(
+                work, stack, z, point, mu, INNER_TOL if last else STAGE_TOL)
             if how == "stalled":
                 raise _Undecided("Stalled")
             stage_values.append(prog.objective_value(z))
@@ -1108,28 +852,6 @@ def _solve(batch, i, cfg):
     out = finish("Optimal", z=z, kkt=kkt, p1=t_star, degenerate=degenerate)
     out.stage_values = tuple(stage_values)
     return out
-
-
-def solve_many(progs, cfg=SolverConfig()):
-    """Solve programs together: phase-I feasibility then phase-II barrier
-    minimization for each, their Newton iterations in lockstep.
-
-    Infeasibility is certified by the optimized phase-I slack exceeding the
-    feasibility tolerance; an exhausted Newton budget is reported as
-    IterLimit and a stalled line search as Stalled, never as infeasibility.
-    Each program sees exactly the arithmetic of a batch of one. Returns the
-    solutions, in order, and the number of lockstep rounds: programs of one
-    shape share them, and a program alone in its shape runs without them
-    (a batch of one takes none).
-    """
-    batch = _Batch(progs)
-    return _drive([_solve(batch, i, cfg) for i in range(len(batch.progs))])
-
-
-def solve(prog, cfg=SolverConfig()):
-    """solve_many of one program: its Solution."""
-    (sol,), _ = solve_many([prog], cfg)
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -1154,12 +876,12 @@ def _lowest_max(a, c):
     return best, v
 
 
-def _head_phase1(batch, i, cfg):
-    """Phase I of head program i of the batch (a generator of requests):
-    (z, low, Newton steps), z and low None when it is undecided."""
+def _head_phase1(prog, cfg):
+    """Phase I of a head program: (z, low, Newton steps), z and low None
+    when it is undecided."""
     work = _Work(cfg)
     try:
-        z, _, low = yield from _phase1(batch, i, cfg, work, head=True)
+        z, _, low = _phase1(prog, cfg, work, head=True)
     except _Undecided:
         z = low = None
     return z, low, work.steps
@@ -1170,22 +892,19 @@ def transitions(lin, zsets, terminal, cfg):
     sets i, j first}, kept in the LRU of compiled horizons per (lin, zsets,
     terminal, cfg). The pair is the head (i, j) of the free-x0 horizon 2
     with Q = I, rho = 1 (the horizon a prune's level-2 probes compile),
-    started from its hint for region i; all pairs run phase I together in
-    one lockstep drive. -inf when a start or an iterate falls below
-    cfg.feas_tol, when phase I is undecided, or for nonconvex data."""
+    started from its hint for region i. -inf when a start or an iterate
+    falls below cfg.feas_tol, when phase I is undecided, or for nonconvex
+    data."""
     def build():
         n, s = lin.A_hat.shape[0], len(zsets)
         st = _horizon(lin, zsets, terminal, np.eye(n), 1.0, 2, True).at(None)
         progs = {(i, j): _program(st, (i, j), st.hz.hints[i - 1])
                  for i in range(1, s + 1) for j in range(1, s + 1)}
-        live = [pair for pair, prog in progs.items()
-                if not prog.nonconvex_data]
-        batch = _Batch([progs[pair] for pair in live])
-        results, _ = _drive([_head_phase1(batch, k, cfg)
-                             for k in range(len(live))])
         bounds = dict.fromkeys(progs, -np.inf)
-        bounds.update((pair, low) for pair, (_, low, _)
-                      in zip(live, results) if low is not None)
+        for pair, prog in progs.items():
+            low = None if prog.nonconvex_data else _head_phase1(prog, cfg)[1]
+            if low is not None:
+                bounds[pair] = low
         # strong references: no id in the key is reused while it lives
         return lin, tuple(zsets), terminal, bounds
 
@@ -1232,8 +951,7 @@ def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
     convex head that two or more programs share, and whose parent head
     (one depth up) has a point, starts from that point extended by the
     v_{k-1} with the lowest max of stage set e_k's lines at step k - 1
-    (_head_program). The heads of one depth run phase I together, in one
-    lockstep drive; a start whose worst row is below feas_tol is the
+    (_head_program). A start whose worst row is below feas_tol is the
     head's point with no Newton step, as no bound can exceed feas_tol
     then. A head whose central-path bound exceeds feas_tol screens its
     programs; one that phase I leaves undecided screens nothing and ends
@@ -1255,15 +973,14 @@ def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
     for k in range(2, N):
         up = max(k - 1, 2)  # depth 1 is keyed by two stage sets
         walked = [i for i, seq in enumerate(seqs) if seq[:up] in points]
-        tested = [(head, members, _head_program(st, head, points[head[:up]]))
-                  for head, members in _groups(seqs, walked, k).items()
-                  if len(members) > 1]
-        tested = [test for test in tested if not test[2].nonconvex_data]
-        batch = _Batch([prog for _, _, prog in tested])
-        results, _ = _drive([_head_phase1(batch, i, cfg)
-                             for i in range(len(tested))])
-        points = {}
-        for (head, members, _), (z, low, steps) in zip(tested, results):
+        parents, points = points, {}
+        for head, members in _groups(seqs, walked, k).items():
+            if len(members) < 2:
+                continue
+            prog = _head_program(st, head, parents[head[:up]])
+            if prog.nonconvex_data:
+                continue
+            z, low, steps = _head_phase1(prog, cfg)
             n_newton += steps
             if low is not None and low > cfg.feas_tol:
                 for i in members:
@@ -1279,22 +996,22 @@ def dominated(progs, bound, cfg):
     """Whether each fixed-x0 program is shown to have no Optimal solve of
     value at most bound, and the Newton steps spent: the head rule's
     phase I on the program with one more row, the objective cut
-    z'Hz + f.z + c0 - bound <= 0 (all in one lockstep drive). Phase I
-    relaxes every row and the cut by one t, so a bound on t* above
-    feas_tol + RELAX_PAD leaves no z with every row within an Optimal
-    solve's relax (at most feas_tol + RELAX_PAD) and a value at most the
-    bound. Nonconvex data gets no cut, as in heads."""
-    live = [i for i, prog in enumerate(progs) if not prog.nonconvex_data]
-    rows = (Constraints.of(p.n_vars, p.cons.dir.shape[1], H=[2.0 * p.H],
-                           w=[p.f], c0=[p.c0 - bound]) for p in progs)
-    batch = _Batch([replace(p, cons=Constraints.join([p.cons, row]))
-                    for p, row in zip(progs, rows) if not p.nonconvex_data])
-    results, _ = _drive([_head_phase1(batch, k, cfg)
-                         for k in range(len(live))])
-    out = [False] * len(progs)
-    for i, (_, low, _) in zip(live, results):
-        out[i] = low is not None and low > cfg.feas_tol + RELAX_PAD
-    return out, sum(steps for _, _, steps in results)
+    z'Hz + f.z + c0 - bound <= 0, each cut program built only while it
+    is tested. Phase I relaxes every row and the cut by one t, so a bound
+    on t* above feas_tol + RELAX_PAD leaves no z with every row within an
+    Optimal solve's relax (at most feas_tol + RELAX_PAD) and a value at
+    most the bound. Nonconvex data gets no cut, as in heads."""
+    out, n_newton = [], 0
+    for p in progs:
+        low = None
+        if not p.nonconvex_data:
+            row = Constraints.of(p.n_vars, p.cons.dir.shape[1],
+                                 H=[2.0 * p.H], w=[p.f], c0=[p.c0 - bound])
+            _, low, steps = _head_phase1(
+                replace(p, cons=Constraints.join([p.cons, row])), cfg)
+            n_newton += steps
+        out.append(low is not None and low > cfg.feas_tol + RELAX_PAD)
+    return out, n_newton
 
 
 def _head_program(st, head, parent):

@@ -87,10 +87,8 @@ class TestEvaluate:
         assert (full.n_undecided, capped.n_undecided) == (0, 1)
         assert (full.n_screened, capped.n_screened) == (1, 1)
         assert full.n_dominated == capped.n_dominated == 0
-        # the budget runs out at the 121st step; each solve is alone in its
-        # batch (the incumbent, then the rest), so none takes a round
+        # the budget runs out at the 121st step
         assert (full.n_newton, capped.n_newton) == (119 + 124, 119 + 121)
-        assert full.n_rounds == capped.n_rounds == 0
         assert full.j_star == cn.encode(seqs[2], 3)
         assert capped.j_star == cn.encode(seqs[1], 3)
         assert capped.V > full.V

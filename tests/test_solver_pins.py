@@ -221,56 +221,43 @@ def test_threads_assembling_at_different_states(ex2):
 
 
 # ---------------------------------------------------------------------------
-# batched solves: a batch does each program's arithmetic exactly
+# solves one at a time: a solve never depends on what was solved before it
 # ---------------------------------------------------------------------------
 
 # (system, x0, first coefficients): two program shapes, several states
-BATCH = [("ex2", (0.5, 0.5), (1, 1, 1)), ("ex2", (0.5, 0.5), (1, 2, 1)),
-         ("ex2", (0.5, 0.5), (2, 1, 1)), ("ex2", (1.2, -0.3), (3, 3, 1)),
-         ("ex2", (-0.9, 0.8), (2, 2, 2)), ("ex3", (-1.0, 0.6), (4, 1, 1)),
-         ("ex3", (0.9, -1.7), (5, 5, 5)), ("ex3", (0.3, -0.4), (1, 1, 1))]
+SOLVED = [("ex2", (0.5, 0.5), (1, 1, 1)), ("ex2", (0.5, 0.5), (1, 2, 1)),
+          ("ex2", (0.5, 0.5), (2, 1, 1)), ("ex2", (1.2, -0.3), (3, 3, 1)),
+          ("ex2", (-0.9, 0.8), (2, 2, 2)), ("ex3", (-1.0, 0.6), (4, 1, 1)),
+          ("ex3", (0.9, -1.7), (5, 5, 5)), ("ex3", (0.3, -0.4), (1, 1, 1))]
 
 
-def _batch(request):
+def _solved(request):
     return [_program(request.getfixturevalue(system), head + ONES, x0)
-            for system, x0, head in BATCH]
+            for system, x0, head in SOLVED]
 
 
-def test_batch_matches_one_by_one(request):
-    progs = _batch(request)
+def test_statuses_at_a_budget(request):
     cfg = cn.SolverConfig(max_newton=120)
-    one_by_one = [cn.solve(prog, cfg) for prog in progs]
-    batched, rounds = cn.solve_many(progs, cfg)
-    assert [sol.status for sol in one_by_one] == [
+    assert [cn.solve(prog, cfg).status for prog in _solved(request)] == [
         "Optimal", "Infeasible", "Infeasible", "Infeasible", "Optimal",
         "IterLimit", "Infeasible", "Optimal"]
-    assert [_exact(sol) for sol in batched] == [_exact(sol)
-                                                for sol in one_by_one]
-    # a program that shares its shape asks in every round until it ends
-    shapes = solver_module._Batch(progs).shapes
-    assert max(sol.n_newton for sol, shape in zip(batched, shapes)
-               if shapes.count(shape) > 1) <= rounds
 
 
-def test_batch_of_one(request):
-    progs = _batch(request)
-    batched, _ = cn.solve_many(progs)
-    for prog, sol in zip(progs[:2], batched):
-        (alone,), rounds = cn.solve_many([prog])
-        assert _exact(alone) == _exact(sol)
-        assert rounds == 0  # alone in its shape: it never waits for a round
-    assert batched[0].n_newton == 106  # the pinned (0.5, 0.5) solve
+def test_solve_does_not_depend_on_earlier_solves(request):
+    progs = _solved(request)
+    first = [cn.solve(prog) for prog in progs[:2]]
+    later = [cn.solve(prog) for prog in progs[::-1]][::-1]
+    assert [_exact(sol) for sol in later[:2]] == [_exact(sol)
+                                                 for sol in first]
+    assert first[0].n_newton == 106  # the pinned (0.5, 0.5) solve
 
 
-def test_batch_stalls_only_candidates_that_step(request, monkeypatch):
+def test_stalls_only_solves_that_step(request, monkeypatch):
     # no trial passes an Armijo bound of -inf: every Newton step stalls
     monkeypatch.setattr(solver_module, "ARMIJO_SLOPE", np.inf)
-    progs = _batch(request)
-    batched, _ = cn.solve_many(progs)
-    assert [_exact(sol) for sol in batched] == [_exact(cn.solve(prog))
-                                                for prog in progs]
-    stalled = [sol.status == "Stalled" for sol in batched]
-    assert stalled == [sol.n_newton > 0 for sol in batched]
+    sols = [cn.solve(prog) for prog in _solved(request)]
+    stalled = [sol.status == "Stalled" for sol in sols]
+    assert stalled == [sol.n_newton > 0 for sol in sols]
     assert any(stalled) and not all(stalled)
 
 

@@ -4,7 +4,7 @@ Run from the root of a checkout (a minute or two on one core):
 
     python3 tools/solver_digest.py
 
-Prints sha256[:16] over one float-hex line per result for eleven sets:
+Prints sha256[:16] over one float-hex line per result for ten sets:
 
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
@@ -18,9 +18,6 @@ Prints sha256[:16] over one float-hex line per result for eleven sets:
 - decisions: (j*, u, V) of evaluate_ocp at every query-ex3 pool state,
             then of every step of a 25-step simulate from every loop-ex2
             start: what the closed loop applies, screening included;
-- batched:  the solves lines again, from one solve_many call per pool
-            state over that state's programs; equal to solves when a batch
-            does each program's arithmetic exactly;
 - screens:  (j, status) of every candidate of evaluate_ocp at every pool
             state, kept per scenario (from the error's details at a state
             with no Optimal candidate): which candidates the online screens
@@ -79,8 +76,7 @@ from convexnmpc.geometry import Polytope  # noqa: E402
 from convexnmpc.model import PwaField  # noqa: E402
 from convexnmpc.scenario import (  # noqa: E402
     FeasibleCatalog, filter_for_state, prune_catalog)
-from convexnmpc.solver import (assemble, solve, solve_feasibility,  # noqa: E402
-                               solve_many)
+from convexnmpc.solver import assemble, solve, solve_feasibility  # noqa: E402
 from convexnmpc.stagesets import _overlapping_pieces  # noqa: E402
 
 DATA = ROOT / "perfbench" / "data"
@@ -194,7 +190,7 @@ def solution_line(sol):
 
 def pool_digests():
     pools = json.loads((DATA / "reference.json").read_text())["pools"]
-    programs, solves, batched = Digest(), Digest(), Digest()
+    programs, solves = Digest(), Digest()
     for system, pool in (("ex2", "loop-ex2"), ("ex3", "query-ex3")):
         pipe = pipeline(system)
         catalog = FeasibleCatalog.load(DATA / f"{system}_N15_catalog.json")
@@ -207,9 +203,7 @@ def pool_digests():
                 for line in program_lines(prog):
                     programs.add(*line)
                 solves.add(*solution_line(solve(prog, pipe.solver_cfg)))
-            for sol in solve_many(progs, pipe.solver_cfg)[0]:
-                batched.add(*solution_line(sol))
-    return programs, solves, batched
+    return programs, solves
 
 
 def decision_digest():
@@ -340,11 +334,10 @@ def geometry_digest():
 
 def main():
     print(f"probes    {probe_digest()}", flush=True)
-    programs, solves, batched = pool_digests()
+    programs, solves = pool_digests()
     print(f"programs  {programs}")
     print(f"solves    {solves}", flush=True)
     print(f"decisions {decision_digest()}")
-    print(f"batched   {batched}")
     screens, heads = screen_digests()
     print(f"screens   {screens}")
     print(f"prune     {prune_digest()}")
