@@ -194,8 +194,9 @@ def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho, cfg=None):
 
     Each step passes the sequence it applied to the next evaluate_ocp as
     prev, which leaves every decision as it is (see evaluate_ocp). Raises
-    InfeasibleStateError (with the step index and the partial trajectory
-    attached) if some visited state has no feasible scenario.
+    InfeasibleStateError if some visited state has no feasible scenario:
+    its message names the step and the state, and the step index and the
+    partial trajectory are attached.
     """
     xs, done, prev = [np.asarray(x0, dtype=float)], [], None
     for k in range(steps):
@@ -204,6 +205,8 @@ def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho, cfg=None):
                                 Q, rho, cfg=cfg, prev=prev)
         except InfeasibleStateError as exc:
             exc.step, exc.partial = k, _trajectory(xs, done)
+            exc.args = (f"closed-loop step {k}, state {xs[-1].tolist()}: "
+                        f"{exc}",)
             raise
         prev = decode(step.j_star, catalog.s, catalog.N)
         xs.append(dynamics_step(spec, xs[-1], step.u))

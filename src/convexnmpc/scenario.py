@@ -21,10 +21,11 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
-from .errors import NoConvergenceError, OutOfRangeError
+from .errors import NoConvergenceError, OutOfRangeError, SchemaError
 from .geometry import MEMBERSHIP_TOL, Ellipsoid, Polytope
 from .model import EPS_G, region_membership, system_to_dict
 from .solver import (SolverConfig, assemble, encode, solve_feasibility,
@@ -62,6 +63,12 @@ def catalog_hash(spec, lin, terminal, feas_tol):
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# the keys of a catalog file and their types (meta and witnesses may be
+# left out)
+_FIELDS = {"s": int, "N": int, "tol": (int, float), "terminal_kind": str,
+           "hash": str, "levels": dict, "meta": dict, "witnesses": dict}
 
 
 @dataclass
@@ -128,16 +135,48 @@ class FeasibleCatalog:
 
     @classmethod
     def from_dict(cls, obj):
-        levels = {int(k): tuple(tuple(int(e) for e in seq) for seq in v)
-                  for k, v in obj["levels"].items()}
-        witnesses = {int(k): {seq: np.array(w, dtype=float)
-                              for seq, w in zip(levels[int(k)], ws)
-                              if w is not None}
-                     for k, ws in obj.get("witnesses", {}).items()}
-        return cls(s=int(obj["s"]), N=int(obj["N"]), levels=levels,
-                   feas_tol=float(obj["tol"]),
+        """The catalog of a parsed catalog file; SchemaError for a missing
+        key, a value of the wrong type, a level of 1..N that is missing or
+        holds a sequence that is not k entries in 1..s, or a witness list
+        of another length than its level's. The parsed lists are checked
+        as they are, with no array built."""
+        if not isinstance(obj, dict):
+            raise SchemaError("a catalog file holds one JSON object")
+        obj = {"meta": {}, "witnesses": {}, **obj}
+        for key, kind in _FIELDS.items():
+            if key not in obj:
+                raise SchemaError(f"catalog file has no {key!r}")
+            if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
+                raise SchemaError(f"catalog {key!r} has the wrong type")
+        s, N, stored = obj["s"], obj["N"], obj["levels"]
+        if s < 1 or N < 1:
+            raise SchemaError("catalog 's' and 'N' must be >= 1")
+        if set(stored) != {str(k) for k in range(1, N + 1)}:
+            raise SchemaError(f"catalog levels must be 1..{N}")
+        levels = {}
+        for k in range(1, N + 1):
+            seqs = stored[str(k)]
+            ok = type(seqs) is list and all(
+                type(seq) is list and len(seq) == k for seq in seqs)
+            flat = list(chain.from_iterable(seqs)) if ok else []
+            if (not ok or not set(map(type, flat)) <= {int}
+                    or flat and not 1 <= min(flat) <= max(flat) <= s):
+                raise SchemaError(f"catalog level {k} must hold sequences "
+                                  f"of {k} entries in 1..{s}")
+            levels[k] = tuple(map(tuple, seqs))
+        witnesses = {}
+        for key, ws in obj["witnesses"].items():
+            if key not in stored or type(ws) is not list or len(ws) != len(
+                    stored[key]) or not all(w is None or type(w) is list and (
+                        set(map(type, w)) <= {int, float}) for w in ws):
+                raise SchemaError(f"catalog witnesses {key!r} must list a "
+                                  "point or null per sequence of the level")
+            witnesses[int(key)] = {seq: np.array(w, dtype=float)
+                                   for seq, w in zip(levels[int(key)], ws)
+                                   if w is not None}
+        return cls(s=s, N=N, levels=levels, feas_tol=float(obj["tol"]),
                    terminal_kind=obj["terminal_kind"],
-                   content_hash=obj["hash"], meta=obj.get("meta", {}),
+                   content_hash=obj["hash"], meta=obj["meta"],
                    witnesses=witnesses)
 
     def save(self, path):

@@ -9,17 +9,18 @@ its S and offset. A scenario is a coefficient sequence, one stage set per
 step. One log-barrier interior-point method covers all constraint
 classes; the QP/QCQP/NLP tag is reporting metadata, not a solver dispatch.
 
-One builder (_program) makes every program from one compiled horizon: a
-scenario's program (assemble), and the phase-I program of a head, a
-scenario's first k stage blocks without the terminal set, whose value
-bounds the scenario's from below. The infeasibility bounds test heads
-under one phase-I rule: offline a pair of stage sets is the depth-2 head
-of the free-x0 horizon-2 program (transitions, kept in the horizons' LRU),
-online the heads that several candidates share are walked depth by depth
-(heads), each start extended by the lines that a step's compiled block
-holds (_lines). The same rule with one more row, the objective cut
-V(z) <= B, which the programs at one state share as they share their
-cost, shows that a program has no Optimal solve of value <= B (dominated).
+One builder (_program) makes every program, a scenario's (assemble), from
+one compiled horizon. The infeasibility bounds are phase-I decisions on
+constraints with a start: the t* of a head, a scenario's first k stage
+blocks without the terminal set (_head_constraints), bounds the
+scenario's. Offline a pair of stage sets is the depth-2 head of the
+free-x0 horizon-2 program (transitions, in the horizons' LRU); online the
+heads that several candidates share are walked depth by depth (heads),
+each start extended by the lines of a step's compiled block (_head_start).
+The same rule with one more row, the objective cut V(z) <= B that the
+programs at one state share with their cost, shows that a program has no
+Optimal solve of value <= B (dominated). One phase-I routine (_phase1)
+takes constraints and ordered starts, for these and for every solve.
 
 The Newton kernel keeps two invariants. Each trial point of the line search
 is evaluated once: the accepted trial's margins, sinusoid phase pieces and
@@ -35,7 +36,8 @@ from-scratch build, so programs stay bit-identical. A parametric form
 b + E x0 is avoided on purpose: one stacked matrix product rounds
 differently from the per-row products and would move the last bits. For
 the same reason a program's affine values stay one matrix product,
-rows @ z - offsets, where Constraints.values takes one dot per row.
+rows @ z - offsets (_values), where Constraints.values takes one dot per
+row.
 
 A ridge constraint's cosine phase is rounded two ways, too.
 Constraints.curved_values and grads (the phase-I start and end, constraint
@@ -285,10 +287,6 @@ class ConvexProgram:
     nonconvex_data: bool
 
     @property
-    def n_constraints(self):
-        return len(self.cons)
-
-    @property
     def prog_class(self):
         return {"smooth": "NLP", "quadratic": "QCQP",
                 "affine": "QP"}[self.cons.kind]
@@ -304,9 +302,19 @@ class ConvexProgram:
         return 2.0 * (self.H @ z) + self.f
 
     def constraint_values(self, z):
-        cons = self.cons
-        return np.concatenate([cons.rows @ z - cons.offsets,
-                               cons.curved_values(z)])
+        return _values(self.cons, z)
+
+
+def _values(cons, z):
+    """f(z) of every constraint of cons, the affine rows by one matrix
+    product (see the module docstring)."""
+    return np.concatenate([cons.rows @ z - cons.offsets,
+                           cons.curved_values(z)])
+
+
+def _worst(cons, z):
+    """The largest value of cons at z, -1 without constraints."""
+    return float(np.max(_values(cons, z))) if len(cons) else -1.0
 
 
 def encode(coeffs, s):
@@ -329,7 +337,7 @@ def assemble(coeffs, x0, lin, zsets, terminal, Q, rho):
     otherwise the program is parameterized by the fixed initial state. The
     program's arrays are read-only: those that do not depend on x0 are
     shared by every program of its horizon. The sequence is checked here;
-    _program builds it, as it builds the screens' head programs.
+    _program builds it.
     """
     coeffs = tuple(coeffs)
     if not coeffs:
@@ -341,44 +349,30 @@ def assemble(coeffs, x0, lin, zsets, terminal, Q, rho):
                              x0 is None).at(x0), coeffs)
 
 
-def _program(st, coeffs, start=None):
-    """The program of coeffs at the state of the offsets st.
+def _program(st, coeffs):
+    """The program of coeffs at the state of the offsets st: its stage
+    blocks, the terminal set and the cost, on all the horizon's
+    variables."""
+    hz = st.hz
+    blks, parts = zip(*(st.step(e - 1, k) for k, e in enumerate(coeffs)))
+    full = Constraints.join([*parts, st.term])
+    cons, constant = _steered(full)
+    return ConvexProgram(
+        n_vars=hz.n_vars, H=hz.H, f=st.f, c0=st.c0, cons=cons,
+        scenario_j=encode(coeffs, len(hz.zsets)), N=hz.N, S=hz.S,
+        offset=st.offset,
+        pre_violation=float(np.max(-full.offsets[constant], initial=-np.inf)),
+        z0_hint=st.hint if st.hint is not None else hz.hints[coeffs[0] - 1],
+        nonconvex_data=any(blk.nonconvex for blk in blks))
 
-    Without a start, the scenario's: its stage blocks, the terminal set and
-    the cost, on all the horizon's variables. With one, the phase-I program
-    of the head coeffs (k steps): its stage blocks alone, on their inputs
-    v_0..v_{k-1} and x0 when it is free, with no terminal and zero cost,
-    started at start.
-    """
-    hz, head = st.hz, start is not None
-    blks, parts = map(list, zip(*(st.step(e - 1, k)
-                                  for k, e in enumerate(coeffs))))
-    if not head:
-        parts.append(st.term)
-        start = st.hint if st.hint is not None else hz.hints[coeffs[0] - 1]
-    cons = Constraints.join(parts)
-    n_vars, H, f, c0 = hz.n_vars, hz.H, st.f, st.c0
-    if head:
-        cols = [*range(len(coeffs)), *range(hz.N, n_vars)]
-        if len(cols) < n_vars:  # cut the inputs past the head
-            cons = replace(cons, rows=cons.rows[:, cols],
-                           X=cons.X[:, :, cols], lin=cons.lin[:, cols],
-                           H=cons.H[:, cols][:, :, cols], w=cons.w[:, cols])
-        n_vars = len(cols)
-        H, f, c0 = np.zeros((n_vars, n_vars)), np.zeros(n_vars), 0.0
 
-    # Rows without any decision-variable dependence (fixed-x0 region rows at
-    # k = 0) are checked once and removed; they cannot steer the solver.
+def _steered(cons):
+    """(cons without its constant rows, their mask): rows that no decision
+    variable enters (fixed-x0 region rows at k = 0) cannot steer the
+    solver, so a program checks them once (pre_violation)."""
     constant = np.max(np.abs(cons.rows), axis=1) < 1e-13
-    pre_violation = float(np.max(-cons.offsets[constant], initial=-np.inf))
-    cons = replace(cons, rows=_readonly(cons.rows[~constant]),
-                   offsets=_readonly(cons.offsets[~constant]))
-
-    return ConvexProgram(n_vars=n_vars, H=H, f=f, c0=c0, cons=cons,
-                         scenario_j=encode(coeffs, len(hz.zsets)), N=hz.N,
-                         S=hz.S, offset=st.offset,
-                         pre_violation=pre_violation, z0_hint=start,
-                         nonconvex_data=any(blk.nonconvex for blk in blks))
+    return replace(cons, rows=_readonly(cons.rows[~constant]),
+                   offsets=_readonly(cons.offsets[~constant])), constant
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +445,16 @@ class _Stack:
     is rank-one with weight curv >= 0. In phase I (aug) the iterate carries
     the slack t as a last column, and every constraint f(z) <= 0 becomes
     f(z) - t <= 0. relax shifts each constraint by a nonnegative slack.
+    Phase I takes the constraints alone; phase II adds the cost (H, f, c0)
+    of the program.
 
     A point is one row: the margins (positive inside) of the three blocks,
     the ridge phase pieces (th, clipped th, cos, sin) from which the Newton
     step derives slopes and curvatures, and last the barrier value.
     """
 
-    def __init__(self, prog, aug, relax):
-        cons, d = prog.cons, prog.n_vars
+    def __init__(self, cons, relax, cost=None):
+        d, aug = cons.rows.shape[1], cost is None
         w = d + 1 if aug else d
         m, ms, nq = len(cons.rows), len(cons.scale), len(cons.c0)
         self.aug, self.d, self.m, self.ms, self.nq = aug, d, m, ms, nq
@@ -473,8 +469,8 @@ class _Stack:
             self.grad_t = np.zeros(w)
             self.grad_t[d] = 1.0
         else:
-            self.H, self.f = np.array(prog.H), np.array(prog.f)
-            self.c0 = np.float64(prog.c0)
+            H, f, c0 = cost
+            self.H, self.f, self.c0 = np.array(H), np.array(f), np.float64(c0)
         if ms:
             self.Qm, self.Lin = np.zeros((ms, w)), np.zeros((ms, w))
             self.Qm[:, :d] = cons.barrier_phase[0]
@@ -692,7 +688,7 @@ def _kkt_residual(prog, z, mu_last, relax, cfg):
     vals = np.concatenate([-((cons.offsets + relax) - cons.rows @ z),
                            cons.curved_values(z) - relax])
     violation = float(np.max(vals, initial=0.0)) + relax
-    gap = mu_last * max(prog.n_constraints, 1)
+    gap = mu_last * max(len(cons), 1)
     if not vals.size:
         return max(float(np.max(np.abs(g0))), gap, violation)
 
@@ -709,31 +705,32 @@ def _kkt_residual(prog, z, mu_last, relax, cfg):
     return max(stationarity, gap, violation)
 
 
-def _phase1(prog, cfg, work, head=False):
-    """Phase I of prog: see phase1. Returns (z, t, low), low the
-    central-path bound t_mu - m*mu on t* at the last stage run (-inf when
-    it ends as feasible).
+def _phase1(cons, starts, cfg, work, head=False):
+    """Minimize the worst violation t of the constraints cons over (z, t):
+    (z, t, low), low the central-path bound t_mu - m*mu on t* at the last
+    stage run (-inf when it ends as feasible). A stalled stage raises
+    _Undecided("Stalled").
 
-    The phase I of a head (heads and transitions, the one screen rule)
-    only decides whether its bound can exceed feas_tol, so it ends as
-    feasible once its start or its t is below feas_tol, and it starts at
-    the first barrier weight whose gap m*mu is no larger than the start's
-    violation. Any other end leaves low a central-path bound
-    taken at a centred stage.
+    The first start that passes the hint test is returned itself, with no
+    Newton step; with none, phase I runs from the last start. The probe
+    rule passes a start with every constraint below -HINT_MARGIN and ends
+    at a strictly negative slack. The head rule (heads, transitions,
+    dominated) only decides whether a bound can exceed feas_tol, so it
+    ends as feasible at a start or t below feas_tol, and it starts at the
+    first barrier weight whose gap m*mu is at most the start's violation.
     """
-    z = prog.z0_hint.copy()
-    viol0 = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
     hint, stop = ((cfg.feas_tol, cfg.feas_tol) if head
                   else (-HINT_MARGIN, -STRICT_MARGIN))
-    if viol0 < hint:
-        return z, viol0, -np.inf
-    t0 = viol0 + 1.0
+    for z in starts:
+        viol0 = _worst(cons, z)
+        if viol0 < hint:
+            return z, viol0, -np.inf
 
-    stack = _Stack(prog, aug=True, relax=0.0)
-    zt, point = np.concatenate([z, [t0]]), None
+    stack = _Stack(cons, 0.0)
+    zt, point = np.concatenate([z, [viol0 + 1.0]]), None
     done = False
-    m = max(prog.n_constraints, 1)
-    schedule = _mu_schedule(prog.n_constraints)
+    m = max(len(cons), 1)
+    schedule = _mu_schedule(len(cons))
     if head:
         schedule = [mu for mu in schedule if mu * m <= viol0] or schedule[-1:]
     for mu in schedule:
@@ -748,46 +745,30 @@ def _phase1(prog, cfg, work, head=False):
             # central-path certificate: t* >= t_mu - m*mu > feas_tol
             break
     z = zt[:-1]
-    t_true = float(np.max(prog.constraint_values(z))) if prog.n_constraints else -1.0
+    t_true = _worst(cons, z)
     if done:
         return z, min(t_true, float(zt[-1])), -np.inf
     return z, t_true, float(zt[-1]) - mu * m
 
 
-def phase1(prog, cfg):
-    """Minimize the worst constraint violation t over (z, t).
-
-    Returns (z, t). A strictly feasible hint is returned as it is, with no
-    Newton step; otherwise t is either certified (central-path bound) or
-    the first strictly negative slack seen. A stalled stage raises
-    _Undecided("Stalled").
-    """
-    z, t, _ = _phase1(prog, cfg, _Work(cfg))
-    return z, t
-
-
 def solve_feasibility(prog, cfg=SolverConfig(), starts=()):
     """Phase-I only: decide feasibility against cfg.feas_tol.
 
-    Returns (feasible, slack, z). The starts are tested in order, and the
-    first that passes phase I's hint test (every constraint below
-    -HINT_MARGIN) settles the probe with no Newton step: it is returned
-    itself as z, with its worst constraint value as the slack. Phase I on
-    convex data cannot certify infeasibility while such a point exists, so
-    the decision is phase I's; on nonconvex data the starts are ignored.
-    Otherwise phase I runs from prog.z0_hint, and z is its point (None when
-    a constant row decides). Raises NoConvergenceError when the Newton
-    budget runs out or a line search stalls before a decision, so callers
-    never confuse an undecided probe with a certified infeasibility.
+    Returns (feasible, slack, z). Phase I takes the starts, then
+    prog.z0_hint (_phase1's probe rule): a start with every constraint
+    below -HINT_MARGIN settles the probe as z, with no Newton step. Phase I
+    on convex data cannot certify infeasibility while such a point exists;
+    on nonconvex data the starts are ignored. z is None when a constant row
+    decides. Raises NoConvergenceError when the Newton budget runs out or a
+    line search stalls before a decision, so callers never confuse an
+    undecided probe with a certified infeasibility.
     """
     if prog.pre_violation > cfg.feas_tol:
         return False, prog.pre_violation, None
-    for start in () if prog.nonconvex_data else starts:
-        worst = float(np.max(prog.constraint_values(start)))
-        if worst < -HINT_MARGIN:
-            return True, worst, start
+    starts = () if prog.nonconvex_data else tuple(starts)
     try:
-        z, t_star = phase1(prog, cfg)
+        z, t_star, _ = _phase1(prog.cons, (*starts, prog.z0_hint), cfg,
+                               _Work(cfg))
     except _Undecided as exc:
         raise NoConvergenceError(
             f"feasibility probe ended {exc.args[0]} (budget "
@@ -825,7 +806,7 @@ def solve(prog, cfg=SolverConfig()):
     if prog.pre_violation > cfg.feas_tol:
         return finish("Infeasible", p1=prog.pre_violation)
     try:
-        z, t_star, _ = _phase1(prog, cfg, work)
+        z, t_star, _ = _phase1(prog.cons, (prog.z0_hint,), cfg, work)
     except _Undecided as exc:
         return finish(exc.args[0])
     if t_star > cfg.feas_tol:
@@ -834,8 +815,8 @@ def solve(prog, cfg=SolverConfig()):
     degenerate = t_star > -STRICT_MARGIN
     relax = (max(t_star, 0.0) + RELAX_PAD) if degenerate else 0.0
 
-    stack = _Stack(prog, aug=False, relax=relax)
-    schedule = _mu_schedule(prog.n_constraints)
+    stack = _Stack(prog.cons, relax, (prog.H, prog.f, prog.c0))
+    schedule = _mu_schedule(len(prog.cons))
     stage_values, point = [], None
     try:
         for stage, mu in enumerate(schedule):
@@ -876,15 +857,41 @@ def _lowest_max(a, c):
     return best, v
 
 
-def _head_phase1(prog, cfg):
-    """Phase I of a head program: (z, low, Newton steps), z and low None
-    when it is undecided."""
+def _head_phase1(cons, start, cfg):
+    """Phase I of a head's constraints from start under the head rule:
+    (z, low, Newton steps), z and low None when it is undecided."""
     work = _Work(cfg)
     try:
-        z, _, low = _phase1(prog, cfg, work, head=True)
+        z, _, low = _phase1(cons, (start,), cfg, work, head=True)
     except _Undecided:
         z = low = None
     return z, low, work.steps
+
+
+def _head_constraints(st, head):
+    """The constraints of a head (k steps) at the state of the offsets st:
+    its stage blocks joined, with the inputs past the head cut (on
+    v_0..v_{k-1}, and x0 when free) and no constant row; None for
+    nonconvex data."""
+    blks, parts = zip(*(st.step(e - 1, k) for k, e in enumerate(head)))
+    if any(blk.nonconvex for blk in blks):
+        return None
+    cons, n_vars = Constraints.join(parts), st.hz.n_vars
+    cols = [*range(len(head)), *range(st.hz.N, n_vars)]
+    if len(cols) < n_vars:
+        cons = replace(cons, rows=cons.rows[:, cols], X=cons.X[:, :, cols],
+                       lin=cons.lin[:, cols], H=cons.H[:, cols][:, :, cols],
+                       w=cons.w[:, cols])
+    return _steered(cons)[0]
+
+
+def _head_start(st, head, parent):
+    """The start of a depth-k head at the state of the offsets st: the
+    parent head's point extended by the v_{k-1} with the lowest max of
+    stage set e_k's lines there."""
+    z = np.concatenate([parent, np.zeros(st.hz.n_vars - len(parent))])
+    _, v = _lowest_max(*_lines(st, head[-1], len(parent), z))
+    return np.append(parent, v)
 
 
 def transitions(lin, zsets, terminal, cfg):
@@ -898,13 +905,13 @@ def transitions(lin, zsets, terminal, cfg):
     def build():
         n, s = lin.A_hat.shape[0], len(zsets)
         st = _horizon(lin, zsets, terminal, np.eye(n), 1.0, 2, True).at(None)
-        progs = {(i, j): _program(st, (i, j), st.hz.hints[i - 1])
-                 for i in range(1, s + 1) for j in range(1, s + 1)}
-        bounds = dict.fromkeys(progs, -np.inf)
-        for pair, prog in progs.items():
-            low = None if prog.nonconvex_data else _head_phase1(prog, cfg)[1]
-            if low is not None:
-                bounds[pair] = low
+        bounds = {}
+        for i in range(1, s + 1):
+            for j in range(1, s + 1):
+                cons = _head_constraints(st, (i, j))
+                low = (None if cons is None else
+                       _head_phase1(cons, st.hz.hints[i - 1], cfg)[1])
+                bounds[(i, j)] = -np.inf if low is None else low
         # strong references: no id in the key is reused while it lives
         return lin, tuple(zsets), terminal, bounds
 
@@ -941,7 +948,7 @@ def one_step(st, e1, e2=None):
 def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
     """Bounds for the fixed-x0 programs at state x of the coefficient
     sequences seqs (one horizon), walking their heads: a depth-k head
-    is the program of a sequence's first k stage blocks, with no
+    is the constraints of a sequence's first k stage blocks, with no
     terminal, on v_0..v_{k-1}, and its t* bounds every program under it.
     Returns (bounds, Newton steps of the head tests); a bound above
     cfg.feas_tol screens its program. No program is changed.
@@ -951,7 +958,7 @@ def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
     convex head that two or more programs share, and whose parent head
     (one depth up) has a point, starts from that point extended by the
     v_{k-1} with the lowest max of stage set e_k's lines at step k - 1
-    (_head_program). A start whose worst row is below feas_tol is the
+    (_head_start). A start whose worst row is below feas_tol is the
     head's point with no Newton step, as no bound can exceed feas_tol
     then. A head whose central-path bound exceeds feas_tol screens its
     programs; one that phase I leaves undecided screens nothing and ends
@@ -977,10 +984,11 @@ def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
         for head, members in _groups(seqs, walked, k).items():
             if len(members) < 2:
                 continue
-            prog = _head_program(st, head, parents[head[:up]])
-            if prog.nonconvex_data:
+            cons = _head_constraints(st, head)
+            if cons is None:
                 continue
-            z, low, steps = _head_phase1(prog, cfg)
+            z, low, steps = _head_phase1(
+                cons, _head_start(st, head, parents[head[:up]]), cfg)
             n_newton += steps
             if low is not None and low > cfg.feas_tol:
                 for i in members:
@@ -995,32 +1003,23 @@ def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
 def dominated(progs, bound, cfg):
     """Whether each fixed-x0 program is shown to have no Optimal solve of
     value at most bound, and the Newton steps spent: the head rule's
-    phase I on the program with one more row, the objective cut
-    z'Hz + f.z + c0 - bound <= 0, each cut program built only while it
-    is tested. Phase I relaxes every row and the cut by one t, so a bound
-    on t* above feas_tol + RELAX_PAD leaves no z with every row within an
-    Optimal solve's relax (at most feas_tol + RELAX_PAD) and a value at
-    most the bound. Nonconvex data gets no cut, as in heads."""
+    phase I on the program's constraints and one more row, the objective
+    cut z'Hz + f.z + c0 - bound <= 0, from the program's start. Phase I
+    relaxes every row and the cut by one t, so a bound on t* above
+    feas_tol + RELAX_PAD leaves no z with every row within an Optimal
+    solve's relax (at most feas_tol + RELAX_PAD) and a value at most the
+    bound. Nonconvex data gets no cut, as in heads."""
     out, n_newton = [], 0
     for p in progs:
         low = None
         if not p.nonconvex_data:
             row = Constraints.of(p.n_vars, p.cons.dir.shape[1],
                                  H=[2.0 * p.H], w=[p.f], c0=[p.c0 - bound])
-            _, low, steps = _head_phase1(
-                replace(p, cons=Constraints.join([p.cons, row])), cfg)
+            _, low, steps = _head_phase1(Constraints.join([p.cons, row]),
+                                         p.z0_hint, cfg)
             n_newton += steps
         out.append(low is not None and low > cfg.feas_tol + RELAX_PAD)
     return out, n_newton
-
-
-def _head_program(st, head, parent):
-    """Phase-I program of a depth-k head at the state of offsets st,
-    started from the parent head's point extended by the v_{k-1} with
-    the lowest max of stage set e_k's lines there."""
-    z = np.concatenate([parent, np.zeros(st.hz.n_vars - len(parent))])
-    _, v = _lowest_max(*_lines(st, head[-1], len(parent), z))
-    return _program(st, head, np.append(parent, v))
 
 
 def _groups(seqs, indices, k):

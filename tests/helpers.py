@@ -4,9 +4,9 @@ Everything here is deliberately independent of the solver path it checks:
 grid search for optima, finite differences for derivatives, direct
 enumeration for scenario pruning, one oracle object per constraint for the
 stacked constraints, and point-by-point samples of the terminal axioms. The
-screen references are the programs and rule the screens used before they
-became heads of one compiled horizon: hand-built from stage blocks, with
-phase I through its whole schedule.
+screen references are the constraints, starts and rule the screens used
+before they became heads of one compiled horizon: hand-built from stage
+blocks, with phase I through its whole schedule.
 """
 import itertools
 from dataclasses import dataclass, replace
@@ -219,13 +219,13 @@ def brute_force_level(spec, lin, zsets, terminal, horizon, cfg=None):
 
 
 def full_schedule_transitions(lin, zsets):
-    """{(i, j): bound} by the full-schedule rule: phase I of the two-step
-    free-x0 program of stage sets i, j on (v0, v1, x0), built from stage
-    blocks of the horizon-2 prediction map [Gamma Phi] with no terminal set
-    and started with zero inputs and x0 at region i's Chebyshev centre, run
-    through the whole mu schedule (feas_tol = inf). The bound is
-    t - m*mu_last; -inf when phase I finds a strictly feasible point or is
-    undecided, or for nonconvex data."""
+    """{(i, j): bound} by the full-schedule rule: phase I on the
+    constraints of stage sets i, j on (v0, v1, x0), the stage blocks of the
+    horizon-2 prediction map [Gamma Phi] with no terminal set, started with
+    zero inputs and x0 at region i's Chebyshev centre, run through the
+    whole mu schedule (feas_tol = inf). The bound is t - m*mu_last; -inf
+    when phase I finds a strictly feasible point or is undecided, or for
+    nonconvex data."""
     Gamma, Phi = solver_module._responses(lin, 2)
     S, n = np.hstack([Gamma, Phi]), Phi.shape[1]
     d, offset = S.shape[1], np.zeros(len(S))
@@ -237,20 +237,17 @@ def full_schedule_transitions(lin, zsets):
         out[(i, j)] = -np.inf
         if any(blk.nonconvex for blk in blocks):
             continue
-        hint = np.zeros(d)
+        start = np.zeros(d)
         center, _ = zsets[i - 1].region.chebyshev_center()
-        hint[2:] = 0.0 if center is None else center
-        prog = solver_module.ConvexProgram(
-            n_vars=d, H=np.zeros((d, d)), f=np.zeros(d), c0=0.0,
-            cons=Constraints.join([blk.at(np.zeros(blk.M.shape[0]))
-                                   for blk in blocks]),
-            scenario_j=0, N=2, S=S, offset=offset, pre_violation=-np.inf,
-            z0_hint=hint, nonconvex_data=False)
+        start[2:] = 0.0 if center is None else center
+        cons = Constraints.join([blk.at(np.zeros(blk.M.shape[0]))
+                                 for blk in blocks])
         try:
-            _, t = solver_module.phase1(prog, cfg)
+            _, t, _ = solver_module._phase1(cons, (start,), cfg,
+                                            solver_module._Work(cfg))
         except solver_module._Undecided:
             continue
-        m = max(prog.n_constraints, 1)
+        m = max(len(cons), 1)
         if t >= -solver_module.STRICT_MARGIN:
             out[(i, j)] = t - m * solver_module._mu_schedule(m)[-1]
     return out
@@ -274,30 +271,31 @@ def stage_lines(zs, x):
     return a, c
 
 
-def hand_built_head_program(st, head, parent):
-    """The phase-I program of a depth-k head at the state of the offsets
-    st, stacked by hand from its stage blocks' first k columns, started
-    from the parent head's point extended by one step: the v with the
-    lowest max of stage set e_k's stage-space lines at x_hat(k-1); None for
+def hand_built_head_constraints(st, head):
+    """The constraints of a depth-k head at the state of the offsets st,
+    stacked by hand from its stage blocks' first k columns, with the rows
+    that hold no decision variable (the first region's) dropped; None for
     nonconvex data."""
     k = len(head)
     steps = [st.step(e - 1, j) for j, e in enumerate(head)]
     if any(blk.nonconvex for blk, _ in steps):
         return None
-    hz = st.hz
+    cons = Constraints.join([cons for _, cons in steps])
+    rows = cons.rows[:, :k]
+    keep = np.max(np.abs(rows), axis=1) >= 1e-13
+    return replace(cons.lift(np.eye(st.hz.n_vars, k)), rows=rows[keep],
+                   offsets=cons.offsets[keep])
+
+
+def hand_built_head_start(st, head, parent):
+    """The start of a depth-k head at the state of the offsets st: the
+    parent head's point extended by one step, the v with the lowest max of
+    stage set e_k's stage-space lines at x_hat(k-1)."""
+    hz, k = st.hz, len(head)
     last = slice((k - 1) * hz.n, k * hz.n)  # the rows of x_hat(k-1)
     _, v = solver_module._lowest_max(*stage_lines(
         hz.zsets[head[-1] - 1], hz.S[last, :k - 1] @ parent + st.offset[last]))
-    cons = Constraints.join([cons for _, cons in steps])
-    rows = cons.rows[:, :k]
-    # rows without a decision variable (the first region's) hold at x
-    keep = np.max(np.abs(rows), axis=1) >= 1e-13
-    return solver_module.ConvexProgram(
-        n_vars=k, H=np.zeros((k, k)), f=np.zeros(k), c0=0.0,
-        cons=replace(cons.lift(np.eye(hz.n_vars, k)), rows=rows[keep],
-                     offsets=cons.offsets[keep]),
-        scenario_j=0, N=hz.N, S=hz.S, offset=st.offset, pre_violation=-np.inf,
-        z0_hint=np.append(parent, v), nonconvex_data=False)
+    return np.append(parent, v)
 
 
 def stage_set_members(zs, rng, count=2000, tries=200_000):

@@ -265,6 +265,8 @@ def test_infeasible_solve_exit_code(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "INFEASIBLE_STATE"
+    # the message says where the closed loop failed: at step 0, from x0
+    assert err["message"].startswith("closed-loop step 0, state [1.95, 1.95]")
 
 
 def test_zero_state_weight_has_no_terminal_level(capsys):
@@ -419,6 +421,56 @@ def test_bad_input_is_schema_error(ex2_catalog_n3_file, tmp_path, monkeypatch,
     assert run(argv) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "SCHEMA"
     assert not any(tmp_path.iterdir())
+
+
+def _with(key, value):
+    return lambda obj: {**obj, key: value}
+
+
+def _with_level(key, seqs):
+    return lambda obj: {**obj, "levels": {**obj["levels"], key: seqs}}
+
+
+# edits of a stored N=3 catalog (ex2, 3 regions) that make it malformed
+MALFORMED = {
+    "file-list": lambda obj: [obj],
+    "no-levels": lambda obj: {k: v for k, v in obj.items() if k != "levels"},
+    "no-s": lambda obj: {k: v for k, v in obj.items() if k != "s"},
+    "N-text": _with("N", "3"),
+    "s-bool": _with("s", True),
+    "tol-null": _with("tol", None),
+    "levels-list": _with("levels", [[[1]]]),
+    "level-text": _with_level("1", "1"),
+    "entry-float": _with_level("3", [[1, 1, 1.0]]),
+    "entry-text": _with_level("3", [[1, 1, "a"]]),
+    "entry-zero": _with_level("2", [[0, 1]]),
+    "entry-above-s": _with_level("2", [[1, 4]]),
+    "short-sequence": _with_level("3", [[1, 1]]),
+    "level-missing": lambda obj: {**obj, "levels": {
+        k: v for k, v in obj["levels"].items() if k != "2"}},
+    "level-past-N": _with_level("4", []),
+    "witnesses-short": lambda obj: {**obj, "witnesses": {
+        **obj["witnesses"], "3": obj["witnesses"]["3"][:-1]}},
+    "witnesses-text": _with("witnesses", {"3": "no"}),
+    "witness-text": lambda obj: {**obj, "witnesses": {
+        "1": ["no"] * len(obj["levels"]["1"])}},
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_catalog_is_schema_error(ex2_catalog_n3_file, tmp_path,
+                                           capsys, edit):
+    obj = json.loads(open(ex2_catalog_n3_file).read())
+    assert len(obj["witnesses"]["3"]) == len(obj["levels"]["3"]) > 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(obj)))
+    capsys.readouterr()
+    assert run(["solve", EX2, *LINFLAGS, "--horizon", "3", "--catalog",
+                str(path), "--x0", "0.5,0.1"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SCHEMA" and err["message"]
+    assert run(["solve", EX2, *LINFLAGS, "--horizon", "3", "--catalog",
+                ex2_catalog_n3_file, "--x0", "0.5,0.1"]) == 0
 
 
 _LIN = {"--c", "--beta-target", "--b0", "--a"}

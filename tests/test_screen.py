@@ -2,7 +2,7 @@
 
 A screen rejects a candidate scenario by a certified lower bound on its
 phase-I value t*, taken from a subset of its constraints: a head, the
-program of its first k stage blocks. Offline the head is the first
+constraints of its first k stage blocks. Offline the head is the first
 transition (i, j) of a free-x0 probe, online a head of the program at the
 query state: first the constraints that depend on v0 alone, then the first
 k stage blocks that several candidates share.
@@ -24,7 +24,8 @@ import convexnmpc.scenario as scenario_module
 import convexnmpc.solver as solver_module
 from conftest import PACKAGED, PAPER_B0, PAPER_C, Q_DIAG
 from helpers import (brute_force_level, full_schedule_transitions,
-                     hand_built_head_program, stage_lines)
+                     hand_built_head_constraints, hand_built_head_start,
+                     stage_lines)
 
 FEAS_TOL = cn.SolverConfig().feas_tol
 SYSTEMS = ("ex2", "ex3")
@@ -363,29 +364,36 @@ def test_head_walk_keeps_decisions(deep, monkeypatch, name):
     assert sum(d[-1] for d in plain) == 0
 
 
-def _head_programs(monkeypatch, data, catalog, states):
-    """(program, hand-built program) of every head the walk builds at the
-    states."""
-    built, head_program = [], solver_module._head_program
+def _head_parts(monkeypatch, data, catalog, states):
+    """(built, hand-built) pairs of the constraints and of the starts of
+    every head the walk tests at the states."""
+    built = {"constraints": [], "starts": []}
 
-    def recorded(st, head, parent):
-        prog = head_program(st, head, parent)
-        built.append((prog, hand_built_head_program(st, head, parent)))
-        return prog
+    def recorded(name, fn, hand_built):
+        def record(*args):
+            got = fn(*args)
+            built[name].append((got, hand_built(*args)))
+            return got
+        return record
 
-    monkeypatch.setattr(solver_module, "_head_program", recorded)
+    monkeypatch.setattr(solver_module, "_head_constraints", recorded(
+        "constraints", solver_module._head_constraints,
+        hand_built_head_constraints))
+    monkeypatch.setattr(solver_module, "_head_start", recorded(
+        "starts", solver_module._head_start, hand_built_head_start))
     for x in states:
         _walk(data, x, cn.filter_for_state(catalog, data["spec"], x))
     return built
 
 
 def _assert_hand_built(built):
-    for prog, ref in built:
-        assert prog.n_vars == ref.n_vars
-        assert prog.z0_hint.shape == ref.z0_hint.shape
-        assert prog.z0_hint.tobytes() == ref.z0_hint.tobytes()
-        for name in prog.cons.__dataclass_fields__:
-            got, want = getattr(prog.cons, name), getattr(ref.cons, name)
+    assert len(built["starts"]) == len(built["constraints"])
+    for start, ref in built["starts"]:
+        assert start.shape == ref.shape
+        assert start.tobytes() == ref.tobytes()
+    for cons, ref in built["constraints"]:
+        for name in cons.__dataclass_fields__:
+            got, want = getattr(cons, name), getattr(ref, name)
             if isinstance(got, np.ndarray):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), name
@@ -395,24 +403,25 @@ def _assert_hand_built(built):
 
 @pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
 def test_head_programs_match_hand_built(request, monkeypatch, name):
-    # every head program of the walk at the benchmark pool's states, one in
-    # 2 on loop-ex2 (ridges) and one in 13 on query-ex3 (affine rows), with
-    # the stored N=15 catalogs, is the hand-built one, array for array
+    # every head's constraints and start in the walk at the benchmark
+    # pool's states, one in 2 on loop-ex2 (ridges) and one in 13 on
+    # query-ex3 (affine rows), with the stored N=15 catalogs, are the
+    # hand-built ones, array for array
     pool, every = {"ex2": ("loop-ex2", 2), "ex3": ("query-ex3", 13)}[name]
     data = request.getfixturevalue(name)
     catalog = cn.FeasibleCatalog.load(BENCH_DATA / f"{name}_N15_catalog.json")
     states = json.loads((BENCH_DATA / "reference.json").read_text())["pools"]
-    built = _head_programs(monkeypatch, data, catalog,
-                           [np.array(entry["x0"], dtype=float)
-                            for entry in states[pool][::every]])
-    assert len(built) > 20
+    built = _head_parts(monkeypatch, data, catalog,
+                        [np.array(entry["x0"], dtype=float)
+                         for entry in states[pool][::every]])
+    assert len(built["starts"]) > 20
     _assert_hand_built(built)
 
 
 def test_head_starts_off_centre_match_hand_built(monkeypatch):
     # ex2 with the input interval [-1, 3], off centre: the sides of a stage
     # set cross at v != 0, so a head's start extends its parent's point by
-    # a nonzero v, which the hand-built programs must match bit for bit
+    # a nonzero v, which the hand-built starts must match bit for bit
     system = json.loads((PACKAGED / "ex2.json").read_text())
     system["u"] = [-1.0, 3.0]
     spec = cn.system_from_dict(system)
@@ -421,9 +430,9 @@ def test_head_starts_off_centre_match_hand_built(monkeypatch):
     Q, rho = Q_DIAG * np.eye(2), 0.1 * PAPER_B0 ** 2 / lin.beta ** 2
     data = dict(spec=spec, lin=lin, zsets=zsets, Q=Q, rho=rho,
                 terminal=cn.build_terminal(spec, lin, zsets, Q, rho))
-    built = _head_programs(monkeypatch, data, _prune(data, 5), GRID)
-    assert len(built) > 20
-    assert any(prog.z0_hint[-1] != 0.0 for prog, _ in built)
+    built = _head_parts(monkeypatch, data, _prune(data, 5), GRID)
+    assert len(built["starts"]) > 20
+    assert any(start[-1] != 0.0 for start, _ in built["starts"])
     _assert_hand_built(built)
 
 

@@ -7,6 +7,8 @@ with neither it runs phase I from its cold hint. Catalogs must equal those
 of cold probes level for level, every kept witness must be strictly
 feasible by the plain constraint oracles, nonconvex data must take the cold
 path, and the catalog file must carry the witnesses to a resumed prune.
+Under the probes, phase I takes constraints and ordered starts: the first
+start that passes its rule's hint test is its point, as it is.
 """
 import pathlib
 
@@ -15,6 +17,8 @@ import pytest
 
 import convexnmpc as cn
 import convexnmpc.scenario as scenario_module
+import convexnmpc.solver as solver_module
+from convexnmpc.stagesets import Constraints
 
 
 def _prune(data, N, **kwargs):
@@ -109,6 +113,47 @@ def test_first_passing_start_settles(ex2):
     assert got[1] == float(np.max(prog.constraint_values(feasible)))
 
 
+def _phase1(cons, starts, head=False):
+    """(z, t, low, Newton steps) of phase I on cons from the starts."""
+    cfg = cn.SolverConfig()
+    work = solver_module._Work(cfg)
+    z, t, low = solver_module._phase1(cons, starts, cfg, work, head=head)
+    return z, t, low, work.steps
+
+
+def test_phase1_tries_its_starts_in_order(ex2):
+    prog = _program(ex2, (2, 1, 1))
+    feasible = cn.solve_feasibility(prog)[2].copy()
+    other = feasible.copy()
+    failing = np.full(prog.n_vars, 10.0)
+    # the first passing start comes back as that object, with no step
+    for head in (False, True):
+        z, t, low, steps = _phase1(prog.cons, (failing, feasible, other),
+                                   head)
+        assert z is feasible and steps == 0 and low == -np.inf
+        assert t == float(np.max(prog.constraint_values(feasible)))
+    # with none passing, phase I runs from the last start alone
+    hint = prog.z0_hint
+    alone = _phase1(prog.cons, (hint,))
+    assert alone[3] > 0
+    got = _phase1(prog.cons, (failing, failing.copy(), hint))
+    assert got[0].tobytes() == alone[0].tobytes()
+    assert got[1:] == alone[1:]
+
+
+def test_head_and_probe_hint_rules_differ():
+    # every row of z below feas_tol but its worst above -HINT_MARGIN
+    cons = Constraints.of(2, 1, rows=np.eye(2), offsets=np.zeros(2))
+    z = np.array([-1e-8, -0.5])
+    worst = float(np.max(cons.rows @ z - cons.offsets))
+    assert -solver_module.HINT_MARGIN <= worst < cn.SolverConfig().feas_tol
+    got, t, _, steps = _phase1(cons, (z,), head=True)
+    assert got is z and t == worst and steps == 0
+    got, t, _, steps = _phase1(cons, (z,))
+    assert got is not z and steps > 0
+    assert t < -solver_module.STRICT_MARGIN
+
+
 def test_nonconvex_program_ignores_a_feasible_start(ex1):
     prog = _program(ex1, (1, 1, 1))
     assert prog.nonconvex_data
@@ -170,7 +215,8 @@ def test_witnesses_round_trip_the_file(ex2, tmp_path):
 
 def test_file_without_witnesses_loads():
     path = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
-    catalog = cn.FeasibleCatalog.load(path / "ex2_N15_catalog.json")
-    assert catalog.count() == 31
-    assert catalog.witnesses == {}
-    assert catalog.to_dict()["witnesses"] == {}
+    for name, count in (("ex2", 31), ("ex3", 221)):
+        catalog = cn.FeasibleCatalog.load(path / f"{name}_N15_catalog.json")
+        assert catalog.count() == count
+        assert catalog.witnesses == {}
+        assert catalog.to_dict()["witnesses"] == {}

@@ -34,7 +34,7 @@ Prints sha256[:16] over one float-hex line per result for ten sets:
 - heads:    n_head_newton of evaluate_ocp at every pool state (from the
             error's details at a state with no Optimal candidate): the
             Newton steps of the head walk, which move with any change to
-            its head programs or their starts;
+            its heads' constraints or their starts;
 - dominance: (j*, n_dominated, n_cut_newton) of every step of a 25-step
             simulate from every loop-ex2 start, then of evaluate_ocp at
             every query-ex3 pool state: which candidates the objective
