@@ -6,10 +6,12 @@ prediction model lives only inside the optimal control problems. The
 applied scenario is the smallest index within TIE_TOL of the least Optimal
 value, whatever the order of the solves. A candidate whose head bound
 exceeds the feasibility tolerance is screened instead of solved. The
-candidates at a state share their cost, so one objective cut at the value
-of the first solves (in closed loop, the continuations of the previous
-step's sequence; else an incumbent) shows which others cannot win: they
-are Dominated and not solved (evaluate_ocp, solver.dominated).
+candidates at a state share their cost, so one running bound serves them
+all: after the first solves (in closed loop, the continuations of the
+previous step's sequence; else an incumbent), each other candidate is
+cut-tested at the least Optimal value so far, or with no cut while none
+is Optimal, and one that cannot win is Dominated and not solved
+(evaluate_ocp, solver.dominated).
 """
 from dataclasses import dataclass, field
 
@@ -38,8 +40,10 @@ class MpcStepResult:
     n_screened: int = 0
     n_newton: int = 0  # Newton steps summed over the solved candidates
     n_head_newton: int = 0  # Newton steps of the head tests (solver.heads)
-    n_dominated: int = 0  # not solved: a cut shows they cannot win
-    n_cut_newton: int = 0  # Newton steps of the cut tests (solver.dominated)
+    n_dominated: int = 0  # not solved: a cut test shows they cannot win
+    # Newton steps of the cut tests (solver.dominated), those with no cut
+    # (B = inf, before any Optimal solve) included
+    n_cut_newton: int = 0
 
 
 def _fmt(x):
@@ -129,15 +133,13 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     one whose head bound (solver.heads) exceeds cfg.feas_tol is Screened,
     not solved. The first solves are the leads, with prev (the sequence
     applied at the previous state) its continuations c[:-1] == prev[1:],
-    else the incumbent (_incumbent). If one is Optimal, each other
-    candidate that solver.dominated shows to have no Optimal solve with
-    V <= B = min V + TIE_TOL over the first solves is Dominated, not
-    solved; the rest are solved one at a time. The decision is that of
-    solving every candidate not Screened: all share the cost
-    z'Hz + f.z + c0, so one cut row serves them all, and an Optimal solve
-    of a Dominated d has V > B >= V_min + TIE_TOL. So d is not applied and
-    leaves V_min as it is: the applied index (applied_candidate) does not
-    change, whatever d's index.
+    else the incumbent (_incumbent). The others follow in index order,
+    each cut-tested first (solver.dominated) at the running bound B, +inf
+    until a solve is Optimal, then min V + TIE_TOL over the Optimal solves:
+    one with no Optimal solve of V <= B is Dominated, not solved. As all
+    share the cost z'Hz + f.z + c0, an Optimal solve of a Dominated d has
+    V > B_d >= V_min + TIE_TOL (B_d: B at d's turn): d is not applied and
+    leaves V_min, so the decision is that of solving all unscreened ones.
 
     The input is recovered through the linearizing feedback, u = 0 where
     the input gain vanishes. IterLimit and Stalled candidates are
@@ -155,16 +157,17 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
              for i, c in enumerate(candidates) if statuses[i] is None}
     first = (_incumbent(progs) if prev is None else
              [i for i in progs if candidates[i][:-1] == tuple(prev[1:])])
-    found = {i: solve(progs[i], cfg) for i in first}
-    won = [sol.V for sol in found.values() if sol.optimal]
-    cut = [d for d in progs if d not in found] if won else []
-    out, n_cut_newton = dominated([progs[d] for d in cut],
-                                  min(won, default=np.inf) + TIE_TOL, cfg)
-    for d, gone in zip(cut, out):
-        statuses[d] = "Dominated" if gone else None
-    rest = [i for i in progs if i not in found and statuses[i] is None]
-    found.update((i, solve(progs[i], cfg)) for i in rest)
-    sols = [found.get(i) for i in range(len(candidates))]
+    sols, bound, n_cut_newton = [None] * len(candidates), np.inf, 0
+    for i in first + [i for i in progs if i not in first]:
+        if i not in first:
+            gone, steps = dominated(progs[i], bound, cfg)
+            n_cut_newton += steps
+            if gone:
+                statuses[i] = "Dominated"
+                continue
+        sols[i] = solve(progs[i], cfg)
+        if sols[i].optimal:
+            bound = min(bound, sols[i].V + TIE_TOL)
     statuses = [status or sol.status for status, sol in zip(statuses, sols)]
     n_undecided = sum(status in UNDECIDED for status in statuses)
     n_screened = statuses.count("Screened")
@@ -182,9 +185,9 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     v0 = float(sol.v_seq[0])
     return MpcStepResult(
         u=u_of_v(lin, spec, x, v0), v=v0, j_star=sol.scenario_j, V=sol.V,
-        n_scenarios_solved=len(found), per_scenario=per,
+        n_scenarios_solved=sum(s is not None for s in sols), per_scenario=per,
         n_undecided=n_undecided, n_screened=n_screened,
-        n_newton=sum(s.n_newton for s in found.values()),
+        n_newton=sum(s.n_newton for s in sols if s is not None),
         n_head_newton=n_head_newton,
         n_dominated=statuses.count("Dominated"), n_cut_newton=n_cut_newton)
 

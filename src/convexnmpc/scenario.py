@@ -137,9 +137,10 @@ class FeasibleCatalog:
     def from_dict(cls, obj):
         """The catalog of a parsed catalog file; SchemaError for a missing
         key, a value of the wrong type, a level of 1..N that is missing or
-        holds a sequence that is not k entries in 1..s, or a witness list
-        of another length than its level's. The parsed lists are checked
-        as they are, with no array built."""
+        holds a sequence that is not k entries in 1..s, a witness list of
+        another length than its level's, or meta counts ("screened",
+        "warm", "appended") that do not map levels to counts >= 0. The
+        parsed lists are checked as they are, with no array built."""
         if not isinstance(obj, dict):
             raise SchemaError("a catalog file holds one JSON object")
         obj = {"meta": {}, "witnesses": {}, **obj}
@@ -174,6 +175,13 @@ class FeasibleCatalog:
             witnesses[int(key)] = {seq: np.array(w, dtype=float)
                                    for seq, w in zip(levels[int(key)], ws)
                                    if w is not None}
+        for key in ("screened", "warm", "appended"):
+            counts = obj["meta"].get(key, {})
+            if type(counts) is not dict or not all(
+                    level in stored and type(n) is int and n >= 0
+                    for level, n in counts.items()):
+                raise SchemaError(f"catalog meta {key!r} must map levels "
+                                  "to counts >= 0")
         return cls(s=s, N=N, levels=levels, feas_tol=float(obj["tol"]),
                    terminal_kind=obj["terminal_kind"],
                    content_hash=obj["hash"], meta=obj["meta"],
@@ -300,7 +308,8 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     no Newton step, meta["appended"] those the appended start settled; the
     catalog's witnesses are its survivors' strictly feasible points.
     resume, a stored catalog, supplies its levels up to N with their
-    witnesses, which warm the first new level, and their counts.
+    witnesses, which warm the first new level, and their counts; a
+    witness of level k that is not k + n entries is a SchemaError.
     One process pool serves every level.
     """
     if N < 1:
@@ -310,6 +319,10 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
     resume = resume.cut(N) if resume else None
     levels = dict(resume.levels) if resume else {}
     witnesses = dict(resume.witnesses) if resume else {}
+    for k, ws in witnesses.items():
+        if any(len(w) != k + spec.n for w in ws.values()):
+            raise SchemaError(f"catalog witnesses of level {k} must have "
+                              f"{k + spec.n} entries")
     meta = resume.meta if resume else {}
     screened, warm, appended = (dict(meta.get(key, {}))
                                 for key in ("screened", "warm", "appended"))

@@ -19,7 +19,8 @@ heads that several candidates share are walked depth by depth (heads),
 each start extended by the lines of a step's compiled block (_head_start).
 The same rule with one more row, the objective cut V(z) <= B that the
 programs at one state share with their cost, shows that a program has no
-Optimal solve of value <= B (dominated). One phase-I routine (_phase1)
+Optimal solve of value <= B, and with no row (B = inf) that it has no
+Optimal solve at all (dominated). One phase-I routine (_phase1)
 takes constraints and ordered starts, for these and for every solve.
 
 The Newton kernel keeps two invariants. Each trial point of the line search
@@ -1000,26 +1001,26 @@ def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
     return bounds, n_newton
 
 
-def dominated(progs, bound, cfg):
-    """Whether each fixed-x0 program is shown to have no Optimal solve of
-    value at most bound, and the Newton steps spent: the head rule's
-    phase I on the program's constraints and one more row, the objective
-    cut z'Hz + f.z + c0 - bound <= 0, from the program's start. Phase I
-    relaxes every row and the cut by one t, so a bound on t* above
-    feas_tol + RELAX_PAD leaves no z with every row within an Optimal
-    solve's relax (at most feas_tol + RELAX_PAD) and a value at most the
-    bound. Nonconvex data gets no cut, as in heads."""
-    out, n_newton = [], 0
-    for p in progs:
-        low = None
-        if not p.nonconvex_data:
-            row = Constraints.of(p.n_vars, p.cons.dir.shape[1],
-                                 H=[2.0 * p.H], w=[p.f], c0=[p.c0 - bound])
-            _, low, steps = _head_phase1(Constraints.join([p.cons, row]),
-                                         p.z0_hint, cfg)
-            n_newton += steps
-        out.append(low is not None and low > cfg.feas_tol + RELAX_PAD)
-    return out, n_newton
+def dominated(prog, bound, cfg):
+    """Whether the fixed-x0 program prog is shown to have no Optimal solve
+    of value at most bound, and the Newton steps spent: the head rule's
+    phase I from the program's start on its constraints and one more row,
+    the objective cut z'Hz + f.z + c0 - bound <= 0, or on its constraints
+    alone for bound = inf, which shows that it has no Optimal solve at
+    all. Phase I relaxes every row and the cut by one t, so a bound on t*
+    above feas_tol + RELAX_PAD leaves no z with every row within an
+    Optimal solve's relax (at most feas_tol + RELAX_PAD) and a value at
+    most the bound; with no cut, t* > feas_tol leaves solve Infeasible or
+    undecided. Nonconvex data gets no cut, as in heads."""
+    if prog.nonconvex_data:
+        return False, 0
+    cons = prog.cons
+    if bound < np.inf:
+        cons = Constraints.join([cons, Constraints.of(
+            prog.n_vars, cons.dir.shape[1], H=[2.0 * prog.H], w=[prog.f],
+            c0=[prog.c0 - bound])])
+    _, low, steps = _head_phase1(cons, prog.z0_hint, cfg)
+    return low is not None and low > cfg.feas_tol + RELAX_PAD, steps
 
 
 def _groups(seqs, indices, k):

@@ -255,6 +255,35 @@ def test_prune_resume_keeps_level_counts(tmp_path, capsys):
     assert got["witnesses"] == want["witnesses"]
 
 
+# edits of a stored ex2 N=2 catalog that a resumed prune must refuse: a
+# level-2 witness of another length than 2 + n, counts that are no map
+RESUME_MALFORMED = {
+    "witnesses-empty": lambda obj: {**obj, "witnesses": {
+        **obj["witnesses"], "2": [[] for _ in obj["witnesses"]["2"]]}},
+    "meta-count-int": lambda obj: {**obj, "meta": {"screened": 5}},
+    "meta-count-negative": lambda obj: {**obj, "meta": {
+        **obj["meta"], "warm": {"1": -1}}},
+    "meta-count-past-N": lambda obj: {**obj, "meta": {
+        **obj["meta"], "appended": {"3": 0}}},
+}
+
+
+@pytest.mark.parametrize("edit", RESUME_MALFORMED.values(),
+                         ids=RESUME_MALFORMED.keys())
+def test_resume_from_malformed_catalog_is_schema_error(tmp_path, capsys,
+                                                       edit):
+    cat = tmp_path / "cat.json"
+    args = ["prune", EX2, *LINFLAGS, "--catalog", str(cat), "--threads", "1"]
+    assert run([*args, "--horizon", "2"]) == 0
+    obj = json.loads(cat.read_text())
+    assert obj["witnesses"]["2"] and all(obj["witnesses"]["2"])
+    cat.write_text(json.dumps(edit(obj)))
+    capsys.readouterr()
+    assert run([*args, "--horizon", "3", "--resume"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SCHEMA" and err["message"]
+
+
 def test_infeasible_solve_exit_code(tmp_path, capsys):
     cat = str(tmp_path / "cat.json")
     run(["prune", EX2, *LINFLAGS, "--horizon", "1", "--catalog", cat,

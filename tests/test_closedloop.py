@@ -214,29 +214,35 @@ def _alone(m, cfg, x):
     return seqs, progs, sols
 
 
-def _check_dominated(step, seqs, sols, first, s=3):
-    """Every entry of step that is not Dominated is as if solved alone
-    (sols), and every Dominated one, solved alone, ends non-Optimal or
-    above B = min V + TIE_TOL over the Optimal first solves; the decision
-    is that of solving every unscreened candidate. The number of Dominated
-    ones."""
-    won = [sols[i].V for i in first if sols[i].optimal]
-    n = 0
-    for (j, status, V), seq, sol in zip(step.per_scenario, seqs, sols):
-        assert j == cn.encode(seq, s)
+def _check_dominated(per, seqs, sols, first, s=3, step=None):
+    """Replay evaluate_ocp's loop over the entries per: the first solves,
+    then the others in index order, with the running bound B (+inf, then
+    min V + TIE_TOL over the Optimal ones solved so far) taken from their
+    solves alone (sols). Every entry that is not Dominated is as if solved
+    alone, and every Dominated one, solved alone, ends non-Optimal or has
+    V > B at its turn. With the step result, the decision is that of
+    solving every unscreened candidate. The number of Dominated ones."""
+    bound, n = np.inf, 0
+    for i in first + [i for i in range(len(seqs)) if i not in first]:
+        (j, status, V), sol = per[i], sols[i]
+        assert j == cn.encode(seqs[i], s)
         if status == "Dominated":
-            assert not sol.optimal or sol.V > min(won) + closedloop.TIE_TOL
+            assert i not in first
+            assert not sol.optimal or sol.V > bound
             n += 1
         elif sol is None:
             assert status == "Screened"
         else:
             assert status == sol.status
             assert V == sol.V or (np.isnan(V) and np.isnan(sol.V))
-    assert step.n_dominated == n
-    assert step.n_scenarios_solved + step.n_screened + n == len(seqs)
-    best = sols[closedloop.applied_candidate(sols)]
-    assert (step.j_star, step.v, step.V) == (best.scenario_j, best.v_seq[0],
-                                             best.V)
+            if sol.optimal:
+                bound = min(bound, sol.V + closedloop.TIE_TOL)
+    if step is not None:
+        assert step.n_dominated == n
+        assert step.n_scenarios_solved + step.n_screened + n == len(seqs)
+        best = sols[closedloop.applied_candidate(sols)]
+        assert (step.j_star, step.v, step.V) == (
+            best.scenario_j, best.v_seq[0], best.V)
     return n
 
 
@@ -278,14 +284,16 @@ class TestDominance:
                                            keep_per_scenario=True)
                     n_lost += sol.scenario_j != warm.j_star
                     leads = [i for i in progs if seqs[i][:-1] == lead[:-1]]
-                    n_checked += _check_dominated(warm, seqs, sols, leads)
+                    n_checked += _check_dominated(warm.per_scenario, seqs,
+                                                  sols, leads, step=warm)
         assert n_checked > 0 and n_lost > 0
 
     @pytest.mark.parametrize("name", ["ex2", "ex3"])
     def test_cold_dominated_candidates_cannot_win(self, request, name):
         # cold queries at benchmark pool states (one loop-ex2 start in 2,
-        # one query-ex3 state in 4): the incumbent is solved first and
-        # cuts the others, whatever their index
+        # one query-ex3 state in 4): the incumbent is solved first, then
+        # the others in index order under the running bound, with no cut
+        # (B = inf) at the states with no winner
         data = request.getfixturevalue(name)
         catalog = cn.FeasibleCatalog.load(BENCH_DATA
                                           / f"{name}_N15_catalog.json")
@@ -294,22 +302,28 @@ class TestDominance:
             "pools"][pool][::every]
         m = _modules(data, catalog)
         cfg = cn.SolverConfig()
-        n_checked = n_infeasible = 0
+        n_checked = n_infeasible = n_no_winner = 0
         for entry in entries:
             x = np.array(entry["x0"], dtype=float)
             seqs, progs, sols = _alone(m, cfg, x)
+            first = closedloop._incumbent(progs)
             try:
                 step = cn.evaluate_ocp(x, *m.values(), keep_per_scenario=True)
-            except cn.InfeasibleStateError:
+            except cn.InfeasibleStateError as exc:
+                # no winner: B stays inf, and a Dominated candidate, solved
+                # alone, is not Optimal either
                 assert not any(sol is not None and sol.optimal
                                for sol in sols)
+                n_no_winner += _check_dominated(
+                    exc.details["per_scenario"], seqs, sols, first,
+                    catalog.s)
                 n_infeasible += 1
                 continue
-            n_checked += _check_dominated(step, seqs, sols,
-                                          closedloop._incumbent(progs),
-                                          catalog.s)
+            n_checked += _check_dominated(step.per_scenario, seqs, sols,
+                                          first, catalog.s, step)
         assert n_checked > 0
         assert n_infeasible > 0 or name == "ex2"
+        assert n_no_winner > 0 or name == "ex2"
 
     def test_without_prev_undominated_candidates_are_as_if_solved_alone(
             self, ex2, ex2_catalog_n15):
@@ -319,8 +333,9 @@ class TestDominance:
         for x in (np.array([-1.2, 1.2]), np.array([-1.5, 0.3])):
             step = cn.evaluate_ocp(x, *m.values(), keep_per_scenario=True)
             seqs, progs, sols = _alone(m, cfg, x)
-            n_dominated += _check_dominated(step, seqs, sols,
-                                            closedloop._incumbent(progs))
+            n_dominated += _check_dominated(step.per_scenario, seqs, sols,
+                                            closedloop._incumbent(progs),
+                                            step=step)
         assert n_dominated > 0
 
 
