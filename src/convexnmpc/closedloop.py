@@ -7,18 +7,17 @@ applied scenario is the smallest index within TIE_TOL of the least Optimal
 value, whatever the order of the solves. A candidate whose head bound
 exceeds the feasibility tolerance is screened instead of solved. The
 candidates at a state share their cost, so one running bound serves them
-all: after the first solves (in closed loop, the continuations of the
-previous step's sequence; else an incumbent), each other candidate is
-cut-tested at the least Optimal value so far, or with no cut while none
-is Optimal, and one that cannot win is Dominated and not solved
-(evaluate_ocp, solver.dominated).
+all: after an incumbent's solve, each other candidate is cut-tested at
+the least Optimal value so far, or with no cut while none is Optimal, and
+one that cannot win is Dominated and not solved (evaluate_ocp,
+solver.dominated). Every decision, in closed loop or not, is this cold
+query, so it depends on the state alone.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasibleStateError
-from .geometry import MEMBERSHIP_TOL
 from .linearize import u_of_v
 from .model import dynamics_step
 from .scenario import decode, filter_for_state, worker_map
@@ -113,39 +112,39 @@ def applied_candidate(solutions):
 
 
 def _incumbent(progs):
-    """[the key of the program least violated at z_u = -H^-1 f / 2, their
-    shared unconstrained minimiser, ties to the smaller key] or []."""
-    if not progs:
-        return []
+    """The key of the program least violated at z_u = -H^-1 f / 2, their
+    shared unconstrained minimiser, ties to the smaller key; None if there
+    is no program."""
+    if len(progs) < 2:  # no choice to make
+        return next(iter(progs), None)
     some = next(iter(progs.values()))
     z_u = np.linalg.solve(some.H, -0.5 * some.f)
     worst = {i: max(p.pre_violation,
                     p.constraint_values(z_u).max(initial=-np.inf))
              for i, p in progs.items()}
-    return [min(worst, key=worst.get)]
+    return min(worst, key=worst.get)
 
 
 def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
-                 cfg=None, keep_per_scenario=False, prev=None):
+                 cfg=None, keep_per_scenario=False):
     """Solve the candidate scenarios at state x and pick the best.
 
     Candidates are the catalog scenarios whose first region contains x;
     one whose head bound (solver.heads) exceeds cfg.feas_tol is Screened,
-    not solved. The first solves are the leads, with prev (the sequence
-    applied at the previous state) its continuations c[:-1] == prev[1:],
-    else the incumbent (_incumbent). The others follow in index order,
-    each cut-tested first (solver.dominated) at the running bound B, +inf
-    until a solve is Optimal, then min V + TIE_TOL over the Optimal solves:
-    one with no Optimal solve of V <= B is Dominated, not solved. As all
-    share the cost z'Hz + f.z + c0, an Optimal solve of a Dominated d has
-    V > B_d >= V_min + TIE_TOL (B_d: B at d's turn): d is not applied and
-    leaves V_min, so the decision is that of solving all unscreened ones.
+    not solved. The incumbent (_incumbent) is solved first. The others
+    follow in index order, each cut-tested first (solver.dominated) at the
+    running bound B, +inf until a solve is Optimal, then min V + TIE_TOL
+    over the Optimal solves: one with no Optimal solve of V <= B is
+    Dominated, not solved. As all share the cost z'Hz + f.z + c0, an
+    Optimal solve of a Dominated d has V > B_d >= V_min + TIE_TOL (B_d: B
+    at d's turn): d is not applied and leaves V_min, so the decision is
+    that of solving all unscreened ones.
 
     The input is recovered through the linearizing feedback, u = 0 where
     the input gain vanishes. IterLimit and Stalled candidates are
-    undecided. n_undecided, n_screened and n_head_newton (the head tests'
-    Newton steps) are also in the details of InfeasibleStateError, with
-    per_scenario when kept.
+    undecided. The counts (n_undecided, n_screened, n_dominated and the
+    Newton steps n_newton, n_head_newton and n_cut_newton) are also in the
+    details of InfeasibleStateError, with per_scenario when kept.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
@@ -155,11 +154,10 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     statuses = ["Screened" if low > cfg.feas_tol else None for low in bounds]
     progs = {i: assemble(c, x, lin, zsets, terminal, Q, rho)
              for i, c in enumerate(candidates) if statuses[i] is None}
-    first = (_incumbent(progs) if prev is None else
-             [i for i in progs if candidates[i][:-1] == tuple(prev[1:])])
+    first = _incumbent(progs)
     sols, bound, n_cut_newton = [None] * len(candidates), np.inf, 0
-    for i in first + [i for i in progs if i not in first]:
-        if i not in first:
+    for i in sorted(progs, key=lambda i: i != first):
+        if i != first:
             gone, steps = dominated(progs[i], bound, cfg)
             n_cut_newton += steps
             if gone:
@@ -169,8 +167,12 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
         if sols[i].optimal:
             bound = min(bound, sols[i].V + TIE_TOL)
     statuses = [status or sol.status for status, sol in zip(statuses, sols)]
-    n_undecided = sum(status in UNDECIDED for status in statuses)
-    n_screened = statuses.count("Screened")
+    counts = dict(
+        n_undecided=sum(status in UNDECIDED for status in statuses),
+        n_screened=statuses.count("Screened"),
+        n_dominated=statuses.count("Dominated"),
+        n_newton=sum(s.n_newton for s in sols if s is not None),
+        n_head_newton=n_head_newton, n_cut_newton=n_cut_newton)
     per = ([(encode(c, catalog.s), status, np.nan if s is None else s.V)
             for c, status, s in zip(candidates, statuses, sols)]
            if keep_per_scenario else None)
@@ -178,40 +180,33 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     if best is None:
         raise InfeasibleStateError(
             "no candidate scenario is feasible at the query state",
-            details_x=x.tolist(), n_undecided=n_undecided,
-            n_screened=n_screened, n_head_newton=n_head_newton,
-            per_scenario=per)
+            details_x=x.tolist(), per_scenario=per, **counts)
     sol = sols[best]
     v0 = float(sol.v_seq[0])
     return MpcStepResult(
         u=u_of_v(lin, spec, x, v0), v=v0, j_star=sol.scenario_j, V=sol.V,
         n_scenarios_solved=sum(s is not None for s in sols), per_scenario=per,
-        n_undecided=n_undecided, n_screened=n_screened,
-        n_newton=sum(s.n_newton for s in sols if s is not None),
-        n_head_newton=n_head_newton,
-        n_dominated=statuses.count("Dominated"), n_cut_newton=n_cut_newton)
+        **counts)
 
 
 def simulate(x0, steps, catalog, spec, lin, zsets, terminal, Q, rho, cfg=None):
     """Receding-horizon run of the true plant from x0.
 
-    Each step passes the sequence it applied to the next evaluate_ocp as
-    prev, which leaves every decision as it is (see evaluate_ocp). Raises
+    Each step is a cold evaluate_ocp at the visited state. Raises
     InfeasibleStateError if some visited state has no feasible scenario:
     its message names the step and the state, and the step index and the
     partial trajectory are attached.
     """
-    xs, done, prev = [np.asarray(x0, dtype=float)], [], None
+    xs, done = [np.asarray(x0, dtype=float)], []
     for k in range(steps):
         try:
             step = evaluate_ocp(xs[-1], catalog, spec, lin, zsets, terminal,
-                                Q, rho, cfg=cfg, prev=prev)
+                                Q, rho, cfg=cfg)
         except InfeasibleStateError as exc:
             exc.step, exc.partial = k, _trajectory(xs, done)
             exc.args = (f"closed-loop step {k}, state {xs[-1].tolist()}: "
                         f"{exc}",)
             raise
-        prev = decode(step.j_star, catalog.s, catalog.N)
         xs.append(dynamics_step(spec, xs[-1], step.u))
         done.append(step)
     return _trajectory(xs, done)
@@ -227,8 +222,6 @@ def _trajectory(xs, steps):
 
 def _grid_point(point, catalog, spec, lin, zsets, terminal, Q, rho, cfg,
                 keep_per_scenario):
-    if not spec.in_state_set(point, MEMBERSHIP_TOL):
-        return (0, np.nan, np.nan, 0, [])
     try:
         step = evaluate_ocp(point, catalog, spec, lin, zsets, terminal, Q,
                             rho, cfg=cfg, keep_per_scenario=keep_per_scenario)

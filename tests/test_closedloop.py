@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import convexnmpc as cn
 from convexnmpc import closedloop
+from convexnmpc.geometry import MEMBERSHIP_TOL
 from convexnmpc.solver import heads
 
 BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
@@ -185,13 +186,13 @@ LOOP_STARTS = ([-1.2, 1.2], [-0.9, 0.8], [-1.5, 0.3], [1.0, 1.0],
 
 
 def _recorded_simulate(monkeypatch, m, x0, steps):
-    """simulate from x0, with (x, prev, step result) of each of its
-    evaluate_ocp calls."""
+    """simulate from x0, with (x, step result) of each of its evaluate_ocp
+    calls."""
     calls, inner = [], closedloop.evaluate_ocp
 
     def recorded(x, *args, **kwargs):
         step = inner(x, *args, **kwargs)
-        calls.append((np.array(x), kwargs.get("prev"), step))
+        calls.append((np.array(x), step))
         return step
 
     monkeypatch.setattr(closedloop, "evaluate_ocp", recorded)
@@ -215,19 +216,20 @@ def _alone(m, cfg, x):
 
 
 def _check_dominated(per, seqs, sols, first, s=3, step=None):
-    """Replay evaluate_ocp's loop over the entries per: the first solves,
-    then the others in index order, with the running bound B (+inf, then
-    min V + TIE_TOL over the Optimal ones solved so far) taken from their
-    solves alone (sols). Every entry that is not Dominated is as if solved
-    alone, and every Dominated one, solved alone, ends non-Optimal or has
-    V > B at its turn. With the step result, the decision is that of
-    solving every unscreened candidate. The number of Dominated ones."""
+    """Replay evaluate_ocp's loop over the entries per: the incumbent's
+    solve (index first, None if there is none), then the others in index
+    order, with the running bound B (+inf, then min V + TIE_TOL over the
+    Optimal ones solved so far) taken from their solves alone (sols).
+    Every entry that is not Dominated is as if solved alone, and every
+    Dominated one, solved alone, ends non-Optimal or has V > B at its
+    turn. With the step result, the decision is that of solving every
+    unscreened candidate. The number of Dominated ones."""
     bound, n = np.inf, 0
-    for i in first + [i for i in range(len(seqs)) if i not in first]:
+    for i in sorted(range(len(seqs)), key=lambda i: i != first):
         (j, status, V), sol = per[i], sols[i]
         assert j == cn.encode(seqs[i], s)
         if status == "Dominated":
-            assert i not in first
+            assert i != first
             assert not sol.optimal or sol.V > bound
             n += 1
         elif sol is None:
@@ -253,11 +255,8 @@ class TestDominance:
         n_dominated = n_cold = 0
         for x0 in LOOP_STARTS:
             traj, calls = _recorded_simulate(monkeypatch, m, x0, 10)
-            assert calls[0][1] is None
-            for k, (x, prev, step) in enumerate(calls):
+            for k, (x, step) in enumerate(calls):
                 assert np.array_equal(x, traj.x[k])
-                if k:
-                    assert prev == cn.decode(int(traj.j_star[k - 1]), 3, 15)
                 cold = cn.evaluate_ocp(x, *m.values())
                 assert (cold.j_star, cold.u, cold.V) == (
                     traj.j_star[k], traj.u[k], traj.V[k])
@@ -265,35 +264,14 @@ class TestDominance:
                 n_cold += cold.n_dominated
         assert n_dominated > 0 and n_cold > 0
 
-    def test_dominated_candidates_cannot_win(self, monkeypatch, ex2,
-                                             ex2_catalog_n15):
-        # prev continues each Optimal candidate in turn, not only the last
-        # winner, so a lead need not win and some cuts must not certify
-        m = _modules(ex2, ex2_catalog_n15)
-        cfg = cn.SolverConfig()
-        n_checked = n_lost = 0
-        for x0 in LOOP_STARTS[:2]:
-            _, calls = _recorded_simulate(monkeypatch, m, x0, 10)
-            for x, _, _ in calls:
-                seqs, progs, sols = _alone(m, cfg, x)
-                for lead, sol in zip(seqs, sols):
-                    if sol is None or not sol.optimal:
-                        continue
-                    prev = (1,) + lead[:-1]
-                    warm = cn.evaluate_ocp(x, *m.values(), prev=prev,
-                                           keep_per_scenario=True)
-                    n_lost += sol.scenario_j != warm.j_star
-                    leads = [i for i in progs if seqs[i][:-1] == lead[:-1]]
-                    n_checked += _check_dominated(warm.per_scenario, seqs,
-                                                  sols, leads, step=warm)
-        assert n_checked > 0 and n_lost > 0
-
     @pytest.mark.parametrize("name", ["ex2", "ex3"])
     def test_cold_dominated_candidates_cannot_win(self, request, name):
         # cold queries at benchmark pool states (one loop-ex2 start in 2,
         # one query-ex3 state in 4): the incumbent is solved first, then
         # the others in index order under the running bound, with no cut
-        # (B = inf) at the states with no winner
+        # (B = inf) at the states with no winner; on ex2 the incumbent
+        # is not applied at some states, so some cuts are made at a bound
+        # that is not the least V
         data = request.getfixturevalue(name)
         catalog = cn.FeasibleCatalog.load(BENCH_DATA
                                           / f"{name}_N15_catalog.json")
@@ -302,7 +280,7 @@ class TestDominance:
             "pools"][pool][::every]
         m = _modules(data, catalog)
         cfg = cn.SolverConfig()
-        n_checked = n_infeasible = n_no_winner = 0
+        n_checked = n_infeasible = n_no_winner = n_lost = 0
         for entry in entries:
             x = np.array(entry["x0"], dtype=float)
             seqs, progs, sols = _alone(m, cfg, x)
@@ -321,12 +299,56 @@ class TestDominance:
                 continue
             n_checked += _check_dominated(step.per_scenario, seqs, sols,
                                           first, catalog.s, step)
+            n_lost += cn.encode(seqs[first], catalog.s) != step.j_star
         assert n_checked > 0
+        assert n_lost > 0 or name == "ex3"
         assert n_infeasible > 0 or name == "ex2"
         assert n_no_winner > 0 or name == "ex2"
 
-    def test_without_prev_undominated_candidates_are_as_if_solved_alone(
-            self, ex2, ex2_catalog_n15):
+    def test_no_winner_details_count_the_cuts_and_solves(self, monkeypatch,
+                                                         ex3):
+        # at the first query-ex3 pool state with no Optimal candidate and a
+        # Dominated one, the error's details hold the counts a step result
+        # holds: the Dominated candidates, and the Newton steps of the
+        # solves and of the cut tests, as read by wrapping those calls
+        catalog = cn.FeasibleCatalog.load(BENCH_DATA / "ex3_N15_catalog.json")
+        m = _modules(ex3, catalog)
+        entries = json.loads((BENCH_DATA / "reference.json").read_text())[
+            "pools"]["query-ex3"]
+        steps = {"solve": 0, "dominated": 0}
+        solve, dominated = closedloop.solve, closedloop.dominated
+
+        def counted_solve(*args):
+            sol = solve(*args)
+            steps["solve"] += sol.n_newton
+            return sol
+
+        def counted_dominated(*args):
+            gone, n = dominated(*args)
+            steps["dominated"] += n
+            return gone, n
+
+        monkeypatch.setattr(closedloop, "solve", counted_solve)
+        monkeypatch.setattr(closedloop, "dominated", counted_dominated)
+        for entry in entries:
+            steps.update(solve=0, dominated=0)
+            try:
+                cn.evaluate_ocp(np.array(entry["x0"], dtype=float),
+                                *m.values(), keep_per_scenario=True)
+            except cn.InfeasibleStateError as exc:
+                details = exc.details
+                if details["n_dominated"]:
+                    break
+        else:
+            pytest.fail("no pool state without a winner has a Dominated "
+                        "candidate")
+        statuses = [status for _, status, _ in details["per_scenario"]]
+        assert details["n_dominated"] == statuses.count("Dominated")
+        assert details["n_newton"] == steps["solve"] > 0
+        assert details["n_cut_newton"] == steps["dominated"] > 0
+
+    def test_undominated_candidates_are_as_if_solved_alone(self, ex2,
+                                                           ex2_catalog_n15):
         m = _modules(ex2, ex2_catalog_n15)
         cfg = cn.SolverConfig()
         n_dominated = 0
@@ -369,15 +391,15 @@ class TestTieRule:
     @given(st.lists(st.one_of(st.integers(0, 8), st.none(),
                               st.just("screened")), min_size=1, max_size=8),
            st.sets(st.integers(0, 7)))
-    def test_dominated_candidates_never_change_the_scan(self, ticks, leads):
+    def test_dominated_candidates_never_change_the_scan(self, ticks, first):
         # values a half TIE_TOL apart, so ties and near-ties are common
         values = [t * 0.5 * closedloop.TIE_TOL if isinstance(t, int) else t
                   for t in ticks]
         sols = _sols(values)
-        leads = [c for c in sorted(leads)
+        first = [c for c in sorted(first)
                  if c < len(sols) and sols[c] is not None and sols[c].optimal]
-        kept = [None if d not in leads and sol is not None and sol.optimal
-                and any(c < d and sol.V >= sols[c].V for c in leads)
+        kept = [None if d not in first and sol is not None and sol.optimal
+                and any(c < d and sol.V >= sols[c].V for c in first)
                 else sol for d, sol in enumerate(sols)]
         applied = closedloop.applied_candidate
         assert applied(kept) == applied(sols)
@@ -472,6 +494,20 @@ class TestGrid:
         assert n_dominated > 0
         assert table.to_csv() == dataclasses.replace(
             table, per_scenario=want).to_csv()
+
+    def test_point_outside_the_state_set_is_a_sentinel_row(self, ex2,
+                                                           ex2_catalog_n15):
+        # no region holds it within MEMBERSHIP_TOL, so there is no
+        # candidate and the row is the infeasible sentinel, with no
+        # per-scenario entry
+        m = _modules(ex2, ex2_catalog_n15)
+        x = np.array([2.0 + 1e-7, 0.0])
+        assert not m["spec"].in_state_set(x, MEMBERSHIP_TOL)
+        for keep in (False, True):
+            feasible, u, V, j, per = closedloop._grid_point(
+                x, *m.values(), cn.SolverConfig(), keep)
+            assert (feasible, j, per) == (0, 0, [])
+            assert np.isnan(u) and np.isnan(V)
 
     def test_parallel_grid_matches_serial(self, ex3, ex3_catalog_n15):
         m = _modules(ex3, ex3_catalog_n15)

@@ -11,7 +11,9 @@ decisions with an Optimal candidate (winner), those without one (no
 winner) and all of them: the number of decisions, the candidates solved,
 undecided (IterLimit or Stalled), Dominated and Screened, and the Newton
 steps of the candidate solves, the head tests (solver.heads) and the cut
-tests (solver.dominated).
+tests (solver.dominated). "first lost" counts the decisions whose first
+solve (the incumbent's) is not the applied candidate; at a decision with
+no winner, that is every one with a solve.
 
 It prints counts only, no timings, so two checkouts can be compared on
 any host. The counts are read by wrapping the names closedloop calls
@@ -43,7 +45,7 @@ DATA = ROOT / "perfbench" / "data"
 SYSTEMS = ROOT / "src" / "convexnmpc" / "data"
 LOOP_STEPS = 25
 COLUMNS = ("decisions", "solved", "undecided", "Dominated", "Screened",
-           "solve steps", "head steps", "cut steps")
+           "solve steps", "head steps", "cut steps", "first lost")
 
 
 @contextmanager
@@ -53,10 +55,11 @@ def recorded(rows):
     statuses, which changes no decision."""
     inner = {name: getattr(closedloop, name)
              for name in ("evaluate_ocp", "solve", "dominated")}
-    row = Counter()
+    row, first = Counter(), []
 
     def solve(*args, **kwargs):
         sol = inner["solve"](*args, **kwargs)
+        first.append(sol.scenario_j)
         row["solved"] += 1
         row["solve steps"] += sol.n_newton
         return sol
@@ -68,14 +71,17 @@ def recorded(rows):
 
     def evaluate_ocp(*args, **kwargs):
         row.clear()
+        first.clear()
         kwargs["keep_per_scenario"] = True
         try:
             step = inner["evaluate_ocp"](*args, **kwargs)
         except InfeasibleStateError as exc:
             details = exc.details
             per, heads = details["per_scenario"], details["n_head_newton"]
+            row["first lost"] = int(bool(first))
             rows.append((False, tally(row, per, heads)))
             raise
+        row["first lost"] = int(first[:1] != [step.j_star])
         rows.append((True, tally(row, step.per_scenario,
                                  step.n_head_newton)))
         return step

@@ -39,7 +39,8 @@ Prints sha256[:16] over one float-hex line per result for ten sets:
             simulate from every loop-ex2 start, then of evaluate_ocp at
             every query-ex3 pool state: which candidates the objective
             cuts leave unsolved, and the Newton steps of the cut tests
-            (closedloop.evaluate_ocp with prev, and cold).
+            (closedloop.evaluate_ocp, in closed loop and at single
+            states).
 
 A constraint's line is its form's class name with its fields, in the
 order the program or stage set holds them, as AffineCon{row,offset},
@@ -258,8 +259,8 @@ def screen_digests():
 
 def dominance_digest():
     """Every step of simulate, read by wrapping the closedloop.evaluate_ocp
-    it calls (the checkout's own simulate, prev included), then every cold
-    query-ex3 pool state; a checkout without the two counts reads 0 for
+    it calls (the checkout's own simulate), then every query-ex3 pool
+    state; a checkout without the two counts reads 0 for
     them."""
     pools = json.loads((DATA / "reference.json").read_text())["pools"]
     out, inner = Digest(), closedloop.evaluate_ocp
