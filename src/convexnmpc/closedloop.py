@@ -4,14 +4,11 @@ and state-space grids for plotting.
 The simulator always propagates the true nonlinear plant; the linear
 prediction model lives only inside the optimal control problems. The
 applied scenario is the smallest index within TIE_TOL of the least Optimal
-value, whatever the order of the solves. A candidate whose head bound
-exceeds the feasibility tolerance is screened instead of solved. The
-candidates at a state share their cost, so one running bound serves them
-all: after an incumbent's solve, each other candidate is cut-tested at
-the least Optimal value so far, or with no cut while none is Optimal, and
-one that cannot win is Dominated and not solved (evaluate_ocp,
-solver.dominated). Every decision, in closed loop or not, is this cold
-query, so it depends on the state alone.
+value, whatever the order of the solves. One rule picks the candidates
+solved at a state (evaluate_ocp): the one-step screen, the incumbent's
+solve, then for each other one at the running bound a closed-form kill,
+else a phase-I cut test, else its solve. Every decision, in closed loop or
+not, is this cold query, so it depends on the state alone.
 """
 from dataclasses import dataclass, field
 
@@ -21,7 +18,8 @@ from .errors import InfeasibleStateError
 from .linearize import u_of_v
 from .model import dynamics_step
 from .scenario import decode, filter_for_state, worker_map
-from .solver import SolverConfig, assemble, dominated, encode, heads, solve
+from .solver import (SolverConfig, assemble, cuts, dominated, encode, heads,
+                     solve)
 
 TIE_TOL = 1e-9
 UNDECIDED = ("IterLimit", "Stalled")  # statuses that decide nothing
@@ -38,11 +36,9 @@ class MpcStepResult:
     n_undecided: int = 0
     n_screened: int = 0
     n_newton: int = 0  # Newton steps summed over the solved candidates
-    n_head_newton: int = 0  # Newton steps of the head tests (solver.heads)
+    n_killed: int = 0  # Dominated in closed form (solver.cuts)
     n_dominated: int = 0  # not solved: a cut test shows they cannot win
-    # Newton steps of the cut tests (solver.dominated), those with no cut
-    # (B = inf, before any Optimal solve) included
-    n_cut_newton: int = 0
+    n_cut_newton: int = 0  # Newton steps of solver.dominated, at B = inf too
 
 
 def _fmt(x):
@@ -111,68 +107,62 @@ def applied_candidate(solutions):
     return next((i for i, V in optimal if V <= top), None)
 
 
-def _incumbent(progs):
-    """The key of the program least violated at z_u = -H^-1 f / 2, their
-    shared unconstrained minimiser, ties to the smaller key; None if there
-    is no program."""
-    if len(progs) < 2:  # no choice to make
-        return next(iter(progs), None)
-    some = next(iter(progs.values()))
-    z_u = np.linalg.solve(some.H, -0.5 * some.f)
-    worst = {i: max(p.pre_violation,
-                    p.constraint_values(z_u).max(initial=-np.inf))
-             for i, p in progs.items()}
-    return min(worst, key=worst.get)
-
-
 def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
                  cfg=None, keep_per_scenario=False):
     """Solve the candidate scenarios at state x and pick the best.
 
-    Candidates are the catalog scenarios whose first region contains x;
-    one whose head bound (solver.heads) exceeds cfg.feas_tol is Screened,
-    not solved. The incumbent (_incumbent) is solved first. The others
-    follow in index order, each cut-tested first (solver.dominated) at the
-    running bound B, +inf until a solve is Optimal, then min V + TIE_TOL
-    over the Optimal solves: one with no Optimal solve of V <= B is
-    Dominated, not solved. As all share the cost z'Hz + f.z + c0, an
-    Optimal solve of a Dominated d has V > B_d >= V_min + TIE_TOL (B_d: B
-    at d's turn): d is not applied and leaves V_min, so the decision is
-    that of solving all unscreened ones.
+    Candidates are the catalog scenarios whose first region contains x,
+    Screened if their one-step bound (solver.heads) exceeds cfg.feas_tol.
+    The incumbent, least violated at the cost's least point (solver.cuts),
+    is solved first, the others in index order at the running bound B,
+    +inf until a solve is Optimal, then min V + TIE_TOL over the Optimal
+    solves: one whose kill bound (solver.cuts) exceeds B, or with no
+    Optimal solve of V <= B by its cut test (solver.dominated), is
+    Dominated, not solved. As all share their cost, an Optimal solve of a
+    Dominated d has V > B_d >= V_min + TIE_TOL (B_d: B at d's turn): d is
+    not applied and leaves V_min, so the decision is that of solving all
+    unscreened ones.
 
     The input is recovered through the linearizing feedback, u = 0 where
     the input gain vanishes. IterLimit and Stalled candidates are
-    undecided. The counts (n_undecided, n_screened, n_dominated and the
-    Newton steps n_newton, n_head_newton and n_cut_newton) are also in the
-    details of InfeasibleStateError, with per_scenario when kept.
+    undecided. The counts (n_undecided, n_screened, n_dominated and of
+    them n_killed, n_newton, n_cut_newton) are also in the details of
+    InfeasibleStateError, with per_scenario when kept.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float)
+    model = (lin, zsets, terminal, Q, rho)
     candidates = filter_for_state(catalog, spec, x)
-    bounds, n_head_newton = heads(x, candidates, lin, zsets, terminal, Q, rho,
-                                  cfg)
-    statuses = ["Screened" if low > cfg.feas_tol else None for low in bounds]
-    progs = {i: assemble(c, x, lin, zsets, terminal, Q, rho)
-             for i, c in enumerate(candidates) if statuses[i] is None}
-    first = _incumbent(progs)
-    sols, bound, n_cut_newton = [None] * len(candidates), np.inf, 0
-    for i in sorted(progs, key=lambda i: i != first):
+    statuses = ["Screened" if low > cfg.feas_tol else None
+                for low in heads(x, candidates, *model)]
+    live = [i for i, status in enumerate(statuses) if status is None]
+    cut = dict(zip(live, cuts(x, [candidates[i] for i in live], *model,
+                              cfg)))
+    first = min(cut, key=lambda i: cut[i][0], default=None)
+    sols, bound = [None] * len(candidates), np.inf
+    n_killed = n_cut_newton = 0
+    for i in sorted(cut, key=lambda i: i != first):
+        if i != first and bound < cut[i][1]:
+            statuses[i] = "Dominated"
+            n_killed += 1
+            continue
+        prog = assemble(candidates[i], x, *model)
         if i != first:
-            gone, steps = dominated(progs[i], bound, cfg)
+            gone, steps = dominated(prog, bound, cfg)
             n_cut_newton += steps
             if gone:
                 statuses[i] = "Dominated"
                 continue
-        sols[i] = solve(progs[i], cfg)
+        sols[i] = solve(prog, cfg)
         if sols[i].optimal:
             bound = min(bound, sols[i].V + TIE_TOL)
     statuses = [status or sol.status for status, sol in zip(statuses, sols)]
     counts = dict(
         n_undecided=sum(status in UNDECIDED for status in statuses),
         n_screened=statuses.count("Screened"),
-        n_dominated=statuses.count("Dominated"),
+        n_dominated=statuses.count("Dominated"), n_killed=n_killed,
         n_newton=sum(s.n_newton for s in sols if s is not None),
-        n_head_newton=n_head_newton, n_cut_newton=n_cut_newton)
+        n_cut_newton=n_cut_newton)
     per = ([(encode(c, catalog.s), status, np.nan if s is None else s.V)
             for c, status, s in zip(candidates, statuses, sols)]
            if keep_per_scenario else None)

@@ -14,13 +14,13 @@ one compiled horizon. The infeasibility bounds are phase-I decisions on
 constraints with a start: the t* of a head, a scenario's first k stage
 blocks without the terminal set (_head_constraints), bounds the
 scenario's. Offline a pair of stage sets is the depth-2 head of the
-free-x0 horizon-2 program (transitions, in the horizons' LRU); online the
-heads that several candidates share are walked depth by depth (heads),
-each start extended by the lines of a step's compiled block (_head_start).
-The same rule with one more row, the objective cut V(z) <= B that the
-programs at one state share with their cost, shows that a program has no
-Optimal solve of value <= B, and with no row (B = inf) that it has no
-Optimal solve at all (dominated). One phase-I routine (_phase1)
+free-x0 horizon-2 program (transitions, in the horizons' LRU); online
+a candidate's depth-1 head has a closed form (one_step, heads). The
+programs at one state share their cost, whose sublevel sets {V <= B} are
+ellipsoids: a convex row whose tangent misses one shows in closed form
+that a program has no Optimal solve of value <= B (cuts); else phase I
+on its rows and the cut V(z) <= B may, or with no cut (B = inf) that it
+has no Optimal solve at all (dominated). One phase-I routine (_phase1)
 takes constraints and ordered starts, for these and for every solve.
 
 The Newton kernel keeps two invariants. Each trial point of the line search
@@ -156,6 +156,14 @@ class _Horizon:
                                        c0=[-tset.level])
         else:
             raise TypeError("terminal set must be a Polytope or an Ellipsoid")
+        if not free:  # for cuts, H = L L': L^-1, L^-1 M_k' per step, and the
+            # H^-1 norms of each block's affine rows, (N, rows) per stage set
+            self.L_inv = _readonly(np.linalg.inv(np.linalg.cholesky(self.H)))
+            self.LM = _readonly(np.stack([self.L_inv @ blk.M.T
+                                          for blk in self.blocks[0]]))
+            self.norms = [np.linalg.norm(np.stack(
+                [blk.cons.rows for blk in row]) @ self.L_inv.T, axis=2)
+                for row in self.blocks]
         self.hints = []  # free x0: from the Chebyshev centre of region i
         for zs in self.zsets if free else ():
             z0 = np.zeros(self.n_vars)
@@ -226,7 +234,7 @@ class _Offsets:
         self.hint = (None if x0 is None
                      else hz.rollout(np.zeros(hz.n_vars), x0.copy()))
         self.hz, self.f, self.c0 = hz, _readonly(f), c0
-        self.steps = {}
+        self.steps, self.tables = {}, {}
 
     def step(self, i, k):
         """(block, constraints) of stage set i at step k."""
@@ -234,6 +242,33 @@ class _Offsets:
             blk = self.hz.blocks[i][k]
             self.steps[(i, k)] = blk, blk.at(self.ms[k])
         return self.steps[(i, k)]
+
+    def kills(self, tau):
+        """(worst, kill) of every stage block, arrays (stage set, step), and
+        of the terminal set, once per tau (fixed x0): their largest value at
+        z_u = -H^-1 f / 2 (a block's are its stage set's at (x_hat(k), v_k)
+        there) and their kill bound (nan for nonconvex data; see cuts)."""
+        if tau not in self.tables:
+            hz, y = self.hz, self.hz.L_inv @ self.f
+            z_u, V_u = -0.5 * (hz.L_inv.T @ y), self.c0 - 0.25 * (y @ y)
+            floor = V_u - 1e-9 * (1.0 + abs(V_u)) - tau
+            P = np.column_stack([(hz.S @ z_u + self.offset).reshape(
+                hz.N + 1, hz.n)[:-1], z_u[:hz.N]])
+            worst, kill = [], []
+            for zs, steps, norms in zip(hz.zsets, hz.blocks, hz.norms):
+                g = np.hstack([P @ zs.lifted_C.T - zs.lifted_d,
+                               zs.constraints.values_batch(P)])
+                norms = np.hstack([norms, np.linalg.norm(np.einsum(
+                    "kab,krb->kra", hz.LM,
+                    zs.constraints.curved_grads_batch(P)), axis=2)])
+                worst.append(g.max(axis=1))
+                kill.append(np.where(steps[0].nonconvex, np.nan, floor
+                                     + (1.0 - 1e-9) * _reach(g, norms, tau)))
+            g = _values(self.term, z_u)
+            norms = np.linalg.norm(self.term.grads(z_u) @ hz.L_inv.T, axis=1)
+            self.tables[tau] = (np.array(worst), np.array(kill), g.max(
+                initial=-np.inf), floor + (1.0 - 1e-9) * _reach(g, norms, tau))
+        return self.tables[tau]
 
 
 _HORIZONS, _HORIZONS_MAX = {}, 32  # least recently used first
@@ -715,10 +750,10 @@ def _phase1(cons, starts, cfg, work, head=False):
     The first start that passes the hint test is returned itself, with no
     Newton step; with none, phase I runs from the last start. The probe
     rule passes a start with every constraint below -HINT_MARGIN and ends
-    at a strictly negative slack. The head rule (heads, transitions,
-    dominated) only decides whether a bound can exceed feas_tol, so it
-    ends as feasible at a start or t below feas_tol, and it starts at the
-    first barrier weight whose gap m*mu is at most the start's violation.
+    at a strictly negative slack. The head rule (transitions, dominated)
+    only decides whether a bound can exceed feas_tol, so it ends as
+    feasible at a start or t below feas_tol, and it starts at the first
+    barrier weight whose gap m*mu is at most the start's violation.
     """
     hint, stop = ((cfg.feas_tol, cfg.feas_tol) if head
                   else (-HINT_MARGIN, -STRICT_MARGIN))
@@ -843,56 +878,35 @@ def solve(prog, cfg=SolverConfig()):
 # ---------------------------------------------------------------------------
 
 def _lowest_max(a, c):
-    """min over v of max_k (a_k v + c_k), and a v attaining it: the largest
-    constant line, or the largest crossing of an increasing and a
-    decreasing line. That crossing's abscissa minimises the max of the
-    sloped lines, so of all lines too (v = 0 without a crossing)."""
+    """min over v of max_k (a_k v + c_k): the largest constant line, or the
+    largest crossing of an increasing and a decreasing line, whose abscissa
+    minimises the max of the sloped lines, so of all lines too."""
     up, down = a > 0, a < 0
-    best, v = float(np.max(c[~(up | down)], initial=-np.inf)), 0.0
+    best = float(np.max(c[~(up | down)], initial=-np.inf))
     if up.any() and down.any():
         ap, cp, aq, cq = a[up, None], c[up, None], a[down], c[down]
-        cross = (ap * cq - aq * cp) / (ap - aq)
-        p, q = np.unravel_index(np.argmax(cross), cross.shape)
-        best = max(best, float(cross[p, q]))
-        v = float((cq[q] - cp[p, 0]) / (ap[p, 0] - aq[q]))
-    return best, v
+        best = max(best, float(np.max((ap * cq - aq * cp) / (ap - aq))))
+    return best
 
 
 def _head_phase1(cons, start, cfg):
     """Phase I of a head's constraints from start under the head rule:
-    (z, low, Newton steps), z and low None when it is undecided."""
+    (low, Newton steps), low None when it is undecided."""
     work = _Work(cfg)
     try:
-        z, _, low = _phase1(cons, (start,), cfg, work, head=True)
+        low = _phase1(cons, (start,), cfg, work, head=True)[2]
     except _Undecided:
-        z = low = None
-    return z, low, work.steps
+        low = None
+    return low, work.steps
 
 
 def _head_constraints(st, head):
-    """The constraints of a head (k steps) at the state of the offsets st:
-    its stage blocks joined, with the inputs past the head cut (on
-    v_0..v_{k-1}, and x0 when free) and no constant row; None for
-    nonconvex data."""
+    """The constraints of a head at the state of the offsets st: its stage
+    blocks joined, with no constant row; None for nonconvex data."""
     blks, parts = zip(*(st.step(e - 1, k) for k, e in enumerate(head)))
     if any(blk.nonconvex for blk in blks):
         return None
-    cons, n_vars = Constraints.join(parts), st.hz.n_vars
-    cols = [*range(len(head)), *range(st.hz.N, n_vars)]
-    if len(cols) < n_vars:
-        cons = replace(cons, rows=cons.rows[:, cols], X=cons.X[:, :, cols],
-                       lin=cons.lin[:, cols], H=cons.H[:, cols][:, :, cols],
-                       w=cons.w[:, cols])
-    return _steered(cons)[0]
-
-
-def _head_start(st, head, parent):
-    """The start of a depth-k head at the state of the offsets st: the
-    parent head's point extended by the v_{k-1} with the lowest max of
-    stage set e_k's lines there."""
-    z = np.concatenate([parent, np.zeros(st.hz.n_vars - len(parent))])
-    _, v = _lowest_max(*_lines(st, head[-1], len(parent), z))
-    return np.append(parent, v)
+    return _steered(Constraints.join(parts))[0]
 
 
 def transitions(lin, zsets, terminal, cfg):
@@ -911,7 +925,7 @@ def transitions(lin, zsets, terminal, cfg):
             for j in range(1, s + 1):
                 cons = _head_constraints(st, (i, j))
                 low = (None if cons is None else
-                       _head_phase1(cons, st.hz.hints[i - 1], cfg)[1])
+                       _head_phase1(cons, st.hz.hints[i - 1], cfg)[0])
                 bounds[(i, j)] = -np.inf if low is None else low
         # strong references: no id in the key is reused while it lives
         return lin, tuple(zsets), terminal, bounds
@@ -920,17 +934,17 @@ def transitions(lin, zsets, terminal, cfg):
     return _cached(key, build)[-1]
 
 
-def _lines(st, e, k, z, nxt=None):
-    """The lines a v_k + c of stage set e's block at step k, at the state
-    of the offsets st, through z (whose v_k is 0): the block's values at z
-    and the v_k column of its gradients, as each of its constraints is
-    affine in v_k. With nxt, region nxt's rows at step k + 1 follow."""
-    _, cons = st.step(e - 1, k)
-    a, c = cons.grads(z)[:, k], cons.values(z)
-    if nxt is not None:
-        _, cons = st.step(nxt - 1, k + 1)
-        rows = slice(st.hz.zsets[nxt - 1].region.n_rows)
-        a = np.concatenate([a, cons.rows[rows, k]])
+def _lines(st, e1, e2=None):
+    """The lines a v0 + c of stage set e1's block at step 0 at the state of
+    the offsets st (its values at z = 0 and the v0 column of its gradients,
+    as its constraints are affine in v0), then region e2's rows at step 1."""
+    z = np.zeros(st.hz.n_vars)
+    _, cons = st.step(e1 - 1, 0)
+    a, c = cons.grads(z)[:, 0], cons.values(z)
+    if e2 is not None:
+        _, cons = st.step(e2 - 1, 1)
+        rows = slice(st.hz.zsets[e2 - 1].region.n_rows)
+        a = np.concatenate([a, cons.rows[rows, 0]])
         c = np.concatenate([c, cons.rows[rows] @ z - cons.offsets[rows]])
     return a, c
 
@@ -940,78 +954,72 @@ def one_step(st, e1, e2=None):
     with stage sets e1, e2 first, from its constraints that depend on v0
     alone (_lines at v0 = 0): stage set e1's, its region rows included,
     and region e2's rows at step 1. Their lowest max, less a rounding
-    allowance, and a v0 where it is attained."""
-    a, c = _lines(st, e1, 0, np.zeros(st.hz.n_vars), e2)
-    low, v0 = _lowest_max(a, c)
-    return low - 1e-9 * (1.0 + np.abs(c).max()), v0
+    allowance."""
+    a, c = _lines(st, e1, e2)
+    return _lowest_max(a, c) - 1e-9 * (1.0 + np.abs(c).max())
 
 
-def heads(x, seqs, lin, zsets, terminal, Q, rho, cfg):
-    """Bounds for the fixed-x0 programs at state x of the coefficient
-    sequences seqs (one horizon), walking their heads: a depth-k head
-    is the constraints of a sequence's first k stage blocks, with no
-    terminal, on v_0..v_{k-1}, and its t* bounds every program under it.
-    Returns (bounds, Newton steps of the head tests); a bound above
-    cfg.feas_tol screens its program. No program is changed.
-
-    Depth 1 is one_step per distinct first two stage sets, exact here,
-    and its v0 is the point of that head. At depth k = 2, 3, .. each
-    convex head that two or more programs share, and whose parent head
-    (one depth up) has a point, starts from that point extended by the
-    v_{k-1} with the lowest max of stage set e_k's lines at step k - 1
-    (_head_start). A start whose worst row is below feas_tol is the
-    head's point with no Newton step, as no bound can exceed feas_tol
-    then. A head whose central-path bound exceeds feas_tol screens its
-    programs; one that phase I leaves undecided screens nothing and ends
-    its walk; any other keeps phase I's point.
-    """
+def heads(x, seqs, lin, zsets, terminal, Q, rho):
+    """The one_step bound of each fixed-x0 program at state x of the
+    coefficient sequences seqs (one horizon), once per distinct first two
+    stage sets: above cfg.feas_tol, phase I would end it Infeasible."""
     if not seqs:
-        return [], 0
-    N = len(seqs[0])
-    st = _horizon(lin, zsets, terminal, Q, rho, N, False).at(x)
-    bounds, n_newton = [-np.inf] * len(seqs), 0
-    points = {}  # walked head -> its point (v_0..v_{k-1})
-    for head, members in _groups(seqs, range(len(seqs)), 2).items():
-        low, v0 = one_step(st, *head)
-        if low > cfg.feas_tol:
-            for i in members:
-                bounds[i] = low
-        else:
-            points[head] = np.array([v0])
-    for k in range(2, N):
-        up = max(k - 1, 2)  # depth 1 is keyed by two stage sets
-        walked = [i for i, seq in enumerate(seqs) if seq[:up] in points]
-        parents, points = points, {}
-        for head, members in _groups(seqs, walked, k).items():
-            if len(members) < 2:
-                continue
-            cons = _head_constraints(st, head)
-            if cons is None:
-                continue
-            z, low, steps = _head_phase1(
-                cons, _head_start(st, head, parents[head[:up]]), cfg)
-            n_newton += steps
-            if low is not None and low > cfg.feas_tol:
-                for i in members:
-                    bounds[i] = low
-            elif z is not None:
-                points[head] = z
-        if not points:
-            break
-    return bounds, n_newton
+        return []
+    st = _horizon(lin, zsets, terminal, Q, rho, len(seqs[0]), False).at(x)
+    bounds = {head: one_step(st, *head)
+              for head in dict.fromkeys(seq[:2] for seq in seqs)}
+    return [bounds[seq[:2]] for seq in seqs]
+
+
+def _reach(g, norms, tau):
+    """The largest ((g - tau) / norm)^2 over the last axis of rows with
+    g > tau, g less its rounding allowance (see cuts); -inf with none."""
+    over = g - 1e-9 * (1.0 + np.abs(g)) - tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(over > 0, (over / norms) ** 2, -np.inf).max(
+            axis=-1, initial=-np.inf)
+
+
+def cuts(x, seqs, lin, zsets, terminal, Q, rho, cfg):
+    """(worst, kill) of each fixed-x0 program at state x of the coefficient
+    sequences seqs (one horizon), the largest of its stage blocks' and its
+    terminal set's (_Offsets.kills): its largest value at z_u, the cost's
+    least point, and a kill bound K; (0, -inf) for a single program, which
+    has nothing to choose or cut. For B < K no z with every row within an
+    Optimal solve's relax, tau = cfg.feas_tol + RELAX_PAD, has
+    V(z) <= B + tau: the claim of dominated, with no Newton step.
+
+    As V(z) = V_u + (z - z_u)'H(z - z_u), a row's tangent at z_u is at
+    least g(z_u) - sqrt(B + tau - V_u) ||grad g(z_u)||_{H^-1} on
+    {V <= B + tau} (the support function of an ellipsoid; Boyd &
+    Vandenberghe, Convex Optimization, 8.4), and a convex row lies on or
+    above it: K is the largest V_u - tau + ((g(z_u) - tau) /
+    ||grad g(z_u)||_{H^-1})^2 over the rows with g(z_u) > tau, or -inf
+    with a nonconvex block, as in dominated. Rounding: g(z_u), the norms,
+    z_u and V_u are a few dozen products of numbers of order 1 to 100 on
+    the packaged systems, each off by about 1e-13 relative (an error d in
+    z_u moves a tangent by grad g.d, as little); g(z_u), V_u and the
+    squared quotient are each moved 1e-9 relative against the kill."""
+    if len(seqs) < 2:
+        return [(0.0, -np.inf)] * len(seqs)
+    st = _horizon(lin, zsets, terminal, Q, rho, len(seqs[0]), False).at(x)
+    worst, kill, term_worst, term_kill = st.kills(cfg.feas_tol + RELAX_PAD)
+    blocks = (np.array(seqs) - 1, np.arange(st.hz.N))
+    kill = np.maximum(kill[blocks].max(axis=1), term_kill)
+    return list(zip(np.maximum(worst[blocks].max(axis=1), term_worst).tolist(),
+                    np.where(np.isnan(kill), -np.inf, kill).tolist()))
 
 
 def dominated(prog, bound, cfg):
     """Whether the fixed-x0 program prog is shown to have no Optimal solve
-    of value at most bound, and the Newton steps spent: the head rule's
-    phase I from the program's start on its constraints and one more row,
-    the objective cut z'Hz + f.z + c0 - bound <= 0, or on its constraints
-    alone for bound = inf, which shows that it has no Optimal solve at
-    all. Phase I relaxes every row and the cut by one t, so a bound on t*
-    above feas_tol + RELAX_PAD leaves no z with every row within an
-    Optimal solve's relax (at most feas_tol + RELAX_PAD) and a value at
-    most the bound; with no cut, t* > feas_tol leaves solve Infeasible or
-    undecided. Nonconvex data gets no cut, as in heads."""
+    of value at most bound, and the Newton steps spent, where the kill of
+    cuts does not reach (bound >= K, or inf): the head rule's phase I from
+    the program's start on its constraints and the objective cut
+    V(z) - bound <= 0, or on its constraints alone for bound = inf. Phase I
+    relaxes every row and the cut by one t, so t* above feas_tol +
+    RELAX_PAD, an Optimal solve's largest relax, leaves no z with every row
+    within it and a value at most the bound; with no cut, t* > feas_tol
+    leaves solve Infeasible or undecided. Nonconvex data gets no cut."""
     if prog.nonconvex_data:
         return False, 0
     cons = prog.cons
@@ -1019,13 +1027,5 @@ def dominated(prog, bound, cfg):
         cons = Constraints.join([cons, Constraints.of(
             prog.n_vars, cons.dir.shape[1], H=[2.0 * prog.H], w=[prog.f],
             c0=[prog.c0 - bound])])
-    _, low, steps = _head_phase1(cons, prog.z0_hint, cfg)
+    low, steps = _head_phase1(cons, prog.z0_hint, cfg)
     return low is not None and low > cfg.feas_tol + RELAX_PAD, steps
-
-
-def _groups(seqs, indices, k):
-    """The indices by their sequence's first k coefficients, in order."""
-    out = {}
-    for i in indices:
-        out.setdefault(seqs[i][:k], []).append(i)
-    return out

@@ -200,6 +200,15 @@ class Constraints:
             out.append(self.H @ z + self.w)
         return np.concatenate(out)
 
+    def curved_grads_batch(self, Z):
+        """The gradients of the ridges (their phase as the barrier rounds
+        it), then of the quadratics, at each row of Z: an array (points,
+        constraints, d)."""
+        q, r = self.barrier_phase
+        slope = -self.scale * np.sin(np.clip(Z @ q.T + r, self.lo, self.hi))
+        return np.concatenate([slope[:, :, None] * q + self.lin, (
+            Z @ self.H + self.w[:, None, :]).transpose(1, 0, 2)], axis=1)
+
     @cached_property
     def barrier_phase(self):
         """(q, r): the ridges' phase as q.z + r with q = freq * X'dir and

@@ -4,7 +4,7 @@ Everything here is deliberately independent of the solver path it checks:
 grid search for optima, finite differences for derivatives, direct
 enumeration for scenario pruning, one oracle object per constraint for the
 stacked constraints, and point-by-point samples of the terminal axioms. The
-screen references are the constraints, starts and rule the screens used
+screen references are the constraints and rule the screens used
 before they became heads of one compiled horizon: hand-built from stage
 blocks, with phase I through its whole schedule.
 """
@@ -273,29 +273,19 @@ def stage_lines(zs, x):
 
 def hand_built_head_constraints(st, head):
     """The constraints of a depth-k head at the state of the offsets st,
-    stacked by hand from its stage blocks' first k columns, with the rows
-    that hold no decision variable (the first region's) dropped; None for
-    nonconvex data."""
-    k = len(head)
+    stacked by hand from its stage blocks' columns of v_0..v_{k-1} (and of
+    x0 when it is free), with the rows that hold no decision variable (the
+    first region's, for fixed x0) dropped; None for nonconvex data."""
+    k, hz = len(head), st.hz
     steps = [st.step(e - 1, j) for j, e in enumerate(head)]
     if any(blk.nonconvex for blk, _ in steps):
         return None
     cons = Constraints.join([cons for _, cons in steps])
-    rows = cons.rows[:, :k]
+    cols = [*range(k), *range(hz.N, hz.n_vars)]
+    rows = cons.rows[:, cols]
     keep = np.max(np.abs(rows), axis=1) >= 1e-13
-    return replace(cons.lift(np.eye(st.hz.n_vars, k)), rows=rows[keep],
+    return replace(cons.lift(np.eye(hz.n_vars)[:, cols]), rows=rows[keep],
                    offsets=cons.offsets[keep])
-
-
-def hand_built_head_start(st, head, parent):
-    """The start of a depth-k head at the state of the offsets st: the
-    parent head's point extended by one step, the v with the lowest max of
-    stage set e_k's stage-space lines at x_hat(k-1)."""
-    hz, k = st.hz, len(head)
-    last = slice((k - 1) * hz.n, k * hz.n)  # the rows of x_hat(k-1)
-    _, v = solver_module._lowest_max(*stage_lines(
-        hz.zsets[head[-1] - 1], hz.S[last, :k - 1] @ parent + st.offset[last]))
-    return np.append(parent, v)
 
 
 def stage_set_members(zs, rng, count=2000, tries=200_000):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import convexnmpc as cn
 from convexnmpc import closedloop
 from convexnmpc.geometry import MEMBERSHIP_TOL
-from convexnmpc.solver import heads
+from convexnmpc.solver import cuts, heads
 
 BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 
@@ -202,17 +202,19 @@ def _recorded_simulate(monkeypatch, m, x0, steps):
 
 
 def _alone(m, cfg, x):
-    """Each candidate at x: None when its head bound screens it, as in
+    """Each candidate at x: None when its one-step bound screens it, as in
     evaluate_ocp, and otherwise its solve alone; with the sequences and
-    the programs of the unscreened ones."""
+    the incumbent's index (None without an unscreened candidate): the
+    least worst value at z_u of solver.cuts, ties to the smaller index."""
     seqs = cn.filter_for_state(m["catalog"], m["spec"], x)
     args = (m["lin"], m["zsets"], m["terminal"], m["Q"], m["rho"])
-    bounds, _ = heads(x, seqs, *args, cfg)
-    progs = {i: cn.assemble(seq, x, *args) for i, (seq, low)
-             in enumerate(zip(seqs, bounds)) if low <= cfg.feas_tol}
-    sols = [cn.solve(progs[i], cfg) if i in progs else None
-            for i in range(len(seqs))]
-    return seqs, progs, sols
+    live = [i for i, low in enumerate(heads(x, seqs, *args))
+            if low <= cfg.feas_tol]
+    worst = dict(zip(live, (w for w, _ in cuts(
+        x, [seqs[i] for i in live], *args, cfg))))
+    sols = [cn.solve(cn.assemble(seqs[i], x, *args), cfg) if i in worst
+            else None for i in range(len(seqs))]
+    return seqs, sols, min(worst, key=worst.get, default=None)
 
 
 def _check_dominated(per, seqs, sols, first, s=3, step=None):
@@ -283,8 +285,7 @@ class TestDominance:
         n_checked = n_infeasible = n_no_winner = n_lost = 0
         for entry in entries:
             x = np.array(entry["x0"], dtype=float)
-            seqs, progs, sols = _alone(m, cfg, x)
-            first = closedloop._incumbent(progs)
+            seqs, sols, first = _alone(m, cfg, x)
             try:
                 step = cn.evaluate_ocp(x, *m.values(), keep_per_scenario=True)
             except cn.InfeasibleStateError as exc:
@@ -309,13 +310,14 @@ class TestDominance:
                                                          ex3):
         # at the first query-ex3 pool state with no Optimal candidate and a
         # Dominated one, the error's details hold the counts a step result
-        # holds: the Dominated candidates, and the Newton steps of the
-        # solves and of the cut tests, as read by wrapping those calls
+        # holds: the Dominated candidates, those of them killed in closed
+        # form, and the Newton steps of the solves and of the cut tests, as
+        # read by wrapping those calls
         catalog = cn.FeasibleCatalog.load(BENCH_DATA / "ex3_N15_catalog.json")
         m = _modules(ex3, catalog)
         entries = json.loads((BENCH_DATA / "reference.json").read_text())[
             "pools"]["query-ex3"]
-        steps = {"solve": 0, "dominated": 0}
+        steps = {"solve": 0, "dominated": 0, "cut": 0}
         solve, dominated = closedloop.solve, closedloop.dominated
 
         def counted_solve(*args):
@@ -326,12 +328,13 @@ class TestDominance:
         def counted_dominated(*args):
             gone, n = dominated(*args)
             steps["dominated"] += n
+            steps["cut"] += gone
             return gone, n
 
         monkeypatch.setattr(closedloop, "solve", counted_solve)
         monkeypatch.setattr(closedloop, "dominated", counted_dominated)
         for entry in entries:
-            steps.update(solve=0, dominated=0)
+            steps.update(solve=0, dominated=0, cut=0)
             try:
                 cn.evaluate_ocp(np.array(entry["x0"], dtype=float),
                                 *m.values(), keep_per_scenario=True)
@@ -344,6 +347,7 @@ class TestDominance:
                         "candidate")
         statuses = [status for _, status, _ in details["per_scenario"]]
         assert details["n_dominated"] == statuses.count("Dominated")
+        assert details["n_dominated"] == details["n_killed"] + steps["cut"]
         assert details["n_newton"] == steps["solve"] > 0
         assert details["n_cut_newton"] == steps["dominated"] > 0
 
@@ -354,10 +358,9 @@ class TestDominance:
         n_dominated = 0
         for x in (np.array([-1.2, 1.2]), np.array([-1.5, 0.3])):
             step = cn.evaluate_ocp(x, *m.values(), keep_per_scenario=True)
-            seqs, progs, sols = _alone(m, cfg, x)
+            seqs, sols, first = _alone(m, cfg, x)
             n_dominated += _check_dominated(step.per_scenario, seqs, sols,
-                                            closedloop._incumbent(progs),
-                                            step=step)
+                                            first, step=step)
         assert n_dominated > 0
 
 

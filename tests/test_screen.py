@@ -3,29 +3,29 @@
 A screen rejects a candidate scenario by a certified lower bound on its
 phase-I value t*, taken from a subset of its constraints: a head, the
 constraints of its first k stage blocks. Offline the head is the first
-transition (i, j) of a free-x0 probe, online a head of the program at the
-query state: first the constraints that depend on v0 alone, then the first
-k stage blocks that several candidates share.
-Everything a screen rejects must be Infeasible, and pruning and evaluation
-must come out exactly as without the screen.
+transition (i, j) of a free-x0 probe, online the constraints of the
+program at the query state that depend on v0 alone. Online a candidate is
+also killed in closed form at a running bound B: its rows miss the
+objective's ellipsoid {V <= B}.
+Everything a screen rejects must be Infeasible, everything a kill rejects
+must have no Optimal solve of value <= B, and pruning and evaluation must
+come out exactly as without them.
 """
-import json
-import pathlib
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.optimize import linprog
 
 import convexnmpc as cn
 import convexnmpc.closedloop as closedloop_module
 import convexnmpc.scenario as scenario_module
 import convexnmpc.solver as solver_module
-from conftest import PACKAGED, PAPER_B0, PAPER_C, Q_DIAG
 from helpers import (brute_force_level, full_schedule_transitions,
-                     hand_built_head_constraints, hand_built_head_start,
-                     stage_lines)
+                     hand_built_head_constraints, stage_lines)
 
 FEAS_TOL = cn.SolverConfig().feas_tol
 SYSTEMS = ("ex2", "ex3")
@@ -33,7 +33,6 @@ SYSTEMS = ("ex2", "ex3")
 IDS = {name: f"packaged_{name}" for name in ("ex1",) + SYSTEMS}
 GRID = [np.array([a, b]) for a in np.linspace(-1.9, 1.9, 7)
         for b in np.linspace(-1.9, 1.9, 7)]
-BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 
 
 def _transitions(data, cfg=None):
@@ -54,10 +53,9 @@ def _one_step(data, x, N, head):
     return solver_module.one_step(_at(data, x, N), *head)
 
 
-def _walk(data, x, seqs):
-    return solver_module.heads(x, seqs, data["lin"], data["zsets"],
-                               data["terminal"], data["Q"], data["rho"],
-                               cn.SolverConfig())
+def _model(data):
+    return (data["lin"], data["zsets"], data["terminal"], data["Q"],
+            data["rho"])
 
 
 def _prune(data, N, **kwargs):
@@ -95,9 +93,15 @@ def _without_transition_screen(monkeypatch):
 
 
 def _without_one_step_screen(monkeypatch):
-    # the one-step bound is the head walk's first depth: both go
     monkeypatch.setattr(closedloop_module, "heads",
-                        lambda x, seqs, *args: ([-np.inf] * len(seqs), 0))
+                        lambda x, seqs, *args: [-np.inf] * len(seqs))
+
+
+def _without_kills(monkeypatch):
+    # the incumbent is still the least violated at z_u
+    cuts = solver_module.cuts
+    monkeypatch.setattr(closedloop_module, "cuts", lambda *args: [
+        (worst, -np.inf) for worst, _ in cuts(*args)])
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +216,14 @@ def _one_step_lines(data, x, e1, e2=None):
 @pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
 def test_lines_are_the_stage_space_lines(pruned, name):
     # the lines read from the compiled blocks at v0 = 0: stage set e1's bit
-    # for bit, region e2's rows (C (A_hat x) there, (C A_hat) x in a block)
-    # to 1e-12; one and two steps on, through earlier inputs, to 1e-12
+    # for bit, alone or followed by region e2's rows (C (A_hat x) there,
+    # (C A_hat) x in a block) to 1e-12
     data, catalog = pruned[name]
     checked = 0
     for x in GRID:
         st = _at(data, x, 3)
         for e1, e2 in _heads(data, catalog, x):
-            a, c = solver_module._lines(st, e1, 0, np.zeros(3), e2)
+            a, c = solver_module._lines(st, e1, e2)
             ref_a, ref_c = _one_step_lines(data, x, e1, e2)
             own = len(stage_lines(data["zsets"][e1 - 1], x)[0])
             assert a.shape == ref_a.shape and c.shape == ref_c.shape
@@ -227,13 +231,9 @@ def test_lines_are_the_stage_space_lines(pruned, name):
             assert c[:own].tobytes() == ref_c[:own].tobytes()
             assert np.allclose(a[own:], ref_a[own:], rtol=0.0, atol=1e-12)
             assert np.allclose(c[own:], ref_c[own:], rtol=0.0, atol=1e-12)
-            for k in (1, 2):
-                z = np.array([0.3, -0.2, 0.0]) * (np.arange(3) < k)
-                a, c = solver_module._lines(st, e2, k, z)
-                x_k = st.hz.rows(k) @ z + st.offset[2 * k:2 * k + 2]
-                ref_a, ref_c = stage_lines(data["zsets"][e2 - 1], x_k)
-                assert np.array_equal(a, ref_a)
-                assert np.allclose(c, ref_c, rtol=0.0, atol=1e-12)
+            alone_a, alone_c = solver_module._lines(st, e1)
+            assert alone_a.tobytes() == a[:own].tobytes()
+            assert alone_c.tobytes() == c[:own].tobytes()
             checked += 1
     assert checked > 20
 
@@ -250,15 +250,11 @@ def test_one_step_closed_form_matches_linprog(pruned, name):
                           A_ub=np.column_stack([a, -np.ones_like(a)]),
                           b_ub=-c, bounds=[(None, None)] * 2)
             assert res.status == 0
-            low, v = solver_module._lowest_max(a, c)
-            assert abs(low - res.fun) <= 1e-9
-            assert abs(np.max(a * v + c) - res.fun) <= 1e-9
+            assert abs(solver_module._lowest_max(a, c) - res.fun) <= 1e-9
             # the bound sits below the min-max by its rounding allowance
             allowance = 1e-9 * (1.0 + np.abs(c).max())
-            bound, v0 = _one_step(data, x, 3, head)
+            bound = _one_step(data, x, 3, head)
             assert abs(bound + allowance - res.fun) <= 1e-9
-            # and its v0 attains the min-max
-            assert np.max(a * v0 + c) - res.fun <= 1e-9
             checked += 1
     assert checked > 20
 
@@ -269,7 +265,7 @@ def test_one_step_screened_candidates_are_infeasible(pruned, name):
     n_screened = 0
     for x in GRID:
         for seq in cn.filter_for_state(catalog, data["spec"], x):
-            bound, _ = _one_step(data, x, 3, seq[:2])
+            bound = _one_step(data, x, 3, seq[:2])
             if bound <= FEAS_TOL:
                 continue
             n_screened += 1
@@ -291,15 +287,16 @@ def _decisions(data, catalog):
             statuses = [status for _, status, _ in exc.details["per_scenario"]]
             assert exc.details["n_screened"] == statuses.count("Screened")
             out.append(("infeasible", exc.details["n_screened"],
-                        exc.details["n_head_newton"]))
+                        exc.details["n_killed"]))
             continue
         statuses = [status for _, status, _ in step.per_scenario]
         assert step.n_screened == statuses.count("Screened")
         assert step.n_dominated == statuses.count("Dominated")
         assert (step.n_scenarios_solved + step.n_screened + step.n_dominated
                 == len(statuses))
+        assert step.n_killed <= step.n_dominated
         out.append((step.j_star, step.u, step.V, step.n_screened,
-                    step.n_head_newton))
+                    step.n_killed))
     return out
 
 
@@ -312,17 +309,16 @@ def test_evaluate_equals_unscreened_evaluate(pruned, monkeypatch, name):
     assert [d[:-2] for d in screened] == [d[:-2] for d in plain]
     assert sum(d[-2] for d in screened) > 0
     assert sum(d[-2] for d in plain) == 0
-    assert sum(d[-1] for d in plain) == 0
 
 
 # ---------------------------------------------------------------------------
-# online: head bounds
+# online: closed-form kills
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def deep(request):
-    """The packaged systems with N=6 catalogs: deep enough for heads of
-    three steps and more."""
+    """The packaged systems with N=6 catalogs: more candidates per state,
+    and more with an Optimal solve, than at N=3."""
     out = {}
     for name in SYSTEMS:
         data = request.getfixturevalue(name)
@@ -331,121 +327,130 @@ def deep(request):
 
 
 @pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
-def test_head_screened_candidates_are_infeasible(deep, name):
+def test_kills_keep_decisions(deep, monkeypatch, name):
     data, catalog = deep[name]
-    n_heads, n_newton = 0, 0
-    for x in GRID:
-        cands = cn.filter_for_state(catalog, data["spec"], x)
-        bounds, steps = _walk(data, x, cands)
-        n_newton += steps
-        for seq, bound in zip(cands, bounds):
-            if (bound <= FEAS_TOL
-                    or _one_step(data, x, 6, seq[:2])[0] > FEAS_TOL):
-                continue  # kept, or screened by its one-step bound
-            n_heads += 1
-            sol = cn.solve(cn.assemble(seq, x, data["lin"],
-                                       data["zsets"], data["terminal"],
-                                       data["Q"], data["rho"]))
-            assert sol.status in ("Infeasible", "IterLimit", "Stalled")
-            if sol.status == "Infeasible":
-                assert sol.phase1_violation >= bound
-    assert n_heads > 0 and n_newton > 0
-
-
-@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
-def test_head_walk_keeps_decisions(deep, monkeypatch, name):
-    data, catalog = deep[name]
-    screened = _decisions(data, catalog)
-    _without_one_step_screen(monkeypatch)
+    killed = _decisions(data, catalog)
+    _without_kills(monkeypatch)
     plain = _decisions(data, catalog)
-    assert [d[:-2] for d in screened] == [d[:-2] for d in plain]
-    # the head tests take Newton steps of their own, counted apart
-    assert sum(d[-1] for d in screened) > 0
+    assert [d[:-1] for d in killed] == [d[:-1] for d in plain]
+    assert sum(d[-1] for d in killed) > 0
     assert sum(d[-1] for d in plain) == 0
 
 
-def _head_parts(monkeypatch, data, catalog, states):
-    """(built, hand-built) pairs of the constraints and of the starts of
-    every head the walk tests at the states."""
-    built = {"constraints": [], "starts": []}
-
-    def recorded(name, fn, hand_built):
-        def record(*args):
-            got = fn(*args)
-            built[name].append((got, hand_built(*args)))
-            return got
-        return record
-
-    monkeypatch.setattr(solver_module, "_head_constraints", recorded(
-        "constraints", solver_module._head_constraints,
-        hand_built_head_constraints))
-    monkeypatch.setattr(solver_module, "_head_start", recorded(
-        "starts", solver_module._head_start, hand_built_head_start))
-    for x in states:
-        _walk(data, x, cn.filter_for_state(catalog, data["spec"], x))
-    return built
-
-
-def _assert_hand_built(built):
-    assert len(built["starts"]) == len(built["constraints"])
-    for start, ref in built["starts"]:
-        assert start.shape == ref.shape
-        assert start.tobytes() == ref.tobytes()
-    for cons, ref in built["constraints"]:
-        for name in cons.__dataclass_fields__:
-            got, want = getattr(cons, name), getattr(ref, name)
-            if isinstance(got, np.ndarray):
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), name
-            else:
-                assert got == want, name
+def _kill_reference(prog, tau):
+    """(worst, kill) of one assembled program, straight from its cost and
+    its constraints: its largest value at z_u = -H^-1 f / 2, and the
+    largest V_u - tau + ((g - tau) / ||grad g||_{H^-1})^2 over its rows
+    with g > tau, with the rounding allowance of solver.cuts."""
+    z_u = np.linalg.solve(prog.H, -0.5 * prog.f)
+    V_u = prog.objective_value(z_u)
+    g, G = prog.constraint_values(z_u), prog.cons.grads(z_u)
+    norms = np.sqrt(np.einsum("ij,ji->i", G, np.linalg.solve(prog.H, G.T)))
+    over = g - 1e-9 * (1.0 + np.abs(g)) - tau
+    reach = max(((o / n) ** 2 for o, n in zip(over, norms) if o > 0),
+                default=-np.inf)
+    return (max(prog.pre_violation, g.max()),
+            V_u - 1e-9 * (1.0 + abs(V_u)) - tau + (1.0 - 1e-9) * reach)
 
 
 @pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
-def test_head_programs_match_hand_built(request, monkeypatch, name):
-    # every head's constraints and start in the walk at the benchmark
-    # pool's states, one in 2 on loop-ex2 (ridges) and one in 13 on
-    # query-ex3 (affine rows), with the stored N=15 catalogs, are the
-    # hand-built ones, array for array
-    pool, every = {"ex2": ("loop-ex2", 2), "ex3": ("query-ex3", 13)}[name]
-    data = request.getfixturevalue(name)
-    catalog = cn.FeasibleCatalog.load(BENCH_DATA / f"{name}_N15_catalog.json")
-    states = json.loads((BENCH_DATA / "reference.json").read_text())["pools"]
-    built = _head_parts(monkeypatch, data, catalog,
-                        [np.array(entry["x0"], dtype=float)
-                         for entry in states[pool][::every]])
-    assert len(built["starts"]) > 20
-    _assert_hand_built(built)
+def test_kill_bounds_are_those_of_the_assembled_programs(deep, name):
+    # the per-block bounds, from the stage sets' values at the stage
+    # points of z_u, combine into each candidate's, to rounding
+    data, catalog = deep[name]
+    cfg = cn.SolverConfig()
+    tau = cfg.feas_tol + solver_module.RELAX_PAD
+    n_kills = 0
+    for x in GRID:
+        seqs = cn.filter_for_state(catalog, data["spec"], x)
+        if len(seqs) < 2:
+            continue
+        for seq, (worst, kill) in zip(seqs, solver_module.cuts(
+                x, seqs, *_model(data), cfg)):
+            ref_worst, ref_kill = _kill_reference(
+                cn.assemble(seq, x, *_model(data)), tau)
+            assert np.isclose(worst, ref_worst, rtol=1e-12, atol=1e-12)
+            assert np.isclose(kill, ref_kill, rtol=1e-9, atol=1e-12)
+            n_kills += np.isfinite(kill)
+    assert n_kills > 0
 
 
-def test_head_starts_off_centre_match_hand_built(monkeypatch):
-    # ex2 with the input interval [-1, 3], off centre: the sides of a stage
-    # set cross at v != 0, so a head's start extends its parent's point by
-    # a nonzero v, which the hand-built starts must match bit for bit
-    system = json.loads((PACKAGED / "ex2.json").read_text())
-    system["u"] = [-1.0, 3.0]
-    spec = cn.system_from_dict(system)
-    lin = cn.build_linearization(spec, PAPER_C, b0=PAPER_B0)
-    zsets = cn.build_stage_sets(spec, lin)
-    Q, rho = Q_DIAG * np.eye(2), 0.1 * PAPER_B0 ** 2 / lin.beta ** 2
-    data = dict(spec=spec, lin=lin, zsets=zsets, Q=Q, rho=rho,
-                terminal=cn.build_terminal(spec, lin, zsets, Q, rho))
-    built = _head_parts(monkeypatch, data, _prune(data, 5), GRID)
-    assert len(built["starts"]) > 20
-    assert any(start[-1] != 0.0 for start, _ in built["starts"])
-    _assert_hand_built(built)
+@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
+@settings(max_examples=30, deadline=None)
+@given(where=hst.tuples(hst.floats(0.0, 1.0), hst.floats(0.0, 1.0)),
+       share=hst.floats(0.0, 1.0))
+def test_killed_candidates_cannot_win(deep, name, where, share):
+    # at a state of the state set (its bounding box, filtered by the
+    # catalog's first regions) and a bound B between the least and the
+    # largest Optimal V of the candidates solved alone, every candidate
+    # whose kill bound exceeds B, solved alone, is not Optimal or has V > B
+    data, catalog = deep[name]
+    lo, hi = data["spec"].bounding_box()
+    x = lo + np.array(where) * (hi - lo)
+    seqs = cn.filter_for_state(catalog, data["spec"], x)
+    sols = [cn.solve(cn.assemble(seq, x, *_model(data))) for seq in seqs]
+    values = [sol.V for sol in sols if sol.optimal]
+    if not values:
+        return
+    bound = min(values) + share * (max(values) - min(values))
+    cuts = solver_module.cuts(x, seqs, *_model(data), cn.SolverConfig())
+    for (_, kill), sol in zip(cuts, sols):
+        if bound < kill:
+            assert not sol.optimal or sol.V > bound
 
 
-def test_heads_of_nonconvex_data_take_no_newton_step(ex1):
+def test_nonconvex_data_gets_no_kill(ex1):
+    # ex1 has one stage set, so one candidate per state, which is never
+    # cut: its sequence taken twice gets no kill, although its terminal
+    # set alone would give one at some states
+    catalog = _prune(ex1, 5)
+    tau = cn.SolverConfig().feas_tol + solver_module.RELAX_PAD
+    n_checked = n_terminal = 0
+    for x in GRID:
+        for seq in cn.filter_for_state(catalog, ex1["spec"], x):
+            cuts = solver_module.cuts(x, [seq, seq], *_model(ex1),
+                                      cn.SolverConfig())
+            assert [kill for _, kill in cuts] == [-np.inf, -np.inf]
+            n_terminal += _at(ex1, x, 5).kills(tau)[3] > -np.inf
+            n_checked += 1
+    assert n_checked > 0 and n_terminal > 0
+
+
+def test_heads_of_nonconvex_data_are_the_one_step_bounds(ex1):
     catalog = _prune(ex1, 5)
     for x in GRID:
         seqs = cn.filter_for_state(catalog, ex1["spec"], x)
-        bounds, steps = _walk(ex1, x, seqs)
-        # only the one-step bounds screen
-        one_step = [_one_step(ex1, x, 5, seq[:2])[0] for seq in seqs]
-        assert steps == 0
-        assert bounds == [low if low > FEAS_TOL else -np.inf
-                          for low in one_step]
+        assert solver_module.heads(x, seqs, *_model(ex1)) == [
+            _one_step(ex1, x, 5, seq[:2]) for seq in seqs]
+
+
+@pytest.mark.parametrize("name", ("ex1",) + SYSTEMS, ids=IDS.get)
+def test_head_programs_match_hand_built(request, monkeypatch, name):
+    # the constraints of every pair the transition bounds test, on the
+    # free-x0 horizon 2, are the hand-built ones, array for array (None
+    # for the nonconvex ex1)
+    data = request.getfixturevalue(name)
+    built = []
+
+    def recorded(st, head):
+        got = head_constraints(st, head)
+        built.append((got, hand_built_head_constraints(st, head)))
+        return got
+
+    head_constraints = solver_module._head_constraints
+    monkeypatch.setattr(solver_module, "_head_constraints", recorded)
+    monkeypatch.setattr(solver_module, "_HORIZONS", {})  # not cached
+    _transitions(data)
+    assert len(built) == data["spec"].n_regions ** 2
+    assert any(cons is not None for cons, _ in built) == (name != "ex1")
+    for cons, ref in built:
+        if cons is None:
+            assert ref is None
+            continue
+        for field in cons.__dataclass_fields__:
+            got, want = getattr(cons, field), getattr(ref, field)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), field
 
 
 # ---------------------------------------------------------------------------

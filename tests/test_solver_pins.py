@@ -288,6 +288,12 @@ def test_stacked_constraints_match_their_oracles(request, system, x0, coeffs):
             assert cons.values_batch(Z).tobytes() == np.array(
                 [ref.value_batch(Z) for ref in refs]).T.reshape(
                     4, len(refs)).tobytes()
+            # the curved rows' gradients at every point at once take the
+            # barrier's rounding of the ridges' phase: equal to rounding
+            a = len(cons.rows)
+            assert np.allclose(cons.curved_grads_batch(Z), np.array(
+                [[ref.grad(z) for ref in refs[a:]] for z in Z]).reshape(
+                    4, len(refs) - a, z0.size), rtol=1e-12, atol=1e-12)
     kinds = {"ex1": "quadratic", "ex2": "smooth", "ex3": "affine"}
     assert [zs.kind for zs in data["zsets"]] == [kinds[system]] * len(
         data["zsets"])

@@ -9,9 +9,9 @@ Evaluates every query-ex3 pool state cold (evaluate_ocp) and runs a
 of perfbench/data, which it only reads. For each pool it prints, over the
 decisions with an Optimal candidate (winner), those without one (no
 winner) and all of them: the number of decisions, the candidates solved,
-undecided (IterLimit or Stalled), Dominated and Screened, and the Newton
-steps of the candidate solves, the head tests (solver.heads) and the cut
-tests (solver.dominated). "first lost" counts the decisions whose first
+undecided (IterLimit or Stalled), Dominated and Screened, the Dominated
+ones killed in closed form (solver.cuts), and the Newton steps of the
+candidate solves and of the phase-I cut tests (solver.dominated). "first lost" counts the decisions whose first
 solve (the incumbent's) is not the applied candidate; at a decision with
 no winner, that is every one with a solve.
 
@@ -45,7 +45,7 @@ DATA = ROOT / "perfbench" / "data"
 SYSTEMS = ROOT / "src" / "convexnmpc" / "data"
 LOOP_STEPS = 25
 COLUMNS = ("decisions", "solved", "undecided", "Dominated", "Screened",
-           "solve steps", "head steps", "cut steps", "first lost")
+           "killed", "solve steps", "cut steps", "first lost")
 
 
 @contextmanager
@@ -77,13 +77,12 @@ def recorded(rows):
             step = inner["evaluate_ocp"](*args, **kwargs)
         except InfeasibleStateError as exc:
             details = exc.details
-            per, heads = details["per_scenario"], details["n_head_newton"]
             row["first lost"] = int(bool(first))
-            rows.append((False, tally(row, per, heads)))
+            rows.append((False, tally(row, details["per_scenario"],
+                                      details["n_killed"])))
             raise
         row["first lost"] = int(first[:1] != [step.j_star])
-        rows.append((True, tally(row, step.per_scenario,
-                                 step.n_head_newton)))
+        rows.append((True, tally(row, step.per_scenario, step.n_killed)))
         return step
 
     for fn in (evaluate_ocp, solve, dominated):
@@ -95,12 +94,12 @@ def recorded(rows):
             setattr(closedloop, name, fn)
 
 
-def tally(row, per, head_steps):
+def tally(row, per, killed):
     statuses = [status for _, status, _ in per]
     return Counter(row, decisions=1, Dominated=statuses.count("Dominated"),
                    Screened=statuses.count("Screened"),
                    undecided=sum(s in closedloop.UNDECIDED for s in statuses),
-                   **{"head steps": head_steps})
+                   killed=killed)
 
 
 def pool_rows(system, pool, entries):

@@ -4,7 +4,7 @@ Run from the root of a checkout (a minute or two on one core):
 
     python3 tools/solver_digest.py
 
-Prints sha256[:16] over one float-hex line per result for ten sets:
+Prints sha256[:16] over one float-hex line per result for nine sets:
 
 - probes:   every feasibility probe of an ex2 N=15 prune, taken from the
             levels of the stored catalog: (sequence, feasible, t*);
@@ -31,14 +31,11 @@ Prints sha256[:16] over one float-hex line per result for ten sets:
             Chebyshev centre and PWA overlap list, and the terminal's
             polytope rows or ellipsoid level; then the PWA piece index at
             every query-ex3 pool state;
-- heads:    n_head_newton of evaluate_ocp at every pool state (from the
-            error's details at a state with no Optimal candidate): the
-            Newton steps of the head walk, which move with any change to
-            its heads' constraints or their starts;
-- dominance: (j*, n_dominated, n_cut_newton) of every step of a 25-step
-            simulate from every loop-ex2 start, then of evaluate_ocp at
-            every query-ex3 pool state: which candidates the objective
-            cuts leave unsolved, and the Newton steps of the cut tests
+- dominance: (j*, n_dominated, n_cut_newton, n_killed) of every step of
+            a 25-step simulate from every loop-ex2 start, then of
+            evaluate_ocp at every query-ex3 pool state: which candidates
+            the objective cuts leave unsolved, the Newton steps of the
+            phase-I cut tests and the closed-form kills
             (closedloop.evaluate_ocp, in closed loop and at single
             states).
 
@@ -233,7 +230,7 @@ def decision_digest():
 
 def screen_digests():
     pools = json.loads((DATA / "reference.json").read_text())["pools"]
-    out, heads = Digest(), Digest()
+    out = Digest()
     for system, pool in (("ex2", "loop-ex2"), ("ex3", "query-ex3")):
         pipe = pipeline(system)
         catalog = FeasibleCatalog.load(DATA / f"{system}_N15_catalog.json")
@@ -244,31 +241,28 @@ def screen_digests():
             try:
                 step = evaluate_ocp(x, *args, cfg=pipe.solver_cfg,
                                     keep_per_scenario=True)
-                per, n_head_newton = step.per_scenario, step.n_head_newton
+                per = step.per_scenario
             except InfeasibleStateError as exc:
-                per, n_head_newton, n_screened = (
-                    exc.details.get("per_scenario"),
-                    exc.details["n_head_newton"], exc.details["n_screened"])
-            heads.add(n_head_newton)
+                per, n_screened = (exc.details.get("per_scenario"),
+                                   exc.details["n_screened"])
             if per is None:  # not in the details: the screened count
                 out.add("infeasible", n_screened)
             else:
                 out.add(*[(j, status) for j, status, _ in per])
-    return out, heads
+    return out
 
 
 def dominance_digest():
     """Every step of simulate, read by wrapping the closedloop.evaluate_ocp
     it calls (the checkout's own simulate), then every query-ex3 pool
-    state; a checkout without the two counts reads 0 for
-    them."""
+    state; a checkout without one of the three counts reads 0 for it."""
     pools = json.loads((DATA / "reference.json").read_text())["pools"]
     out, inner = Digest(), closedloop.evaluate_ocp
 
     def recorded(*args, **kwargs):
         step = inner(*args, **kwargs)
         out.add(step.j_star, getattr(step, "n_dominated", 0),
-                getattr(step, "n_cut_newton", 0))
+                getattr(step, "n_cut_newton", 0), getattr(step, "n_killed", 0))
         return step
 
     for system, pool in (("ex2", "loop-ex2"), ("ex3", "query-ex3")):
@@ -339,12 +333,10 @@ def main():
     print(f"programs  {programs}")
     print(f"solves    {solves}", flush=True)
     print(f"decisions {decision_digest()}")
-    screens, heads = screen_digests()
-    print(f"screens   {screens}")
+    print(f"screens   {screen_digests()}")
     print(f"prune     {prune_digest()}")
     print(f"stagesets {stageset_digest()}")
     print(f"geometry  {geometry_digest()}")
-    print(f"heads     {heads}")
     print(f"dominance {dominance_digest()}")
 
 
