@@ -5,10 +5,10 @@ The simulator always propagates the true nonlinear plant; the linear
 prediction model lives only inside the optimal control problems. The
 applied scenario is the smallest index within TIE_TOL of the least Optimal
 value, whatever the order of the solves. One rule picks the candidates
-solved at a state (evaluate_ocp): the one-step screen, the incumbent's
-solve, then for each other one at the running bound a closed-form kill,
-else a phase-I cut test, else its solve. Every decision, in closed loop or
-not, is this cold query, so it depends on the state alone.
+solved at a state (evaluate_ocp): the one-step screen, then for each
+candidate in turn, the incumbent first, at the running bound a closed-form
+kill, else a phase-I cut test, else its solve. Every decision, in closed
+loop or not, is this cold query, so it depends on the state alone.
 """
 from dataclasses import dataclass, field
 
@@ -113,15 +113,15 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
 
     Candidates are the catalog scenarios whose first region contains x,
     Screened if their one-step bound (solver.heads) exceeds cfg.feas_tol.
-    The incumbent, least violated at the cost's least point (solver.cuts),
-    is solved first, the others in index order at the running bound B,
-    +inf until a solve is Optimal, then min V + TIE_TOL over the Optimal
-    solves: one whose kill bound (solver.cuts) exceeds B, or with no
-    Optimal solve of V <= B by its cut test (solver.dominated), is
-    Dominated, not solved. As all share their cost, an Optimal solve of a
-    Dominated d has V > B_d >= V_min + TIE_TOL (B_d: B at d's turn): d is
-    not applied and leaves V_min, so the decision is that of solving all
-    unscreened ones.
+    The others are taken in turn, the incumbent (least violated at the
+    cost's least point, solver.cuts) first and then in index order, at the
+    running bound B: +inf until a solve is Optimal, then min V + TIE_TOL
+    over the Optimal solves. One whose kill bound (solver.cuts) exceeds B,
+    or with no Optimal solve of V <= B by its cut test (solver.dominated;
+    at B = +inf none at all), is Dominated, not solved; the rest are
+    solved. As all share their cost, an Optimal solve of a Dominated d has
+    V > B_d >= V_min + TIE_TOL (B_d: B at d's turn): d is not applied and
+    leaves V_min, so the decision is that of solving all unscreened ones.
 
     The input is recovered through the linearizing feedback, u = 0 where
     the input gain vanishes. IterLimit and Stalled candidates are
@@ -142,17 +142,16 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     sols, bound = [None] * len(candidates), np.inf
     n_killed = n_cut_newton = 0
     for i in sorted(cut, key=lambda i: i != first):
-        if i != first and bound < cut[i][1]:
+        if bound < cut[i][1]:
             statuses[i] = "Dominated"
             n_killed += 1
             continue
         prog = assemble(candidates[i], x, *model)
-        if i != first:
-            gone, steps = dominated(prog, bound, cfg)
-            n_cut_newton += steps
-            if gone:
-                statuses[i] = "Dominated"
-                continue
+        gone, steps = dominated(prog, bound, cfg)
+        n_cut_newton += steps
+        if gone:
+            statuses[i] = "Dominated"
+            continue
         sols[i] = solve(prog, cfg)
         if sols[i].optimal:
             bound = min(bound, sols[i].V + TIE_TOL)

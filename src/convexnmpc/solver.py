@@ -448,7 +448,6 @@ class Solution:
     n_newton: int
     max_constraint: float
     degenerate: bool = False
-    stage_values: tuple = ()
 
     @property
     def optimal(self):
@@ -853,7 +852,7 @@ def solve(prog, cfg=SolverConfig()):
 
     stack = _Stack(prog.cons, relax, (prog.H, prog.f, prog.c0))
     schedule = _mu_schedule(len(prog.cons))
-    stage_values, point = [], None
+    point = None
     try:
         for stage, mu in enumerate(schedule):
             last = stage == len(schedule) - 1
@@ -861,14 +860,11 @@ def solve(prog, cfg=SolverConfig()):
                 work, stack, z, point, mu, INNER_TOL if last else STAGE_TOL)
             if how == "stalled":
                 raise _Undecided("Stalled")
-            stage_values.append(prog.objective_value(z))
     except _Undecided as exc:
         return finish(exc.args[0], z=z, p1=t_star, degenerate=degenerate)
 
     kkt = _kkt_residual(prog, z, schedule[-1], relax, cfg)
-    out = finish("Optimal", z=z, kkt=kkt, p1=t_star, degenerate=degenerate)
-    out.stage_values = tuple(stage_values)
-    return out
+    return finish("Optimal", z=z, kkt=kkt, p1=t_star, degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,12 @@ class TestEvaluate:
 
     def test_iter_limit_candidates_are_counted_not_chosen(self, ex2):
         # at this state the three candidates need 65 (Infeasible), 119 and
-        # 124 Newton steps; the second is the incumbent, solved first, and
-        # the third, the best, lies below it, so no cut certifies it. A
-        # budget of 120 fits the second alone. The first one's one-step
-        # bound (0.0388) screens it before any Newton step, so it is never
-        # undecided
+        # 124 Newton steps; the second is the incumbent, taken first (it is
+        # feasible, so its cut test at B = inf certifies nothing) and
+        # solved, and the third, the best, lies below it, so no cut
+        # certifies it. A budget of 120 fits the second alone. The first
+        # one's one-step bound (0.0388) screens it before any Newton step,
+        # so it is never undecided
         seqs = tuple((2,) * k + (1,) * (15 - k) for k in (1, 5, 6))
         catalog = cn.FeasibleCatalog(s=3, N=15, levels={15: seqs},
                                      feas_tol=1e-7, terminal_kind="ellipsoid",
@@ -201,37 +202,46 @@ def _recorded_simulate(monkeypatch, m, x0, steps):
     return traj, calls
 
 
-def _alone(m, cfg, x):
-    """Each candidate at x: None when its one-step bound screens it, as in
-    evaluate_ocp, and otherwise its solve alone; with the sequences and
-    the incumbent's index (None without an unscreened candidate): the
-    least worst value at z_u of solver.cuts, ties to the smaller index."""
+def _incumbent(m, cfg, x):
+    """The candidate sequences at x, the indices of those that the
+    one-step bound does not screen, as in evaluate_ocp, and the
+    incumbent's index (None without an unscreened candidate): the least
+    worst value at z_u of solver.cuts, ties to the smaller index."""
     seqs = cn.filter_for_state(m["catalog"], m["spec"], x)
     args = (m["lin"], m["zsets"], m["terminal"], m["Q"], m["rho"])
     live = [i for i, low in enumerate(heads(x, seqs, *args))
             if low <= cfg.feas_tol]
     worst = dict(zip(live, (w for w, _ in cuts(
         x, [seqs[i] for i in live], *args, cfg))))
-    sols = [cn.solve(cn.assemble(seqs[i], x, *args), cfg) if i in worst
+    return seqs, live, min(worst, key=worst.get, default=None)
+
+
+def _alone(m, cfg, x):
+    """Each candidate at x: None when its one-step bound screens it, and
+    otherwise its solve alone; with the sequences and the incumbent's
+    index (_incumbent)."""
+    seqs, live, first = _incumbent(m, cfg, x)
+    args = (m["lin"], m["zsets"], m["terminal"], m["Q"], m["rho"])
+    sols = [cn.solve(cn.assemble(seqs[i], x, *args), cfg) if i in live
             else None for i in range(len(seqs))]
-    return seqs, sols, min(worst, key=worst.get, default=None)
+    return seqs, sols, first
 
 
 def _check_dominated(per, seqs, sols, first, s=3, step=None):
-    """Replay evaluate_ocp's loop over the entries per: the incumbent's
-    solve (index first, None if there is none), then the others in index
-    order, with the running bound B (+inf, then min V + TIE_TOL over the
-    Optimal ones solved so far) taken from their solves alone (sols).
-    Every entry that is not Dominated is as if solved alone, and every
-    Dominated one, solved alone, ends non-Optimal or has V > B at its
-    turn. With the step result, the decision is that of solving every
-    unscreened candidate. The number of Dominated ones."""
+    """Replay evaluate_ocp's loop over the entries per: the incumbent
+    (index first, None if there is none), then the others in index order,
+    with the running bound B (+inf, then min V + TIE_TOL over the Optimal
+    ones solved so far) taken from their solves alone (sols). Every entry
+    that is not Dominated is as if solved alone, and every Dominated one,
+    solved alone, ends non-Optimal or has V > B at its turn (at B = +inf,
+    the incumbent's included, it ends non-Optimal). With the step result,
+    the decision is that of solving every unscreened candidate. The
+    number of Dominated ones."""
     bound, n = np.inf, 0
     for i in sorted(range(len(seqs)), key=lambda i: i != first):
         (j, status, V), sol = per[i], sols[i]
         assert j == cn.encode(seqs[i], s)
         if status == "Dominated":
-            assert i != first
             assert not sol.optimal or sol.V > bound
             n += 1
         elif sol is None:
@@ -269,11 +279,11 @@ class TestDominance:
     @pytest.mark.parametrize("name", ["ex2", "ex3"])
     def test_cold_dominated_candidates_cannot_win(self, request, name):
         # cold queries at benchmark pool states (one loop-ex2 start in 2,
-        # one query-ex3 state in 4): the incumbent is solved first, then
-        # the others in index order under the running bound, with no cut
-        # (B = inf) at the states with no winner; on ex2 the incumbent
-        # is not applied at some states, so some cuts are made at a bound
-        # that is not the least V
+        # one query-ex3 state in 4): the incumbent first, then the others
+        # in index order, each cut-tested under the running bound, which
+        # stays inf at the states with no winner; on ex2 the incumbent is
+        # not applied at some states, so some cuts are made at a bound that
+        # is not the least V
         data = request.getfixturevalue(name)
         catalog = cn.FeasibleCatalog.load(BENCH_DATA
                                           / f"{name}_N15_catalog.json")
@@ -312,7 +322,8 @@ class TestDominance:
         # Dominated one, the error's details hold the counts a step result
         # holds: the Dominated candidates, those of them killed in closed
         # form, and the Newton steps of the solves and of the cut tests, as
-        # read by wrapping those calls
+        # read by wrapping those calls. The incumbent takes the cut test at
+        # B = inf like the others, so it is Dominated and nothing is solved
         catalog = cn.FeasibleCatalog.load(BENCH_DATA / "ex3_N15_catalog.json")
         m = _modules(ex3, catalog)
         entries = json.loads((BENCH_DATA / "reference.json").read_text())[
@@ -348,8 +359,12 @@ class TestDominance:
         statuses = [status for _, status, _ in details["per_scenario"]]
         assert details["n_dominated"] == statuses.count("Dominated")
         assert details["n_dominated"] == details["n_killed"] + steps["cut"]
-        assert details["n_newton"] == steps["solve"] > 0
+        assert details["n_newton"] == steps["solve"]
         assert details["n_cut_newton"] == steps["dominated"] > 0
+        _, _, first = _incumbent(m, cn.SolverConfig(),
+                                 np.array(entry["x0"], dtype=float))
+        assert statuses[first] == "Dominated"
+        assert set(statuses) <= {"Screened", "Dominated"}
 
     def test_undominated_candidates_are_as_if_solved_alone(self, ex2,
                                                            ex2_catalog_n15):

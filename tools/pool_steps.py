@@ -10,10 +10,12 @@ of perfbench/data, which it only reads. For each pool it prints, over the
 decisions with an Optimal candidate (winner), those without one (no
 winner) and all of them: the number of decisions, the candidates solved,
 undecided (IterLimit or Stalled), Dominated and Screened, the Dominated
-ones killed in closed form (solver.cuts), and the Newton steps of the
-candidate solves and of the phase-I cut tests (solver.dominated). "first lost" counts the decisions whose first
-solve (the incumbent's) is not the applied candidate; at a decision with
-no winner, that is every one with a solve.
+ones killed in closed form (solver.cuts), the Newton steps of the
+candidate solves, and the phase-I cut tests (solver.dominated) with their
+Newton steps, split into those at B = +inf (no Optimal solve yet) and
+those at a finite B. "first lost" counts the decisions whose first solve
+is not the applied candidate; at a decision with no winner, that is every
+one with a solve.
 
 It prints counts only, no timings, so two checkouts can be compared on
 any host. The counts are read by wrapping the names closedloop calls
@@ -45,7 +47,8 @@ DATA = ROOT / "perfbench" / "data"
 SYSTEMS = ROOT / "src" / "convexnmpc" / "data"
 LOOP_STEPS = 25
 COLUMNS = ("decisions", "solved", "undecided", "Dominated", "Screened",
-           "killed", "solve steps", "cut steps", "first lost")
+           "killed", "solve steps", "inf tests", "inf test steps",
+           "B tests", "B test steps", "first lost")
 
 
 @contextmanager
@@ -64,9 +67,11 @@ def recorded(rows):
         row["solve steps"] += sol.n_newton
         return sol
 
-    def dominated(*args, **kwargs):
-        out = inner["dominated"](*args, **kwargs)
-        row["cut steps"] += out[1]
+    def dominated(prog, bound, cfg):
+        out = inner["dominated"](prog, bound, cfg)
+        at = "inf" if bound == np.inf else "B"
+        row[f"{at} tests"] += 1
+        row[f"{at} test steps"] += out[1]
         return out
 
     def evaluate_ocp(*args, **kwargs):
