@@ -4,11 +4,12 @@ and state-space grids for plotting.
 The simulator always propagates the true nonlinear plant; the linear
 prediction model lives only inside the optimal control problems. The
 applied scenario is the smallest index within TIE_TOL of the least Optimal
-value, whatever the order of the solves. One rule picks the candidates
-solved at a state (evaluate_ocp): the one-step screen, then for each
-candidate in turn, the incumbent first, at the running bound a closed-form
-kill, else a phase-I cut test, else its solve. Every decision, in closed
-loop or not, is this cold query, so it depends on the state alone.
+value, whatever the order of the solves. One rule picks the candidates solved
+at a state (evaluate_ocp): one closed-form call (solver.cuts) gives the
+one-step screen and the kill bounds, then each unscreened candidate in turn,
+the incumbent first, is killed at the running bound, else cut-tested by phase
+I, else solved. Every decision, in closed loop or not, is this cold query, so
+it depends on the state alone.
 """
 from dataclasses import dataclass, field
 
@@ -18,8 +19,7 @@ from .errors import InfeasibleStateError
 from .linearize import u_of_v
 from .model import dynamics_step
 from .scenario import decode, filter_for_state, worker_map
-from .solver import (SolverConfig, assemble, cuts, dominated, encode, heads,
-                     solve)
+from .solver import SolverConfig, assemble, cuts, dominated, encode, solve
 
 TIE_TOL = 1e-9
 UNDECIDED = ("IterLimit", "Stalled")  # statuses that decide nothing
@@ -111,16 +111,16 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
                  cfg=None, keep_per_scenario=False):
     """Solve the candidate scenarios at state x and pick the best.
 
-    Candidates are the catalog scenarios whose first region contains x,
-    Screened if their one-step bound (solver.heads) exceeds cfg.feas_tol.
-    The others are taken in turn, the incumbent (least violated at the
-    cost's least point, solver.cuts) first and then in index order, at the
-    running bound B: +inf until a solve is Optimal, then min V + TIE_TOL
-    over the Optimal solves. One whose kill bound (solver.cuts) exceeds B,
-    or with no Optimal solve of V <= B by its cut test (solver.dominated;
-    at B = +inf none at all), is Dominated, not solved; the rest are
-    solved. As all share their cost, an Optimal solve of a Dominated d has
-    V > B_d >= V_min + TIE_TOL (B_d: B at d's turn): d is not applied and
+    Candidates are the catalog scenarios whose first region contains x; one
+    call (solver.cuts) gives each its (low, worst, kill), Screened if its
+    one-step bound low exceeds cfg.feas_tol. The others are taken in turn, the
+    incumbent (least worst, the largest value at the cost's least point) first
+    and then in index order, at the running bound B: +inf until a solve is
+    Optimal, then min V + TIE_TOL over the Optimal solves. One whose kill
+    exceeds B, or with no Optimal solve of V <= B by its cut test
+    (solver.dominated; at B = +inf none at all), is Dominated, not solved; the
+    rest are solved. As all share their cost, an Optimal solve of a Dominated d
+    has V > B_d >= V_min + TIE_TOL (B_d: B at d's turn): d is not applied and
     leaves V_min, so the decision is that of solving all unscreened ones.
 
     The input is recovered through the linearizing feedback, u = 0 where
@@ -133,16 +133,15 @@ def evaluate_ocp(x, catalog, spec, lin, zsets, terminal, Q, rho,
     x = np.asarray(x, dtype=float)
     model = (lin, zsets, terminal, Q, rho)
     candidates = filter_for_state(catalog, spec, x)
+    cut = cuts(x, candidates, *model, cfg)
     statuses = ["Screened" if low > cfg.feas_tol else None
-                for low in heads(x, candidates, *model)]
+                for low, _, _ in cut]
     live = [i for i, status in enumerate(statuses) if status is None]
-    cut = dict(zip(live, cuts(x, [candidates[i] for i in live], *model,
-                              cfg)))
-    first = min(cut, key=lambda i: cut[i][0], default=None)
+    first = min(live, key=lambda i: cut[i][1], default=None)
     sols, bound = [None] * len(candidates), np.inf
     n_killed = n_cut_newton = 0
-    for i in sorted(cut, key=lambda i: i != first):
-        if bound < cut[i][1]:
+    for i in sorted(live, key=lambda i: i != first):
+        if bound < cut[i][2]:
             statuses[i] = "Dominated"
             n_killed += 1
             continue

@@ -13,15 +13,15 @@ One builder (_program) makes every program, a scenario's (assemble), from
 one compiled horizon. The infeasibility bounds are phase-I decisions on
 constraints with a start: the t* of a head, a scenario's first k stage
 blocks without the terminal set (_head_constraints), bounds the
-scenario's. Offline a pair of stage sets is the depth-2 head of the
-free-x0 horizon-2 program (transitions, in the horizons' LRU); online
-a candidate's depth-1 head has a closed form (one_step, heads). The
-programs at one state share their cost, whose sublevel sets {V <= B} are
-ellipsoids: a convex row whose tangent misses one shows in closed form
-that a program has no Optimal solve of value <= B (cuts); else phase I
-on its rows and the cut V(z) <= B may, or with no cut (B = inf) that it
-has no Optimal solve at all (dominated). One phase-I routine (_phase1)
-takes constraints and ordered starts, for these and for every solve.
+scenario's. Offline a pair of stage sets is the depth-2 head of the free-x0
+horizon-2 program (transitions, in the horizons' LRU). Online one call per
+state (cuts) gives each candidate the closed-form bound of its depth-1 head
+(one_step) and, as the programs at one state share their cost, whose sublevel
+sets {V <= B} are ellipsoids, a kill bound K: for B < K a convex row's tangent
+misses {V <= B}, so it has no Optimal solve of value <= B; else phase I on its
+rows and the cut V(z) <= B may show it, or with no cut (B = inf) that it has no
+Optimal solve at all (dominated). One phase-I routine (_phase1) takes
+constraints and ordered starts, for these and for every solve.
 
 The Newton kernel keeps two invariants. Each trial point of the line search
 is evaluated once: the accepted trial's margins, sinusoid phase pieces and
@@ -955,18 +955,6 @@ def one_step(st, e1, e2=None):
     return _lowest_max(a, c) - 1e-9 * (1.0 + np.abs(c).max())
 
 
-def heads(x, seqs, lin, zsets, terminal, Q, rho):
-    """The one_step bound of each fixed-x0 program at state x of the
-    coefficient sequences seqs (one horizon), once per distinct first two
-    stage sets: above cfg.feas_tol, phase I would end it Infeasible."""
-    if not seqs:
-        return []
-    st = _horizon(lin, zsets, terminal, Q, rho, len(seqs[0]), False).at(x)
-    bounds = {head: one_step(st, *head)
-              for head in dict.fromkeys(seq[:2] for seq in seqs)}
-    return [bounds[seq[:2]] for seq in seqs]
-
-
 def _reach(g, norms, tau):
     """The largest ((g - tau) / norm)^2 over the last axis of rows with
     g > tau, g less its rounding allowance (see cuts); -inf with none."""
@@ -977,13 +965,15 @@ def _reach(g, norms, tau):
 
 
 def cuts(x, seqs, lin, zsets, terminal, Q, rho, cfg):
-    """(worst, kill) of each fixed-x0 program at state x of the coefficient
-    sequences seqs (one horizon), the largest of its stage blocks' and its
-    terminal set's (_Offsets.kills): its largest value at z_u, the cost's
-    least point, and a kill bound K; (0, -inf) for a single program, which
-    has nothing to choose or cut. For B < K no z with every row within an
-    Optimal solve's relax, tau = cfg.feas_tol + RELAX_PAD, has
-    V(z) <= B + tau: the claim of dominated, with no Newton step.
+    """(low, worst, kill) of each fixed-x0 program at state x of the
+    coefficient sequences seqs (one horizon): its one_step bound, once per
+    distinct first two stage sets (Screened above cfg.feas_tol), then the
+    largest of its stage blocks' and its terminal set's (_Offsets.kills) value
+    at z_u, the cost's least point, and kill bound K; (0, -inf) while fewer
+    than two programs have low <= cfg.feas_tol, as one has nothing to choose or
+    cut. For B < K no z with every row within an Optimal solve's relax, tau =
+    cfg.feas_tol + RELAX_PAD, has V(z) <= B + tau: the claim of dominated, with
+    no Newton step.
 
     As V(z) = V_u + (z - z_u)'H(z - z_u), a row's tangent at z_u is at
     least g(z_u) - sqrt(B + tau - V_u) ||grad g(z_u)||_{H^-1} on
@@ -996,13 +986,19 @@ def cuts(x, seqs, lin, zsets, terminal, Q, rho, cfg):
     the packaged systems, each off by about 1e-13 relative (an error d in
     z_u moves a tangent by grad g.d, as little); g(z_u), V_u and the
     squared quotient are each moved 1e-9 relative against the kill."""
-    if len(seqs) < 2:
-        return [(0.0, -np.inf)] * len(seqs)
+    if not seqs:
+        return []
     st = _horizon(lin, zsets, terminal, Q, rho, len(seqs[0]), False).at(x)
+    bounds = {head: one_step(st, *head)
+              for head in dict.fromkeys(seq[:2] for seq in seqs)}
+    low = [bounds[seq[:2]] for seq in seqs]
+    if sum(b <= cfg.feas_tol for b in low) < 2:
+        return [(b, 0.0, -np.inf) for b in low]
     worst, kill, term_worst, term_kill = st.kills(cfg.feas_tol + RELAX_PAD)
     blocks = (np.array(seqs) - 1, np.arange(st.hz.N))
     kill = np.maximum(kill[blocks].max(axis=1), term_kill)
-    return list(zip(np.maximum(worst[blocks].max(axis=1), term_worst).tolist(),
+    return list(zip(low, np.maximum(worst[blocks].max(axis=1),
+                                    term_worst).tolist(),
                     np.where(np.isnan(kill), -np.inf, kill).tolist()))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import convexnmpc as cn
 from convexnmpc import closedloop
 from convexnmpc.geometry import MEMBERSHIP_TOL
-from convexnmpc.solver import cuts, heads
+from convexnmpc.solver import cuts
 
 BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 
@@ -206,14 +206,13 @@ def _incumbent(m, cfg, x):
     """The candidate sequences at x, the indices of those that the
     one-step bound does not screen, as in evaluate_ocp, and the
     incumbent's index (None without an unscreened candidate): the least
-    worst value at z_u of solver.cuts, ties to the smaller index."""
+    worst value at z_u, ties to the smaller index; both from one call of
+    solver.cuts."""
     seqs = cn.filter_for_state(m["catalog"], m["spec"], x)
     args = (m["lin"], m["zsets"], m["terminal"], m["Q"], m["rho"])
-    live = [i for i, low in enumerate(heads(x, seqs, *args))
-            if low <= cfg.feas_tol]
-    worst = dict(zip(live, (w for w, _ in cuts(
-        x, [seqs[i] for i in live], *args, cfg))))
-    return seqs, live, min(worst, key=worst.get, default=None)
+    cut = cuts(x, seqs, *args, cfg)
+    live = [i for i, (low, _, _) in enumerate(cut) if low <= cfg.feas_tol]
+    return seqs, live, min(live, key=lambda i: cut[i][1], default=None)
 
 
 def _alone(m, cfg, x):

@@ -93,15 +93,16 @@ def _without_transition_screen(monkeypatch):
 
 
 def _without_one_step_screen(monkeypatch):
-    monkeypatch.setattr(closedloop_module, "heads",
-                        lambda x, seqs, *args: [-np.inf] * len(seqs))
+    cuts = solver_module.cuts
+    monkeypatch.setattr(closedloop_module, "cuts", lambda *args: [
+        (-np.inf, worst, kill) for _, worst, kill in cuts(*args)])
 
 
 def _without_kills(monkeypatch):
     # the incumbent is still the least violated at z_u
     cuts = solver_module.cuts
     monkeypatch.setattr(closedloop_module, "cuts", lambda *args: [
-        (worst, -np.inf) for worst, _ in cuts(*args)])
+        (low, worst, -np.inf) for low, worst, _ in cuts(*args)])
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +364,50 @@ def test_kill_bounds_are_those_of_the_assembled_programs(deep, name):
     n_kills = 0
     for x in GRID:
         seqs = cn.filter_for_state(catalog, data["spec"], x)
-        if len(seqs) < 2:
-            continue
-        for seq, (worst, kill) in zip(seqs, solver_module.cuts(
-                x, seqs, *_model(data), cfg)):
+        got = solver_module.cuts(x, seqs, *_model(data), cfg)
+        if sum(low <= FEAS_TOL for low, _, _ in got) < 2:
+            continue  # no kill table (test_cuts_are_the_per_state_tables)
+        for seq, (_, worst, kill) in zip(seqs, got):
             ref_worst, ref_kill = _kill_reference(
                 cn.assemble(seq, x, *_model(data)), tau)
             assert np.isclose(worst, ref_worst, rtol=1e-12, atol=1e-12)
             assert np.isclose(kill, ref_kill, rtol=1e-9, atol=1e-12)
             n_kills += np.isfinite(kill)
     assert n_kills > 0
+
+
+@pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
+def test_cuts_are_the_per_state_tables(deep, name):
+    # one call per state: each candidate's one-step bound, bit for bit;
+    # with two or more unscreened candidates, the largest of its stage
+    # blocks' and its terminal set's (worst, kill) in the state's table,
+    # screened candidates included; with fewer, (0, -inf) and no table
+    data, catalog = deep[name]
+    cfg = cn.SolverConfig()
+    n_mixed = n_few = 0
+    for x in GRID:
+        seqs = cn.filter_for_state(catalog, data["spec"], x)
+        got = solver_module.cuts(x, seqs, *_model(data), cfg)
+        st = _at(data, x, catalog.N)
+        assert len(got) == len(seqs)
+        for seq, (low, _, _) in zip(seqs, got):
+            assert low.hex() == solver_module.one_step(st, *seq[:2]).hex()
+        n_live = sum(low <= FEAS_TOL for low, _, _ in got)
+        if n_live < 2:
+            assert [(worst, kill) for _, worst, kill in got] == [
+                (0.0, -np.inf)] * len(seqs)
+            n_few += len(seqs) > 0
+            continue
+        n_mixed += n_live < len(seqs)
+        worst, kill, term_worst, term_kill = st.kills(
+            cfg.feas_tol + solver_module.RELAX_PAD)
+        for seq, (_, got_worst, got_kill) in zip(seqs, got):
+            steps = [(e - 1, k) for k, e in enumerate(seq)]
+            ref_worst = max([worst[b] for b in steps] + [term_worst])
+            ref_kill = np.max([kill[b] for b in steps] + [term_kill])
+            assert got_worst == ref_worst
+            assert got_kill == (-np.inf if np.isnan(ref_kill) else ref_kill)
+    assert n_mixed > 0 and n_few > 0
 
 
 @pytest.mark.parametrize("name", SYSTEMS, ids=IDS.get)
@@ -394,7 +429,7 @@ def test_killed_candidates_cannot_win(deep, name, where, share):
         return
     bound = min(values) + share * (max(values) - min(values))
     cuts = solver_module.cuts(x, seqs, *_model(data), cn.SolverConfig())
-    for (_, kill), sol in zip(cuts, sols):
+    for (_, _, kill), sol in zip(cuts, sols):
         if bound < kill:
             assert not sol.optimal or sol.V > bound
 
@@ -410,9 +445,10 @@ def test_nonconvex_data_gets_no_kill(ex1):
         for seq in cn.filter_for_state(catalog, ex1["spec"], x):
             cuts = solver_module.cuts(x, [seq, seq], *_model(ex1),
                                       cn.SolverConfig())
-            assert [kill for _, kill in cuts] == [-np.inf, -np.inf]
-            n_terminal += _at(ex1, x, 5).kills(tau)[3] > -np.inf
-            n_checked += 1
+            assert [kill for _, _, kill in cuts] == [-np.inf, -np.inf]
+            if cuts[0][0] <= FEAS_TOL:  # two unscreened: the table is read
+                n_terminal += _at(ex1, x, 5).kills(tau)[3] > -np.inf
+                n_checked += 1
     assert n_checked > 0 and n_terminal > 0
 
 
@@ -420,7 +456,8 @@ def test_heads_of_nonconvex_data_are_the_one_step_bounds(ex1):
     catalog = _prune(ex1, 5)
     for x in GRID:
         seqs = cn.filter_for_state(catalog, ex1["spec"], x)
-        assert solver_module.heads(x, seqs, *_model(ex1)) == [
+        cuts = solver_module.cuts(x, seqs, *_model(ex1), cn.SolverConfig())
+        assert [low for low, _, _ in cuts] == [
             _one_step(ex1, x, 5, seq[:2]) for seq in seqs]
 
 

@@ -41,10 +41,8 @@ Prints sha256[:16] over one float-hex line per result for nine sets:
 
 A constraint's line is its form's class name with its fields, in the
 order the program or stage set holds them, as AffineCon{row,offset},
-RidgeCon{scale,freq,dir,phase,lo,hi,X,x_off,lin,c} or QuadCon{H,w,c0}:
-read from one oracle object per constraint where a checkout has them, and
-from the stacked arrays of its Constraints where it has those. So the two
-layouts give equal lines for equal constraints.
+RidgeCon{scale,freq,dir,phase,lo,hi,X,x_off,lin,c} or QuadCon{H,w,c0},
+read from the stacked arrays of its Constraints.
 
 Two checkouts whose digests agree assemble, solve and decide bit for bit
 alike.
@@ -111,11 +109,8 @@ FORMS = (("AffineCon", ("row", "offset"), ("rows", "offsets")),
 
 
 def constraint_lines(cons):
-    """The text of each constraint, in order (see the module docstring):
-    a tuple holds one oracle per constraint, a Constraints stacks them by
-    form."""
-    if isinstance(cons, tuple):
-        return [hexed(con) for con in cons]
+    """The text of each constraint of a Constraints, in order (see the
+    module docstring)."""
     lines = []
     for name, fields, stacked in FORMS:
         arrays = [getattr(cons, f) for f in stacked or fields]
@@ -132,13 +127,10 @@ PROGRAM_FIELDS = ("n_vars", "H", "f", "c0", "rows", "offsets", "prog_class",
 
 def program_lines(prog):
     """The fields the solver reads of a program, in the fixed order of
-    PROGRAM_FIELDS: its constraints' affine rows and offsets, and N, S and
-    offset from its prediction operators where a checkout keeps them in
-    one (prog.ops); then one line per ridge and quadratic. So the line
-    does not depend on how a checkout lays out its ConvexProgram."""
+    PROGRAM_FIELDS, its constraints' affine rows and offsets among them;
+    then one line per ridge and quadratic."""
     cons = prog.cons
-    holders = (prog, cons, getattr(prog, "ops", prog))
-    first = [next(getattr(h, f) for h in holders if hasattr(h, f))
+    first = [getattr(prog if hasattr(prog, f) else cons, f)
              for f in PROGRAM_FIELDS]
     return [first] + [[line] for line
                       in constraint_lines(cons)[len(cons.rows):]]
@@ -255,14 +247,14 @@ def screen_digests():
 def dominance_digest():
     """Every step of simulate, read by wrapping the closedloop.evaluate_ocp
     it calls (the checkout's own simulate), then every query-ex3 pool
-    state; a checkout without one of the three counts reads 0 for it."""
+    state."""
     pools = json.loads((DATA / "reference.json").read_text())["pools"]
     out, inner = Digest(), closedloop.evaluate_ocp
 
     def recorded(*args, **kwargs):
         step = inner(*args, **kwargs)
-        out.add(step.j_star, getattr(step, "n_dominated", 0),
-                getattr(step, "n_cut_newton", 0), getattr(step, "n_killed", 0))
+        out.add(step.j_star, step.n_dominated, step.n_cut_newton,
+                step.n_killed)
         return step
 
     for system, pool in (("ex2", "loop-ex2"), ("ex3", "query-ex3")):
