@@ -246,10 +246,7 @@ def _extend(zs, back, witness):
         return None
     v = lo + (hi - lo) * WITNESS_GRID
     Z = np.column_stack([p - v[:, None] * q, v])
-    worst = np.max(np.column_stack(
-        [zs.constraints.values_batch(Z), Z @ zs.lifted_C.T - zs.lifted_d]),
-        axis=1)
-    k = int(np.argmin(worst))
+    k = int(np.argmin(np.max(zs.values_batch(Z), axis=1)))
     return np.concatenate([v[k:k + 1], witness[:-n], Z[k, :n]])
 
 
@@ -362,8 +359,7 @@ def prune_catalog(spec, lin, zsets, terminal, N, solver_cfg=None,
 
     return FeasibleCatalog(
         s=s, N=N, levels=levels, feas_tol=cfg.feas_tol,
-        terminal_kind="polytope" if isinstance(terminal.tset, Polytope)
-        else "ellipsoid",
+        terminal_kind=terminal.kind,
         content_hash=catalog_hash(spec, lin, terminal, cfg.feas_tol),
         meta={"n_workers": int(n_workers), "screened": screened,
               "warm": warm, "appended": appended},

@@ -27,8 +27,9 @@ The Newton kernel keeps two invariants. Each trial point of the line search
 is evaluated once: the accepted trial's margins, sinusoid phase pieces and
 barrier value become the next iterate's, so no iterate is evaluated twice
 (a new barrier weight needs only the barrier value again).
-Curvature is decided once per compiled stage block: M'HM is convex when H
-is, so a program's nonconvex_data is its solution's nonconvex_flag.
+Curvature is decided once per stage set (StageSet.nonconvex): M'HM is
+convex when H is, so a program's nonconvex_data is its solution's
+nonconvex_flag.
 
 Assembly keeps a third: blocks are compiled once per horizon. What does not
 depend on x0 is built on first use and kept read-only in a small LRU; per
@@ -86,40 +87,14 @@ def _responses(lin, N):
     return Gamma, np.vstack(powers)
 
 
-class _StageBlock:
-    """Stage set zs at one step, composed with the step map
-    z -> (x_hat(k), v_k) = M z + m: its constraints lifted by M, the region
-    rows first, then the interval sides, with the offsets of m = 0; and
-    at(m) for any m."""
-
-    def __init__(self, zs, M):
-        self.zs, self.M = zs, _readonly(M)
-        lifted = zs.constraints.lift(M)
-        self.cons = replace(
-            lifted, rows=_readonly(np.vstack([zs.lifted_C @ M, lifted.rows])),
-            offsets=_readonly(np.concatenate([zs.lifted_d, lifted.offsets])))
-        self.nonconvex = bool(np.any(
-            np.linalg.eigvalsh(zs.constraints.H) < -1e-8))
-
-    def at(self, m):
-        """The constraints at m: the stage constraints shifted by m, then
-        lifted by M, whose products with rows, X, lin and H are those of
-        the lift above (the region rows by one matrix product, the sides
-        per row)."""
-        cons, zs = self.zs.constraints.shift(m), self.zs
-        return replace(
-            self.cons, offsets=_readonly(np.concatenate(
-                [zs.lifted_d - zs.lifted_C @ m, cons.offsets])),
-            x_off=cons.x_off, c=cons.c, c0=cons.c0,
-            w=_readonly((self.M.T @ cons.w[:, :, None])[:, :, 0]))
-
-
 class _Horizon:
     """The programs of one horizon: the parts that do not depend on x0,
     compiled once, and the offsets of the latest state (see at). The states
     x_hat(0..N) are S z + offset, z = (v_0..v_{N-1}) with x0 appended when
     it is free: S is Gamma, or [Gamma Phi] when x0 is free, and the offset
-    is Phi x0, or 0 when x0 is free (_Offsets)."""
+    is Phi x0, or 0 when x0 is free (_Offsets). maps[k] is M of the step map
+    z -> (x_hat(k), v_k) = M z + m, and blocks[i][k] is stage set i lifted
+    by it (StageSet.lift); each state's offsets shift them by its m."""
 
     def __init__(self, lin, zsets, terminal, Q, rho, N, free):
         # strong references: no id in the cache key is reused while the
@@ -130,8 +105,9 @@ class _Horizon:
         self.N, self.n, self.Phi = N, Phi.shape[1], _readonly(Phi)
         self.S = _readonly(np.hstack([Gamma, Phi]) if free else Gamma)
         self.n_vars = self.S.shape[1]
-        self.blocks = [[_StageBlock(zs, self.step_map(k)) for k in range(N)]
-                       for zs in self.zsets]
+        self.maps = [_readonly(np.vstack([self.rows(k), np.eye(
+            self.n_vars)[k]])) for k in range(N)]
+        self.blocks = [[zs.lift(M) for M in self.maps] for zs in self.zsets]
         H = np.zeros((self.n_vars, self.n_vars))
         self.QS = []
         for k in range(N):
@@ -159,10 +135,10 @@ class _Horizon:
         if not free:  # for cuts, H = L L': L^-1, L^-1 M_k' per step, and the
             # H^-1 norms of each block's affine rows, (N, rows) per stage set
             self.L_inv = _readonly(np.linalg.inv(np.linalg.cholesky(self.H)))
-            self.LM = _readonly(np.stack([self.L_inv @ blk.M.T
-                                          for blk in self.blocks[0]]))
+            self.LM = _readonly(np.stack([self.L_inv @ M.T
+                                          for M in self.maps]))
             self.norms = [np.linalg.norm(np.stack(
-                [blk.cons.rows for blk in row]) @ self.L_inv.T, axis=2)
+                [blk.rows for blk in row]) @ self.L_inv.T, axis=2)
                 for row in self.blocks]
         self.hints = []  # free x0: from the Chebyshev centre of region i
         for zs in self.zsets if free else ():
@@ -178,13 +154,6 @@ class _Horizon:
     def rows(self, k):
         """The rows of S that give x_hat(k)."""
         return self.S[k * self.n:(k + 1) * self.n]
-
-    def step_map(self, k):
-        """M of the step map z -> (x_hat(k), v_k) = M z + m (_Offsets.ms)."""
-        M = np.zeros((self.n + 1, self.n_vars))
-        M[:self.n] = self.rows(k)
-        M[self.n, k] = 1.0
-        return M
 
     def at(self, x0):
         """Offsets at x0 (None: free), computed once per state; only the
@@ -237,10 +206,11 @@ class _Offsets:
         self.steps, self.tables = {}, {}
 
     def step(self, i, k):
-        """(block, constraints) of stage set i at step k."""
+        """The constraints of stage set i at step k."""
         if (i, k) not in self.steps:
-            blk = self.hz.blocks[i][k]
-            self.steps[(i, k)] = blk, blk.at(self.ms[k])
+            hz = self.hz
+            self.steps[(i, k)] = hz.zsets[i].shift(hz.blocks[i][k],
+                                                   hz.maps[k], self.ms[k])
         return self.steps[(i, k)]
 
     def kills(self, tau):
@@ -255,14 +225,13 @@ class _Offsets:
             P = np.column_stack([(hz.S @ z_u + self.offset).reshape(
                 hz.N + 1, hz.n)[:-1], z_u[:hz.N]])
             worst, kill = [], []
-            for zs, steps, norms in zip(hz.zsets, hz.blocks, hz.norms):
-                g = np.hstack([P @ zs.lifted_C.T - zs.lifted_d,
-                               zs.constraints.values_batch(P)])
+            for zs, norms in zip(hz.zsets, hz.norms):
+                g = zs.values_batch(P)
                 norms = np.hstack([norms, np.linalg.norm(np.einsum(
                     "kab,krb->kra", hz.LM,
                     zs.constraints.curved_grads_batch(P)), axis=2)])
                 worst.append(g.max(axis=1))
-                kill.append(np.where(steps[0].nonconvex, np.nan, floor
+                kill.append(np.where(zs.nonconvex, np.nan, floor
                                      + (1.0 - 1e-9) * _reach(g, norms, tau)))
             g = _values(self.term, z_u)
             norms = np.linalg.norm(self.term.grads(z_u) @ hz.L_inv.T, axis=1)
@@ -390,8 +359,8 @@ def _program(st, coeffs):
     blocks, the terminal set and the cost, on all the horizon's
     variables."""
     hz = st.hz
-    blks, parts = zip(*(st.step(e - 1, k) for k, e in enumerate(coeffs)))
-    full = Constraints.join([*parts, st.term])
+    full = Constraints.join([*(st.step(e - 1, k) for k, e in enumerate(
+        coeffs)), st.term])
     cons, constant = _steered(full)
     return ConvexProgram(
         n_vars=hz.n_vars, H=hz.H, f=st.f, c0=st.c0, cons=cons,
@@ -399,7 +368,7 @@ def _program(st, coeffs):
         offset=st.offset,
         pre_violation=float(np.max(-full.offsets[constant], initial=-np.inf)),
         z0_hint=st.hint if st.hint is not None else hz.hints[coeffs[0] - 1],
-        nonconvex_data=any(blk.nonconvex for blk in blks))
+        nonconvex_data=any(hz.zsets[e - 1].nonconvex for e in coeffs))
 
 
 def _steered(cons):
@@ -899,10 +868,10 @@ def _head_phase1(cons, start, cfg):
 def _head_constraints(st, head):
     """The constraints of a head at the state of the offsets st: its stage
     blocks joined, with no constant row; None for nonconvex data."""
-    blks, parts = zip(*(st.step(e - 1, k) for k, e in enumerate(head)))
-    if any(blk.nonconvex for blk in blks):
+    if any(st.hz.zsets[e - 1].nonconvex for e in head):
         return None
-    return _steered(Constraints.join(parts))[0]
+    return _steered(Constraints.join(
+        [st.step(e - 1, k) for k, e in enumerate(head)]))[0]
 
 
 def transitions(lin, zsets, terminal, cfg):
@@ -935,10 +904,10 @@ def _lines(st, e1, e2=None):
     the offsets st (its values at z = 0 and the v0 column of its gradients,
     as its constraints are affine in v0), then region e2's rows at step 1."""
     z = np.zeros(st.hz.n_vars)
-    _, cons = st.step(e1 - 1, 0)
+    cons = st.step(e1 - 1, 0)
     a, c = cons.grads(z)[:, 0], cons.values(z)
     if e2 is not None:
-        _, cons = st.step(e2 - 1, 1)
+        cons = st.step(e2 - 1, 1)
         rows = slice(st.hz.zsets[e2 - 1].region.n_rows)
         a = np.concatenate([a, cons.rows[rows, 0]])
         c = np.concatenate([c, cons.rows[rows] @ z - cons.offsets[rows]])

@@ -92,10 +92,8 @@ def _stage_rows_under_gain(z1, kappa):
     if z1.kind != "affine":
         raise PreconditionError(
             "maximal admissible set needs a purely affine first stage set")
-    n = kappa.shape[0]
-    lift = np.vstack([np.eye(n), kappa])
-    C = np.vstack([z1.lifted_C @ lift, z1.constraints.lift(lift).rows])
-    d = np.concatenate([z1.lifted_d, z1.constraints.offsets])
+    cons = z1.lift(np.vstack([np.eye(kappa.size), kappa]))
+    C, d = cons.rows, cons.offsets
     norms = np.linalg.norm(C, axis=1)
     keep = norms > 1e-14
     return C[keep] / norms[keep, None], d[keep] / norms[keep]
@@ -249,8 +247,7 @@ def verify_terminal_axioms(ti, zsets, Q, rho, n_samples=2000, seed=0):
     X = (tset.boundary_points(n_samples, seed) if ellipsoid
          else vertices(tset.C, tset.d))
     Z = np.hstack([X, (X @ kappa)[:, None]])
-    adm = np.maximum(np.max(z1.constraints.values_batch(Z), axis=1),
-                     np.max(X @ z1.region.C.T - z1.region.d, axis=1))
+    adm = np.max(z1.values_batch(Z), axis=1)
     inv = np.array([tset.violation(x) for x in X @ ti.A_cl.T])
     dec = np.einsum("ij,jk,ik->i", X, D, X)
     if ellipsoid:

@@ -232,16 +232,15 @@ def full_schedule_transitions(lin, zsets):
     cfg = cn.SolverConfig(feas_tol=np.inf)
     s, out = len(zsets), {}
     for i, j in itertools.product(range(1, s + 1), repeat=2):
-        blocks = [solver_module._StageBlock(zs, step_map(S, offset, n, k)[0])
-                  for k, zs in enumerate((zsets[i - 1], zsets[j - 1]))]
+        pair = (zsets[i - 1], zsets[j - 1])
         out[(i, j)] = -np.inf
-        if any(blk.nonconvex for blk in blocks):
+        if any(zs.nonconvex for zs in pair):
             continue
         start = np.zeros(d)
         center, _ = zsets[i - 1].region.chebyshev_center()
         start[2:] = 0.0 if center is None else center
-        cons = Constraints.join([blk.at(np.zeros(blk.M.shape[0]))
-                                 for blk in blocks])
+        cons = Constraints.join([zs.lift(step_map(S, offset, n, k)[0])
+                                 for k, zs in enumerate(pair)])
         try:
             _, t, _ = solver_module._phase1(cons, (start,), cfg,
                                             solver_module._Work(cfg))
@@ -264,7 +263,7 @@ def stage_lines(zs, x):
     """The lines a v + c of stage set zs at state x, in stage space: its
     region rows (flat in v), then its interval sides, at (x, 0)."""
     z = np.append(x, 0.0)
-    c = np.concatenate([zs.lifted_C @ z - zs.lifted_d,
+    c = np.concatenate([zs.lifted_C @ z - zs.region.d,
                         zs.constraints.values(z)])
     a = np.concatenate([np.zeros(zs.region.n_rows),
                         zs.constraints.grads(z)[:, -1]])
@@ -277,10 +276,9 @@ def hand_built_head_constraints(st, head):
     x0 when it is free), with the rows that hold no decision variable (the
     first region's, for fixed x0) dropped; None for nonconvex data."""
     k, hz = len(head), st.hz
-    steps = [st.step(e - 1, j) for j, e in enumerate(head)]
-    if any(blk.nonconvex for blk, _ in steps):
+    if any(hz.zsets[e - 1].nonconvex for e in head):
         return None
-    cons = Constraints.join([cons for _, cons in steps])
+    cons = Constraints.join([st.step(e - 1, j) for j, e in enumerate(head)])
     cols = [*range(k), *range(hz.N, hz.n_vars)]
     rows = cons.rows[:, cols]
     keep = np.max(np.abs(rows), axis=1) >= 1e-13

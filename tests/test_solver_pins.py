@@ -309,19 +309,34 @@ def test_stacked_constraints_match_their_oracles(request, system, x0, coeffs):
 def test_blocks_compose_their_stage_constraints(request, system, x0, coeffs):
     # each step's constraints after its region rows, lifted by the step
     # map once per horizon and shifted once per state: bit for bit the
-    # composition of one stage oracle at a time
+    # composition of one stage oracle at a time; the region rows first,
+    # each of their rows and offsets one matrix product, where per-row
+    # products round differently on ex2
     data = request.getfixturevalue(system)
     prog = _program(data, coeffs, x0)
     st = solver_module._horizon(
         data["lin"], data["zsets"], data["terminal"],
         np.atleast_2d(data["Q"]), float(data["rho"]), len(coeffs),
         x0 is None).at(None if x0 is None else np.array(x0))
+    apart = 0
     for k, e in enumerate(coeffs):
-        _, cons = st.step(e - 1, k)
-        want = [composed(con, *step_map(prog.S, prog.offset, 2, k))
-                for con in oracles(data["zsets"][e - 1].constraints)]
+        cons, zs = st.step(e - 1, k), data["zsets"][e - 1]
+        M, m = step_map(prog.S, prog.offset, 2, k)
+        want = [composed(con, M, m) for con in oracles(zs.constraints)]
         a = sum(isinstance(con, AffineCon) for con in want)
         assert _exact(oracles(cons)[len(cons.rows) - a:]) == _exact(want)
+        r = zs.region.n_rows
+        assert _hex(cons.rows[:r]) == _hex(zs.lifted_C @ M)
+        assert _hex(cons.offsets[:r]) == _hex(zs.region.d - zs.lifted_C @ m)
+        apart += int(np.sum((zs.lifted_C[:, None, :] @ M)[:, 0]
+                            != zs.lifted_C @ M))
+        apart += int(np.sum(_dots(zs.lifted_C, m) != zs.lifted_C @ m))
+    assert (apart > 0) is (system == "ex2")
+
+
+def _hex(a):
+    """The entries of a, each as its float.hex string."""
+    return [float.hex(v) for v in np.ravel(a).tolist()]
 
 
 class _Concatenations:

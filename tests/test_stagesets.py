@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,34 @@ def test_pulled_back_stage_cost_positive_definite(ex2):
         x = rng.uniform(-2, 2, 2)
         u = rng.uniform(-2, 2)
         assert pulled_back(x, u) > 0.0
+
+
+class TestOneRegion:
+    def test_region_rows_are_the_regions(self, ex3):
+        # the region rows are stored once: a stage set given another region
+        # lifts that region's rows, with its offsets
+        zs, P = ex3["zsets"][0], ex3["zsets"][1].region
+        moved = dataclasses.replace(zs, region=P)
+        lifted_C = np.hstack([P.C, np.zeros((P.n_rows, 1))])
+        assert moved.lifted_C.tobytes() == lifted_C.tobytes()
+        M = np.random.default_rng(5).normal(size=(3, 4))
+        cons = moved.lift(M)
+        assert cons.rows[:P.n_rows].tobytes() == (lifted_C @ M).tobytes()
+        assert cons.offsets[:P.n_rows].tobytes() == P.d.tobytes()
+        assert cons.rows[P.n_rows:].tobytes() == zs.constraints.lift(
+            M).rows.tobytes()
+
+    def test_programs_are_nonconvex_with_a_stage_set(self, ex1):
+        # curvature is decided once per stage set: a program's data is
+        # nonconvex iff one of its stage sets is
+        zsets = ex1["zsets"]
+        catalog = cn.prune_catalog(ex1["spec"], ex1["lin"], zsets,
+                                   ex1["terminal"], 4)
+        seqs = [seq for level in catalog.levels.values() for seq in level]
+        assert seqs
+        for seq in seqs:
+            prog = cn.assemble(seq, None, ex1["lin"], zsets, ex1["terminal"],
+                               ex1["Q"], ex1["rho"])
+            assert prog.nonconvex_data == any(zsets[e - 1].nonconvex
+                                              for e in seq)
+        assert all(zs.nonconvex for zs in zsets)

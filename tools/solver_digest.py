@@ -26,7 +26,7 @@ Prints sha256[:16] over one float-hex line per result for nine sets:
             ex3 N=6 prunes (prune_catalog itself, screen and warm starts
             included);
 - stagesets: every stage set of ex1, ex2 and ex3: its sign, kind,
-            lifted_C and lifted_d, then one line per constraint;
+            lifted_C and region.d, then one line per constraint;
 - geometry: for ex1, ex2 and ex3, every region's bounding box,
             Chebyshev centre and PWA overlap list, and the terminal's
             polytope rows or ellipsoid level; then the PWA piece index at
@@ -294,7 +294,7 @@ def stageset_digest():
     for system in ("ex1", "ex2", "ex3"):
         for zs in pipeline(system).zsets:
             out.add(system, zs.index, zs.sign_beta_g, zs.kind, zs.lifted_C,
-                    zs.lifted_d)
+                    zs.region.d)
             for line in constraint_lines(zs.constraints):
                 out.add(line)
     return out
